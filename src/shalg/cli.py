@@ -55,15 +55,14 @@ DEFAULT_LENGTH = 6
 
 
 def _map_witness(m: GradedMap):
-    """First nonzero matrix entry of a graded map, as an exact record."""
-    for k in sorted(m.blocks):
-        mat = m.blocks[k]
-        for i, row in enumerate(mat):
-            for j, x in enumerate(row):
-                if x:
-                    return {"degree": k, "row": i, "column": j,
-                            "value": serialize.dump_fraction(x)}
-    return None
+    """First nonzero matrix entry of a graded map in (degree, row,
+    column) order, as an exact record."""
+    if m.is_zero():
+        return None
+    k = min(m.columns)
+    i, j = min((i, j) for j, col in m.columns[k].items() for i in col)
+    return {"degree": k, "row": i, "column": j,
+            "value": serialize.dump_fraction(m.columns[k][j][i])}
 
 
 class Certificate:
@@ -197,17 +196,18 @@ def cmd_verify(args):
         _verify_sdr(cert, s)
     elif args.kind == "action":
         pres, assignment, complexes = serialize.action_from_data(data)
-        trunc = data.get("truncation", 1)
+        trunc = serialize.parse_int(data.get("truncation", 1),
+                                    "$.truncation")
         from .operadcore import action_check
         res = action_check(pres, assignment, complexes, trunc)
         for entry in res["entries"]:
             witness = None
             if not entry["ok"]:
-                blocks = entry["witness"]
-                k = sorted(blocks)[0]
+                diff = entry["witness"]
+                k = min(diff.columns)
                 witness = {"degree": k,
                            "block": [[serialize.dump_fraction(x)
-                                      for x in row] for row in blocks[k]]}
+                                      for x in row] for row in diff.block(k)]}
             cert.add(f"action-compatibility-{entry['generator']}",
                      entry["ok"], residual_zero=entry["ok"],
                      witness=witness)
@@ -225,6 +225,11 @@ def _write_outputs(cert, args, outputs):
         return
     for suffix, data in outputs:
         serialize.dump(f"{args.out}{suffix}", data)
+
+
+def _map_field(data, key, source, target):
+    return serialize.map_from_data(serialize.field(data, key), source,
+                                   target, f"$.{key}")
 
 
 def cmd_move(args):
@@ -249,8 +254,8 @@ def cmd_move(args):
         elif args.move == "m2":
             m = serialize.morphism_from_data(datas[0])
             V, W = m.source, m.target
-            g = serialize.map_from_data(datas[1]["g"], V.space, W.space)
-            h = serialize.map_from_data(datas[1]["h"], V.space, W.space)
+            g = _map_field(datas[1], "g", V.space, W.space)
+            h = _map_field(datas[1], "h", V.space, W.space)
             cert.add("hypothesis-homotopy-between-chain-maps", True)
             out = perturb_M2(m, g, h, N=min(N, m.N))
             cert.add("output-underlying-map", underlying(out) == g)
@@ -259,9 +264,9 @@ def cmd_move(args):
         elif args.move == "m3":
             m = serialize.morphism_from_data(datas[0])
             V, W = m.source, m.target
-            g = serialize.map_from_data(datas[1]["g"], W.space, V.space)
-            h = serialize.map_from_data(datas[1]["h"], V.space, V.space)
-            ell = serialize.map_from_data(datas[1]["l"], W.space, W.space)
+            g = _map_field(datas[1], "g", W.space, V.space)
+            h = _map_field(datas[1], "h", V.space, V.space)
+            ell = _map_field(datas[1], "l", W.space, W.space)
             cert.add("hypothesis-homotopy-equivalence", True)
             out = invert_M3(m, g, h, ell, N=min(N, m.N))
             cert.add("output-underlying-map", underlying(out) == g)
@@ -275,10 +280,11 @@ def cmd_move(args):
             outputs = [(".morphism.json", serialize.morphism_to_data(out))]
         elif args.move == "s":
             a = serialize.algebra_from_data(datas[0])
-            w = serialize.complex_from_data(datas[1]["target"])
-            f = serialize.map_from_data(datas[1]["f"], a.space, w.space)
-            g = serialize.map_from_data(datas[1]["g"], w.space, a.space)
-            h = serialize.map_from_data(datas[1]["h"], a.space, a.space)
+            w = serialize.complex_from_data(
+                serialize.field(datas[1], "target"), "$.target")
+            f = _map_field(datas[1], "f", a.space, w.space)
+            g = _map_field(datas[1], "g", w.space, a.space)
+            h = _map_field(datas[1], "h", a.space, a.space)
             cert.add("hypothesis-one-sided-retraction", True)
             wa, mor = transfer_S(a, w, f, g, h, N=min(N, a.N))
             _verify_algebra(cert, wa, "output-")
@@ -287,6 +293,8 @@ def cmd_move(args):
                        (".morphism.json", serialize.morphism_to_data(mor))]
         else:
             raise ValueError(args.move)
+    except serialize.InputError:
+        raise
     except ValueError as exc:
         cert.add("hypotheses", False, witness=str(exc))
     _write_outputs(cert, args, outputs)

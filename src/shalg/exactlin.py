@@ -1,20 +1,27 @@
 """Exact rational graded linear algebra.
 
 Graded vector spaces over Q with a homological Z-grading, graded maps
-stored as one exact rational matrix per degree, chain complexes with a
-degree -1 differential, homology with explicit splitting data, and a
-certified linear solver.  Everything is a plain immutable value; no
-floating point is used anywhere.
+stored as sparse exact rational columns per degree, chain complexes
+with a degree -1 differential, homology with explicit splitting data,
+and a certified linear solver.  Everything is a plain immutable value;
+no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+# degree k -> source column -> target row -> nonzero coefficient
+Columns = dict[int, dict[int, dict[int, Fraction]]]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -32,10 +39,6 @@ def make_matrix(rows: Iterable[Iterable], nrows: int, ncols: int) -> Matrix:
     return m
 
 
-def zero_matrix(nrows: int, ncols: int) -> Matrix:
-    return tuple((Fraction(0),) * ncols for _ in range(nrows))
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -43,6 +46,7 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Dense matrix product (a reference; graded maps multiply sparsely)."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch in product")
     return tuple(
@@ -53,15 +57,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix, ca=1, cb=1) -> Matrix:
+    """Dense ca a + cb b (a reference; graded maps add sparsely)."""
     ca, cb = _frac(ca), _frac(cb)
     return tuple(
         tuple(ca * a[i][j] + cb * b[i][j] for j in range(len(a[i])))
         for i in range(len(a))
     )
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def rref(a: Matrix) -> tuple[Matrix, Matrix, list[int]]:
@@ -185,6 +186,8 @@ class GradedVectorSpace:
         return [(d, i) for d in self.degrees() for i in range(self.dims[d])]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, GradedVectorSpace)
                 and self.dims == other.dims and self.labels == other.labels)
 
@@ -198,11 +201,34 @@ class GradedVectorSpace:
 ZERO_SPACE = GradedVectorSpace({})
 
 
-def _atoms(factors: Sequence[GradedVectorSpace]) -> list:
+def _atoms(factors: Sequence[GradedVectorSpace]) -> tuple:
     out = []
     for f in factors:
         out.extend(f.factors)
-    return out
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=256)
+def _tensor_basis(atoms: tuple):
+    """(space, degree -> basis tuples, basis tuple -> (degree, index))
+    of the tensor product of the atomic factors, computed once per
+    tuple of atoms; every value is shared by all callers, so none of
+    them may be mutated."""
+    tuples: dict[int, list] = {}
+    for combo in itertools.product(*[a.flat_basis() for a in atoms]):
+        tuples.setdefault(sum(deg for deg, _ in combo), []).append(combo)
+    tuples = {d: tuple(ts) for d, ts in tuples.items()}
+    index = {t: (d, i) for d, ts in tuples.items() for i, t in enumerate(ts)}
+    if len(atoms) == 1:
+        space = atoms[0]
+    else:
+        labels = {d: tuple(tuple(atoms[k].labels[deg][i]
+                                 for k, (deg, i) in enumerate(t))
+                           for t in ts)
+                  for d, ts in tuples.items()}
+        space = GradedVectorSpace({d: len(ts) for d, ts in tuples.items()},
+                                  labels, factors=atoms)
+    return space, MappingProxyType(tuples), MappingProxyType(index)
 
 
 def tensor_spaces(factors: Sequence[GradedVectorSpace]) -> GradedVectorSpace:
@@ -211,31 +237,16 @@ def tensor_spaces(factors: Sequence[GradedVectorSpace]) -> GradedVectorSpace:
     The degree-d basis consists of all tuples of per-atom flat basis
     elements with total degree d, ordered lexicographically by the flat
     position within each atom.  Bracketing never matters: nested tensor
-    products flatten to the same space.
+    products flatten to the same space, and equal atoms give the same
+    object.
     """
-    atoms = _atoms(factors)
-    if len(atoms) == 1:
-        return atoms[0]
-    dims: dict[int, int] = {}
-    labels: dict[int, list] = {}
-    for combo in itertools.product(*[a.flat_basis() for a in atoms]):
-        d = sum(deg for deg, _ in combo)
-        dims[d] = dims.get(d, 0) + 1
-        label = tuple(atoms[k].labels[deg][i]
-                      for k, (deg, i) in enumerate(combo))
-        labels.setdefault(d, []).append(label)
-    return GradedVectorSpace(dims, {d: tuple(v) for d, v in labels.items()},
-                             factors=atoms)
+    return _tensor_basis(_atoms(factors))[0]
 
 
-def tensor_basis_tuples(factors: Sequence[GradedVectorSpace]) -> dict[int, list]:
-    """Degree -> ordered list of per-atom (degree, index) tuples."""
-    atoms = _atoms(factors)
-    out: dict[int, list] = {}
-    for combo in itertools.product(*[a.flat_basis() for a in atoms]):
-        d = sum(deg for deg, _ in combo)
-        out.setdefault(d, []).append(combo)
-    return out
+def tensor_basis_tuples(factors: Sequence[GradedVectorSpace]) -> Mapping:
+    """Degree -> ordered tuple of per-atom (degree, index) tuples
+    (read-only, shared between calls)."""
+    return _tensor_basis(_atoms(factors))[1]
 
 
 def tensor_power(space: GradedVectorSpace, n: int) -> GradedVectorSpace:
@@ -250,93 +261,185 @@ def tensor_power(space: GradedVectorSpace, n: int) -> GradedVectorSpace:
 class GradedMap:
     """Degree-homogeneous linear map between graded spaces.
 
-    blocks[k] is the matrix of the degree-k component, mapping the
-    source degree-k basis (columns) to the target degree-(k+degree)
-    basis (rows).  Missing blocks are zero.
+    Stored column-major and sparse: columns[k][c][r] is the coefficient
+    of target basis vector r (degree k + degree) in the image of source
+    basis vector c (degree k).  Only nonzero coefficients are stored; a
+    column without one, and a degree without a column, is absent, so
+    equal maps have equal columns.  columns is shared, never mutated.
+
+    blocks and block(k) are dense views, built when read: block(k) is
+    the matrix of the degree-k component, mapping the source degree-k
+    basis (columns) to the target degree-(k+degree) basis (rows).
     """
 
     def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace,
                  degree: int, blocks: Mapping[int, Iterable] = ()):
+        """Map from dense blocks {k: rows}; missing blocks are zero."""
         self.source = source
         self.target = target
         self.degree = int(degree)
-        self.blocks: dict[int, Matrix] = {}
-        blocks = dict(blocks)
-        for k, mat in blocks.items():
+        self.columns: Columns = {}
+        for k, mat in dict(blocks).items():
             k = int(k)
             m = make_matrix(mat, target.dim(k + self.degree), source.dim(k))
-            if not mat_is_zero(m):
-                self.blocks[k] = m
+            cols: dict[int, dict[int, Fraction]] = {}
+            for r, row in enumerate(m):
+                for c, x in enumerate(row):
+                    if x:
+                        cols.setdefault(c, {})[r] = x
+            if cols:
+                self.columns[k] = cols
+
+    @classmethod
+    def from_columns(cls, source, target, degree, columns: Columns):
+        """Map holding columns as its stored form, without copying:
+        nonzero coefficients only, and no empty column or degree."""
+        m = cls.__new__(cls)
+        m.source, m.target, m.degree = source, target, int(degree)
+        m.columns = columns
+        return m
 
     def block(self, k: int) -> Matrix:
-        if k in self.blocks:
-            return self.blocks[k]
-        return zero_matrix(self.target.dim(k + self.degree), self.source.dim(k))
+        """Dense matrix of the degree-k component."""
+        rows = [[_ZERO] * self.source.dim(k)
+                for _ in range(self.target.dim(k + self.degree))]
+        for c, col in self.columns.get(k, {}).items():
+            for r, x in col.items():
+                rows[r][c] = x
+        return tuple(tuple(row) for row in rows)
+
+    @property
+    def blocks(self) -> dict[int, Matrix]:
+        """Dense matrices of the nonzero degree components."""
+        return {k: self.block(k) for k in sorted(self.columns)}
 
     @classmethod
     def zero(cls, source, target, degree):
-        return cls(source, target, degree)
+        return cls.from_columns(source, target, degree, {})
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, 0,
-                   {d: identity_matrix(space.dims[d]) for d in space.dims})
+        return cls.from_columns(space, space, 0, {
+            d: {i: {i: _ONE} for i in range(n)}
+            for d, n in space.dims.items()})
 
     def is_zero(self) -> bool:
-        return not self.blocks
+        return not self.columns
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other."""
         if other.target != self.source:
             raise ValueError("composition source/target mismatch")
-        blocks = {}
-        for k in other.source.degrees():
-            a, b = self.block(k + other.degree), other.block(k)
-            nrows = self.target.dim(k + other.degree + self.degree)
-            ncols = other.source.dim(k)
-            if a and b and b[0]:
-                blocks[k] = mat_mul(a, b)
-            else:
-                blocks[k] = zero_matrix(nrows, ncols)
-        return GradedMap(other.source, self.target,
-                         self.degree + other.degree, blocks)
+        out: Columns = {}
+        for k, ocols in other.columns.items():
+            a = self.columns.get(k + other.degree)
+            if a is None:
+                continue
+            blk = {}
+            for c, vec in ocols.items():
+                if len(vec) == 1:
+                    (r, x), = vec.items()
+                    acol = a.get(r)
+                    if acol is not None:
+                        blk[c] = acol if x == 1 else {
+                            i: x * y for i, y in acol.items()}
+                    continue
+                acc: dict[int, Fraction] = {}
+                for r, x in vec.items():
+                    for i, y in a.get(r, {}).items():
+                        acc[i] = acc[i] + x * y if i in acc else x * y
+                col = {i: v for i, v in acc.items() if v}
+                if col:
+                    blk[c] = col
+            if blk:
+                out[k] = blk
+        return GradedMap.from_columns(other.source, self.target,
+                                      self.degree + other.degree, out)
 
     def add(self, other: "GradedMap", c1=1, c2=1) -> "GradedMap":
-        if (other.source != self.source or other.target != self.target
-                or other.degree != self.degree):
-            raise ValueError("can only add maps of equal type and degree")
-        blocks = {k: mat_add(self.block(k), other.block(k), c1, c2)
-                  for k in set(self.blocks) | set(other.blocks)}
-        return GradedMap(self.source, self.target, self.degree, blocks)
+        return map_sum([self, other], [c1, c2])
 
     def scale(self, c) -> "GradedMap":
         c = _frac(c)
-        return GradedMap(self.source, self.target, self.degree,
-                         {k: tuple(tuple(c * x for x in row) for row in m)
-                          for k, m in self.blocks.items()})
+        if c == 1:
+            return self
+        return GradedMap.from_columns(
+            self.source, self.target, self.degree,
+            {k: {j: {i: c * x for i, x in col.items()}
+                 for j, col in cols.items()}
+             for k, cols in self.columns.items()} if c else {})
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap)
                 and self.source == other.source
                 and self.target == other.target
                 and self.degree == other.degree
-                and self.blocks == other.blocks)
+                and self.columns == other.columns)
 
     def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.blocks.items()))))
+        return hash((self.degree, tuple(sorted(self.columns))))
 
     def __repr__(self):
         return (f"GradedMap(degree={self.degree}, "
-                f"blocks on {sorted(self.blocks)})")
+                f"blocks on {sorted(self.columns)})")
 
 
 def map_sum(maps: Sequence[GradedMap], coeffs=None) -> GradedMap:
+    """Linear combination of maps of one type, with coefficients 1 by
+    default."""
     if not maps:
         raise ValueError("empty sum needs an explicit zero map")
-    acc = maps[0] if coeffs is None else maps[0].scale(coeffs[0])
-    for i, m in enumerate(maps[1:], start=1):
-        acc = acc.add(m, 1, 1 if coeffs is None else coeffs[i])
-    return acc
+    first = maps[0]
+    if coeffs is None:
+        coeffs = [1] * len(maps)
+    out: Columns = {}
+    for m, c in zip(maps, coeffs):
+        if (m.source != first.source or m.target != first.target
+                or m.degree != first.degree):
+            raise ValueError("can only add maps of equal type and degree")
+        c = _frac(c)
+        if not c:
+            continue
+        for k, cols in m.columns.items():
+            blk = out.setdefault(k, {})
+            for j, col in cols.items():
+                acc = blk.get(j)
+                if acc is None:
+                    blk[j] = (dict(col) if c == 1 else
+                              {i: c * x for i, x in col.items()})
+                    continue
+                for i, x in col.items():
+                    v = x if c == 1 else c * x
+                    acc[i] = acc[i] + v if i in acc else v
+    for k in list(out):
+        blk = out[k]
+        for j in list(blk):
+            col = blk[j]
+            if not all(col.values()):
+                col = {i: v for i, v in col.items() if v}
+                if col:
+                    blk[j] = col
+                else:
+                    del blk[j]
+        if not blk:
+            del out[k]
+    return GradedMap.from_columns(first.source, first.target, first.degree,
+                                  out)
+
+
+def _chunked_images(m: GradedMap) -> dict:
+    """Source basis tuple of m (over its atoms) -> (its degree, the
+    nonzero entries of its image as (target basis tuple, coefficient)
+    pairs).  Every coefficient equal to 1 is the shared _ONE."""
+    _, src_tuples, _ = _tensor_basis(m.source.factors)
+    _, tgt_tuples, _ = _tensor_basis(m.target.factors)
+    out = {}
+    for k, cols in m.columns.items():
+        rows = tgt_tuples[k + m.degree]
+        for c, col in cols.items():
+            out[src_tuples[k][c]] = (k, [(rows[r], _ONE if x == 1 else x)
+                                         for r, x in col.items()])
+    return out
 
 
 def tensor_maps_many(factors: Sequence[GradedMap]) -> GradedMap:
@@ -344,69 +447,63 @@ def tensor_maps_many(factors: Sequence[GradedMap]) -> GradedMap:
 
     On basis tensors, (f_1 x ... x f_k)(x_1 x ... x x_k) picks up the
     sign (-1)^(sum over i<j of |f_j| |x_i|).  Sources and targets are
-    the flat tensor products of the factor sources and targets.
+    the flat tensor products of the factor sources and targets.  Only
+    the nonzero entries of each factor's columns are enumerated, so an
+    identity factor costs one entry per column.
     """
     factors = list(factors)
-    srcs = [f.source for f in factors]
-    tgts = [f.target for f in factors]
-    source = tensor_spaces(srcs)
-    target = tensor_spaces(tgts)
+    source, _, src_index = _tensor_basis(_atoms([f.source for f in factors]))
+    target, _, tgt_index = _tensor_basis(_atoms([f.target for f in factors]))
     degree = sum(f.degree for f in factors)
-    src_tuples = tensor_basis_tuples(srcs)
-    tgt_tuples = tensor_basis_tuples(tgts)
-    tgt_index = {d: {t: i for i, t in enumerate(rows)}
-                 for d, rows in tgt_tuples.items()}
-    # Per factor: how its atomic basis tuples index into its own blocks.
-    src_lookup, tgt_expand, src_width = [], [], []
-    for f in factors:
-        s_tab = tensor_basis_tuples([f.source])
-        src_lookup.append({t: (d, i) for d, ts in s_tab.items()
-                           for i, t in enumerate(ts)})
-        t_tab = tensor_basis_tuples([f.target])
-        tgt_expand.append({(d, i): t for d, ts in t_tab.items()
-                           for i, t in enumerate(ts)})
-        src_width.append(len(f.source.factors))
-    blocks = {}
-    for d, columns in src_tuples.items():
-        td = d + degree
-        nrows = target.dim(td)
-        if nrows == 0 or source.dim(d) == 0:
-            continue
-        mat = [[Fraction(0)] * len(columns) for _ in range(nrows)]
-        for col, combo in enumerate(columns):
-            # split the atomic tuple into one chunk per factor
-            chunks = []
-            pos = 0
-            for w in src_width:
-                chunks.append(combo[pos:pos + w])
-                pos += w
-            # Koszul sign from moving each f_j past the inputs before it
-            sign_exp = 0
-            images = []  # per factor: list of (atomic target tuple, coeff)
-            for j, f in enumerate(factors):
-                before = sum(sd for ch in chunks[:j] for sd, _ in ch)
-                sign_exp += f.degree * before
-                sdeg, sidx = src_lookup[j][chunks[j]]
-                blk = f.block(sdeg)
-                tdeg = sdeg + f.degree
-                img = []
-                for r in range(len(blk)):
-                    if blk[r][sidx] != 0:
-                        img.append((tgt_expand[j][(tdeg, r)], blk[r][sidx]))
-                images.append(img)
-            sgn = Fraction(-1) ** (sign_exp % 2)
-            for pick in itertools.product(*images):
-                tup = tuple(x for p in pick for x in p[0])
-                coeff = sgn
-                for p in pick:
-                    coeff *= p[1]
-                mat[tgt_index[td][tup]][col] += coeff
-        blocks[d] = mat
-    return GradedMap(source, target, degree, blocks)
+    out: Columns = {}
+    images = [list(_chunked_images(f).items()) for f in factors]
+    for pick in itertools.product(*images):
+        # Koszul sign from moving each f_j past the inputs before it
+        sign_exp, before, chunks = 0, 0, []
+        for f, (chunk, (k, _)) in zip(factors, pick):
+            sign_exp += f.degree * before
+            before += k
+            chunks.extend(chunk)
+        d, col = src_index[tuple(chunks)]
+        entries = {}
+        for terms in itertools.product(*[img for _, (_, img) in pick]):
+            coeff, tup = _ONE, []
+            for t, x in terms:
+                tup.extend(t)
+                if x is not _ONE:
+                    coeff = x if coeff is _ONE else coeff * x
+            entries[tgt_index[tuple(tup)][1]] = (-coeff if sign_exp % 2
+                                                 else coeff)
+        out.setdefault(d, {})[col] = entries
+    return GradedMap.from_columns(source, target, degree, out)
 
 
 def tensor_maps(f: GradedMap, g: GradedMap) -> GradedMap:
     return tensor_maps_many([f, g])
+
+
+def _tensor_differential(complexes: Sequence["ChainComplex"]) -> GradedMap:
+    """Differential on the tensor product of the complexes: the sum of
+    1 x..x d_i x..x 1 with Koszul signs, built column by column.  Term i
+    changes only the i-th chunk of a basis tuple, so the terms never
+    meet on one entry."""
+    space, _, index = _tensor_basis(_atoms([c.space for c in complexes]))
+    widths = [len(c.space.factors) for c in complexes]
+    images = [_chunked_images(c.differential) for c in complexes]
+    out: Columns = {}
+    for tup, (d, col) in index.items():
+        entries = {}
+        pos, before = 0, 0
+        for w, img in zip(widths, images):
+            chunk = tup[pos:pos + w]
+            for t, x in img.get(chunk, (0, ()))[1]:
+                row = index[tup[:pos] + t + tup[pos + w:]][1]
+                entries[row] = -x if before % 2 else x
+            before += sum(deg for deg, _ in chunk)
+            pos += w
+        if entries:
+            out.setdefault(d, {})[col] = entries
+    return GradedMap.from_columns(space, space, -1, out)
 
 
 class ChainComplex:
@@ -422,24 +519,22 @@ class ChainComplex:
             raise ValueError("differential does not square to zero")
         self.space = space
         self.differential = differential
+        self._tensor_differentials: dict[int, GradedMap] = {}
 
     @classmethod
     def zero_differential(cls, space):
         return cls(space, GradedMap.zero(space, space, -1))
 
     def tensor_power_differential(self, n: int) -> GradedMap:
-        """Differential on space^(x n): sum of 1 x..x d x..x 1 with Koszul signs."""
+        """Differential on space^(x n): sum of 1 x..x d x..x 1 with Koszul
+        signs, built once per n."""
         if n < 1:
             raise ValueError("n >= 1 required")
         if n == 1:
             return self.differential
-        ident = GradedMap.identity(self.space)
-        terms = []
-        for i in range(n):
-            facs = [ident] * n
-            facs[i] = self.differential
-            terms.append(tensor_maps_many(facs))
-        return map_sum(terms)
+        if n not in self._tensor_differentials:
+            self._tensor_differentials[n] = _tensor_differential([self] * n)
+        return self._tensor_differentials[n]
 
     def __eq__(self, other):
         return (isinstance(other, ChainComplex)
@@ -458,24 +553,16 @@ def hom_differential(f: GradedMap, source_factors: Sequence[ChainComplex],
     gives zero.  The source of f must be the declared tensor product of
     the factor complexes.
     """
-    factor_spaces = [c.space for c in source_factors]
-    expected = (tensor_spaces(factor_spaces) if len(factor_spaces) > 1
-                else factor_spaces[0])
-    if f.source != expected:
+    if f.source != tensor_spaces([c.space for c in source_factors]):
         raise ValueError("source of f is not the declared tensor product")
     if f.target != target.space:
         raise ValueError("target of f does not match the declared complex")
-    if len(source_factors) == 1:
-        d_tensor = source_factors[0].differential
+    first = source_factors[0]
+    if all(c is first for c in source_factors):
+        d_tensor = first.tensor_power_differential(len(source_factors))
     else:
-        ids = [GradedMap.identity(c.space) for c in source_factors]
-        terms = []
-        for i, c in enumerate(source_factors):
-            facs = list(ids)
-            facs[i] = c.differential
-            terms.append(tensor_maps_many(facs))
-        d_tensor = map_sum(terms)
-    sign = Fraction(-1) ** (f.degree % 2)
+        d_tensor = _tensor_differential(source_factors)
+    sign = -1 if f.degree % 2 else 1
     return target.differential.compose(f).add(f.compose(d_tensor), 1, -sign)
 
 
@@ -623,16 +710,13 @@ def solve_map_equation(operator: Callable[[GradedMap], GradedMap],
                 variables.append((k, r, cc))
 
     def from_vector(vec):
-        blocks: dict[int, list] = {}
+        cols: Columns = {}
         for (k, r, cc), val in zip(variables, vec):
-            blk = blocks.setdefault(
-                k, [[Fraction(0)] * unknown_source.dim(k)
-                    for _ in range(unknown_target.dim(k + unknown_degree))])
-            blk[r][cc] = val
-        return GradedMap(unknown_source, unknown_target, unknown_degree, blocks)
+            if val:
+                cols.setdefault(k, {}).setdefault(cc, {})[r] = val
+        return GradedMap.from_columns(unknown_source, unknown_target,
+                                      unknown_degree, cols)
 
-    zero_x = GradedMap.zero(unknown_source, unknown_target, unknown_degree)
-    base = operator(zero_x)
     eq_rows = []  # (degree, row, col) of equation entries
     for k in rhs.source.degrees():
         nt = rhs.target.dim(k + rhs.degree)
@@ -640,28 +724,28 @@ def solve_map_equation(operator: Callable[[GradedMap], GradedMap],
         for r in range(nt):
             for cc in range(ns):
                 eq_rows.append((k, r, cc))
+    eq_index = {e: i for i, e in enumerate(eq_rows)}
 
     def flatten(m: GradedMap):
-        return [m.block(k)[r][cc] for (k, r, cc) in eq_rows]
+        vec = [_ZERO] * len(eq_rows)
+        for k, cols in m.columns.items():
+            for cc, col in cols.items():
+                for r, x in col.items():
+                    vec[eq_index[(k, r, cc)]] = x
+        return vec
 
+    base = flatten(operator(GradedMap.zero(unknown_source, unknown_target,
+                                           unknown_degree)))
     columns = []
-    for i in range(len(variables)):
-        e = [Fraction(0)] * len(variables)
-        e[i] = Fraction(1)
-        col_map = operator(from_vector(e))
-        columns.append([a - b for a, b in zip(flatten(col_map), flatten(base))])
+    for k, r, cc in variables:
+        unit = GradedMap.from_columns(unknown_source, unknown_target,
+                                      unknown_degree, {k: {cc: {r: _ONE}}})
+        columns.append([a - b for a, b in zip(flatten(operator(unit)), base)])
     amat = tuple(tuple(columns[j][i] for j in range(len(variables)))
                  for i in range(len(eq_rows)))
-    bvec = [a - b for a, b in zip(flatten(rhs), flatten(base))]
+    bvec = [a - b for a, b in zip(flatten(rhs), base)]
     status, payload = solve_matrix(amat, bvec)
     if status == "solution":
         return LinearSolveResult(solution=from_vector(payload))
     cert = {eq_rows[i]: payload[i] for i in range(len(eq_rows)) if payload[i]}
     return LinearSolveResult(certificate=cert)
-
-
-def solve_linear(operator, rhs, unknown_source, unknown_target,
-                 unknown_degree) -> LinearSolveResult:
-    """Alias for solve_map_equation; see that function."""
-    return solve_map_equation(operator, rhs, unknown_source, unknown_target,
-                              unknown_degree)

@@ -807,21 +807,19 @@ def _suspension_conjugate(m, factors, new_source, new_target, direction):
         raise ValueError("direction must be +1 or -1")
     n = len(factors)
     tb = tensor_basis_tuples(factors)  # unshifted degrees
-    blocks = {}
-    for k, tuples in tb.items():
-        old_k = k if direction == 1 else k + n
-        blk = m.blocks.get(old_k)
-        if blk is None:
-            continue
-        out = [list(row) for row in blk]
-        for col, tup in enumerate(tuples):
-            theta = sum((n - 1 - p) * tup[p][0] for p in range(n))
-            if theta % 2:
-                for row in out:
-                    row[col] = -row[col]
-        blocks[k + n if direction == 1 else k] = out
+    columns = {}
+    for old_k, cols in m.columns.items():
+        k = old_k if direction == 1 else old_k - n
+        tuples = tb[k]
+        out = {}
+        for col, entries in cols.items():
+            tup = tuples[col]
+            if sum((n - 1 - p) * tup[p][0] for p in range(n)) % 2:
+                entries = {r: -x for r, x in entries.items()}
+            out[col] = entries
+        columns[k + n if direction == 1 else k] = out
     degree = m.degree + direction * (1 - n)
-    return GradedMap(new_source, new_target, degree, blocks)
+    return GradedMap.from_columns(new_source, new_target, degree, columns)
 
 
 def eval_element(pres, action, complexes, elem: Element, input_colors,
@@ -885,7 +883,8 @@ def action_check(pres: OperadPresentation, action: Mapping[str, GradedMap],
                  up_to_arity: int) -> dict:
     """Certify that the assignment commutes with the differentials:
     the value of d(gen) equals the hom-complex differential of the
-    assigned map, for every generator within the arity bound."""
+    assigned map, for every generator within the arity bound.  A failing
+    entry's witness is the nonzero difference of the two sides."""
     entries = []
     for name, g in pres.generators.items():
         if g.arity > up_to_arity:
@@ -898,14 +897,13 @@ def action_check(pres: OperadPresentation, action: Mapping[str, GradedMap],
         lhs = eval_element(pres, action, complexes, pres.d_image(name),
                            g.inputs, g.output)
         rhs = hom_differential(m, sources, target)
-        if not lhs.blocks and lhs.degree != rhs.degree:
+        if lhs.is_zero() and lhs.degree != rhs.degree:
             # zero differential: retype the zero map to the right degree
             lhs = GradedMap.zero(lhs.source, lhs.target, rhs.degree)
-        ok = (lhs.blocks == rhs.blocks)
+        ok = (lhs.columns == rhs.columns)
         entry = {"generator": name, "ok": ok}
         if not ok:
-            diff = rhs.add(lhs, 1, -1)
-            entry["witness"] = {k: v for k, v in diff.blocks.items()}
+            entry["witness"] = rhs.add(lhs, 1, -1)
         entries.append(entry)
     return {"ok": all(e["ok"] for e in entries), "entries": entries}
 

@@ -42,40 +42,132 @@ def parse_fraction(v):
     raise ValueError(f"not a rational: {v!r} (floats are not accepted)")
 
 
+# ------------------------------------------------------------ validation
+
+
+class InputError(ValueError):
+    """Malformed input data: a missing field, or a field of the wrong
+    type or shape.  The message starts with the field's JSON path."""
+
+
+_REQUIRED = object()
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _type_name(value):
+    return "null" if value is None else type(value).__name__
+
+
+def field(data, key, path="$", kind=None, default=_REQUIRED):
+    """data[key], checked to be an instance of kind (dict, list or str)
+    when given; a missing key is an error unless a default is given."""
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected an object, got "
+                         f"{_type_name(data)}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise InputError(f"{path}.{key}: missing")
+        return default
+    value = data[key]
+    if kind is not None and not isinstance(value, kind):
+        raise InputError(f"{path}.{key}: expected {_KINDS[kind]}, got "
+                         f"{_type_name(value)}")
+    return value
+
+
+def _nested(loader, data, key, path, *args):
+    """loader applied to the required field data[key], at its path."""
+    return loader(field(data, key, path), *args, path=f"{path}.{key}")
+
+
+def parse_int(value, path):
+    """An integer given as a JSON integer or a decimal string (the form
+    of JSON object keys)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{path}: expected an integer, got {value!r}")
+
+
+def _rational(value, path):
+    try:
+        return parse_fraction(value)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    except ZeroDivisionError:
+        raise InputError(f"{path}: zero denominator in {value!r}") from None
+
+
+def _label(value, path):
+    """A basis label; lists (tensor labels) are read back as tuples."""
+    if isinstance(value, list):
+        return tuple(_label(x, f"{path}[{i}]") for i, x in enumerate(value))
+    if isinstance(value, dict):
+        raise InputError(f"{path}: a label cannot be an object")
+    return value
+
+
 # --------------------------------------------------------------- matrices
 
 
-def _matrix_to_cols(mat):
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    return [[dump_fraction(mat[i][j]) for i in range(rows)]
-            for j in range(cols)]
+def _blocks_to_data(m: GradedMap) -> dict:
+    """Dense column lists of every nonzero degree block."""
+    out = {}
+    for k in sorted(m.columns):
+        cols = [[0] * m.target.dim(k + m.degree)
+                for _ in range(m.source.dim(k))]
+        for j, col in m.columns[k].items():
+            for i, x in col.items():
+                cols[j][i] = dump_fraction(x)
+        out[str(k)] = cols
+    return out
 
 
-def _cols_to_matrix(cols, nrows, ncols):
-    if len(cols) != ncols:
-        raise ValueError(f"expected {ncols} columns, got {len(cols)}")
-    for c in cols:
-        if len(c) != nrows:
-            raise ValueError(f"expected columns of length {nrows}")
-    return [[parse_fraction(cols[j][i]) for j in range(ncols)]
-            for i in range(nrows)]
+def _check_list(value, n, what, path):
+    if not isinstance(value, list):
+        raise InputError(f"{path}: expected a list of {n} {what}, got "
+                         f"{_type_name(value)}")
+    if len(value) != n:
+        raise InputError(f"{path}: expected {n} {what}, got {len(value)}")
+
+
+def _blocks_from_data(blocks, source, target, degree, path) -> dict:
+    """Sparse columns of a map from dense column lists per degree."""
+    columns = {}
+    for k_str, cols in blocks.items():
+        k = parse_int(k_str, path)
+        kpath = f"{path}.{k_str}"
+        nrows, ncols = target.dim(k + degree), source.dim(k)
+        _check_list(cols, ncols, "columns", kpath)
+        block = {}
+        for j, col in enumerate(cols):
+            cpath = f"{kpath}[{j}]"
+            _check_list(col, nrows, "entries", cpath)
+            entries = {}
+            for i, v in enumerate(col):
+                x = _rational(v, f"{cpath}[{i}]")
+                if x:
+                    entries[i] = x
+            if entries:
+                block[j] = entries
+        if block:
+            columns[k] = block
+    return columns
 
 
 def map_to_data(m: GradedMap) -> dict:
-    return {"degree": m.degree,
-            "blocks": {str(k): _matrix_to_cols(mat)
-                       for k, mat in sorted(m.blocks.items())}}
+    return {"degree": m.degree, "blocks": _blocks_to_data(m)}
 
 
-def map_from_data(data, source, target) -> GradedMap:
-    degree = int(data["degree"])
-    blocks = {}
-    for k_str, cols in data.get("blocks", {}).items():
-        k = int(k_str)
-        blocks[k] = _cols_to_matrix(cols, target.dim(k + degree),
-                                    source.dim(k))
-    return GradedMap(source, target, degree, blocks)
+def map_from_data(data, source, target, path="$") -> GradedMap:
+    degree = parse_int(field(data, "degree", path), f"{path}.degree")
+    columns = _blocks_from_data(field(data, "blocks", path, dict, {}),
+                                source, target, degree, f"{path}.blocks")
+    return GradedMap.from_columns(source, target, degree, columns)
 
 
 # -------------------------------------------------------------- complexes
@@ -83,9 +175,7 @@ def map_from_data(data, source, target) -> GradedMap:
 
 def complex_to_data(c: ChainComplex) -> dict:
     data = {"dims": {str(k): n for k, n in sorted(c.space.dims.items())},
-            "differential": {str(k): _matrix_to_cols(mat)
-                             for k, mat in sorted(
-                                 c.differential.blocks.items())}}
+            "differential": _blocks_to_data(c.differential)}
     default = GradedVectorSpace(c.space.dims)
     if c.space.labels != default.labels:
         data["labels"] = {str(k): list(v)
@@ -93,17 +183,20 @@ def complex_to_data(c: ChainComplex) -> dict:
     return data
 
 
-def complex_from_data(data) -> ChainComplex:
-    dims = {int(k): int(n) for k, n in data["dims"].items()}
+def complex_from_data(data, path="$") -> ChainComplex:
+    dims = {parse_int(k, f"{path}.dims"): parse_int(n, f"{path}.dims.{k}")
+            for k, n in field(data, "dims", path, dict).items()}
     labels = None
     if "labels" in data:
-        labels = {int(k): tuple(v) for k, v in data["labels"].items()}
+        given = field(data, "labels", path, dict)
+        labels = {d: _label(field(given, str(d), f"{path}.labels", list),
+                            f"{path}.labels.{d}")
+                  for d, n in dims.items() if n}
     space = GradedVectorSpace(dims, labels)
-    blocks = {}
-    for k_str, cols in data.get("differential", {}).items():
-        k = int(k_str)
-        blocks[k] = _cols_to_matrix(cols, space.dim(k - 1), space.dim(k))
-    return ChainComplex(space, GradedMap(space, space, -1, blocks))
+    columns = _blocks_from_data(field(data, "differential", path, dict, {}),
+                                space, space, -1, f"{path}.differential")
+    return ChainComplex(space, GradedMap.from_columns(space, space, -1,
+                                                      columns))
 
 
 # ------------------------------------------------- structures & morphisms
@@ -117,13 +210,25 @@ def algebra_to_data(a: AInfinityAlgebra) -> dict:
             "N": a.N}
 
 
-def algebra_from_data(data) -> AInfinityAlgebra:
-    c = complex_from_data(data["complex"])
-    ops = {}
-    for n_str, md in data.get("operations", {}).items():
-        n = int(n_str)
-        ops[n] = map_from_data(md, tensor_power(c.space, n), c.space)
-    return AInfinityAlgebra(c, ops, int(data["N"]))
+def _arities(data, key, lo, N, path):
+    """(arity, map data, path) of each entry of a component table, the
+    arity checked to lie within lo..N before any tensor power is built."""
+    out = []
+    for n_str, md in field(data, key, path, dict, {}).items():
+        n = parse_int(n_str, f"{path}.{key}")
+        if not lo <= n <= N:
+            raise InputError(f"{path}.{key}.{n_str}: arity outside "
+                             f"{lo}..{N}")
+        out.append((n, md, f"{path}.{key}.{n_str}"))
+    return out
+
+
+def algebra_from_data(data, path="$") -> AInfinityAlgebra:
+    N = parse_int(field(data, "N", path), f"{path}.N")
+    c = _nested(complex_from_data, data, "complex", path)
+    ops = {n: map_from_data(md, tensor_power(c.space, n), c.space, p)
+           for n, md, p in _arities(data, "operations", 2, N, path)}
+    return AInfinityAlgebra(c, ops, N)
 
 
 def morphism_to_data(m: AInfinityMorphism) -> dict:
@@ -135,14 +240,13 @@ def morphism_to_data(m: AInfinityMorphism) -> dict:
             "N": m.N}
 
 
-def morphism_from_data(data) -> AInfinityMorphism:
-    src = algebra_from_data(data["source"])
-    tgt = algebra_from_data(data["target"])
-    comps = {}
-    for n_str, md in data.get("components", {}).items():
-        n = int(n_str)
-        comps[n] = map_from_data(md, tensor_power(src.space, n), tgt.space)
-    return AInfinityMorphism(src, tgt, comps, int(data["N"]))
+def morphism_from_data(data, path="$") -> AInfinityMorphism:
+    N = parse_int(field(data, "N", path), f"{path}.N")
+    src = _nested(algebra_from_data, data, "source", path)
+    tgt = _nested(algebra_from_data, data, "target", path)
+    comps = {n: map_from_data(md, tensor_power(src.space, n), tgt.space, p)
+             for n, md, p in _arities(data, "components", 1, N, path)}
+    return AInfinityMorphism(src, tgt, comps, N)
 
 
 # ------------------------------------------------------------ retract data
@@ -157,31 +261,37 @@ def sdr_to_data(s) -> dict:
             "phi": map_to_data(s.phi)}
 
 
-def sdr_from_data(data):
+def sdr_from_data(data, path="$"):
     from .transfer import SDRData
-    big = complex_from_data(data["big"])
-    small = complex_from_data(data["small"])
-    return SDRData(big, small,
-                   map_from_data(data["nabla"], small.space, big.space),
-                   map_from_data(data["f"], big.space, small.space),
-                   map_from_data(data["phi"], big.space, big.space))
+    big = _nested(complex_from_data, data, "big", path)
+    small = _nested(complex_from_data, data, "small", path)
+    return SDRData(
+        big, small,
+        _nested(map_from_data, data, "nabla", path, small.space, big.space),
+        _nested(map_from_data, data, "f", path, big.space, small.space),
+        _nested(map_from_data, data, "phi", path, big.space, big.space))
 
 
-def action_from_data(data):
+def action_from_data(data, path="$"):
     """Resolution-action file: a named built-in presentation, one complex
     per color, and one assigned map (or null) per generator."""
-    pres = builtin_presentation(data["presentation"])
-    complexes = {c: complex_from_data(cd)
-                 for c, cd in data["complexes"].items()}
+    pres = builtin_presentation(field(data, "presentation", path, str))
+    given = field(data, "complexes", path, dict)
+    for c in pres.colors:
+        field(given, c, f"{path}.complexes")
+    complexes = {c: complex_from_data(cd, f"{path}.complexes.{c}")
+                 for c, cd in given.items()}
     assignment = {}
+    table = field(data, "assignment", path, dict, {})
     for name, g in pres.generators.items():
         source = tensor_spaces([complexes[c].space for c in g.inputs])
         target = complexes[g.output].space
-        md = data.get("assignment", {}).get(name)
+        md = table.get(name)
         if md is None:
             assignment[name] = GradedMap.zero(source, target, g.degree)
         else:
-            assignment[name] = map_from_data(md, source, target)
+            assignment[name] = map_from_data(md, source, target,
+                                             f"{path}.assignment.{name}")
     return pres, assignment, complexes
 
 
@@ -224,14 +334,3 @@ def dump_raw(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def structure_from_data(data):
-    kind = data.get("kind")
-    if kind == "ainf":
-        return algebra_from_data(data)
-    if kind == "morphism":
-        return morphism_from_data(data)
-    if kind == "sdr":
-        return sdr_from_data(data)
-    raise ValueError(f"unknown structure kind {kind!r}")

@@ -389,13 +389,9 @@ def riso_zero_extension(s: SDRData) -> dict:
         return {"ok": True, "action": action,
                 "failed_generator": None, "obstruction": None}
     first = next(e for e in res["entries"] if not e["ok"])
-    name = first["generator"]
-    gen = pres.gen(name)
-    obstruction = GradedMap(
-        cmap[gen.inputs[0]].space, cmap[gen.output].space,
-        gen.degree - 1, first["witness"])
     return {"ok": False, "action": None,
-            "failed_generator": name, "obstruction": obstruction}
+            "failed_generator": first["generator"],
+            "obstruction": first["witness"]}
 
 
 # -------------------------------------------------------------- transfers

@@ -16,9 +16,10 @@ from shalg.exactlin import (
     kernel_basis,
     make_matrix,
     tensor_basis_tuples,
+    tensor_maps_many,
     tensor_power,
 )
-from shalg.ainfty import AInfinityAlgebra, AInfinityMorphism
+from shalg.ainfty import AInfinityAlgebra, AInfinityMorphism, an_residual
 from shalg.transfer import riso_zero_extension, sdr_onto_homology
 
 
@@ -184,6 +185,46 @@ def test_verify_ainf_corrupted_sign_fails_at_n3(tmp_path, capsys):
     assert "[PASS] stasheff-identity-n2" in out
     assert "[FAIL] stasheff-identity-n3" in out
     assert "witness" in out
+
+
+def test_verify_ainf_witness_is_first_row_major_entry(tmp_path, capsys):
+    """A sign error in a conjugate of the exterior DGA breaks arities 2
+    and 3; each witness is the first nonzero entry of the residual's
+    dense view in (degree, row, column) order, which at arity 3 is not
+    the first one in column order."""
+    a = exterior_dga()
+    sp = a.space
+    p = GradedMap(sp, sp, 0, {0: [[1, 1], [0, 1]], 1: [[1, 0], [1, 1]]})
+    p_inv = GradedMap(sp, sp, 0, {0: [[1, -1], [0, 1]],
+                                  1: [[1, 0], [-1, 1]]})
+    d = p_inv.compose(a.complex.differential).compose(p)
+    mu2 = p_inv.compose(a.mu(2)).compose(tensor_maps_many([p, p]))
+    data = serialize.algebra_to_data(
+        AInfinityAlgebra(ChainComplex(sp, d), {2: mu2}, 5))
+    assert data["operations"]["2"]["blocks"]["0"][1][1] == 1
+    data["operations"]["2"]["blocks"]["0"][1][1] = -1
+    path = tmp_path / "signs.json"
+    serialize.dump(str(path), data)
+    assert main(["verify", "ainf", str(path), "--format", "machine"]) == 1
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["bounds"] == {"N": 5}
+    bad = serialize.algebra_from_data(data)
+    failed = 0
+    for check in cert["checks"]:
+        n = int(check["name"].rsplit("n", 1)[1])
+        blocks = an_residual(bad, n).blocks
+        first = next(((k, i, j, x) for k in sorted(blocks)
+                      for i, row in enumerate(blocks[k])
+                      for j, x in enumerate(row) if x), None)
+        if first is None:
+            assert check["status"] == "pass"
+            continue
+        failed += 1
+        assert check["status"] == "fail"
+        assert check["witness"] == {"degree": first[0], "row": first[1],
+                                    "column": first[2],
+                                    "value": serialize.dump_fraction(first[3])}
+    assert failed == 2
 
 
 def test_verify_sdr_passes(sdr_file, capsys):
@@ -397,3 +438,35 @@ def test_certificate_written_to_file(dga_file, tmp_path, capsys):
 
 def test_missing_file_is_an_error(capsys):
     assert main(["verify", "ainf", "/nonexistent/file.json"]) == 2
+
+
+def test_malformed_structure_exits_2(tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text('{"kind": "ainf", "N": 3}')
+    assert main(["verify", "ainf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $.complex: missing\n"
+
+
+def test_column_given_as_int_exits_2(tmp_path, capsys):
+    data = serialize.algebra_to_data(exterior_dga())
+    data["operations"]["2"]["blocks"]["0"][1] = 7
+    path = tmp_path / "bad_column.json"
+    serialize.dump(str(path), data)
+    assert main(["verify", "ainf", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.operations.2.blocks.0[1]: expected a list")
+    assert "Traceback" not in err
+
+
+def test_move_with_missing_map_exits_2(tmp_path, capsys):
+    a = exterior_dga()
+    m = AInfinityMorphism(a, a, {1: GradedMap.identity(a.space)}, 3)
+    mpath, hpath = tmp_path / "mor.json", tmp_path / "maps.json"
+    serialize.dump(str(mpath), serialize.morphism_to_data(m))
+    serialize.dump(str(hpath), {"g": serialize.map_to_data(m.f(1))})
+    assert main(["move", "m2", str(mpath), str(hpath),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: $.h: missing\n"
+    assert not list(tmp_path.glob("out*"))

@@ -22,6 +22,7 @@ from shalg.exactlin import (
     solve_matrix,
     solve_map_equation,
     tensor_maps,
+    tensor_basis_tuples,
     tensor_maps_many,
     tensor_power,
     tensor_spaces,
@@ -80,6 +81,14 @@ def test_tensor_power_identity_case():
 def test_tensor_power_rejects_zero():
     with pytest.raises(ValueError):
         tensor_power(GradedVectorSpace({0: 1}), 0)
+
+
+def test_tensor_spaces_are_shared_per_atoms():
+    v = GradedVectorSpace({0: 1, 1: 2})
+    w = GradedVectorSpace({0: 1, 1: 2})  # equal to v, another object
+    assert tensor_power(v, 3) is tensor_power(w, 3)
+    assert tensor_spaces([tensor_power(v, 2), v]) is tensor_power(v, 3)
+    assert tensor_basis_tuples([v, v]) is tensor_basis_tuples([w, w])
 
 
 def test_tensor_ordering_flat_not_nested():

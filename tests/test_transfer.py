@@ -337,6 +337,14 @@ def test_riso_obstruction_maps():
 # ------------------------------------------------------------- move (M1)
 
 
+def test_exterior_dga_is_coherent_at_n6():
+    a = exterior_dga()
+    a6 = AInfinityAlgebra(a.complex, {2: a.mu(2)}, 6)
+    res = check_all_An(a6)
+    assert res["ok"]
+    assert [e["n"] for e in res["entries"]] == [2, 3, 4, 5, 6]
+
+
 def test_transfer_m1_exterior_dga():
     a = exterior_dga()
     s = sdr_onto_homology(a.complex)
