@@ -19,7 +19,6 @@ only the scalar parts.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .exactlin import (
@@ -32,17 +31,9 @@ from .exactlin import (
 )
 from .operadcore import (
     Element,
+    _compositions,
     builtin_presentation,
 )
-
-
-def _compositions(n, k):
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
 
 
 # ------------------------------------------------------------------ signs

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import serialize
 from .ainfty import (
@@ -23,6 +22,7 @@ from .ainfty import (
 from .exactlin import GradedMap
 from .operadcore import (
     ISO_NORMAL_FORMS,
+    action_check,
     alpha_iso_matrix,
     ass_minimal,
     builtin_presentation,
@@ -31,7 +31,7 @@ from .operadcore import (
     kunneth_check,
     tree_decomposition_dims,
     tree_degree,
-    tree_vertices,
+    tree_leaf_colors,
     truncated_homology,
 )
 from .operadcore import GeneratorSpec, OperadPresentation
@@ -39,8 +39,8 @@ from .transfer import (
     chain_M4,
     check_side_conditions,
     invert_M3,
-    normalize_side_conditions,
     perturb_M2,
+    retract_residuals,
     riso_zero_extension,
     transfer_M1,
     transfer_S,
@@ -128,7 +128,7 @@ def _emit(cert: Certificate, args) -> int:
         text = cert.render_text() + "\n"
     out = getattr(args, "cert_out", None)
     if out:
-        serialize.dump_raw(out, text)
+        serialize.dump(out, text)
     sys.stdout.write(text)
     return 0 if cert.ok else 1
 
@@ -147,33 +147,33 @@ def _resolve(path):
 # ----------------------------------------------------------------- verify
 
 
-def _verify_algebra(cert, a, prefix=""):
-    for n in range(2, a.N + 1):
+def _verify_algebra(cert, a, prefix="", bound=None):
+    """Stasheff identities of arities 2..N, N the smaller of a.N and
+    the bound when one is given."""
+    for n in range(2, min(a.N, bound or a.N) + 1):
         cert.add_residual(f"{prefix}stasheff-identity-n{n}",
                           check_An(a, n)["residual"])
 
 
-def _verify_morphism(cert, m, prefix=""):
-    for n in range(1, m.N + 1):
+def _verify_morphism(cert, m, prefix="", bound=None):
+    """Morphism identities of arities 1..N, N the smaller of m.N and
+    the bound when one is given."""
+    for n in range(1, min(m.N, bound or m.N) + 1):
         cert.add_residual(f"{prefix}morphism-identity-n{n}",
                           check_Fn(m, n)["residual"])
 
 
-def _verify_sdr(cert, s):
-    cert.add("retract-identity", True, residual_zero=True)  # re-validated
-    flags = check_side_conditions(s)
-    cert.add("side-condition-homotopy-squared", flags["phi_phi"],
-             residual_zero=flags["phi_phi"],
-             witness=None if flags["phi_phi"] else _map_witness(
-                 s.phi.compose(s.phi)))
-    cert.add("side-condition-homotopy-after-inclusion", flags["phi_nabla"],
-             residual_zero=flags["phi_nabla"],
-             witness=None if flags["phi_nabla"] else _map_witness(
-                 s.phi.compose(s.nabla)))
-    cert.add("side-condition-projection-after-homotopy", flags["f_phi"],
-             residual_zero=flags["f_phi"],
-             witness=None if flags["f_phi"] else _map_witness(
-                 s.f.compose(s.phi)))
+def _verify_sdr(cert, big, small, nabla, f, phi):
+    """The retract identities as one check, failing with the witness of
+    the first that breaks, then the three side conditions."""
+    residuals = retract_residuals(big, small, nabla, f, phi)
+    cert.add_residual("retract-identity", next(
+        (r for r in residuals if not r.is_zero()), residuals[0]))
+    cert.add_residual("side-condition-homotopy-squared", phi.compose(phi))
+    cert.add_residual("side-condition-homotopy-after-inclusion",
+                      phi.compose(nabla))
+    cert.add_residual("side-condition-projection-after-homotopy",
+                      f.compose(phi))
 
 
 def cmd_verify(args):
@@ -182,23 +182,17 @@ def cmd_verify(args):
     bounds = {"N": args.bound_n or DEFAULT_BOUND_N}
     cert = Certificate(["verify", args.kind, *args.files], [path], bounds)
     if args.kind == "ainf":
-        a = serialize.algebra_from_data(data)
-        if args.bound_n:
-            a = type(a)(a.complex, a._mu, min(a.N, args.bound_n))
-        _verify_algebra(cert, a)
+        _verify_algebra(cert, serialize.algebra_from_data(data),
+                        bound=args.bound_n)
     elif args.kind == "morphism":
-        m = serialize.morphism_from_data(data)
-        if args.bound_n:
-            m = type(m)(m.source, m.target, m._f, min(m.N, args.bound_n))
-        _verify_morphism(cert, m)
+        _verify_morphism(cert, serialize.morphism_from_data(data),
+                         bound=args.bound_n)
     elif args.kind == "sdr":
-        s = serialize.sdr_from_data(data)
-        _verify_sdr(cert, s)
+        _verify_sdr(cert, *serialize.sdr_parts_from_data(data))
     elif args.kind == "action":
         pres, assignment, complexes = serialize.action_from_data(data)
         trunc = serialize.parse_int(data.get("truncation", 1),
                                     "$.truncation")
-        from .operadcore import action_check
         res = action_check(pres, assignment, complexes, trunc)
         for entry in res["entries"]:
             witness = None
@@ -324,7 +318,8 @@ def _operad_by_name(name, arity=None):
 def cmd_operad(args):
     names = args.files
     bounds = {"arity": args.arity, "length": args.length}
-    cert = Certificate(["operad", args.sub, *names], [], bounds)
+    inputs = [_resolve(names[0])] if args.sub == "riso-extend" else []
+    cert = Certificate(["operad", args.sub, *names], inputs, bounds)
     if args.sub == "d2":
         name = names[0]
         arity = args.arity or DEFAULT_ARITY.get(name, 5)
@@ -361,10 +356,7 @@ def cmd_operad(args):
                      witness=None if e["ok"] else
                      {"predicted": e["predicted"], "direct": e["direct"]})
     elif args.sub == "riso-extend":
-        path = _resolve(names[0])
-        cert.inputs[os.path.basename(path)] = hashlib.sha256(
-            open(path, "rb").read()).hexdigest()
-        s = serialize.sdr_from_data(serialize.load(path))
+        s = serialize.sdr_from_data(serialize.load(inputs[0]))
         res = riso_zero_extension(s)
         if res["ok"]:
             cert.add("zero-extension", True, residual_zero=True)
@@ -384,7 +376,6 @@ def cmd_operad(args):
         length = args.length or DEFAULT_LENGTH
         cert.bounds["length"] = length
         pres = builtin_presentation("riso")
-        from .operadcore import tree_leaf_colors
         for ic in pres.colors:
             trees = [t for oc in pres.colors
                      for t in enumerate_trees(
@@ -405,6 +396,13 @@ def cmd_operad(args):
 # ------------------------------------------------------------------ parser
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="shalg",
@@ -413,7 +411,8 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp, cert_out=True):
-        sp.add_argument("--bound-n", type=int, default=None, dest="bound_n",
+        sp.add_argument("--bound-n", type=_positive_int, default=None,
+                        dest="bound_n",
                         help="coherence truncation order")
         sp.add_argument("--arity", type=int, default=None)
         sp.add_argument("--length", type=int, default=None,

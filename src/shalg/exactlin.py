@@ -27,8 +27,6 @@ _ONE = Fraction(1)
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -196,9 +194,6 @@ class GradedVectorSpace:
 
     def __repr__(self):
         return f"GradedVectorSpace({self.dims})"
-
-
-ZERO_SPACE = GradedVectorSpace({})
 
 
 def _atoms(factors: Sequence[GradedVectorSpace]) -> tuple:
@@ -566,23 +561,82 @@ def hom_differential(f: GradedMap, source_factors: Sequence[ChainComplex],
     return target.differential.compose(f).add(f.compose(d_tensor), 1, -sign)
 
 
+def homotopy_residual(h: GradedMap, a: GradedMap, b: GradedMap,
+                      source: ChainComplex, target: ChainComplex) -> GradedMap:
+    """[h, d] - (b - a) for maps a, b: source -> target and h of one
+    degree higher; zero exactly when h is a homotopy from a to b."""
+    return map_sum([hom_differential(h, [source], target), b, a], [1, -1, 1])
+
+
 class HomologyData:
-    """Canonical strong deformation retract of a complex onto its homology.
+    """Canonical strong deformation retract of a complex onto its homology,
+    and the splitting of the complex it is built from.
 
     Satisfies projection . inclusion = 1, inclusion . projection - 1 =
     [splitting_homotopy, d], d = 0 on the image of the inclusion, and
     the three side conditions phi phi = 0, phi . inclusion = 0,
     projection . phi = 0.
+
+    The splitting: in degree k the columns of basis.block(k) are, in
+    order, counts[k][0] boundaries (the columns of d_{k+1} at
+    pivots[k + 1]), counts[k][1] harmonic cycles (the columns of the
+    inclusion), and counts[k][2] preimages (the unit vectors at
+    pivots[k], the leftmost pivot columns of d_k; d takes the p-th
+    preimage to the p-th boundary of degree k - 1).  coords is the
+    inverse of basis, taking a vector to its split coordinates; both
+    are degree-0 endomaps of the complex's space.
     """
 
     def __init__(self, complex: ChainComplex, homology: GradedVectorSpace,
                  inclusion: GradedMap, projection: GradedMap,
-                 splitting_homotopy: GradedMap):
+                 splitting_homotopy: GradedMap, basis: GradedMap,
+                 coords: GradedMap, counts: dict, pivots: dict):
         self.complex = complex
         self.homology = homology
         self.inclusion = inclusion
         self.projection = projection
         self.splitting_homotopy = splitting_homotopy
+        self.basis = basis
+        self.coords = coords
+        self.counts = counts
+        self.pivots = pivots
+
+
+def split_coordinate_map(source: GradedVectorSpace,
+                         target: GradedVectorSpace, source_counts: Mapping,
+                         target_counts: Mapping,
+                         harmonic: GradedMap) -> GradedMap:
+    """Degree-0 map between split coordinates (see HomologyData): the
+    p-th boundary and the p-th preimage coordinate of the source go to
+    the p-th ones of the target while p is below both counts, the rest
+    of them to zero, and the harmonic coordinates go through harmonic, a
+    map between the harmonic parts."""
+    out: Columns = {}
+    for k, (sb, sh, st) in source_counts.items():
+        tb, th, tt = target_counts.get(k, (0, 0, 0))
+        cols = {p: {p: _ONE} for p in range(min(sb, tb))}
+        for q, vec in harmonic.columns.get(k, {}).items():
+            cols[sb + q] = {tb + p: x for p, x in vec.items()}
+        for p in range(min(st, tt)):
+            cols[sb + sh + p] = {tb + th + p: _ONE}
+        if cols:
+            out[k] = cols
+    return GradedMap.from_columns(source, target, 0, out)
+
+
+def split_contraction(space: GradedVectorSpace, counts: Mapping,
+                      keep: Mapping) -> GradedMap:
+    """Degree +1 map on split coordinates taking the p-th boundary
+    coordinate of degree k, for p from keep.get(k, 0) on, to minus the
+    p-th preimage coordinate of degree k + 1 (whose image under d is
+    that boundary), and every other coordinate to zero."""
+    out: Columns = {}
+    for k, (nb, _, _) in counts.items():
+        if nb > keep.get(k, 0):
+            ub, uh, _ = counts[k + 1]
+            out[k] = {p: {ub + uh + p: -_ONE}
+                      for p in range(keep.get(k, 0), nb)}
+    return GradedMap.from_columns(space, space, 1, out)
 
 
 def homology_with_splitting(c: ChainComplex) -> HomologyData:
@@ -595,31 +649,21 @@ def homology_with_splitting(c: ChainComplex) -> HomologyData:
     """
     space = c.space
     degs = space.degrees()
-    # Per degree: columns spanning boundaries B_k, chosen preimage columns
-    # A_{k+1} (standard basis vectors at pivot columns of d_{k+1}).
-    bound: dict[int, list] = {}      # degree -> list of boundary column vectors
-    pre: dict[int, list[int]] = {}   # degree k -> pivot column indices in C_{k+1}
-    for k in degs:
-        dmat = c.differential.block(k + 1)  # C_{k+1} -> C_k
-        if not dmat or not dmat[0]:
-            bound[k], pre[k] = [], []
-            continue
-        _, _, pivots = rref(dmat)
-        bound[k] = [tuple(dmat[r][j] for r in range(len(dmat))) for j in pivots]
-        pre[k] = list(pivots)
-
-    hom_dims: dict[int, int] = {}
-    hom_reps: dict[int, list] = {}
+    pivots = {k: rref(c.differential.block(k))[2] if space.dim(k - 1) else []
+              for k in degs}
+    counts: dict[int, tuple[int, int, int]] = {}
+    basis_blocks, coord_blocks = {}, {}
     for k in degs:
         n = space.dim(k)
-        dmat = c.differential.block(k)
+        up = c.differential.block(k + 1)  # C_{k+1} -> C_k
+        bound = [tuple(row[j] for row in up) for j in pivots.get(k + 1, [])]
         if space.dim(k - 1) == 0:
             kern = [tuple(Fraction(1 if i == j else 0) for i in range(n))
                     for j in range(n)]
         else:
-            kern = kernel_basis(dmat)
+            kern = kernel_basis(c.differential.block(k))
         # Extend the boundary basis to the kernel: greedy leftmost selection.
-        chosen = list(bound[k])
+        chosen = list(bound)
         reps = []
         for v in kern:
             cand = chosen + [v]
@@ -627,50 +671,34 @@ def homology_with_splitting(c: ChainComplex) -> HomologyData:
             if mat_rank(mat) == len(cand):
                 chosen.append(v)
                 reps.append(v)
-        hom_reps[k] = reps
-        hom_dims[k] = len(reps)
-
-    homology = GradedVectorSpace(
-        hom_dims, {k: tuple(f"h{k}_{i}" for i in range(hom_dims[k]))
-                   for k in hom_dims if hom_dims[k]})
-
-    incl_blocks, proj_blocks, phi_blocks = {}, {}, {}
-    for k in degs:
-        n = space.dim(k)
-        a_cols = [tuple(Fraction(1 if i == j else 0) for i in range(n))
-                  for j in pre.get(k - 1, [])]
-        cols = bound[k] + hom_reps[k] + a_cols
+        units = [tuple(Fraction(1 if i == j else 0) for i in range(n))
+                 for j in pivots[k]]
+        cols = bound + reps + units
         if len(cols) != n:
             raise AssertionError("degreewise decomposition dimension mismatch")
-        nb, nh = len(bound[k]), len(hom_reps[k])
-        if n == 0:
-            continue
-        p_mat = tuple(tuple(col[i] for col in cols) for i in range(n))
+        counts[k] = (len(bound), len(reps), len(units))
+        basis_blocks[k] = tuple(tuple(col[i] for col in cols)
+                                for i in range(n))
         # Invert the change of basis exactly.
-        _, t, pivots = rref(p_mat)
-        if len(pivots) != n:
+        _, coord_blocks[k], piv = rref(basis_blocks[k])
+        if len(piv) != n:
             raise AssertionError("decomposition columns are not a basis")
-        p_inv = t
-        if hom_dims.get(k, 0):
-            incl_blocks[k] = tuple(tuple(hom_reps[k][j][i] for j in range(nh))
-                                   for i in range(n))
-            proj_blocks[k] = tuple(p_inv[nb + j] for j in range(nh))
-        # phi on boundaries: minus the chosen preimage in C_{k+1}.
-        if nb:
-            nk1 = space.dim(k + 1)
-            mat = [[Fraction(0)] * n for _ in range(nk1)]
-            for j in range(nb):
-                src_col = pre[k][j]
-                for i in range(nk1):
-                    for col in range(n):
-                        mat[i][col] += (-Fraction(1) if i == src_col else
-                                        Fraction(0)) * p_inv[j][col]
-            phi_blocks[k] = mat
 
-    inclusion = GradedMap(homology, space, 0, incl_blocks)
-    projection = GradedMap(space, homology, 0, proj_blocks)
-    phi = GradedMap(space, space, 1, phi_blocks)
-    return HomologyData(c, homology, inclusion, projection, phi)
+    homology = GradedVectorSpace(
+        {k: nh for k, (_, nh, _) in counts.items()},
+        {k: tuple(f"h{k}_{i}" for i in range(nh))
+         for k, (_, nh, _) in counts.items() if nh})
+    basis = GradedMap(space, space, 0, basis_blocks)
+    coords = GradedMap(space, space, 0, coord_blocks)
+    h_counts = {k: (0, n, 0) for k, n in homology.dims.items()}
+    ident = GradedMap.identity(homology)
+    inclusion = basis.compose(
+        split_coordinate_map(homology, space, h_counts, counts, ident))
+    projection = split_coordinate_map(
+        space, homology, counts, h_counts, ident).compose(coords)
+    phi = basis.compose(split_contraction(space, counts, {})).compose(coords)
+    return HomologyData(c, homology, inclusion, projection, phi, basis,
+                        coords, counts, pivots)
 
 
 class LinearSolveResult:

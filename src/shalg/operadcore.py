@@ -23,7 +23,6 @@ derivations and d(graft(x, i, y)) = graft(dx, i, y)
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,13 +30,13 @@ from typing import Mapping, Optional, Sequence
 
 from .exactlin import (
     ChainComplex,
-    Fraction as _Fraction,  # noqa: F401  (re-export convenience)
     GradedMap,
+    GradedVectorSpace,
     hom_differential,
-    kernel_basis,
-    make_matrix,
     mat_rank,
+    tensor_basis_tuples,
     tensor_maps_many,
+    tensor_spaces,
 )
 
 LEAF = "*"
@@ -315,13 +314,6 @@ def elem_scale(a: Element, c) -> Element:
 
 def elem_normalize(a: Element) -> Element:
     return {t: Fraction(c) for t, c in a.items() if c}
-
-
-def elem_degree(pres, a: Element):
-    degs = {tree_degree(pres, t) for t in a}
-    if len(degs) > 1:
-        raise ValueError("inhomogeneous element")
-    return degs.pop() if degs else None
 
 
 def graft(pres: OperadPresentation, outer: Element, position: int,
@@ -772,24 +764,7 @@ def kunneth_check(p1: OperadPresentation, p2: OperadPresentation,
 # ------------------------------------------------------------- actions
 
 
-def eval_tree(pres: OperadPresentation, action: Mapping[str, GradedMap],
-              complexes: Mapping[str, ChainComplex], t, output_color)\
-        -> GradedMap:
-    """Value of the action on a basis tree: generators go to their
-    assigned maps, composed with Koszul-signed tensor products."""
-    if is_leaf(t):
-        return GradedMap.identity(complexes[output_color].space)
-    g = pres.gen(t[0])
-    if g.output != output_color:
-        raise ValueError("output color mismatch in evaluation")
-    kids = [eval_tree(pres, action, complexes, c, g.inputs[i])
-            for i, c in enumerate(t[1:])]
-    inner = kids[0] if len(kids) == 1 else tensor_maps_many(kids)
-    return action[t[0]].compose(inner)
-
-
 def _shift_space(space, shift=1):
-    from .exactlin import GradedVectorSpace
     return GradedVectorSpace({k + shift: n for k, n in space.dims.items()})
 
 
@@ -802,7 +777,6 @@ def _suspension_conjugate(m, factors, new_source, new_target, direction):
     depends only on the unshifted argument degrees, so the transform is
     an involution up to relabeling.
     """
-    from .exactlin import tensor_basis_tuples
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     n = len(factors)
@@ -835,7 +809,6 @@ def eval_element(pres, action, complexes, elem: Element, input_colors,
     is what makes the coherence identities of a structure equivalent to
     its action commuting with the differentials at every arity.
     """
-    from .exactlin import tensor_spaces
     spaces = [complexes[c].space for c in input_colors]
     source = spaces[0] if len(spaces) == 1 else tensor_spaces(spaces)
     target = complexes[output_color].space
@@ -1039,9 +1012,6 @@ def riso() -> OperadPresentation:
     }
     return OperadPresentation("riso", (a, b), gens, diff,
                               symmetric=False, augmented=False)
-
-
-RISO_HIGHER = ("f2", "g2", "f3", "g3", "f4", "g4")
 
 
 def builtin_presentation(name: str, max_arity=None) -> OperadPresentation:

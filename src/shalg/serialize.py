@@ -20,6 +20,7 @@ from .exactlin import (
 )
 from .ainfty import AInfinityAlgebra, AInfinityMorphism
 from .operadcore import builtin_presentation
+from .transfer import SDRData
 
 
 # -------------------------------------------------------------- rationals
@@ -206,7 +207,8 @@ def algebra_to_data(a: AInfinityAlgebra) -> dict:
     return {"kind": "ainf",
             "complex": complex_to_data(a.complex),
             "operations": {str(n): map_to_data(a.mu(n))
-                           for n in sorted(a._mu) if not a.mu(n).is_zero()},
+                           for n in range(2, a.N + 1)
+                           if not a.mu(n).is_zero()},
             "N": a.N}
 
 
@@ -236,7 +238,8 @@ def morphism_to_data(m: AInfinityMorphism) -> dict:
             "source": algebra_to_data(m.source),
             "target": algebra_to_data(m.target),
             "components": {str(n): map_to_data(m.f(n))
-                           for n in sorted(m._f) if not m.f(n).is_zero()},
+                           for n in range(1, m.N + 1)
+                           if not m.f(n).is_zero()},
             "N": m.N}
 
 
@@ -261,15 +264,20 @@ def sdr_to_data(s) -> dict:
             "phi": map_to_data(s.phi)}
 
 
-def sdr_from_data(data, path="$"):
-    from .transfer import SDRData
+def sdr_parts_from_data(data, path="$"):
+    """(big, small, nabla, f, phi) of a retract file, with the retract
+    identities left unchecked."""
     big = _nested(complex_from_data, data, "big", path)
     small = _nested(complex_from_data, data, "small", path)
-    return SDRData(
+    return (
         big, small,
         _nested(map_from_data, data, "nabla", path, small.space, big.space),
         _nested(map_from_data, data, "f", path, big.space, small.space),
         _nested(map_from_data, data, "phi", path, big.space, big.space))
+
+
+def sdr_from_data(data, path="$") -> SDRData:
+    return SDRData(*sdr_parts_from_data(data, path))
 
 
 def action_from_data(data, path="$"):
@@ -308,27 +316,15 @@ def load(path):
 
 
 def dump(path, data):
-    """Serialize to path, atomically (write-then-rename)."""
+    """Write to path atomically (write-then-rename): a str as it is,
+    anything else as JSON."""
+    if not isinstance(data, str):
+        data = json.dumps(data, indent=1, sort_keys=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def dump_raw(path, text):
-    """Write already-rendered text to path, atomically."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

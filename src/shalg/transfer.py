@@ -25,22 +25,26 @@ inconsistent solve is reported as an internal error.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .exactlin import (
     ChainComplex,
     GradedMap,
+    HomologyData,
     hom_differential,
     homology_with_splitting,
+    homotopy_residual,
     map_sum,
     rref,
     solve_map_equation,
+    split_contraction,
+    split_coordinate_map,
     tensor_maps_many,
     tensor_power,
     tensor_spaces,
 )
 from .operadcore import (
+    _compositions,
     _shift_space,
     _suspension_conjugate,
     action_check,
@@ -49,7 +53,6 @@ from .operadcore import (
 from .ainfty import (
     AInfinityAlgebra,
     AInfinityMorphism,
-    _compositions,
     compose_morphisms,
     fn_residual,
     underlying,
@@ -61,7 +64,41 @@ def _is_chain_map(m: GradedMap, source: ChainComplex,
     return hom_differential(m, [source], target).is_zero()
 
 
+def _is_homotopy(h: GradedMap, a: GradedMap, b: GradedMap,
+                 source: ChainComplex, target: ChainComplex) -> bool:
+    # an h of the wrong degree is no homotopy, not a type error
+    return (h.degree == a.degree + 1
+            and homotopy_residual(h, a, b, source, target).is_zero())
+
+
 # ------------------------------------------------------------------- SDRs
+
+
+def retract_residuals(big: ChainComplex, small: ChainComplex,
+                      nabla: GradedMap, f: GradedMap,
+                      phi: GradedMap) -> list:
+    """Residuals of the four retract identities, each zero exactly when
+    it holds: nabla is a chain map, f is a chain map, f . nabla = 1, and
+    phi is a homotopy from 1 to nabla . f.  Raises ValueError when a map
+    has the wrong source, target or degree."""
+    if nabla.source != small.space or nabla.target != big.space \
+            or nabla.degree != 0:
+        raise ValueError("nabla must be a degree-0 map small -> big")
+    if f.source != big.space or f.target != small.space or f.degree != 0:
+        raise ValueError("f must be a degree-0 map big -> small")
+    if phi.source != big.space or phi.target != big.space \
+            or phi.degree != 1:
+        raise ValueError("phi must be a degree +1 map on the big complex")
+    return [hom_differential(nabla, [small], big),
+            hom_differential(f, [big], small),
+            f.compose(nabla).add(GradedMap.identity(small.space), 1, -1),
+            homotopy_residual(phi, GradedMap.identity(big.space),
+                              nabla.compose(f), big, big)]
+
+
+_RETRACT_ERRORS = ("nabla is not a chain map", "f is not a chain map",
+                   "f . nabla is not the identity",
+                   "phi is not a homotopy from 1 to nabla . f")
 
 
 class SDRData:
@@ -75,23 +112,10 @@ class SDRData:
 
     def __init__(self, big: ChainComplex, small: ChainComplex,
                  nabla: GradedMap, f: GradedMap, phi: GradedMap):
-        if nabla.source != small.space or nabla.target != big.space \
-                or nabla.degree != 0:
-            raise ValueError("nabla must be a degree-0 map small -> big")
-        if f.source != big.space or f.target != small.space or f.degree != 0:
-            raise ValueError("f must be a degree-0 map big -> small")
-        if phi.source != big.space or phi.target != big.space \
-                or phi.degree != 1:
-            raise ValueError("phi must be a degree +1 map on the big complex")
-        if not _is_chain_map(nabla, small, big):
-            raise ValueError("nabla is not a chain map")
-        if not _is_chain_map(f, big, small):
-            raise ValueError("f is not a chain map")
-        if f.compose(nabla) != GradedMap.identity(small.space):
-            raise ValueError("f . nabla is not the identity")
-        defect = nabla.compose(f).add(GradedMap.identity(big.space), 1, -1)
-        if defect != hom_differential(phi, [big], big):
-            raise ValueError("phi is not a homotopy from 1 to nabla . f")
+        residuals = retract_residuals(big, small, nabla, f, phi)
+        for residual, message in zip(residuals, _RETRACT_ERRORS):
+            if not residual.is_zero():
+                raise ValueError(message)
         self.big = big
         self.small = small
         self.nabla = nabla
@@ -145,11 +169,11 @@ class HomotopyEquivalence:
             raise ValueError("f is not a chain map")
         if not _is_chain_map(g, target, source):
             raise ValueError("g is not a chain map")
-        gf = g.compose(f).add(GradedMap.identity(source.space), 1, -1)
-        if gf != hom_differential(h, [source], source):
+        if not _is_homotopy(h, GradedMap.identity(source.space),
+                            g.compose(f), source, source):
             raise ValueError("h is not a homotopy from 1 to g f")
-        fg = f.compose(g).add(GradedMap.identity(target.space), 1, -1)
-        if fg != hom_differential(l, [target], target):
+        if not _is_homotopy(l, GradedMap.identity(target.space),
+                            f.compose(g), target, target):
             raise ValueError("l is not a homotopy from 1 to f g")
         self.source = source
         self.target = target
@@ -175,54 +199,6 @@ def _graded_inverse(m: GradedMap) -> Optional[GradedMap]:
     return GradedMap(m.target, m.source, 0, blocks)
 
 
-def _boundary_tops(c: ChainComplex) -> dict:
-    """Per degree k: column indices whose differentials span the
-    boundaries one degree below (leftmost-pivot choice)."""
-    tops = {}
-    for k in c.space.degrees():
-        mat = c.differential.block(k)
-        if mat and mat[0]:
-            _, _, pivots = rref(mat)
-            tops[k] = list(pivots)
-        else:
-            tops[k] = []
-    return tops
-
-
-class _Decomposition:
-    """Basis of a complex split as boundaries + harmonic + preimages."""
-
-    def __init__(self, c: ChainComplex):
-        self.complex = c
-        self.hd = homology_with_splitting(c)
-        self.tops = _boundary_tops(c)
-        space = c.space
-        self.cols = {}    # degree -> list of basis column vectors
-        self.coords = {}  # degree -> inverse change-of-basis matrix
-        self.counts = {}  # degree -> (n_boundary, n_harmonic, n_top)
-        for k in space.degrees():
-            n = space.dim(k)
-            dmat_up = c.differential.block(k + 1)
-            b_cols = [tuple(dmat_up[i][j] for i in range(n))
-                      for j in self.tops.get(k + 1, [])]
-            incl = self.hd.inclusion.block(k)
-            h_cols = [tuple(incl[i][j] for i in range(n))
-                      for j in range(self.hd.homology.dim(k))]
-            t_cols = [tuple(Fraction(1 if i == j else 0) for i in range(n))
-                      for j in self.tops.get(k, [])]
-            cols = b_cols + h_cols + t_cols
-            if len(cols) != n:
-                raise AssertionError("decomposition is not a basis")
-            self.counts[k] = (len(b_cols), len(h_cols), len(t_cols))
-            self.cols[k] = cols
-            if n:
-                mat = tuple(tuple(col[i] for col in cols) for i in range(n))
-                _, t, pivots = rref(mat)
-                if len(pivots) != n:
-                    raise AssertionError("decomposition is not a basis")
-                self.coords[k] = t
-
-
 def sdr_from_equivalence(e: HomotopyEquivalence) -> SDRData:
     """Strong deformation retract induced by a homotopy equivalence.
 
@@ -235,17 +211,16 @@ def sdr_from_equivalence(e: HomotopyEquivalence) -> SDRData:
     source; if neither dominates, no SDR exists in either direction and
     a ValueError explains why.
     """
-    dv, dw = _Decomposition(e.source), _Decomposition(e.target)
-    amap = dw.hd.projection.compose(e.f).compose(dv.hd.inclusion)
+    dv = homology_with_splitting(e.source)
+    dw = homology_with_splitting(e.target)
+    amap = dw.projection.compose(e.f).compose(dv.inclusion)
     ainv = _graded_inverse(amap)
     if ainv is None:
         raise ValueError("f does not induce an isomorphism on homology")
 
-    def feasible(big: _Decomposition, small: _Decomposition) -> bool:
-        degs = set(big.complex.space.degrees()) \
-            | set(small.complex.space.degrees())
-        return all(len(small.tops.get(k, [])) <= len(big.tops.get(k, []))
-                   for k in degs)
+    def feasible(big: HomologyData, small: HomologyData) -> bool:
+        return all(len(p) <= len(big.pivots.get(k, ()))
+                   for k, p in small.pivots.items())
 
     if feasible(dw, dv):
         return _build_sdr(dw, dv, amap, ainv)
@@ -256,73 +231,22 @@ def sdr_from_equivalence(e: HomotopyEquivalence) -> SDRData:
                      "direction")
 
 
-def _build_sdr(big: _Decomposition, small: _Decomposition,
+def _build_sdr(big: HomologyData, small: HomologyData,
                alpha: GradedMap, alpha_inv: GradedMap) -> SDRData:
-    """SDR of big onto small; alpha maps H(small) to H(big)."""
+    """SDR of big onto small; alpha maps H(small) to H(big).  In split
+    coordinates, nabla and f pair the first boundaries and preimages of
+    the two sides and map the harmonic parts by alpha and its inverse;
+    phi contracts the boundaries of big left unpaired."""
     B, S = big.complex, small.complex
-    nb_space, ns_space = B.space, S.space
-    nabla_blocks, f_blocks, phi_blocks = {}, {}, {}
-    for k in set(nb_space.degrees()) | set(ns_space.degrees()):
-        nS, nB = ns_space.dim(k), nb_space.dim(k)
-        sb, sh, st = small.counts.get(k, (0, 0, 0))
-        bb, bh, bt = big.counts.get(k, (0, 0, 0))
-        # nabla: small coords -> selected big basis columns
-        if nS and nB:
-            amat = alpha.block(k)
-            rows = []
-            for i in range(nB):
-                row = [Fraction(0)] * nS
-                for q in range(nS):
-                    coord = small.coords[k]
-                    # coordinates of the q-th standard small vector
-                    c_b = [coord[p][q] for p in range(sb)]
-                    c_h = [coord[sb + p][q] for p in range(sh)]
-                    c_t = [coord[sb + sh + p][q] for p in range(st)]
-                    val = Fraction(0)
-                    for p in range(sb):
-                        val += c_b[p] * big.cols[k][p][i]
-                    for p in range(sh):
-                        for p2 in range(sh):
-                            val += amat[p][p2] * c_h[p2] \
-                                * big.cols[k][bb + p][i]
-                    for p in range(st):
-                        val += c_t[p] * big.cols[k][bb + bh + p][i]
-                    row[q] = val
-                rows.append(row)
-            nabla_blocks[k] = rows
-        # f: big coords -> small basis, keeping selected pairs + harmonic
-        if nS and nB:
-            imat = alpha_inv.block(k)
-            rows = []
-            for i in range(nS):
-                row = [Fraction(0)] * nB
-                for q in range(nB):
-                    coord = big.coords[k]
-                    val = Fraction(0)
-                    for p in range(sb):
-                        val += coord[p][q] * small.cols[k][p][i]
-                    for p in range(sh):
-                        for p2 in range(bh):
-                            val += imat[p][p2] * coord[bb + p2][q] \
-                                * small.cols[k][sb + p][i]
-                    for p in range(st):
-                        val += coord[bb + bh + p][q] \
-                            * small.cols[k][sb + sh + p][i]
-                    row[q] = val
-                rows.append(row)
-            f_blocks[k] = rows
-        # phi on big: unselected boundary coordinate -> minus its top
-        n_up = nb_space.dim(k + 1)
-        if nB and n_up and bb > sb:
-            rows = [[Fraction(0)] * nB for _ in range(n_up)]
-            for p in range(sb, bb):
-                top_col = big.tops[k + 1][p]
-                for q in range(nB):
-                    rows[top_col][q] -= big.coords[k][p][q]
-            phi_blocks[k] = rows
-    nabla = GradedMap(ns_space, nb_space, 0, nabla_blocks)
-    f = GradedMap(nb_space, ns_space, 0, f_blocks)
-    phi = GradedMap(nb_space, nb_space, 1, phi_blocks)
+    nabla = big.basis.compose(split_coordinate_map(
+        S.space, B.space, small.counts, big.counts, alpha)).compose(
+        small.coords)
+    f = small.basis.compose(split_coordinate_map(
+        B.space, S.space, big.counts, small.counts, alpha_inv)).compose(
+        big.coords)
+    paired = {k: nb for k, (nb, _, _) in small.counts.items()}
+    phi = big.basis.compose(split_contraction(
+        B.space, big.counts, paired)).compose(big.coords)
     out = SDRData(B, S, nabla, f, phi)
     assert check_side_conditions(out)["ok"]
     return out
@@ -339,9 +263,6 @@ def sdr_onto_homology(c: ChainComplex) -> SDRData:
 
 
 # ------------------------------------------------- resolution zero-extension
-
-
-RISO_COLORS = {"a": "small", "b": "big"}
 
 
 class RIsoAction:
@@ -468,8 +389,7 @@ def transfer_S(a: AInfinityAlgebra, target: ChainComplex, f: GradedMap,
         raise ValueError("f is not a chain map")
     if not _is_chain_map(g, target, V):
         raise ValueError("g is not a chain map")
-    defect = g.compose(f).add(GradedMap.identity(V.space), 1, -1)
-    if defect != hom_differential(h, [V], V):
+    if not _is_homotopy(h, GradedMap.identity(V.space), g.compose(f), V, V):
         raise ValueError("h is not a homotopy from 1 to g f")
     return _transfer(a, target, f, g, h, N if N is not None else a.N)
 
@@ -516,10 +436,10 @@ def perturb_M2(m: AInfinityMorphism, g: GradedMap, h: GradedMap,
     underlying map and h = 0 the input is returned unchanged."""
     N = N if N is not None else m.N
     V, W = m.source, m.target
-    diff = g.add(underlying(m), 1, -1)
-    if diff != hom_differential(h, [V.complex], W.complex):
+    f1 = underlying(m)
+    if not _is_homotopy(h, f1, g, V.complex, W.complex):
         raise ValueError("h is not a homotopy from underlying(m) to g")
-    if diff.is_zero() and h.is_zero():
+    if g == f1 and h.is_zero():
         return m
     return _extend_morphism(V, W, g, N)
 

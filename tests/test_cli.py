@@ -1,14 +1,16 @@
 """Tests for the file formats and the batch command-line front end."""
 
 import copy
+import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from shalg import serialize
-from shalg.cli import main
+from shalg.cli import _map_witness, main
 from shalg.exactlin import (
     ChainComplex,
     GradedMap,
@@ -20,7 +22,12 @@ from shalg.exactlin import (
     tensor_power,
 )
 from shalg.ainfty import AInfinityAlgebra, AInfinityMorphism, an_residual
-from shalg.transfer import riso_zero_extension, sdr_onto_homology
+from shalg.transfer import (
+    retract_residuals,
+    riso_zero_extension,
+    sdr_onto_homology,
+)
+from test_transfer import coherent_morphism
 
 
 # --------------------------------------------------------------- fixtures
@@ -233,6 +240,85 @@ def test_verify_sdr_passes(sdr_file, capsys):
     assert "[PASS] side-condition-homotopy-squared" in out
 
 
+def _verify_sdr_parts(tmp_path, capsys, **maps):
+    """verify sdr on the exterior DGA's retract onto its homology with
+    the given maps replaced; returns (exit status, parsed certificate or
+    stderr, the five parts written)."""
+    s = sdr_onto_homology(exterior_dga().complex)
+    parts = {"nabla": s.nabla, "f": s.f, "phi": s.phi, **maps}
+    path = tmp_path / "sdr_parts.json"
+    serialize.dump(str(path), {
+        "kind": "sdr", "big": serialize.complex_to_data(s.big),
+        "small": serialize.complex_to_data(s.small),
+        **{k: serialize.map_to_data(m) for k, m in parts.items()}})
+    status = main(["verify", "sdr", str(path), "--format", "machine"])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out) if status != 2 else captured.err
+    return status, out, (s.big, s.small, parts["nabla"], parts["f"],
+                         parts["phi"])
+
+
+def test_verify_sdr_reports_zero_homotopy(tmp_path, capsys):
+    sp = exterior_dga().space
+    status, cert, parts = _verify_sdr_parts(
+        tmp_path, capsys, phi=GradedMap.zero(sp, sp, 1))
+    assert status == 1
+    retract = cert["checks"][0]
+    homotopy = retract_residuals(*parts)[3]
+    assert not homotopy.is_zero()
+    assert retract == {"name": "retract-identity", "status": "fail",
+                       "residual_zero": False,
+                       "witness": _map_witness(homotopy)}
+    assert [c["status"] for c in cert["checks"][1:]] == ["pass"] * 3
+
+
+def test_verify_sdr_reports_broken_retraction(tmp_path, capsys):
+    s = sdr_onto_homology(exterior_dga().complex)
+    status, cert, parts = _verify_sdr_parts(tmp_path, capsys,
+                                            f=s.f.scale(2))
+    assert status == 1
+    residuals = retract_residuals(*parts)
+    assert residuals[0].is_zero() and residuals[1].is_zero()
+    assert cert["checks"][0] == {"name": "retract-identity",
+                                 "status": "fail", "residual_zero": False,
+                                 "witness": _map_witness(residuals[2])}
+
+
+def test_verify_sdr_wrong_degree_homotopy_exits_2(tmp_path, capsys):
+    sp = exterior_dga().space
+    status, err, _ = _verify_sdr_parts(tmp_path, capsys,
+                                       phi=GradedMap.zero(sp, sp, 0))
+    assert status == 2
+    assert err == "error: phi must be a degree +1 map on the big complex\n"
+
+
+def test_verify_bound_n_truncates_checks(tmp_path, capsys):
+    m = coherent_morphism(seed=1, N=4)
+    data = serialize.morphism_to_data(m)
+    assert "3" in data["components"]
+    assert {"3", "4"} <= set(data["source"]["operations"])
+    mpath, apath = tmp_path / "mor.json", tmp_path / "alg.json"
+    serialize.dump(str(mpath), data)
+    serialize.dump(str(apath), data["source"])
+    for kind, path, names in (
+            ("morphism", mpath, ["morphism-identity-n1",
+                                 "morphism-identity-n2"]),
+            ("ainf", apath, ["stasheff-identity-n2"])):
+        assert main(["verify", kind, str(path), "--bound-n", "2",
+                     "--format", "machine"]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["bounds"] == {"N": 2}
+        assert [c["name"] for c in cert["checks"]] == names
+        assert all(c["status"] == "pass" for c in cert["checks"])
+
+
+def test_verify_bound_n_below_one_exits_2(dga_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ainf", dga_file, "--bound-n", "0"])
+    assert exc.value.code == 2
+    assert "--bound-n: must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_verify_morphism(dga_file, tmp_path, capsys):
     a = exterior_dga()
     m = AInfinityMorphism(a, a, {1: GradedMap.identity(a.space)}, 4)
@@ -407,6 +493,15 @@ def test_operad_riso_extend_localizes(tmp_path, capsys):
     assert main(["operad", "riso-extend", str(path)]) == 1
     out = capsys.readouterr().out
     assert "f2" in out
+
+
+def test_operad_riso_extend_records_input_hash(sdr_file, capsys):
+    assert main(["operad", "riso-extend", sdr_file,
+                 "--format", "machine"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    with open(sdr_file, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert cert["inputs"] == {os.path.basename(sdr_file): digest}
 
 
 def test_operad_alpha(capsys):

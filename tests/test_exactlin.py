@@ -1,6 +1,7 @@
 """Tests for exact graded linear algebra."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from shalg.exactlin import (
     tensor_power,
     tensor_spaces,
 )
+from test_transfer import random_chain_complex
 
 
 # ---------------------------------------------------------------- matrices
@@ -311,6 +313,53 @@ def test_homology_splitting_invariants_random(data):
     d = GradedMap(v, v, -1, blocks)
     c = ChainComplex(v, d)
     sdr_invariants(homology_with_splitting(c))
+
+
+def split_invariants(h):
+    """The split basis of HomologyData: coords inverts basis, the counts
+    fill each degree, boundaries are the columns of d at the pivots one
+    degree up, harmonic columns are the inclusion's and are cycles, and
+    preimages are unit vectors at the leftmost pivots of d, mapped by d
+    onto the boundaries one degree down in order."""
+    c = h.complex
+    space, d = c.space, c.differential
+    ident = GradedMap.identity(space)
+    assert h.basis.compose(h.coords) == ident
+    assert h.coords.compose(h.basis) == ident
+    assert sorted(h.counts) == sorted(h.pivots) == space.degrees()
+    d_basis = d.compose(h.basis)
+    for k in space.degrees():
+        n = space.dim(k)
+        nb, nh, nt = h.counts[k]
+        assert nb + nh + nt == n
+        assert nh == h.homology.dim(k)
+        assert h.pivots[k] == (rref(d.block(k))[2] if space.dim(k - 1)
+                               else [])
+        cols = list(zip(*h.basis.block(k)))
+        up = list(zip(*d.block(k + 1)))
+        assert cols[:nb] == [up[j] for j in h.pivots.get(k + 1, [])]
+        assert cols[nb:nb + nh] == list(zip(*h.inclusion.block(k)))
+        assert cols[nb + nh:] == [
+            tuple(Fraction(int(i == j)) for i in range(n))
+            for j in h.pivots[k]]
+        images = list(zip(*d_basis.block(k)))
+        assert not any(any(col) for col in images[nb:nb + nh])
+        below = list(zip(*h.basis.block(k - 1)))
+        assert images[nb + nh:] == below[:nt]
+
+
+def test_homology_split_random():
+    checked = 0
+    for dims in ({0: 2, 1: 2}, {0: 2, 1: 3, 2: 1}, {0: 1, 1: 2, 2: 1},
+                 {-1: 1, 0: 3, 1: 3, 2: 2}, {0: 2, 2: 2, 3: 1}):
+        for seed in range(10):
+            h = homology_with_splitting(
+                random_chain_complex(random.Random(seed), dims))
+            split_invariants(h)
+            sdr_invariants(h)
+            checked += sum(h.counts[k][0] * h.counts[k][1] > 0
+                           for k in h.counts)
+    assert checked  # some degree held both boundaries and homology
 
 
 # --------------------------------------------------------------- solver
