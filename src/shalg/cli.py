@@ -356,8 +356,8 @@ def cmd_operad(args):
                      witness=None if e["ok"] else
                      {"predicted": e["predicted"], "direct": e["direct"]})
     elif args.sub == "riso-extend":
-        s = serialize.sdr_from_data(serialize.load(inputs[0]))
-        res = riso_zero_extension(s)
+        res = riso_zero_extension(serialize.sdr_parts_from_data(
+            serialize.load(inputs[0])))
         if res["ok"]:
             cert.add("zero-extension", True, residual_zero=True)
         else:
@@ -380,7 +380,7 @@ def cmd_operad(args):
             trees = [t for oc in pres.colors
                      for t in enumerate_trees(
                          pres, 1, oc, length,
-                         include_unit=(oc == ic))
+                         include_unit=(oc == ic), max_degree=0)
                      if tree_degree(pres, t) == 0
                      and tree_leaf_colors(pres, t, oc) == [ic]]
             mat = alpha_iso_matrix(pres, trees, ic)

@@ -63,65 +63,94 @@ def mat_add(a: Matrix, b: Matrix, ca=1, cb=1) -> Matrix:
     )
 
 
+def _subtract_multiple(row: dict, f: Fraction, pivot_row: dict) -> None:
+    """row -= f * pivot_row on sparse rows, dropping entries that cancel."""
+    for j, y in pivot_row.items():
+        x = row.get(j)
+        v = -(f * y) if x is None else x - f * y
+        if v:
+            row[j] = v
+        elif x is not None:
+            del row[j]
+
+
+def _dense_rows(rows: list[dict], ncols: int) -> Matrix:
+    out = []
+    for row in rows:
+        dense = [_ZERO] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
+
+
 def rref(a: Matrix) -> tuple[Matrix, Matrix, list[int]]:
     """Reduced row echelon form with leftmost pivots.
 
     Returns (R, T, pivots) with T a = R, T invertible, and pivots the
     pivot column indices in order.  Fully deterministic.
+
+    The rows of the working matrix and of T are kept sparse ({column:
+    nonzero value}).  Elimination makes the row swaps, pivot divisions
+    and row updates of dense Gauss-Jordan elimination in the same order
+    and skips only arithmetic that cannot change a value (on zero
+    entries, and division by a pivot of 1), so R and T equal the dense
+    results entry for entry.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    m = [list(row) for row in a]
-    t = [list(row) for row in identity_matrix(nrows)]
+    m = [{j: x for j, x in enumerate(row) if x} for row in a]
+    t = [{i: _ONE} for i in range(nrows)]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if c in m[i]), None)
         if pr is None:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
             t[r], t[pr] = t[pr], t[r]
         piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        t[r] = [x / piv for x in t[r]]
+        if piv != 1:
+            m[r] = {j: x / piv for j, x in m[r].items()}
+            t[r] = {j: x / piv for j, x in t[r].items()}
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
+            if i != r and c in m[i]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+                _subtract_multiple(m[i], f, m[r])
+                _subtract_multiple(t[i], f, t[r])
         pivots.append(c)
         r += 1
-    return (tuple(tuple(row) for row in m),
-            tuple(tuple(row) for row in t),
-            pivots)
+    return _dense_rows(m, ncols), _dense_rows(t, nrows), pivots
 
 
 def mat_rank(a: Matrix) -> int:
     return len(rref(a)[2])
 
 
-def kernel_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
-    """Deterministic basis of the right null space, one vector per free column."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if nrows == 0:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(ncols))
-                for j in range(ncols)]
-    r, _, pivots = rref(a)
+def _null_space(r: Matrix, pivots: Sequence[int],
+                ncols: int) -> list[tuple[Fraction, ...]]:
+    """Right null space from a reduced row echelon form r with the given
+    pivot columns: one vector per free column, in column order."""
     pivot_set = set(pivots)
     basis = []
     for c in range(ncols):
         if c in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
+        v = [_ZERO] * ncols
+        v[c] = _ONE
         for row_idx, pc in enumerate(pivots):
             v[pc] = -r[row_idx][c]
         basis.append(tuple(v))
     return basis
+
+
+def kernel_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
+    """Deterministic basis of the right null space, one vector per free column."""
+    r, _, pivots = rref(a)
+    return _null_space(r, pivots, len(a[0]) if a else 0)
 
 
 def solve_matrix(a: Matrix, b: Sequence[Fraction]):
@@ -649,28 +678,27 @@ def homology_with_splitting(c: ChainComplex) -> HomologyData:
     """
     space = c.space
     degs = space.degrees()
-    pivots = {k: rref(c.differential.block(k))[2] if space.dim(k - 1) else []
-              for k in degs}
+    # d_k in reduced form; with nothing below, d_k is 0 and all is kernel
+    reduced = {k: rref(c.differential.block(k)) if space.dim(k - 1)
+               else ((), (), []) for k in degs}
+    pivots = {k: red[2] for k, red in reduced.items()}
     counts: dict[int, tuple[int, int, int]] = {}
     basis_blocks, coord_blocks = {}, {}
     for k in degs:
         n = space.dim(k)
         up = c.differential.block(k + 1)  # C_{k+1} -> C_k
         bound = [tuple(row[j] for row in up) for j in pivots.get(k + 1, [])]
-        if space.dim(k - 1) == 0:
-            kern = [tuple(Fraction(1 if i == j else 0) for i in range(n))
-                    for j in range(n)]
-        else:
-            kern = kernel_basis(c.differential.block(k))
-        # Extend the boundary basis to the kernel: greedy leftmost selection.
-        chosen = list(bound)
-        reps = []
-        for v in kern:
-            cand = chosen + [v]
-            mat = tuple(tuple(col[i] for col in cand) for i in range(n))
-            if mat_rank(mat) == len(cand):
-                chosen.append(v)
-                reps.append(v)
+        kern = _null_space(reduced[k][0], pivots[k], n)
+        # Extend the boundary basis to the kernel: the leftmost pivot
+        # columns of [bound | kern] are the greedy leftmost selection,
+        # and take every boundary, as those are independent.  Without
+        # boundaries, the kernel basis is itself the selection.
+        reps = kern
+        if bound and kern:
+            cand = bound + kern
+            picked = rref(tuple(tuple(col[i] for col in cand)
+                                for i in range(n)))[2]
+            reps = [kern[j - len(bound)] for j in picked if j >= len(bound)]
         units = [tuple(Fraction(1 if i == j else 0) for i in range(n))
                  for j in pivots[k]]
         cols = bound + reps + units

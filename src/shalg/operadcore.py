@@ -693,17 +693,26 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
     index = {d: {t: i for i, t in enumerate(ts)}
              for d, ts in by_degree.items()}
 
+    ranked = {}
+
     def d_matrix(sources, deg):
-        """Columns: d of each source tree, in the full degree-(deg-1) basis."""
-        targets = by_degree.get(deg - 1, [])
-        rows = [[Fraction(0)] * len(sources) for _ in targets]
-        for j, t in enumerate(sources):
-            for u, c in _d_tree(pres, t).items():
-                i = index[deg - 1].get(u)
-                if i is None:
-                    raise AssertionError("differential escaped the window")
-                rows[i][j] = c
-        return tuple(tuple(r) for r in rows), targets
+        """Columns: d of each source tree, in the full degree-(deg-1)
+        basis, with the targets and the rank.  Built and ranked once per
+        (degree, sources): the cycle matrix of one degree is often the
+        boundary matrix of the degree below."""
+        key = (deg, tuple(sources))
+        if key not in ranked:
+            targets = by_degree.get(deg - 1, [])
+            rows = [[Fraction(0)] * len(sources) for _ in targets]
+            for j, t in enumerate(sources):
+                for u, c in _d_tree(pres, t).items():
+                    i = index[deg - 1].get(u)
+                    if i is None:
+                        raise AssertionError("differential escaped the window")
+                    rows[i][j] = c
+            mat = tuple(tuple(r) for r in rows)
+            ranked[key] = mat, targets, mat_rank(mat) if mat else 0
+        return ranked[key]
 
     mult = math.factorial(arity) if pres.symmetric else 1
     out_dims: dict[int, int] = {}
@@ -715,18 +724,17 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
         if not small:
             continue
         # kernel of d restricted to the length window
-        mat, _ = d_matrix(small, deg)
-        zdim = len(small) - mat_rank(mat) if mat else len(small)
+        zdim = len(small) - d_matrix(small, deg)[2]
         # boundaries from one extra length level that land in the window
         srcs = [t for t in by_degree.get(deg + 1, [])
                 if tree_vertices(t) <= max_length + 1]
         bdim = 0
         if srcs:
-            dmat, targets = d_matrix(srcs, deg + 1)
+            dmat, targets, drank = d_matrix(srcs, deg + 1)
             outside = [i for i, t in enumerate(targets)
                        if tree_vertices(t) > max_length]
             pmat = tuple(dmat[i] for i in outside)
-            bdim = mat_rank(dmat) - (mat_rank(pmat) if pmat else 0)
+            bdim = drank - (mat_rank(pmat) if pmat else 0)
         h = zdim - bdim
         if h:
             out_dims[deg] = h * mult

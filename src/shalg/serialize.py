@@ -20,7 +20,7 @@ from .exactlin import (
 )
 from .ainfty import AInfinityAlgebra, AInfinityMorphism
 from .operadcore import builtin_presentation
-from .transfer import SDRData
+from .transfer import RetractParts, SDRData
 
 
 # -------------------------------------------------------------- rationals
@@ -265,11 +265,11 @@ def sdr_to_data(s) -> dict:
 
 
 def sdr_parts_from_data(data, path="$"):
-    """(big, small, nabla, f, phi) of a retract file, with the retract
-    identities left unchecked."""
+    """RetractParts (big, small, nabla, f, phi) of a retract file, with
+    the retract identities left unchecked."""
     big = _nested(complex_from_data, data, "big", path)
     small = _nested(complex_from_data, data, "small", path)
-    return (
+    return RetractParts(
         big, small,
         _nested(map_from_data, data, "nabla", path, small.space, big.space),
         _nested(map_from_data, data, "f", path, big.space, small.space),

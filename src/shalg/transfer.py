@@ -25,7 +25,7 @@ inconsistent solve is reported as an internal error.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .exactlin import (
     ChainComplex,
@@ -74,13 +74,20 @@ def _is_homotopy(h: GradedMap, a: GradedMap, b: GradedMap,
 # ------------------------------------------------------------------- SDRs
 
 
-def retract_residuals(big: ChainComplex, small: ChainComplex,
-                      nabla: GradedMap, f: GradedMap,
-                      phi: GradedMap) -> list:
-    """Residuals of the four retract identities, each zero exactly when
-    it holds: nabla is a chain map, f is a chain map, f . nabla = 1, and
-    phi is a homotopy from 1 to nabla . f.  Raises ValueError when a map
-    has the wrong source, target or degree."""
+class RetractParts(NamedTuple):
+    """Retract data as read, with the retract identities unchecked."""
+    big: ChainComplex
+    small: ChainComplex
+    nabla: GradedMap
+    f: GradedMap
+    phi: GradedMap
+
+
+def _check_retract_types(big: ChainComplex, small: ChainComplex,
+                         nabla: GradedMap, f: GradedMap,
+                         phi: GradedMap) -> None:
+    """Raise ValueError when a map has the wrong source, target or
+    degree for retract data."""
     if nabla.source != small.space or nabla.target != big.space \
             or nabla.degree != 0:
         raise ValueError("nabla must be a degree-0 map small -> big")
@@ -89,6 +96,16 @@ def retract_residuals(big: ChainComplex, small: ChainComplex,
     if phi.source != big.space or phi.target != big.space \
             or phi.degree != 1:
         raise ValueError("phi must be a degree +1 map on the big complex")
+
+
+def retract_residuals(big: ChainComplex, small: ChainComplex,
+                      nabla: GradedMap, f: GradedMap,
+                      phi: GradedMap) -> list:
+    """Residuals of the four retract identities, each zero exactly when
+    it holds: nabla is a chain map, f is a chain map, f . nabla = 1, and
+    phi is a homotopy from 1 to nabla . f.  Raises ValueError when a map
+    has the wrong source, target or degree."""
+    _check_retract_types(big, small, nabla, f, phi)
     return [hom_differential(nabla, [small], big),
             hom_differential(f, [big], small),
             f.compose(nabla).add(GradedMap.identity(small.space), 1, -1),
@@ -286,11 +303,14 @@ class RIsoAction:
         return action_check(self.pres, self.assignment, self.complexes(), 1)
 
 
-def riso_zero_extension(s: SDRData) -> dict:
+def riso_zero_extension(s: SDRData | RetractParts) -> dict:
     """Extend SDR data to a resolution action with all higher correctors
     zero.  Succeeds exactly when the side conditions hold; on failure
     reports the first generator whose compatibility equation breaks and
-    the nonzero obstruction map."""
+    the nonzero obstruction map.  The equations include the retract
+    identities, so unchecked RetractParts that are no retract fail the
+    same way; a map of the wrong type raises ValueError."""
+    _check_retract_types(s.big, s.small, s.nabla, s.f, s.phi)
     pres = builtin_presentation("riso")
     cmap = {"a": s.small, "b": s.big}
     assignment = {

@@ -240,10 +240,11 @@ def test_verify_sdr_passes(sdr_file, capsys):
     assert "[PASS] side-condition-homotopy-squared" in out
 
 
-def _verify_sdr_parts(tmp_path, capsys, **maps):
-    """verify sdr on the exterior DGA's retract onto its homology with
-    the given maps replaced; returns (exit status, parsed certificate or
-    stderr, the five parts written)."""
+def _verify_sdr_parts(tmp_path, capsys, command=("verify", "sdr"), **maps):
+    """verify sdr (or another command reading a retract file) on the
+    exterior DGA's retract onto its homology with the given maps
+    replaced; returns (exit status, parsed certificate or stderr, the
+    five parts written)."""
     s = sdr_onto_homology(exterior_dga().complex)
     parts = {"nabla": s.nabla, "f": s.f, "phi": s.phi, **maps}
     path = tmp_path / "sdr_parts.json"
@@ -251,7 +252,7 @@ def _verify_sdr_parts(tmp_path, capsys, **maps):
         "kind": "sdr", "big": serialize.complex_to_data(s.big),
         "small": serialize.complex_to_data(s.small),
         **{k: serialize.map_to_data(m) for k, m in parts.items()}})
-    status = main(["verify", "sdr", str(path), "--format", "machine"])
+    status = main([*command, str(path), "--format", "machine"])
     captured = capsys.readouterr()
     out = json.loads(captured.out) if status != 2 else captured.err
     return status, out, (s.big, s.small, parts["nabla"], parts["f"],
@@ -493,6 +494,30 @@ def test_operad_riso_extend_localizes(tmp_path, capsys):
     assert main(["operad", "riso-extend", str(path)]) == 1
     out = capsys.readouterr().out
     assert "f2" in out
+
+
+def test_operad_riso_extend_reports_non_retract(tmp_path, capsys):
+    """A zero homotopy is no retract: the zero extension fails at the
+    homotopy's generator, with the homotopy residual as obstruction."""
+    sp = exterior_dga().space
+    status, cert, parts = _verify_sdr_parts(
+        tmp_path, capsys, ("operad", "riso-extend"),
+        phi=GradedMap.zero(sp, sp, 1))
+    assert status == 1
+    homotopy = retract_residuals(*parts)[3]
+    assert cert["checks"] == [{
+        "name": "zero-extension", "status": "fail", "residual_zero": False,
+        "witness": {"failed_generator": "l",
+                    "obstruction": _map_witness(homotopy)}}]
+
+
+def test_operad_riso_extend_wrong_degree_homotopy_exits_2(tmp_path, capsys):
+    sp = exterior_dga().space
+    status, err, _ = _verify_sdr_parts(tmp_path, capsys,
+                                       ("operad", "riso-extend"),
+                                       phi=GradedMap.zero(sp, sp, 0))
+    assert status == 2
+    assert err == "error: phi must be a degree +1 map on the big complex\n"
 
 
 def test_operad_riso_extend_records_input_hash(sdr_file, capsys):

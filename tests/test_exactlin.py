@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shalg import exactlin
 from shalg.exactlin import (
     ChainComplex,
     GradedMap,
@@ -360,6 +361,26 @@ def test_homology_split_random():
             checked += sum(h.counts[k][0] * h.counts[k][1] > 0
                            for k in h.counts)
     assert checked  # some degree held both boundaries and homology
+
+
+def test_homology_split_row_reduces_each_matrix_once(monkeypatch):
+    """Per degree k: one rref of d_k (when C_{k-1} is not 0), whose R
+    also gives the kernel; one of [boundaries | kernel] to pick the
+    harmonic cycles, skipped without boundaries; one to invert the
+    split basis."""
+    calls = []
+    real_rref = exactlin.rref
+    monkeypatch.setattr(exactlin, "rref",
+                        lambda a: calls.append(a) or real_rref(a))
+    for dims in ({0: 2, 1: 3, 2: 1}, {-1: 1, 0: 3, 1: 3, 2: 2}):
+        for seed in range(10):
+            c = random_chain_complex(random.Random(seed), dims)
+            calls.clear()
+            h = homology_with_splitting(c)
+            space = h.complex.space
+            assert len(calls) == sum(
+                (space.dim(k - 1) > 0) + (h.counts[k][0] > 0) + 1
+                for k in space.degrees())
 
 
 # --------------------------------------------------------------- solver

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from shalg import exactlin
+from shalg.cli import _gamma_nu2
 from shalg.exactlin import (
     ChainComplex,
     GradedMap,
@@ -390,3 +392,45 @@ def test_builtin_presentation_lookup():
     assert builtin_presentation("riso").name == "riso"
     with pytest.raises(ValueError):
         builtin_presentation("nope")
+
+
+def test_alpha_degree_pruning_keeps_the_degree_zero_trees():
+    """operad alpha enumerates riso trees with max_degree=0: the kept
+    degree-0 trees are those of the unpruned enumeration, in order."""
+    r = riso()
+
+    def kept(length, ic, max_degree):
+        return [t for oc in r.colors
+                for t in enumerate_trees(r, 1, oc, length,
+                                         include_unit=(oc == ic),
+                                         max_degree=max_degree)
+                if tree_degree(r, t) == 0
+                and tree_leaf_colors(r, t, oc) == [ic]]
+
+    for length in range(1, 6):
+        for ic in r.colors:
+            pruned = kept(length, ic, 0)
+            assert pruned and pruned == kept(length, ic, None)
+
+
+def test_truncated_homology_ranks_each_d_matrix_once(monkeypatch):
+    """Each distinct (degree, sources) matrix is built and row-reduced
+    once, though the cycle matrix of one degree is often the boundary
+    matrix of the degree below."""
+    matrices = []
+    real_rref = exactlin.rref
+
+    def counting_rref(a):
+        matrices.append(a)
+        return real_rref(a)
+
+    monkeypatch.setattr(exactlin, "rref", counting_rref)
+
+    def rref_calls(fn, *args):
+        matrices.clear()
+        fn(*args)
+        assert len(set(matrices)) == len(matrices)
+        return len(matrices)
+
+    assert rref_calls(truncated_homology, ass_minimal(6), 6, "v") == 4
+    assert rref_calls(kunneth_check, ass_minimal(3), _gamma_nu2(), 5) == 6

@@ -1,8 +1,10 @@
-"""Sparse graded maps against the dense matrix reference.
+"""Sparse kernels against their dense references.
 
 Every operation on GradedMap is recomputed here from the dense blocks
 the map was built from, with mat_mul, mat_add and a Kronecker product
 over flat bases, and the dense views of the result must agree exactly.
+The sparse-row rref must return the (R, T, pivots) of the dense
+Gauss-Jordan loop kept here, entry for entry.
 """
 
 import itertools
@@ -18,11 +20,13 @@ from shalg.exactlin import (
     GradedMap,
     GradedVectorSpace,
     hom_differential,
+    identity_matrix,
     kernel_basis,
     make_matrix,
     map_sum,
     mat_add,
     mat_mul,
+    rref,
     tensor_maps_many,
     tensor_spaces,
 )
@@ -172,6 +176,91 @@ def random_complex(rng):
                       for j in range(nc)] for i in range(nr)]
     d = GradedMap(space, space, -1, blocks)
     return ChainComplex(space, d), stored(blocks, space, space, -1)
+
+
+def dense_rref(a):
+    """Dense Gauss-Jordan elimination with leftmost pivots: the
+    reference for rref, rewriting every entry of every row it touches."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    m = [list(row) for row in a]
+    t = [list(row) for row in identity_matrix(nrows)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            t[r], t[pr] = t[pr], t[r]
+        piv = m[r][c]
+        m[r] = [x / piv for x in m[r]]
+        t[r] = [x / piv for x in t[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+        pivots.append(c)
+        r += 1
+    return (tuple(tuple(row) for row in m),
+            tuple(tuple(row) for row in t),
+            pivots)
+
+
+def random_rational_matrix(rng):
+    """Up to 7 x 7, with zero rows, zero columns and rows that combine
+    earlier ones, so the rank often falls below the row count; 0 rows
+    now and then."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            row = [0] * ncols
+        elif kind < 0.45 and rows:
+            picks = rng.sample(rows, rng.randint(1, len(rows)))
+            cs = [rng.choice(COEFFICIENTS) for _ in picks]
+            row = [sum(Fraction(c) * p[j] for c, p in zip(cs, picks))
+                   for j in range(ncols)]
+        else:
+            row = [rng.choice(ENTRIES) for _ in range(ncols)]
+        rows.append(row)
+    for j in rng.sample(range(ncols), rng.randint(0, ncols // 2)):
+        for row in rows:
+            row[j] = 0
+    return make_matrix(rows, nrows, ncols)
+
+
+# ------------------------------------------------------------------ rref
+
+
+def check_rref(a):
+    r, t, pivots = rref(a)
+    assert (r, t, pivots) == dense_rref(a)
+    assert mat_mul(t, a) == r
+    # rows of T past the rank annihilate a (solve_matrix's certificates)
+    assert not any(x for row in r[len(pivots):] for x in row)
+    return len(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rngs)
+def test_rref_matches_dense_reference(rng):
+    check_rref(random_rational_matrix(rng))
+
+
+def test_rref_edge_cases_match_dense_reference():
+    third = Fraction(1, 3)
+    cases = [(), zeros(3, 4), zeros(1, 1),
+             make_matrix([[0, 2, 0], [0, 0, 0], [0, 1, 0]], 3, 3),
+             make_matrix([[1, 2], [2, 4], [third, 0], [0, 0]], 4, 2),
+             make_matrix([[0, 0, 5, 1]], 1, 4)]
+    assert [check_rref(a) for a in cases] == [0, 0, 0, 1, 2, 1]
+    assert rref(()) == ((), (), [])
 
 
 # ------------------------------------------------------------------ views
