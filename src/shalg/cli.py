@@ -193,6 +193,9 @@ def cmd_verify(args):
         pres, assignment, complexes = serialize.action_from_data(data)
         trunc = serialize.parse_int(data.get("truncation", 1),
                                     "$.truncation")
+        if trunc < 1:
+            raise serialize.InputError(
+                f"$.truncation: must be at least 1, got {trunc}")
         res = action_check(pres, assignment, complexes, trunc)
         for entry in res["entries"]:
             witness = None
@@ -339,6 +342,7 @@ def cmd_operad(args):
     elif args.sub == "homology":
         name = names[0]
         arity = args.arity or 3
+        cert.bounds["arity"] = arity
         pres = _operad_by_name(name, arity)
         color = pres.colors[0]
         res = truncated_homology(pres, arity, color,
@@ -367,6 +371,7 @@ def cmd_operad(args):
                                   res["obstruction"])})
     elif args.sub == "tree-dims":
         arity = args.arity or 3
+        cert.bounds["arity"] = arity
         p1 = _operad_by_name(names[0], arity)
         p2 = _operad_by_name(names[1], arity)
         dims = tree_decomposition_dims(p1, p2, arity)
@@ -414,8 +419,8 @@ def build_parser():
         sp.add_argument("--bound-n", type=_positive_int, default=None,
                         dest="bound_n",
                         help="coherence truncation order")
-        sp.add_argument("--arity", type=int, default=None)
-        sp.add_argument("--length", type=int, default=None,
+        sp.add_argument("--arity", type=_positive_int, default=None)
+        sp.add_argument("--length", type=_positive_int, default=None,
                         help="word-length cap for truncated computations")
         sp.add_argument("--format", choices=("text", "machine"),
                         default="text")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -127,7 +128,42 @@ def rref(a: Matrix) -> tuple[Matrix, Matrix, list[int]]:
 
 
 def mat_rank(a: Matrix) -> int:
-    return len(rref(a)[2])
+    """Rank by forward elimination on sparse integer rows.
+
+    Each row is scaled by the lcm of its denominators, which keeps the
+    rank, and is then reduced against the kept rows, one per leading
+    column, by integer combinations; every kept or reduced row is
+    divided by its content (the gcd of its entries), so entries stay
+    small.  Neither T nor a reduced form is built.
+    """
+    leading: dict[int, dict[int, int]] = {}
+    for row in a:
+        row = {j: x for j, x in enumerate(row) if x}
+        den = math.lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (den // x.denominator)
+               for j, x in row.items()}
+        while row:
+            c = min(row)
+            p = leading.get(c)
+            if p is None:
+                leading[c] = _primitive(row)
+                break
+            g = math.gcd(row[c], p[c])
+            rf, pf = p[c] // g, row[c] // g
+            for j in row.keys() | p.keys():
+                v = rf * row.get(j, 0) - pf * p.get(j, 0)
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+            row = _primitive(row)
+    return len(leading)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return row if g <= 1 else {j: x // g for j, x in row.items()}
 
 
 def _null_space(r: Matrix, pivots: Sequence[int],

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .exactlin import (
     ChainComplex,
@@ -67,6 +67,10 @@ class OperadPresentation:
     symmetric=True means each generator stands for a regular
     symmetric-group representation, so reported component dimensions
     carry an extra factor of arity!.
+
+    The invariants of every tree the operad layer meets under this
+    presentation (arity, length, word, degrees, orientation sign) are
+    memoized on the instance and freed with it.
     """
 
     def __init__(self, name, colors, generators: Sequence[GeneratorSpec],
@@ -84,12 +88,18 @@ class OperadPresentation:
             if g.arity < 1:
                 raise ValueError("generators must have arity >= 1")
             self.generators[g.name] = g
-        self.differential = {k: dict(v) for k, v in dict(differential).items()}
+        # Fraction coefficients: derivations keep or negate them by sign
+        self.differential = {k: {t: Fraction(c) for t, c in dict(v).items()}
+                             for k, v in dict(differential).items()}
         for k in self.differential:
             if k not in self.generators:
                 raise ValueError(f"differential on unknown generator {k}")
         self.symmetric = symmetric
         self.augmented = augmented
+        # tree -> memoized invariants; see _info, _word and _leaf_after
+        self._tree_info = {LEAF: _LEAF_INFO}
+        self._tree_words = {}
+        self._leaf_after = {}
 
     def gen(self, name) -> GeneratorSpec:
         return self.generators[name]
@@ -102,6 +112,99 @@ class OperadPresentation:
 
 
 # ------------------------------------------------------------------ trees
+
+
+class _TreeInfo(NamedTuple):
+    """Invariants of one tree under one presentation."""
+    arity: int
+    vertices: int
+    degree: int
+    shifted_degree: int  # in the arity-shifted grading
+    sign: int  # basis_sign
+
+
+_LEAF_INFO = _TreeInfo(1, 0, 0, 0, 1)
+
+
+def _info(pres: OperadPresentation, t, keep=True) -> _TreeInfo:
+    """Invariants of t, memoized on pres: each distinct subtree is
+    computed once, from the invariants of its children.  keep=False
+    leaves t itself out of the memo (its subtrees are kept), for trees
+    that are built once, such as the terms of a derivation's image."""
+    info = pres._tree_info.get(t)
+    if info is None:
+        info = _new_info(pres, t)
+        if keep:
+            pres._tree_info[t] = info
+    return info
+
+
+def _new_info(pres: OperadPresentation, t) -> _TreeInfo:
+    """The basis_sign exponent is a sum over the internal edges; for the
+    edge from the root to its non-leaf child subtree (subtree arity r,
+    slot s counted from 0, l leaves of the earlier siblings) it is
+
+        alg child under alg parent:  r + s(r+1)  (0 when r = 1)
+        alg child under mor parent:  i + (s+1)(r+1)   (i = parent arity)
+        mor child under any parent:  r(1 + s + i + l)
+    """
+    g = pres.generators.get(t[0])
+    if g is None:
+        raise ValueError(f"unknown generator {t[0]}")
+    arity = vertices = degree = shifted = exp = 0
+    sign = 1
+    for slot, c in enumerate(t[1:]):
+        k = _info(pres, c)
+        if k.vertices:
+            r = k.arity
+            if pres.generators[c[0]].kind == "mor":
+                exp += r * (1 + slot + g.arity + arity)
+            elif g.kind == "mor":
+                exp += g.arity + (slot + 1) * (r + 1)
+            elif r > 1:
+                exp += r + slot * (r + 1)
+            sign *= k.sign
+        arity += k.arity
+        vertices += k.vertices
+        degree += k.degree
+        shifted += k.shifted_degree
+    return _TreeInfo(arity, 1 + vertices, g.degree + degree,
+                     g.degree + 1 - g.arity + shifted,
+                     -sign if exp % 2 else sign)
+
+
+def _word(pres: OperadPresentation, t) -> tuple:
+    """tree_word of t, memoized on pres."""
+    word = pres._tree_words.get(t)
+    if word is None:
+        word = () if is_leaf(t) else sum(
+            (_word(pres, c) for c in t[1:]), (t[0],))
+        pres._tree_words[t] = word
+    return word
+
+
+def _leaf_after(pres: OperadPresentation, t) -> tuple:
+    """For each leaf of t in planar order, the total shifted degree of
+    the generators after it in the depth-first word; memoized on pres."""
+    after = pres._leaf_after.get(t)
+    if after is None:
+        if is_leaf(t):
+            after = (0,)
+        else:
+            out = []
+            rest = _info(pres, t).shifted_degree - _shifted_degree(pres, t[0])
+            for c in t[1:]:
+                rest -= _info(pres, c).shifted_degree
+                out.extend(a + rest for a in _leaf_after(pres, c))
+            after = tuple(out)
+        pres._leaf_after[t] = after
+    return after
+
+
+def _shifted_degree(pres, name) -> int:
+    """Degree of a generator in the arity-shifted grading."""
+    g = pres.gen(name)
+    return g.degree + 1 - g.arity
 
 
 def is_leaf(t) -> bool:
@@ -131,11 +234,11 @@ def tree_word(t) -> list:
 
 
 def tree_degree(pres: OperadPresentation, t) -> int:
-    return sum(pres.gen(g).degree for g in tree_word(t))
+    return _info(pres, t).degree
 
 
 def tree_tj(pres: OperadPresentation, t):
-    tjs = [pres.gen(g).tj for g in tree_word(t)]
+    tjs = [pres.gen(g).tj for g in _word(pres, t)]
     if any(x is None for x in tjs):
         return None
     return sum(tjs)
@@ -172,70 +275,21 @@ def tree_is_valid(pres: OperadPresentation, t, output_color=None) -> bool:
                for i, c in enumerate(t[1:]))
 
 
-def _shifted_degree(pres, name) -> int:
-    """Degree of a generator in the arity-shifted grading."""
-    g = pres.gen(name)
-    return g.degree + 1 - g.arity
-
-
 def tree_shifted_degree(pres, t) -> int:
-    return sum(_shifted_degree(pres, g) for g in tree_word(t))
-
-
-def _leaf_after_shifted(pres, u) -> list:
-    """For each leaf of u in planar order, the total shifted degree of
-    the generators appearing after it in the depth-first word."""
-    events = []  # None for leaf, shifted degree for generator
-
-    def walk(t):
-        if is_leaf(t):
-            events.append(None)
-            return
-        events.append(_shifted_degree(pres, t[0]))
-        for c in t[1:]:
-            walk(c)
-
-    walk(u)
-    out = []
-    for i, ev in enumerate(events):
-        if ev is None:
-            out.append(sum(d for d in events[i + 1:] if d is not None))
-    return out
+    """Degree in the arity-shifted grading, where a generator of arity k
+    and degree d counts d + 1 - k."""
+    return _info(pres, t).shifted_degree
 
 
 def basis_sign(pres: OperadPresentation, t) -> int:
     """Orientation sign matching a tree with its shifted word basis.
 
-    The sign is a product over the internal edges; for the edge from a
-    parent vertex to its non-leaf child subtree (subtree arity r, slot s
-    counted from 0, l leaves of the earlier siblings) the exponent is
-
-        alg child under alg parent:  r + s(r+1)  (0 when r = 1)
-        alg child under mor parent:  i + (s+1)(r+1)   (i = parent arity)
-        mor child under any parent:  r(1 + s + i + l)
-
-    chosen so that the stored differentials of the bundled presentations
-    become sign-free word derivations in the shifted grading.
+    The sign is a product over the internal edges (see _new_info for
+    the exponent of each edge), chosen so that the stored differentials
+    of the bundled presentations become sign-free word derivations in
+    the shifted grading.
     """
-    if is_leaf(t):
-        return 1
-    parent = pres.gen(t[0])
-    exp = 0
-    sign = 1
-    leaves_before = 0
-    for slot, c in enumerate(t[1:]):
-        if not is_leaf(c):
-            r = tree_arity(c)
-            child_kind = pres.gen(c[0]).kind
-            if child_kind == "mor":
-                exp += r * (1 + slot + parent.arity + leaves_before)
-            elif parent.kind == "mor":
-                exp += parent.arity + (slot + 1) * (r + 1)
-            elif r > 1:
-                exp += r + slot * (r + 1)
-            sign *= basis_sign(pres, c)
-        leaves_before += tree_arity(c)
-    return -sign if exp % 2 else sign
+    return _info(pres, t).sign
 
 
 def _substitute_shifted(pres: OperadPresentation, u, children):
@@ -248,26 +302,28 @@ def _substitute_shifted(pres: OperadPresentation, u, children):
         if len(children) != 1:
             raise ValueError("unit tree takes exactly one child")
         return (1, children[0])
-    if len(children) != tree_arity(u):
+    if len(children) != _info(pres, u).arity:
         raise ValueError("child count does not match arity")
-    after = _leaf_after_shifted(pres, u)
-    exp = sum(tree_shifted_degree(pres, c) * a
-              for c, a in zip(children, after))
+    exp = sum(_info(pres, c).shifted_degree * a
+              for c, a in zip(children, _leaf_after(pres, u)) if c != LEAF)
     sign = -1 if exp % 2 else 1
+    gens = pres.generators
     it = iter(children)
 
     def build(t, expected_color):
-        if is_leaf(t):
-            c = next(it)
-            oc = tree_output_color(pres, c, ambient=expected_color)
-            if oc != expected_color:
-                raise _ColorMismatch
-            return c
-        g = pres.gen(t[0])
+        g = gens[t[0]]
         if expected_color is not None and g.output != expected_color:
             raise _ColorMismatch
-        return (t[0],) + tuple(build(ch, g.inputs[i])
-                               for i, ch in enumerate(t[1:]))
+        out = [t[0]]
+        for ch, color in zip(t[1:], g.inputs):
+            if ch == LEAF:
+                ch = next(it)
+                if ch != LEAF and gens[ch[0]].output != color:
+                    raise _ColorMismatch
+                out.append(ch)
+            else:
+                out.append(build(ch, color))
+        return tuple(out)
 
     try:
         return (sign, build(u, None))
@@ -285,9 +341,9 @@ def substitute(pres: OperadPresentation, u, children):
     if r is None:
         return None
     sign, t = r
-    sign *= basis_sign(pres, u) * basis_sign(pres, t)
+    sign *= _info(pres, u).sign * _info(pres, t, keep=False).sign
     for c in children:
-        sign *= basis_sign(pres, c)
+        sign *= _info(pres, c).sign
     return (sign, t)
 
 
@@ -316,6 +372,11 @@ def elem_normalize(a: Element) -> Element:
     return {t: Fraction(c) for t, c in a.items() if c}
 
 
+def _accumulate(out: Element, t, c) -> None:
+    prev = out.get(t)
+    out[t] = c if prev is None else prev + c
+
+
 def graft(pres: OperadPresentation, outer: Element, position: int,
           inner: Element) -> Element:
     """Operadic partial composition outer o_position inner, bilinear.
@@ -328,7 +389,7 @@ def graft(pres: OperadPresentation, outer: Element, position: int,
     """
     out: Element = {}
     for ot, oc in outer.items():
-        ar = tree_arity(ot)
+        ar = _info(pres, ot).arity
         if not 1 <= position <= ar:
             raise ValueError("graft position out of range")
         for it_, ic in inner.items():
@@ -338,9 +399,10 @@ def graft(pres: OperadPresentation, outer: Element, position: int,
             if r is None:
                 continue
             s, t = r
-            if (ar + 1) * tree_degree(pres, it_) % 2:
+            if (ar + 1) * _info(pres, it_).degree % 2:
                 s = -s
-            out[t] = out.get(t, Fraction(0)) + s * oc * ic
+            c = oc * ic
+            _accumulate(out, t, c if s > 0 else -c)
     return {t: c for t, c in out.items() if c}
 
 
@@ -351,37 +413,36 @@ def derivation_extend(pres: OperadPresentation, x: Element) -> Element:
     out: Element = {}
     for t, c in x.items():
         for u, cu in _d_tree(pres, t).items():
-            out[u] = out.get(u, Fraction(0)) + c * cu
+            _accumulate(out, u, c * cu)
     return {t: c for t, c in out.items() if c}
 
 
 def _d_tree(pres, t) -> Element:
-    st = basis_sign(pres, t)
-    return {u: c * st * basis_sign(pres, u)
+    st = _info(pres, t).sign
+    return {u: c if _info(pres, u, keep=False).sign == st else -c
             for u, c in _d_tree_shifted(pres, t).items()}
 
 
 def _d_tree_shifted(pres, t) -> Element:
+    """The word derivation on one tree, in the shifted grading; t's
+    generators are known to pres (its invariants are memoized)."""
     if is_leaf(t):
         return {}
-    for g in tree_word(t):
-        if g not in pres.generators:
-            raise ValueError(f"unknown generator {g}")
     children = t[1:]
     out: Element = {}
     for u, cu in pres.d_image(t[0]).items():
-        r = _substitute_shifted(pres, u, list(children))
+        r = _substitute_shifted(pres, u, children)
         if r is None:
             continue
         s, tt = r
-        out[tt] = out.get(tt, Fraction(0)) + s * cu * basis_sign(pres, u)
+        _accumulate(out, tt, cu if s == _info(pres, u).sign else -cu)
     pre_deg = _shifted_degree(pres, t[0])
     for j, c in enumerate(children):
-        sgn = -1 if pre_deg % 2 else 1
+        odd = pre_deg % 2
         for u, cu in _d_tree_shifted(pres, c).items():
             nt = (t[0],) + children[:j] + (u,) + children[j + 1:]
-            out[nt] = out.get(nt, Fraction(0)) + sgn * cu
-        pre_deg += tree_shifted_degree(pres, c)
+            _accumulate(out, nt, -cu if odd else cu)
+        pre_deg += _info(pres, c).shifted_degree
     return {t_: c_ for t_, c_ in out.items() if c_}
 
 
@@ -401,7 +462,7 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int,
             continue
         img = pres.d_image(name)
         if up_to_length is not None and any(
-                tree_vertices(t) > up_to_length for t in img):
+                _info(pres, t).vertices > up_to_length for t in img):
             failures.append({"generator": name, "reason": "length bound"})
             continue
         dd = derivation_extend(pres, img)
@@ -417,7 +478,7 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int,
                     failures.append({"generator": name, "reason": "tj total",
                                      "tree": t})
                 if any(pres.gen(v).tj is None or pres.gen(v).tj >= g.tj
-                       for v in tree_word(t)):
+                       for v in _word(pres, t)):
                     failures.append({"generator": name,
                                      "reason": "filtration", "tree": t})
         checked.append(entry)
@@ -516,9 +577,10 @@ def _children_choices(pres, arities, colors, budget, degree_budget=None):
     c, rest_c = colors[0], colors[1:]
     for sub in enumerate_trees(pres, a, c, budget, include_unit=True,
                                max_degree=degree_budget):
-        used = tree_vertices(sub)
+        info = _info(pres, sub)
+        used = info.vertices
         rest_deg = (None if degree_budget is None
-                    else degree_budget - tree_degree(pres, sub))
+                    else degree_budget - info.degree)
         for rest in _children_choices(pres, rest_a, rest_c, budget - used,
                                       rest_deg):
             yield (sub,) + rest
@@ -538,7 +600,7 @@ def component_dims(pres: OperadPresentation, arity: int, output_color,
         if input_colors is not None and tuple(
                 tree_leaf_colors(pres, t, output_color)) != tuple(input_colors):
             continue
-        d = tree_degree(pres, t)
+        d = _info(pres, t).degree
         dims[d] = dims.get(d, 0) + mult
     return dims
 
@@ -649,7 +711,7 @@ def _max_length_jump(pres) -> int:
     jump = 0
     for name, img in pres.differential.items():
         for t in img:
-            jump = max(jump, tree_vertices(t) - 1)
+            jump = max(jump, _info(pres, t).vertices - 1)
     return jump
 
 
@@ -677,7 +739,7 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
             return False
         if degree_window is not None:
             lo, hi = degree_window
-            if not lo - 1 <= tree_degree(pres, t) <= hi + 1:
+            if not lo - 1 <= _info(pres, t).degree <= hi + 1:
                 return False
         return True
 
@@ -685,11 +747,11 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
     all_trees = [t for t in enumerate_trees(pres, arity, output_color, big,
                                             include_unit, max_degree=cap)
                  if keep(t)]
-    truncated = any(max_length < tree_vertices(t) <= max_length + 1
+    truncated = any(max_length < _info(pres, t).vertices <= max_length + 1
                     for t in all_trees)
     by_degree: dict[int, list] = {}
     for t in all_trees:
-        by_degree.setdefault(tree_degree(pres, t), []).append(t)
+        by_degree.setdefault(_info(pres, t).degree, []).append(t)
     index = {d: {t: i for i, t in enumerate(ts)}
              for d, ts in by_degree.items()}
 
@@ -720,19 +782,19 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
         if degree_window is not None and not (
                 degree_window[0] <= deg <= degree_window[1]):
             continue
-        small = [t for t in trees if tree_vertices(t) <= max_length]
+        small = [t for t in trees if _info(pres, t).vertices <= max_length]
         if not small:
             continue
         # kernel of d restricted to the length window
         zdim = len(small) - d_matrix(small, deg)[2]
         # boundaries from one extra length level that land in the window
         srcs = [t for t in by_degree.get(deg + 1, [])
-                if tree_vertices(t) <= max_length + 1]
+                if _info(pres, t).vertices <= max_length + 1]
         bdim = 0
         if srcs:
             dmat, targets, drank = d_matrix(srcs, deg + 1)
             outside = [i for i, t in enumerate(targets)
-                       if tree_vertices(t) > max_length]
+                       if _info(pres, t).vertices > max_length]
             pmat = tuple(dmat[i] for i in outside)
             bdim = drank - (mat_rank(pmat) if pmat else 0)
         h = zdim - bdim
@@ -850,7 +912,7 @@ def eval_element(pres, action, complexes, elem: Element, input_colors,
         s_src = s_spaces[0] if len(s_spaces) == 1 else tensor_spaces(s_spaces)
         assert val_s.source == s_src
         val = _suspension_conjugate(val_s, spaces, source, target, -1)
-        m = val.scale(c * basis_sign(pres, t))
+        m = val.scale(c * _info(pres, t).sign)
         total = m if total is None else total.add(m)
     if total is None:
         # zero element: degree is determined by the caller's context
@@ -1063,7 +1125,7 @@ def alpha_iso_matrix(pres: OperadPresentation, trees, input_color):
     rows = [[Fraction(0)] * len(trees) for _ in ISO_NORMAL_FORMS]
     nf_index = {nf: i for i, nf in enumerate(ISO_NORMAL_FORMS)}
     for j, t in enumerate(trees):
-        word = tuple(tree_word(t))
+        word = _word(pres, t)
         red = iso_normal_form(word)
         if red is None:
             continue

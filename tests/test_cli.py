@@ -342,6 +342,11 @@ def test_verify_action(tmp_path, capsys):
     assert main(["verify", "action", str(path)]) == 0
     out = capsys.readouterr().out
     assert "[PASS] action-compatibility-f2" in out
+    # a truncation below 1 would check no generator and pass
+    serialize.dump(str(path), {**data, "truncation": 0})
+    assert main(["verify", "action", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.truncation: must be at least 1, got 0\n")
 
 
 # ------------------------------------------------------------------- move
@@ -531,6 +536,34 @@ def test_operad_riso_extend_records_input_hash(sdr_file, capsys):
 
 def test_operad_alpha(capsys):
     assert main(["operad", "alpha", "--length", "4"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["operad", "homology", "ass-minimal", "--arity", "0"],
+    ["operad", "d2", "ass-minimal", "--arity", "-3"],
+    ["operad", "alpha", "--length", "-1"],
+    ["operad", "homology", "ass-minimal", "--length", "0"],
+])
+def test_operad_bounds_below_one_exit_2(argv, capsys):
+    """An arity or length below 1 is an input error: it would otherwise
+    stand for the default, check nothing, or fail every check."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag, value = argv[-2:]
+    assert (f"{flag}: must be at least 1, got {value}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["operad", "homology", "ass-minimal"],
+    ["operad", "tree-dims", "ass-minimal-3", "free-binary"],
+])
+def test_operad_default_arity_is_recorded(argv, capsys):
+    assert main([*argv, "--format", "machine"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["bounds"] == {"arity": 3, "length": None}
+    assert cert["checks"][0]["name"].endswith("-arity3")
 
 
 # ----------------------------------------------------- certificate output

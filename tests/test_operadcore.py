@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from shalg import exactlin
+from shalg import operadcore
 from shalg.cli import _gamma_nu2
 from shalg.exactlin import (
     ChainComplex,
@@ -414,23 +414,23 @@ def test_alpha_degree_pruning_keeps_the_degree_zero_trees():
 
 
 def test_truncated_homology_ranks_each_d_matrix_once(monkeypatch):
-    """Each distinct (degree, sources) matrix is built and row-reduced
-    once, though the cycle matrix of one degree is often the boundary
-    matrix of the degree below."""
+    """Each distinct (degree, sources) matrix is built and ranked once,
+    though the cycle matrix of one degree is often the boundary matrix
+    of the degree below."""
     matrices = []
-    real_rref = exactlin.rref
+    real_rank = operadcore.mat_rank
 
-    def counting_rref(a):
+    def counting_rank(a):
         matrices.append(a)
-        return real_rref(a)
+        return real_rank(a)
 
-    monkeypatch.setattr(exactlin, "rref", counting_rref)
+    monkeypatch.setattr(operadcore, "mat_rank", counting_rank)
 
-    def rref_calls(fn, *args):
+    def rank_calls(fn, *args):
         matrices.clear()
         fn(*args)
         assert len(set(matrices)) == len(matrices)
         return len(matrices)
 
-    assert rref_calls(truncated_homology, ass_minimal(6), 6, "v") == 4
-    assert rref_calls(kunneth_check, ass_minimal(3), _gamma_nu2(), 5) == 6
+    assert rank_calls(truncated_homology, ass_minimal(6), 6, "v") == 4
+    assert rank_calls(kunneth_check, ass_minimal(3), _gamma_nu2(), 5) == 6

@@ -4,7 +4,8 @@ Every operation on GradedMap is recomputed here from the dense blocks
 the map was built from, with mat_mul, mat_add and a Kronecker product
 over flat bases, and the dense views of the result must agree exactly.
 The sparse-row rref must return the (R, T, pivots) of the dense
-Gauss-Jordan loop kept here, entry for entry.
+Gauss-Jordan loop kept here, entry for entry, and the integer rank
+kernel must count its pivots.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from shalg.exactlin import (
     make_matrix,
     map_sum,
     mat_add,
+    mat_rank,
     mat_mul,
     rref,
     tensor_maps_many,
@@ -34,6 +36,7 @@ from shalg.exactlin import (
 DEGREES = (-1, 0, 1, 2)
 ENTRIES = (0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3))
 COEFFICIENTS = (0, 1, -1, 2, Fraction(3, 2))
+SCALINGS = (1, -1, 2, 3, 6, Fraction(1, 3), Fraction(-5, 2))
 SETTINGS = settings(max_examples=40, deadline=None)
 # a seeded stream: uniform draws, where hypothesis would favour zeros
 rngs = st.integers(0, 2 ** 32 - 1).map(random.Random)
@@ -261,6 +264,37 @@ def test_rref_edge_cases_match_dense_reference():
              make_matrix([[0, 0, 5, 1]], 1, 4)]
     assert [check_rref(a) for a in cases] == [0, 0, 0, 1, 2, 1]
     assert rref(()) == ((), (), [])
+
+
+# ------------------------------------------------------------------ rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(rngs)
+def test_mat_rank_matches_rref(rng):
+    """The integer rank kernel counts the pivots of rref, for a matrix
+    and for its transpose."""
+    a = random_rational_matrix(rng)
+    rank = len(rref(a)[2])
+    assert mat_rank(a) == rank
+    if a:
+        assert mat_rank(tuple(zip(*a))) == rank
+    # nonzero row scalings keep the rank and vary the leading entries
+    scaled = tuple(tuple(x * f for x in row)
+                   for row, f in zip(a, (rng.choice(SCALINGS) for _ in a)))
+    assert mat_rank(scaled) == rank
+
+
+def test_mat_rank_edge_cases():
+    half = Fraction(1, 2)
+    cases = [(), zeros(3, 4), zeros(1, 1),
+             make_matrix([[half, Fraction(1, 3)], [3, 2]], 2, 2),
+             make_matrix([[0, 2, 0], [0, 0, 0], [0, 1, 0]], 3, 3),
+             make_matrix([[1, 2], [2, 4], [Fraction(1, 3), 0], [0, 0]], 4, 2),
+             make_matrix([[6, 4, 2], [3, 2, 1], [0, 0, half]], 3, 3),
+             # the second row reduces with a multiplier of 2 on itself
+             make_matrix([[2, 0, 1], [3, 1, 0], [0, 2, -3]], 3, 3)]
+    assert [mat_rank(a) for a in cases] == [0, 0, 0, 1, 1, 2, 2, 2]
 
 
 # ------------------------------------------------------------------ views
