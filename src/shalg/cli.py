@@ -190,13 +190,7 @@ def cmd_verify(args):
     elif args.kind == "sdr":
         _verify_sdr(cert, *serialize.sdr_parts_from_data(data))
     elif args.kind == "action":
-        pres, assignment, complexes = serialize.action_from_data(data)
-        trunc = serialize.parse_int(data.get("truncation", 1),
-                                    "$.truncation")
-        if trunc < 1:
-            raise serialize.InputError(
-                f"$.truncation: must be at least 1, got {trunc}")
-        res = action_check(pres, assignment, complexes, trunc)
+        res = action_check(*serialize.action_from_data(data))
         for entry in res["entries"]:
             witness = None
             if not entry["ok"]:

@@ -96,9 +96,8 @@ class OperadPresentation:
                 raise ValueError(f"differential on unknown generator {k}")
         self.symmetric = symmetric
         self.augmented = augmented
-        # tree -> memoized invariants; see _info, _word and _leaf_after
+        # tree -> memoized invariants; see _info and _leaf_after
         self._tree_info = {LEAF: _LEAF_INFO}
-        self._tree_words = {}
         self._leaf_after = {}
 
     def gen(self, name) -> GeneratorSpec:
@@ -173,16 +172,6 @@ def _new_info(pres: OperadPresentation, t) -> _TreeInfo:
                      -sign if exp % 2 else sign)
 
 
-def _word(pres: OperadPresentation, t) -> tuple:
-    """tree_word of t, memoized on pres."""
-    word = pres._tree_words.get(t)
-    if word is None:
-        word = () if is_leaf(t) else sum(
-            (_word(pres, c) for c in t[1:]), (t[0],))
-        pres._tree_words[t] = word
-    return word
-
-
 def _leaf_after(pres: OperadPresentation, t) -> tuple:
     """For each leaf of t in planar order, the total shifted degree of
     the generators after it in the depth-first word; memoized on pres."""
@@ -238,7 +227,7 @@ def tree_degree(pres: OperadPresentation, t) -> int:
 
 
 def tree_tj(pres: OperadPresentation, t):
-    tjs = [pres.gen(g).tj for g in _word(pres, t)]
+    tjs = [pres.gen(g).tj for g in tree_word(t)]
     if any(x is None for x in tjs):
         return None
     return sum(tjs)
@@ -401,7 +390,7 @@ def graft(pres: OperadPresentation, outer: Element, position: int,
             s, t = r
             if (ar + 1) * _info(pres, it_).degree % 2:
                 s = -s
-            c = oc * ic
+            c = Fraction(oc * ic)
             _accumulate(out, t, c if s > 0 else -c)
     return {t: c for t, c in out.items() if c}
 
@@ -478,7 +467,7 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int,
                     failures.append({"generator": name, "reason": "tj total",
                                      "tree": t})
                 if any(pres.gen(v).tj is None or pres.gen(v).tj >= g.tj
-                       for v in _word(pres, t)):
+                       for v in tree_word(t)):
                     failures.append({"generator": name,
                                      "reason": "filtration", "tree": t})
         checked.append(entry)
@@ -1125,7 +1114,7 @@ def alpha_iso_matrix(pres: OperadPresentation, trees, input_color):
     rows = [[Fraction(0)] * len(trees) for _ in ISO_NORMAL_FORMS]
     nf_index = {nf: i for i, nf in enumerate(ISO_NORMAL_FORMS)}
     for j, t in enumerate(trees):
-        word = _word(pres, t)
+        word = tuple(tree_word(t))
         red = iso_normal_form(word)
         if red is None:
             continue

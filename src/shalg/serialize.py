@@ -282,7 +282,8 @@ def sdr_from_data(data, path="$") -> SDRData:
 
 def action_from_data(data, path="$"):
     """Resolution-action file: a named built-in presentation, one complex
-    per color, and one assigned map (or null) per generator."""
+    per color, one assigned map (or null) per generator, and the
+    coherence truncation order (at least 1, default 1)."""
     pres = builtin_presentation(field(data, "presentation", path, str))
     given = field(data, "complexes", path, dict)
     for c in pres.colors:
@@ -300,7 +301,11 @@ def action_from_data(data, path="$"):
         else:
             assignment[name] = map_from_data(md, source, target,
                                              f"{path}.assignment.{name}")
-    return pres, assignment, complexes
+    truncation = parse_int(data.get("truncation", 1), f"{path}.truncation")
+    if truncation < 1:
+        raise InputError(
+            f"{path}.truncation: must be at least 1, got {truncation}")
+    return pres, assignment, complexes, truncation
 
 
 # ------------------------------------------------------------------ files

@@ -42,17 +42,11 @@ def documents():
     }
 
 
-def load_action(data):
-    """What `verify action` reads: the action, then its truncation."""
-    serialize.action_from_data(data)
-    serialize.parse_int(data.get("truncation", 1), "$.truncation")
-
-
 DOCS = documents()
 LOADERS = {"ainf": serialize.algebra_from_data,
            "morphism": serialize.morphism_from_data,
            "sdr": serialize.sdr_parts_from_data,
-           "action": load_action}
+           "action": serialize.action_from_data}
 REPLACEMENTS = (None, "x", [], [1, 2], {}, {"0": 1}, 0.5, True, False, -1,
                 -2, "1/0")
 

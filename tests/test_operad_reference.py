@@ -19,7 +19,6 @@ from shalg.operadcore import (
     OperadPresentation,
     _info,
     _leaf_after,
-    _word,
     ass_arrow_minimal,
     ass_minimal,
     basis_sign,
@@ -267,7 +266,6 @@ def check_invariants(pres, t):
     assert tree_shifted_degree(pres, t) == info.shifted_degree
     assert basis_sign(pres, t) == info.sign
     assert _leaf_after(pres, t) == tuple(ref_leaf_after_shifted(pres, t))
-    assert _word(pres, t) == tuple(ref_tree_word(t))
     assert tree_word(t) == ref_tree_word(t)
 
 
@@ -319,14 +317,21 @@ def test_substitute_and_graft_match_reference(name, rng):
                     for _ in range(ref_tree_arity(u))]
         assert substitute(pres, u, children) == ref_substitute(
             pres, u, children)
-        outer = {t: Fraction(rng.choice(COEFFICIENTS))
-                 for t in rng.sample(pool, 2)}
+        # int and Fraction coefficients alike come back as Fractions
+        outer = {t: rng.choice(COEFFICIENTS) for t in rng.sample(pool, 2)}
         ar = min(ref_tree_arity(t) for t in outer)
-        inner = {t: Fraction(rng.choice(COEFFICIENTS))
-                 for t in rng.sample(pool, 2)}
+        inner = {t: rng.choice(COEFFICIENTS) for t in rng.sample(pool, 2)}
         position = rng.randint(1, ar)
-        assert graft(pres, outer, position, inner) == ref_graft(
-            pres, outer, position, inner)
+        grafted = graft(pres, outer, position, inner)
+        assert grafted == ref_graft(pres, outer, position, inner)
+        assert all(type(c) is Fraction for c in grafted.values())
+
+
+def test_graft_of_int_coefficients_is_fractional():
+    pres = ass_minimal(3)
+    mu2 = pres.corolla("mu2")
+    grafted = graft(pres, {mu2: 1}, 1, {mu2: 2})
+    assert grafted and all(type(c) is Fraction for c in grafted.values())
 
 
 @SETTINGS
