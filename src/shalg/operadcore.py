@@ -19,12 +19,19 @@ public substitute / graft / derivation_extend conjugate by it.  With
 these conventions the stored generator differentials square to zero as
 derivations and d(graft(x, i, y)) = graft(dx, i, y)
 + (-1)^|x| graft(x, i, dy) in the ordinary grading.
+
+The kernels run the differential once, in the shifted word basis and
+over the integers: D = L·S·d·S, where S is the diagonal basis_sign and L
+the lcm of the stored coefficients' denominators (1 for the bundled
+presentations).  Since d = S·D·S/L, d_squared_check tests D^2 = 0 and
+truncated_homology ranks D's integer matrices (a diagonal +-1 or L
+scaling changes no rank); derivation_extend conjugates back and returns
+Fraction coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -44,8 +51,7 @@ LEAF = "*"
 Element = dict  # tree -> Fraction
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     name: str
     inputs: tuple
     output: str
@@ -69,8 +75,9 @@ class OperadPresentation:
     carry an extra factor of arity!.
 
     The invariants of every tree the operad layer meets under this
-    presentation (arity, length, word, degrees, orientation sign) are
-    memoized on the instance and freed with it.
+    presentation (arity, length, degrees, orientation sign, leaf colors)
+    and the images of its subtrees under D are memoized on the instance
+    and freed with it.
     """
 
     def __init__(self, name, colors, generators: Sequence[GeneratorSpec],
@@ -88,17 +95,25 @@ class OperadPresentation:
             if g.arity < 1:
                 raise ValueError("generators must have arity >= 1")
             self.generators[g.name] = g
-        # Fraction coefficients: derivations keep or negate them by sign
         self.differential = {k: {t: Fraction(c) for t, c in dict(v).items()}
                              for k, v in dict(differential).items()}
         for k in self.differential:
             if k not in self.generators:
                 raise ValueError(f"differential on unknown generator {k}")
+        # L, the lcm of the coefficient denominators: the kernels run on
+        # the integral shifted-basis copy D = L·S·d·S (see _d_gen)
+        self._d_scale = math.lcm(1, *(c.denominator
+                                      for v in self.differential.values()
+                                      for c in v.values()))
         self.symmetric = symmetric
         self.augmented = augmented
-        # tree -> memoized invariants; see _info and _leaf_after
+        # tree -> memoized invariants; see _info, _leaf_after, _leaf_colors
         self._tree_info = {LEAF: _LEAF_INFO}
         self._leaf_after = {}
+        self._leaf_colors = {}
+        # generator -> D(generator); subtree -> D(subtree); see _d_shifted
+        self._d_gens = {}
+        self._d_images = {LEAF: {}}
 
     def gen(self, name) -> GeneratorSpec:
         return self.generators[name]
@@ -188,6 +203,17 @@ def _leaf_after(pres: OperadPresentation, t) -> tuple:
             after = tuple(out)
         pres._leaf_after[t] = after
     return after
+
+
+def _leaf_colors(pres: OperadPresentation, t):
+    """Input colors of t in planar leaf order, or None when the two ends
+    of an edge of t disagree; memoized on pres."""
+    colors = pres._leaf_colors.get(t, False)
+    if colors is False:
+        colors = (tuple(tree_leaf_colors(pres, t, pres.gen(t[0]).output))
+                  if tree_is_valid(pres, t) else None)
+        pres._leaf_colors[t] = colors
+    return colors
 
 
 def _shifted_degree(pres, name) -> int:
@@ -293,31 +319,23 @@ def _substitute_shifted(pres: OperadPresentation, u, children):
         return (1, children[0])
     if len(children) != _info(pres, u).arity:
         raise ValueError("child count does not match arity")
-    exp = sum(_info(pres, c).shifted_degree * a
-              for c, a in zip(children, _leaf_after(pres, u)) if c != LEAF)
-    sign = -1 if exp % 2 else 1
-    gens = pres.generators
-    it = iter(children)
-
-    def build(t, expected_color):
-        g = gens[t[0]]
-        if expected_color is not None and g.output != expected_color:
-            raise _ColorMismatch
-        out = [t[0]]
-        for ch, color in zip(t[1:], g.inputs):
-            if ch == LEAF:
-                ch = next(it)
-                if ch != LEAF and gens[ch[0]].output != color:
-                    raise _ColorMismatch
-                out.append(ch)
-            else:
-                out.append(build(ch, color))
-        return tuple(out)
-
-    try:
-        return (sign, build(u, None))
-    except _ColorMismatch:
+    colors = _leaf_colors(pres, u)
+    if colors is None:
         return None
+    gens = pres.generators
+    exp = 0
+    for c, a, color in zip(children, _leaf_after(pres, u), colors):
+        if c != LEAF:
+            if gens[c[0]].output != color:
+                return None
+            exp += _info(pres, c).shifted_degree * a
+    return (-1 if exp % 2 else 1, _plug(u, iter(children)))
+
+
+def _plug(t, it):
+    """t with its leaves replaced, in planar order, by the items of it."""
+    return (t[0],) + tuple([next(it) if c == LEAF else _plug(c, it)
+                            for c in t[1:]])
 
 
 def substitute(pres: OperadPresentation, u, children):
@@ -334,10 +352,6 @@ def substitute(pres: OperadPresentation, u, children):
     for c in children:
         sign *= _info(pres, c).sign
     return (sign, t)
-
-
-class _ColorMismatch(Exception):
-    pass
 
 
 # --------------------------------------------------------------- elements
@@ -396,41 +410,75 @@ def graft(pres: OperadPresentation, outer: Element, position: int,
 
 
 def derivation_extend(pres: OperadPresentation, x: Element) -> Element:
-    """Extend the generator differential to spans of trees as the word
-    derivation in the shifted grading, conjugated back to the public
-    basis convention."""
-    out: Element = {}
+    """Extend the generator differential to spans of trees as a
+    derivation: d = S·D·S/L in the public basis, where S is the diagonal
+    basis_sign and D = L·S·d·S the integral word derivation of _d_shifted.
+    Coefficients are Fractions."""
+    sx = {t: c if _info(pres, t).sign > 0 else -c for t, c in x.items()}
+    scale = pres._d_scale
+    return {u: Fraction(c if _info(pres, u, keep=False).sign > 0 else -c,
+                        scale)
+            for u, c in _apply_shifted(pres, sx).items()}
+
+
+def _apply_shifted(pres, x) -> dict:
+    """D applied to a span of trees in the shifted basis; the images of
+    x's own trees are not memoized, those of their subtrees are."""
+    out: dict = {}
     for t, c in x.items():
-        for u, cu in _d_tree(pres, t).items():
+        for u, cu in _d_shifted(pres, t, keep=False).items():
             _accumulate(out, u, c * cu)
-    return {t: c for t, c in out.items() if c}
+    return {u: c for u, c in out.items() if c}
 
 
-def _d_tree(pres, t) -> Element:
-    st = _info(pres, t).sign
-    return {u: c if _info(pres, u, keep=False).sign == st else -c
-            for u, c in _d_tree_shifted(pres, t).items()}
+def _d_gen(pres, name) -> dict:
+    """D on a generator, whose corolla has basis_sign 1: the stored image
+    with each tree weighted by its basis_sign and scaled by L, as ints;
+    memoized on pres."""
+    img = pres._d_gens.get(name)
+    if img is None:
+        scale = pres._d_scale
+        img = {}
+        for u, c in pres.d_image(name).items():
+            v = c.numerator * (scale // c.denominator)
+            img[u] = v if _info(pres, u).sign > 0 else -v
+        pres._d_gens[name] = img
+    return img
 
 
-def _d_tree_shifted(pres, t) -> Element:
-    """The word derivation on one tree, in the shifted grading; t's
-    generators are known to pres (its invariants are memoized)."""
-    if is_leaf(t):
-        return {}
+def _d_shifted(pres, t, keep=True) -> dict:
+    """D(t): the word derivation in the shifted grading that extends
+    _d_gen, with int coefficients; t's generators are known to pres.
+    Memoized on pres, since child subtrees recur across parents;
+    keep=False leaves t itself out of the memo (its subtrees are kept)."""
+    img = pres._d_images.get(t)
+    if img is None:
+        img = _new_d_image(pres, t)
+        if keep:
+            pres._d_images[t] = img
+    return img
+
+
+def _new_d_image(pres, t) -> dict:
+    """D(t) for a non-leaf t: D of the root generator with t's children
+    plugged in, plus D of each child in place, with the shifted Koszul
+    sign of the generators before it."""
     children = t[1:]
-    out: Element = {}
-    for u, cu in pres.d_image(t[0]).items():
+    out: dict = {}
+    for u, cu in _d_gen(pres, t[0]).items():
         r = _substitute_shifted(pres, u, children)
         if r is None:
             continue
         s, tt = r
-        _accumulate(out, tt, cu if s == _info(pres, u).sign else -cu)
+        _accumulate(out, tt, cu if s > 0 else -cu)
     pre_deg = _shifted_degree(pres, t[0])
     for j, c in enumerate(children):
+        if c == LEAF:
+            continue
         odd = pre_deg % 2
-        for u, cu in _d_tree_shifted(pres, c).items():
-            nt = (t[0],) + children[:j] + (u,) + children[j + 1:]
-            _accumulate(out, nt, -cu if odd else cu)
+        head, tail = (t[0],) + children[:j], children[j + 1:]
+        for u, cu in _d_shifted(pres, c).items():
+            _accumulate(out, head + (u,) + tail, -cu if odd else cu)
         pre_deg += _info(pres, c).shifted_degree
     return {t_: c_ for t_, c_ in out.items() if c_}
 
@@ -454,10 +502,13 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int,
                 _info(pres, t).vertices > up_to_length for t in img):
             failures.append({"generator": name, "reason": "length bound"})
             continue
-        dd = derivation_extend(pres, img)
+        # d² = S·D²·S/L² and a corolla's sign is 1: test D² instead
+        dd = _apply_shifted(pres, _d_gen(pres, name))
         entry = {"generator": name, "d_squared_zero": not dd}
         if dd:
-            entry["witness"] = sorted(dd.items(), key=lambda kv: repr(kv[0]))[0]
+            t, c = min(dd.items(), key=lambda kv: repr(kv[0]))
+            entry["witness"] = (t, Fraction(c, pres._d_scale ** 2)
+                                * _info(pres, t, keep=False).sign)
             failures.append(entry)
         if g.tj is not None:
             for t in img:
@@ -754,9 +805,9 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
         key = (deg, tuple(sources))
         if key not in ranked:
             targets = by_degree.get(deg - 1, [])
-            rows = [[Fraction(0)] * len(sources) for _ in targets]
+            rows = [[0] * len(sources) for _ in targets]
             for j, t in enumerate(sources):
-                for u, c in _d_tree(pres, t).items():
+                for u, c in _d_shifted(pres, t, keep=False).items():
                     i = index[deg - 1].get(u)
                     if i is None:
                         raise AssertionError("differential escaped the window")

@@ -8,7 +8,6 @@ ever read or written.
 
 import json
 import os
-import tempfile
 from fractions import Fraction
 
 from .exactlin import (
@@ -325,6 +324,7 @@ def dump(path, data):
     anything else as JSON."""
     if not isinstance(data, str):
         data = json.dumps(data, indent=1, sort_keys=True) + "\n"
+    import tempfile  # not loaded by commands that write no file
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -1,8 +1,11 @@
 """Source hygiene checks that need no linter: every name a module of
-shalg imports is used in that module."""
+shalg imports is used in that module, and importing the command line
+front end loads no module that only some commands need."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +40,19 @@ def test_detects_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    """Every command pays for what `import shalg.cli` loads.  dataclasses
+    (which loads inspect) is not needed at all, and hashlib and tempfile
+    only by commands that hash or write a file, which import them then."""
+    heavy = ("dataclasses", "inspect", "hashlib", "tempfile")
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "import shalg.cli\n"
+            "shalg.cli.build_parser().parse_args("
+            "['operad', 'd2', 'ass-minimal', '--arity', '3'])\n"
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

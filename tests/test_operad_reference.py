@@ -6,6 +6,8 @@ invariants on the presentation are kept here.  Trees are drawn from
 the two-colored presentations with morphism generators
 (ass_arrow_minimal) and from riso; presentations derived by renaming
 and by free products check that no memo leaks between presentations.
+Presentations whose differential is rescaled by rationals exercise the
+integral shifted differential D = L·S·d·S with L > 1.
 """
 
 from fractions import Fraction
@@ -35,6 +37,7 @@ from shalg.operadcore import (
     tree_shifted_degree,
     tree_vertices,
     tree_word,
+    truncated_homology,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -234,6 +237,24 @@ def product():
     return free_product(shifted_ass(), _gamma_nu2())
 
 
+def scaled(pres, factors):
+    """pres with the image of each generator g multiplied by factors[g]."""
+    return OperadPresentation(
+        pres.name + "-scaled", pres.colors, list(pres.generators.values()),
+        {g: {t: c * factors[g] for t, c in img.items()}
+         for g, img in pres.differential.items()},
+        symmetric=pres.symmetric, augmented=pres.augmented)
+
+
+def random_scaling(pres, rng):
+    """Nonzero rational factors, one per generator; mu3's has denominator
+    7, so the lcm L of the scaled coefficients' denominators exceeds 1."""
+    factors = {g: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                           rng.randint(1, 6)) for g in pres.generators}
+    factors["mu3"] = Fraction(rng.randint(1, 6), 7)
+    return factors
+
+
 PRESENTATIONS = {"arrow": arrow, "swapped": swapped_arrow, "riso": riso,
                  "product": product}
 
@@ -353,3 +374,51 @@ def test_d_squared_at_benchmark_arities():
         assert res["ok"]
         assert [e["generator"] for e in res["checked"]] == list(
             pres.generators)
+
+
+@SETTINGS
+@given(rngs)
+def test_derivation_extend_of_rational_scaling_matches_reference(rng):
+    for base in (ass_minimal(4), arrow()):
+        pres = scaled(base, random_scaling(base, rng))
+        pool = [t for c in pres.colors for a in range(1, 5)
+                for t in enumerate_trees(pres, a, c, 3)]
+        x = {t: rng.choice(COEFFICIENTS) for t in rng.sample(pool, 4)}
+        dx = derivation_extend(pres, x)
+        assert dx == ref_derivation_extend(pres, x)
+        assert all(type(c) is Fraction for c in dx.values())
+        for g in pres.generators:
+            img = pres.d_image(g)
+            assert derivation_extend(pres, img) == ref_derivation_extend(
+                pres, img)
+
+
+@SETTINGS
+@given(rngs)
+def test_d_squared_witness_of_rational_scaling_matches_reference(rng):
+    """Unequal factors on mu3 and mu4 break d^2 = 0 on mu5; a failing
+    generator's witness is the min-repr entry of the reference d^2."""
+    failed = 0
+    for base in (ass_minimal(5), arrow()):
+        factors = random_scaling(base, rng)
+        if factors["mu4"] == factors["mu3"]:
+            factors["mu4"] *= 2
+        pres = scaled(base, factors)
+        res = d_squared_check(pres, 5)
+        for entry in res["checked"]:
+            dd = ref_derivation_extend(pres, pres.d_image(entry["generator"]))
+            assert entry["d_squared_zero"] == (not dd)
+            if dd:
+                t, c = entry["witness"]
+                assert (t, c) == min(dd.items(), key=lambda kv: repr(kv[0]))
+                assert type(c) is Fraction
+                failed += 1
+    assert failed
+
+
+def test_homology_is_invariant_under_a_common_rational_scaling():
+    base = ass_minimal(6)
+    pres = scaled(base, dict.fromkeys(base.generators, Fraction(2, 3)))
+    expected = truncated_homology(base, 6, "v")
+    assert expected["dims"] == {0: 720}
+    assert truncated_homology(pres, 6, "v") == expected
