@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -85,26 +85,38 @@ def _dense_rows(rows: list[dict], ncols: int) -> Matrix:
     return tuple(out)
 
 
-def rref(a: Matrix) -> tuple[Matrix, Matrix, list[int]]:
-    """Reduced row echelon form with leftmost pivots.
+def _sparse_rows(a: Matrix) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
-    Returns (R, T, pivots) with T a = R, T invertible, and pivots the
-    pivot column indices in order.  Fully deterministic.
 
-    The rows of the working matrix and of T are kept sparse ({column:
-    nonzero value}).  Elimination makes the row swaps, pivot divisions
-    and row updates of dense Gauss-Jordan elimination in the same order
-    and skips only arithmetic that cannot change a value (on zero
-    entries, and division by a pivot of 1), so R and T equal the dense
-    results entry for entry.
+def _transpose(vectors: Iterable[tuple[int, Mapping]], n: int) -> list[dict]:
+    """n fresh sparse vectors, the i-th holding {j: vec[i]} over the
+    (j, vec) pairs given: rows from columns, or columns from rows."""
+    out: list[dict] = [{} for _ in range(n)]
+    for j, vec in vectors:
+        for i, x in vec.items():
+            out[i][j] = x
+    return out
+
+
+def _rref_rows(m: list[dict]) -> tuple[list[dict], list[dict], list[int]]:
+    """Reduced row echelon form with leftmost pivots, on sparse rows.
+
+    m holds the rows as {column: nonzero value} and is reduced in place,
+    so callers pass fresh rows.  Returns (R, T, pivots) as sparse rows
+    with T m = R, T invertible, and pivots the pivot column indices in
+    order.  Elimination makes the row swaps, pivot divisions and row
+    updates of dense Gauss-Jordan elimination in the same order and
+    skips only arithmetic that cannot change a value (on zero entries,
+    and division by a pivot of 1), so R and T equal the dense results
+    entry for entry.  Row updates only bring in columns the pivot row
+    holds, so the pivot columns are among those of the input.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    m = [{j: x for j, x in enumerate(row) if x} for row in a]
+    nrows = len(m)
     t = [{i: _ONE} for i in range(nrows)]
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in sorted(set().union(*m)):
         if r >= nrows:
             break
         pr = next((i for i in range(r, nrows) if c in m[i]), None)
@@ -124,21 +136,30 @@ def rref(a: Matrix) -> tuple[Matrix, Matrix, list[int]]:
                 _subtract_multiple(t[i], f, t[r])
         pivots.append(c)
         r += 1
-    return _dense_rows(m, ncols), _dense_rows(t, nrows), pivots
+    return m, t, pivots
 
 
-def mat_rank(a: Matrix) -> int:
-    """Rank by forward elimination on sparse integer rows.
+def rref(a: Matrix) -> tuple[Matrix, Matrix, list[int]]:
+    """Dense adapter of _rref_rows: (R, T, pivots) of the matrix a with
+    T a = R, as dense matrices.  Fully deterministic."""
+    r, t, pivots = _rref_rows(_sparse_rows(a))
+    return (_dense_rows(r, len(a[0]) if a else 0), _dense_rows(t, len(a)),
+            pivots)
+
+
+def mat_rank(rows: Iterable[Mapping]) -> int:
+    """Rank of the matrix with the given sparse rows ({column: nonzero
+    rational or int}), by forward elimination on integer rows.
 
     Each row is scaled by the lcm of its denominators, which keeps the
     rank, and is then reduced against the kept rows, one per leading
     column, by integer combinations; every kept or reduced row is
     divided by its content (the gcd of its entries), so entries stay
-    small.  Neither T nor a reduced form is built.
+    small.  Neither T nor a reduced form is built, and the input rows
+    are left as they are.
     """
     leading: dict[int, dict[int, int]] = {}
-    for row in a:
-        row = {j: x for j, x in enumerate(row) if x}
+    for row in rows:
         den = math.lcm(*(x.denominator for x in row.values()))
         row = {j: x.numerator * (den // x.denominator)
                for j, x in row.items()}
@@ -166,51 +187,52 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g <= 1 else {j: x // g for j, x in row.items()}
 
 
-def _null_space(r: Matrix, pivots: Sequence[int],
-                ncols: int) -> list[tuple[Fraction, ...]]:
-    """Right null space from a reduced row echelon form r with the given
-    pivot columns: one vector per free column, in column order."""
+def _null_space(r: list[dict], pivots: Sequence[int],
+                ncols: int) -> list[dict]:
+    """Right null space from the sparse reduced row echelon form r with
+    the given pivot columns: one sparse vector per free column, in
+    column order."""
     pivot_set = set(pivots)
     basis = []
     for c in range(ncols):
         if c in pivot_set:
             continue
-        v = [_ZERO] * ncols
-        v[c] = _ONE
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -r[row_idx][c]
-        basis.append(tuple(v))
+        v = {c: _ONE}
+        for row, pc in zip(r, pivots):
+            x = row.get(c)
+            if x:
+                v[pc] = -x
+        basis.append(v)
     return basis
 
 
 def kernel_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
-    """Deterministic basis of the right null space, one vector per free column."""
-    r, _, pivots = rref(a)
-    return _null_space(r, pivots, len(a[0]) if a else 0)
+    """Deterministic basis of the right null space, one vector per free
+    column (a dense adapter of _rref_rows)."""
+    ncols = len(a[0]) if a else 0
+    r, _, pivots = _rref_rows(_sparse_rows(a))
+    return list(_dense_rows(_null_space(r, pivots, ncols), ncols))
 
 
-def solve_matrix(a: Matrix, b: Sequence[Fraction]):
-    """Solve a x = b exactly.
+def solve_matrix(rows: list[dict], ncols: int, b: Mapping[int, Fraction]):
+    """Solve a x = b exactly, for the matrix a with the given sparse rows
+    (reduced in place, so pass fresh ones) and ncols columns, and the
+    sparse right-hand side b ({row: nonzero}).
 
-    Returns ("solution", x) with free variables set to zero (leftmost
-    pivots), or ("inconsistent", y) with a certificate row vector y
-    satisfying y a = 0 and y b != 0.
+    Returns ("solution", x) with x sparse and free variables zero
+    (leftmost pivots), or ("inconsistent", y) with a sparse certificate
+    row vector y satisfying y a = 0 and y b != 0.
     """
-    nrows = len(a)
-    b = tuple(_frac(x) for x in b)
-    if len(b) != nrows:
-        raise ValueError("right-hand side length mismatch")
-    r, t, pivots = rref(a)
-    tb = tuple(sum((t[i][j] * b[j] for j in range(nrows)), Fraction(0))
-               for i in range(nrows))
-    ncols = len(a[0]) if nrows else 0
-    for i in range(len(pivots), nrows):
-        if tb[i] != 0:
+    if (any(not 0 <= i < len(rows) for i in b)
+            or any(not 0 <= j < ncols for row in rows for j in row)):
+        raise ValueError("an entry lies outside the declared shape")
+    _, t, pivots = _rref_rows(rows)
+    tb = [sum((x * b[j] for j, x in row.items() if j in b), _ZERO)
+          for row in t]
+    for i in range(len(pivots), len(rows)):
+        if tb[i]:
             return ("inconsistent", t[i])
-    x = [Fraction(0)] * ncols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = tb[row_idx]
-    return ("solution", tuple(x))
+    return ("solution", {pc: v for pc, v in zip(pivots, tb) if v})
 
 
 class GradedVectorSpace:
@@ -327,9 +349,11 @@ class GradedMap:
     column without one, and a degree without a column, is absent, so
     equal maps have equal columns.  columns is shared, never mutated.
 
-    blocks and block(k) are dense views, built when read: block(k) is
-    the matrix of the degree-k component, mapping the source degree-k
-    basis (columns) to the target degree-(k+degree) basis (rows).
+    The constructor from dense blocks, and blocks and block(k), are
+    dense adapters for literal matrices and test references; code in
+    shalg reads and builds columns.  block(k) is the matrix of the
+    degree-k component, mapping the source degree-k basis (columns) to
+    the target degree-(k+degree) basis (rows), built when read.
     """
 
     def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace,
@@ -342,11 +366,8 @@ class GradedMap:
         for k, mat in dict(blocks).items():
             k = int(k)
             m = make_matrix(mat, target.dim(k + self.degree), source.dim(k))
-            cols: dict[int, dict[int, Fraction]] = {}
-            for r, row in enumerate(m):
-                for c, x in enumerate(row):
-                    if x:
-                        cols.setdefault(c, {})[r] = x
+            cols = {c: col for c, col in enumerate(_transpose(
+                enumerate(_sparse_rows(m)), source.dim(k))) if col}
             if cols:
                 self.columns[k] = cols
 
@@ -361,12 +382,9 @@ class GradedMap:
 
     def block(self, k: int) -> Matrix:
         """Dense matrix of the degree-k component."""
-        rows = [[_ZERO] * self.source.dim(k)
-                for _ in range(self.target.dim(k + self.degree))]
-        for c, col in self.columns.get(k, {}).items():
-            for r, x in col.items():
-                rows[r][c] = x
-        return tuple(tuple(row) for row in rows)
+        rows = _transpose(self.columns.get(k, {}).items(),
+                          self.target.dim(k + self.degree))
+        return _dense_rows(rows, self.source.dim(k))
 
     @property
     def blocks(self) -> dict[int, Matrix]:
@@ -642,7 +660,7 @@ class HomologyData:
     the three side conditions phi phi = 0, phi . inclusion = 0,
     projection . phi = 0.
 
-    The splitting: in degree k the columns of basis.block(k) are, in
+    The splitting: in degree k the columns of basis.columns[k] are, in
     order, counts[k][0] boundaries (the columns of d_{k+1} at
     pivots[k + 1]), counts[k][1] harmonic cycles (the columns of the
     inclusion), and counts[k][2] preimages (the unit vectors at
@@ -665,6 +683,22 @@ class HomologyData:
         self.coords = coords
         self.counts = counts
         self.pivots = pivots
+
+
+def graded_inverse(m: GradedMap) -> Optional[GradedMap]:
+    """Inverse of m, or None unless m has degree 0, its source and
+    target have equal dimensions in every degree, and every block is
+    invertible.  Each block is inverted by one elimination: its T."""
+    if m.degree or m.source.dims != m.target.dims:
+        return None
+    out: Columns = {}
+    for k, n in m.source.dims.items():
+        _, t, pivots = _rref_rows(_transpose(m.columns.get(k, {}).items(),
+                                             n))
+        if len(pivots) != n:
+            return None
+        out[k] = dict(enumerate(_transpose(enumerate(t), n)))
+    return GradedMap.from_columns(m.target, m.source, 0, out)
 
 
 def split_coordinate_map(source: GradedVectorSpace,
@@ -712,18 +746,18 @@ def homology_with_splitting(c: ChainComplex) -> HomologyData:
     row reduction with leftmost pivots throughout, so the output is
     deterministic.
     """
-    space = c.space
+    space, d = c.space, c.differential.columns
     degs = space.degrees()
     # d_k in reduced form; with nothing below, d_k is 0 and all is kernel
-    reduced = {k: rref(c.differential.block(k)) if space.dim(k - 1)
-               else ((), (), []) for k in degs}
+    reduced = {k: _rref_rows(_transpose(d.get(k, {}).items(),
+                                        space.dim(k - 1)))
+               if space.dim(k - 1) else ([], [], []) for k in degs}
     pivots = {k: red[2] for k, red in reduced.items()}
     counts: dict[int, tuple[int, int, int]] = {}
-    basis_blocks, coord_blocks = {}, {}
+    basis_cols: Columns = {}
     for k in degs:
         n = space.dim(k)
-        up = c.differential.block(k + 1)  # C_{k+1} -> C_k
-        bound = [tuple(row[j] for row in up) for j in pivots.get(k + 1, [])]
+        bound = [d[k + 1][j] for j in pivots.get(k + 1, [])]
         kern = _null_space(reduced[k][0], pivots[k], n)
         # Extend the boundary basis to the kernel: the leftmost pivot
         # columns of [bound | kern] are the greedy leftmost selection,
@@ -731,29 +765,23 @@ def homology_with_splitting(c: ChainComplex) -> HomologyData:
         # boundaries, the kernel basis is itself the selection.
         reps = kern
         if bound and kern:
-            cand = bound + kern
-            picked = rref(tuple(tuple(col[i] for col in cand)
-                                for i in range(n)))[2]
+            picked = _rref_rows(_transpose(enumerate(bound + kern), n))[2]
             reps = [kern[j - len(bound)] for j in picked if j >= len(bound)]
-        units = [tuple(Fraction(1 if i == j else 0) for i in range(n))
-                 for j in pivots[k]]
+        units = [{j: _ONE} for j in pivots[k]]
         cols = bound + reps + units
         if len(cols) != n:
             raise AssertionError("degreewise decomposition dimension mismatch")
         counts[k] = (len(bound), len(reps), len(units))
-        basis_blocks[k] = tuple(tuple(col[i] for col in cols)
-                                for i in range(n))
-        # Invert the change of basis exactly.
-        _, coord_blocks[k], piv = rref(basis_blocks[k])
-        if len(piv) != n:
-            raise AssertionError("decomposition columns are not a basis")
+        basis_cols[k] = dict(enumerate(cols))
 
     homology = GradedVectorSpace(
         {k: nh for k, (_, nh, _) in counts.items()},
         {k: tuple(f"h{k}_{i}" for i in range(nh))
          for k, (_, nh, _) in counts.items() if nh})
-    basis = GradedMap(space, space, 0, basis_blocks)
-    coords = GradedMap(space, space, 0, coord_blocks)
+    basis = GradedMap.from_columns(space, space, 0, basis_cols)
+    coords = graded_inverse(basis)
+    if coords is None:
+        raise AssertionError("decomposition columns are not a basis")
     h_counts = {k: (0, n, 0) for k, n in homology.dims.items()}
     ident = GradedMap.identity(homology)
     inclusion = basis.compose(
@@ -793,51 +821,42 @@ def solve_map_equation(operator: Callable[[GradedMap], GradedMap],
     (reduced row echelon, leftmost pivot, free variables zero) one, so
     output is deterministic.  Inconsistency yields a certificate.
     """
-    variables = []  # (degree, row, col)
-    for k in unknown_source.degrees():
-        ns = unknown_source.dim(k)
-        nt = unknown_target.dim(k + unknown_degree)
-        for r in range(nt):
-            for cc in range(ns):
-                variables.append((k, r, cc))
+    def entries(source, target, degree):
+        """(degree, row, col) of each entry of a map of the given type."""
+        return [(k, r, cc) for k in source.degrees()
+                for r in range(target.dim(k + degree))
+                for cc in range(source.dim(k))]
 
-    def from_vector(vec):
-        cols: Columns = {}
-        for (k, r, cc), val in zip(variables, vec):
-            if val:
-                cols.setdefault(k, {}).setdefault(cc, {})[r] = val
-        return GradedMap.from_columns(unknown_source, unknown_target,
-                                      unknown_degree, cols)
-
-    eq_rows = []  # (degree, row, col) of equation entries
-    for k in rhs.source.degrees():
-        nt = rhs.target.dim(k + rhs.degree)
-        ns = rhs.source.dim(k)
-        for r in range(nt):
-            for cc in range(ns):
-                eq_rows.append((k, r, cc))
+    variables = entries(unknown_source, unknown_target, unknown_degree)
+    eq_rows = entries(rhs.source, rhs.target, rhs.degree)
     eq_index = {e: i for i, e in enumerate(eq_rows)}
 
-    def flatten(m: GradedMap):
-        vec = [_ZERO] * len(eq_rows)
-        for k, cols in m.columns.items():
-            for cc, col in cols.items():
-                for r, x in col.items():
-                    vec[eq_index[(k, r, cc)]] = x
-        return vec
+    def flatten(m: GradedMap) -> dict:
+        """Sparse vector of m's entries over eq_rows."""
+        return {eq_index[(k, r, cc)]: x for k, cols in m.columns.items()
+                for cc, col in cols.items() for r, x in col.items()}
 
     base = flatten(operator(GradedMap.zero(unknown_source, unknown_target,
                                            unknown_degree)))
-    columns = []
-    for k, r, cc in variables:
+
+    def less_base(vec: dict) -> dict:
+        _subtract_multiple(vec, _ONE, base)
+        return vec
+
+    rows: list[dict] = [{} for _ in eq_rows]
+    for j, (k, r, cc) in enumerate(variables):
         unit = GradedMap.from_columns(unknown_source, unknown_target,
                                       unknown_degree, {k: {cc: {r: _ONE}}})
-        columns.append([a - b for a, b in zip(flatten(operator(unit)), base)])
-    amat = tuple(tuple(columns[j][i] for j in range(len(variables)))
-                 for i in range(len(eq_rows)))
-    bvec = [a - b for a, b in zip(flatten(rhs), base)]
-    status, payload = solve_matrix(amat, bvec)
+        for i, x in less_base(flatten(operator(unit))).items():
+            rows[i][j] = x
+    status, payload = solve_matrix(rows, len(variables),
+                                   less_base(flatten(rhs)))
     if status == "solution":
-        return LinearSolveResult(solution=from_vector(payload))
-    cert = {eq_rows[i]: payload[i] for i in range(len(eq_rows)) if payload[i]}
-    return LinearSolveResult(certificate=cert)
+        cols: Columns = {}
+        for j in sorted(payload):
+            k, r, cc = variables[j]
+            cols.setdefault(k, {}).setdefault(cc, {})[r] = payload[j]
+        return LinearSolveResult(solution=GradedMap.from_columns(
+            unknown_source, unknown_target, unknown_degree, cols))
+    return LinearSolveResult(
+        certificate={eq_rows[i]: payload[i] for i in sorted(payload)})

@@ -259,13 +259,6 @@ def tree_tj(pres: OperadPresentation, t):
     return sum(tjs)
 
 
-def tree_output_color(pres: OperadPresentation, t, ambient=None):
-    """Output color of a tree; the bare leaf takes the ambient color."""
-    if is_leaf(t):
-        return ambient
-    return pres.gen(t[0]).output
-
-
 def tree_leaf_colors(pres: OperadPresentation, t, output_color) -> list:
     """Input colors in planar leaf order, given the tree's output color."""
     if is_leaf(t):
@@ -798,22 +791,22 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
     ranked = {}
 
     def d_matrix(sources, deg):
-        """Columns: d of each source tree, in the full degree-(deg-1)
-        basis, with the targets and the rank.  Built and ranked once per
-        (degree, sources): the cycle matrix of one degree is often the
-        boundary matrix of the degree below."""
+        """Sparse rows, one per tree of the full degree-(deg-1) basis,
+        whose columns are d of each source tree, with the targets and
+        the rank.  Built and ranked once per (degree, sources): the
+        cycle matrix of one degree is often the boundary matrix of the
+        degree below."""
         key = (deg, tuple(sources))
         if key not in ranked:
             targets = by_degree.get(deg - 1, [])
-            rows = [[0] * len(sources) for _ in targets]
+            rows: list[dict] = [{} for _ in targets]
             for j, t in enumerate(sources):
                 for u, c in _d_shifted(pres, t, keep=False).items():
                     i = index[deg - 1].get(u)
                     if i is None:
                         raise AssertionError("differential escaped the window")
                     rows[i][j] = c
-            mat = tuple(tuple(r) for r in rows)
-            ranked[key] = mat, targets, mat_rank(mat) if mat else 0
+            ranked[key] = rows, targets, mat_rank(rows) if rows else 0
         return ranked[key]
 
     mult = math.factorial(arity) if pres.symmetric else 1
@@ -835,7 +828,7 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
             dmat, targets, drank = d_matrix(srcs, deg + 1)
             outside = [i for i, t in enumerate(targets)
                        if _info(pres, t).vertices > max_length]
-            pmat = tuple(dmat[i] for i in outside)
+            pmat = [dmat[i] for i in outside]
             bdim = drank - (mat_rank(pmat) if pmat else 0)
         h = zdim - bdim
         if h:

@@ -31,11 +31,11 @@ from .exactlin import (
     ChainComplex,
     GradedMap,
     HomologyData,
+    graded_inverse,
     hom_differential,
     homology_with_splitting,
     homotopy_residual,
     map_sum,
-    rref,
     solve_map_equation,
     split_contraction,
     split_coordinate_map,
@@ -200,22 +200,6 @@ class HomotopyEquivalence:
         self.l = l
 
 
-def _graded_inverse(m: GradedMap) -> Optional[GradedMap]:
-    """Inverse of a degree-0 map, or None when any block is singular."""
-    blocks = {}
-    for k in m.source.degrees():
-        ns, nt = m.source.dim(k), m.target.dim(k)
-        if ns != nt:
-            return None
-        if ns == 0:
-            continue
-        red, t, pivots = rref(m.block(k))
-        if len(pivots) != ns:
-            return None
-        blocks[k] = t
-    return GradedMap(m.target, m.source, 0, blocks)
-
-
 def sdr_from_equivalence(e: HomotopyEquivalence) -> SDRData:
     """Strong deformation retract induced by a homotopy equivalence.
 
@@ -231,7 +215,7 @@ def sdr_from_equivalence(e: HomotopyEquivalence) -> SDRData:
     dv = homology_with_splitting(e.source)
     dw = homology_with_splitting(e.target)
     amap = dw.projection.compose(e.f).compose(dv.inclusion)
-    ainv = _graded_inverse(amap)
+    ainv = graded_inverse(amap)
     if ainv is None:
         raise ValueError("f does not induce an isomorphism on homology")
 

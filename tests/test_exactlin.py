@@ -29,6 +29,7 @@ from shalg.exactlin import (
     tensor_power,
     tensor_spaces,
 )
+from test_sparse_reference import sparse_rows
 from test_transfer import random_chain_complex
 
 
@@ -46,11 +47,13 @@ def test_rref_tracks_transformation():
 
 def test_solve_matrix_solution_and_certificate():
     a = make_matrix([[1, 1], [2, 2]], 2, 2)
-    status, x = solve_matrix(a, [3, 6])
+    status, x = solve_matrix(sparse_rows(a), 2, {0: 3, 1: 6})
     assert status == "solution"
+    x = [x.get(j, 0) for j in range(2)]
     assert [sum(a[i][j] * x[j] for j in range(2)) for i in range(2)] == [3, 6]
-    status, y = solve_matrix(a, [3, 7])
+    status, y = solve_matrix(sparse_rows(a), 2, {0: 3, 1: 7})
     assert status == "inconsistent"
+    y = [y.get(i, 0) for i in range(2)]
     # y annihilates the columns of a but not the rhs
     assert all(sum(y[i] * a[i][j] for i in range(2)) == 0 for j in range(2))
     assert sum(y[i] * b for i, b in enumerate([3, 7])) != 0
@@ -60,7 +63,7 @@ def test_kernel_basis():
     a = make_matrix([[1, 1, 0], [0, 0, 1]], 2, 3)
     ker = kernel_basis(a)
     assert ker == [(Fraction(-1), Fraction(1), Fraction(0))]
-    assert mat_rank(a) == 2
+    assert mat_rank(sparse_rows(a)) == 2
 
 
 # ---------------------------------------------------------------- spaces
@@ -364,14 +367,14 @@ def test_homology_split_random():
 
 
 def test_homology_split_row_reduces_each_matrix_once(monkeypatch):
-    """Per degree k: one rref of d_k (when C_{k-1} is not 0), whose R
+    """Per degree k: one elimination of d_k (when C_{k-1} is not 0), whose R
     also gives the kernel; one of [boundaries | kernel] to pick the
     harmonic cycles, skipped without boundaries; one to invert the
     split basis."""
     calls = []
-    real_rref = exactlin.rref
-    monkeypatch.setattr(exactlin, "rref",
-                        lambda a: calls.append(a) or real_rref(a))
+    real_kernel = exactlin._rref_rows
+    monkeypatch.setattr(exactlin, "_rref_rows",
+                        lambda a: calls.append(a) or real_kernel(a))
     for dims in ({0: 2, 1: 3, 2: 1}, {-1: 1, 0: 3, 1: 3, 2: 2}):
         for seed in range(10):
             c = random_chain_complex(random.Random(seed), dims)

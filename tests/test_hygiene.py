@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every name a module of
-shalg imports is used in that module, and importing the command line
+shalg imports is used in that module, no function works on dense
+matrices except the dense adapters, and importing the command line
 front end loads no module that only some commands need."""
 
 import ast
@@ -40,6 +41,70 @@ def test_detects_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+DENSE_CALLS = {"rref", "kernel_basis", "make_matrix"}
+DENSE_VIEWS = {"block", "blocks"}
+# The dense adapters themselves, and the action witness of `verify
+# action`, which prints the first nonzero block of a residual densely.
+DENSE_ALLOWED = {("exactlin.py", "GradedMap.__init__"),
+                 ("exactlin.py", "GradedMap.blocks"),
+                 ("cli.py", "cmd_verify")}
+
+
+def dense_uses(source: str) -> list:
+    """(enclosing function, line, what) of each dense matrix use: a call
+    of rref, kernel_basis or make_matrix, a GradedMap built from dense
+    blocks, or a read of .block or .blocks."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            what = None
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in DENSE_CALLS:
+                    what = name
+                elif name == "GradedMap" and (
+                        len(child.args) > 3
+                        or any(k.arg == "blocks" for k in child.keywords)):
+                    what = "GradedMap(..., blocks)"
+            elif (isinstance(child, ast.Attribute)
+                  and child.attr in DENSE_VIEWS):
+                what = "." + child.attr
+            if what:
+                out.append((scope, child.lineno, what))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_detects_dense_uses():
+    source = ("def split(c, k):\n"
+              "    return rref(c.differential.block(k))\n"
+              "class Inverse:\n"
+              "    def build(self, m, blocks):\n"
+              "        ker = exactlin.kernel_basis(m.blocks[0])\n"
+              "        return GradedMap(m.target, m.source, 0, blocks)\n"
+              "def fine(m, s):\n"
+              "    return GradedMap.from_columns(s, s, 0, m.columns)\n")
+    assert dense_uses(source) == [
+        ("split", 2, "rref"), ("split", 2, ".block"),
+        ("Inverse.build", 5, "kernel_basis"), ("Inverse.build", 5, ".blocks"),
+        ("Inverse.build", 6, "GradedMap(..., blocks)")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dense_matrices_outside_the_adapters(path):
+    """Every solve, inverse, kernel and rank in shalg runs on sparse rows;
+    dense matrices are only built for literal input and test references."""
+    uses = dense_uses(path.read_text(encoding="utf-8"))
+    assert [u for u in uses if (path.name, u[0]) not in DENSE_ALLOWED] == []
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():

@@ -5,7 +5,9 @@ the map was built from, with mat_mul, mat_add and a Kronecker product
 over flat bases, and the dense views of the result must agree exactly.
 The sparse-row rref must return the (R, T, pivots) of the dense
 Gauss-Jordan loop kept here, entry for entry, and the integer rank
-kernel must count its pivots.
+kernel must count its pivots.  graded_inverse must return the dense
+loop's T of each block, and solve_map_equation the solutions and
+certificates of the dense solver it replaced, kept here on that loop.
 """
 
 import itertools
@@ -20,6 +22,8 @@ from shalg.exactlin import (
     ChainComplex,
     GradedMap,
     GradedVectorSpace,
+    LinearSolveResult,
+    graded_inverse,
     hom_differential,
     identity_matrix,
     kernel_basis,
@@ -29,9 +33,11 @@ from shalg.exactlin import (
     mat_rank,
     mat_mul,
     rref,
+    solve_map_equation,
     tensor_maps_many,
     tensor_spaces,
 )
+from test_transfer import random_chain_complex
 
 DEGREES = (-1, 0, 1, 2)
 ENTRIES = (0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3))
@@ -40,6 +46,11 @@ SCALINGS = (1, -1, 2, 3, 6, Fraction(1, 3), Fraction(-5, 2))
 SETTINGS = settings(max_examples=40, deadline=None)
 # a seeded stream: uniform draws, where hypothesis would favour zeros
 rngs = st.integers(0, 2 ** 32 - 1).map(random.Random)
+
+
+def sparse_rows(a):
+    """The rows of a dense matrix as {column: nonzero} dicts."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 def zeros(nrows, ncols):
@@ -276,13 +287,13 @@ def test_mat_rank_matches_rref(rng):
     and for its transpose."""
     a = random_rational_matrix(rng)
     rank = len(rref(a)[2])
-    assert mat_rank(a) == rank
+    assert mat_rank(sparse_rows(a)) == rank
     if a:
-        assert mat_rank(tuple(zip(*a))) == rank
+        assert mat_rank(sparse_rows(zip(*a))) == rank
     # nonzero row scalings keep the rank and vary the leading entries
     scaled = tuple(tuple(x * f for x in row)
                    for row, f in zip(a, (rng.choice(SCALINGS) for _ in a)))
-    assert mat_rank(scaled) == rank
+    assert mat_rank(sparse_rows(scaled)) == rank
 
 
 def test_mat_rank_edge_cases():
@@ -294,7 +305,50 @@ def test_mat_rank_edge_cases():
              make_matrix([[6, 4, 2], [3, 2, 1], [0, 0, half]], 3, 3),
              # the second row reduces with a multiplier of 2 on itself
              make_matrix([[2, 0, 1], [3, 1, 0], [0, 2, -3]], 3, 3)]
-    assert [mat_rank(a) for a in cases] == [0, 0, 0, 1, 1, 2, 2, 2]
+    assert [mat_rank(sparse_rows(a)) for a in cases] == [0, 0, 0, 1, 1, 2,
+                                                         2, 2]
+
+
+# --------------------------------------------------------------- inverse
+
+
+def random_invertible(rng, source, target):
+    """Degree-0 map with a random invertible block in each degree."""
+    blocks = {}
+    for k, n in source.dims.items():
+        while True:
+            mat = [[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)]
+            if len(dense_rref(make_matrix(mat, n, n))[2]) == n:
+                break
+        blocks[k] = mat
+    return GradedMap(source, target, 0, blocks)
+
+
+def test_graded_inverse_rejects_what_is_not_invertible():
+    v, w = GradedVectorSpace({0: 1}), GradedVectorSpace({0: 1, 1: 1})
+    # invertible where v lives, but W's degree 1 has nothing to map from
+    assert graded_inverse(GradedMap(v, w, 0, {0: [[1]]})) is None
+    assert graded_inverse(GradedMap(w, v, 0, {0: [[1]]})) is None
+    singular = GradedMap(w, w, 0, {0: [[1]], 1: [[0]]})
+    assert graded_inverse(singular) is None
+    shifted = GradedVectorSpace({1: 1})
+    assert graded_inverse(GradedMap(v, shifted, 1, {0: [[1]]})) is None
+
+
+@SETTINGS
+@given(rngs)
+def test_graded_inverse_matches_dense_reference(rng):
+    source = random_space(rng)
+    target = GradedVectorSpace(source.dims, {
+        d: tuple(f"w{d}_{i}" for i in range(n))
+        for d, n in source.dims.items()})
+    m = random_invertible(rng, source, target)
+    inv = graded_inverse(m)
+    assert (inv.source, inv.target, inv.degree) == (target, source, 0)
+    for k in source.degrees():
+        assert inv.block(k) == dense_rref(m.block(k))[1]
+    assert m.compose(inv) == GradedMap.identity(target)
+    assert inv.compose(m) == GradedMap.identity(source)
 
 
 # ------------------------------------------------------------------ views
@@ -417,3 +471,87 @@ def test_hom_differential_matches_dense_leibniz(rng):
                       d_tensor, (src, src, -1)), -(-1) ** (deg % 2))],
         src, target.space, deg - 1)
     assert hom_differential(f, cxs, target).blocks == want
+
+
+# ----------------------------------------------------------------- solve
+
+
+SMALL_COMPLEXES = ({0: 1, 1: 1}, {0: 2, 1: 1}, {-1: 1, 0: 1, 1: 1},
+                   {0: 1, 1: 2, 2: 1})
+
+
+def dense_solve_map_equation(operator, rhs, unknown_source, unknown_target,
+                             unknown_degree):
+    """solve_map_equation as a dense solve: every probe of the operator
+    is a dense column of the equation matrix, reduced by dense_rref."""
+    variables = [(k, r, cc) for k in unknown_source.degrees()
+                 for r in range(unknown_target.dim(k + unknown_degree))
+                 for cc in range(unknown_source.dim(k))]
+    eq_rows = [(k, r, cc) for k in rhs.source.degrees()
+               for r in range(rhs.target.dim(k + rhs.degree))
+               for cc in range(rhs.source.dim(k))]
+    eq_index = {e: i for i, e in enumerate(eq_rows)}
+
+    def flatten(m):
+        vec = [Fraction(0)] * len(eq_rows)
+        for k, cols in m.columns.items():
+            for cc, col in cols.items():
+                for r, x in col.items():
+                    vec[eq_index[(k, r, cc)]] = x
+        return vec
+
+    base = flatten(operator(GradedMap.zero(unknown_source, unknown_target,
+                                           unknown_degree)))
+    columns = []
+    for k, r, cc in variables:
+        unit = GradedMap.from_columns(unknown_source, unknown_target,
+                                      unknown_degree,
+                                      {k: {cc: {r: Fraction(1)}}})
+        columns.append([a - b for a, b in zip(flatten(operator(unit)), base)])
+    amat = tuple(tuple(columns[j][i] for j in range(len(variables)))
+                 for i in range(len(eq_rows)))
+    bvec = [a - b for a, b in zip(flatten(rhs), base)]
+    _, t, pivots = dense_rref(amat)
+    tb = [sum((x * y for x, y in zip(row, bvec)), Fraction(0)) for row in t]
+    for i in range(len(pivots), len(eq_rows)):
+        if tb[i]:
+            return LinearSolveResult(certificate={
+                e: y for e, y in zip(eq_rows, t[i]) if y})
+    cols = {}
+    for (k, r, cc), x in zip((variables[pc] for pc in pivots), tb):
+        if x:
+            cols.setdefault(k, {}).setdefault(cc, {})[r] = x
+    return LinearSolveResult(solution=GradedMap.from_columns(
+        unknown_source, unknown_target, unknown_degree, cols))
+
+
+@SETTINGS
+@given(rngs)
+def test_solve_map_equation_matches_dense_reference(rng):
+    """Bracket equations [x, d] = rhs over small complexes, with rhs a
+    boundary [y, d] (always solvable) or a random map (unsolvable when
+    it is not a cycle): the sparse and dense solves agree exactly."""
+    c = random_chain_complex(rng, rng.choice(SMALL_COMPLEXES))
+    n = 2 if c.space.total_dim <= 3 and rng.random() < 0.5 else 1
+    target = (random_chain_complex(rng, rng.choice(SMALL_COMPLEXES))
+              if rng.random() < 0.5 else c)
+    src = tensor_spaces([c.space] * n)
+
+    def bracket(x):
+        return hom_differential(x, [c] * n, target)
+
+    boundary = rng.random() < 0.5
+    if boundary:
+        deg = random_degree(rng, src, target.space)
+        rhs = bracket(random_map(rng, src, target.space, deg)[0])
+    else:
+        deg = random_degree(rng, src, target.space) + 1
+        rhs = random_map(rng, src, target.space, deg - 1)[0]
+    got = solve_map_equation(bracket, rhs, src, target.space, deg)
+    want = dense_solve_map_equation(bracket, rhs, src, target.space, deg)
+    assert (got.solution, got.certificate) == (want.solution,
+                                               want.certificate)
+    if boundary:
+        assert got.consistent and bracket(got.solution) == rhs
+    elif not hom_differential(rhs, [c] * n, target).is_zero():
+        assert not got.consistent
