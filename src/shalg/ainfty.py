@@ -161,6 +161,20 @@ def identity_morphism(a: AInfinityAlgebra) -> AInfinityMorphism:
 # ------------------------------------------------------------ coherence
 
 
+def _partition_terms(outer, inner, n: int, k_min: int):
+    """(r, outer(k) . (inner(r_1) x ... x inner(r_k))) for each
+    composition r of n into k >= k_min parts, skipping every term with
+    a zero factor; outer and inner map an arity to a graded map."""
+    for k in range(k_min, n + 1):
+        op = outer(k)
+        if op.is_zero():
+            continue
+        for r in _compositions(n, k):
+            factors = [inner(rp) for rp in r]
+            if not any(f.is_zero() for f in factors):
+                yield r, op.compose(tensor_maps_many(factors))
+
+
 def _slotted(op: GradedMap, ident: GradedMap, i: int, s: int) -> GradedMap:
     """1^(x s) (x) op (x) 1^(x i-s-1) as a single graded map."""
     factors = [ident] * s + [op] + [ident] * (i - s - 1)
@@ -178,10 +192,11 @@ def an_residual(a: AInfinityAlgebra, n: int) -> GradedMap:
     coeffs = []
     for j in range(2, n):
         i = n + 1 - j
-        if i < 2:
+        mu_i, mu_j = a.mu(i), a.mu(j)
+        if mu_i.is_zero() or mu_j.is_zero():
             continue
         for s in range(0, i):
-            terms.append(a.mu(i).compose(_slotted(a.mu(j), ident, i, s)))
+            terms.append(mu_i.compose(_slotted(mu_j, ident, i, s)))
             coeffs.append(sign_epsilon(i, j, s))
     inner = (map_sum(terms, coeffs) if terms else
              GradedMap.zero(tensor_power(a.space, n), a.space, n - 3))
@@ -208,17 +223,16 @@ def fn_residual(m: AInfinityMorphism, n: int) -> GradedMap:
     ident = GradedMap.identity(V.space)
     terms = []
     coeffs = []
-    for k in range(2, n + 1):
-        for r in _compositions(n, k):
-            terms.append(W.mu(k).compose(
-                tensor_maps_many([m.f(rp) for rp in r])))
-            coeffs.append(sign_eta(r))
+    for r, term in _partition_terms(W.mu, m.f, n, 2):
+        terms.append(term)
+        coeffs.append(sign_eta(r))
     for j in range(2, n + 1):
         i = n + 1 - j
-        if i < 1:
+        f_i, mu_j = m.f(i), V.mu(j)
+        if f_i.is_zero() or mu_j.is_zero():
             continue
         for s in range(0, i):
-            terms.append(m.f(i).compose(_slotted(V.mu(j), ident, i, s)))
+            terms.append(f_i.compose(_slotted(mu_j, ident, i, s)))
             coeffs.append(-sign_nu(n, j, s))
     inner = (map_sum(terms, coeffs) if terms else
              GradedMap.zero(tensor_power(V.space, n), W.space, n - 2))
@@ -251,12 +265,11 @@ def compose_morphisms(g: AInfinityMorphism,
     for n in range(1, N + 1):
         terms = []
         coeffs = []
-        for k in range(1, n + 1):
-            for r in _compositions(n, k):
-                terms.append(g.f(k).compose(
-                    tensor_maps_many([f.f(rp) for rp in r])))
-                coeffs.append(sign_eta(r))
-        comps[n] = map_sum(terms, coeffs)
+        for r, term in _partition_terms(g.f, f.f, n, 1):
+            terms.append(term)
+            coeffs.append(sign_eta(r))
+        comps[n] = (map_sum(terms, coeffs) if terms else GradedMap.zero(
+            tensor_power(f.source.space, n), g.target.space, n - 1))
     return AInfinityMorphism(f.source, g.target, comps, N)
 
 

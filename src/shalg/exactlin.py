@@ -12,9 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -240,7 +241,9 @@ class GradedVectorSpace:
 
     factors records the atomic tensor factors when the space was built
     as a tensor product; tensor products always flatten to atomic
-    factors so that basis ordering never depends on bracketing.
+    factors so that basis ordering never depends on bracketing.  A
+    tensor product space builds its labels, the tuples of its atoms'
+    labels, when they are first read.
     """
 
     def __init__(self, dims: Mapping[int, int], labels=None, factors=None):
@@ -250,11 +253,31 @@ class GradedVectorSpace:
         if labels is None:
             labels = {d: tuple(f"e{d}_{i}" for i in range(n))
                       for d, n in self.dims.items()}
-        self.labels = {d: tuple(labels[d]) for d in self.dims}
+        self._labels = {d: tuple(labels[d]) for d in self.dims}
         for d, n in self.dims.items():
-            if len(self.labels[d]) != n:
+            if len(self._labels[d]) != n:
                 raise ValueError(f"label count mismatch in degree {d}")
         self.factors = tuple(factors) if factors is not None else (self,)
+
+    @classmethod
+    def _tensor(cls, dims: dict, atoms: tuple) -> "GradedVectorSpace":
+        """Tensor product space of two or more atoms with the given
+        dims, its labels left to be built when read."""
+        space = cls.__new__(cls)
+        space.dims, space.factors, space._labels = dims, atoms, None
+        return space
+
+    @property
+    def labels(self) -> Mapping[int, tuple]:
+        """Degree -> basis labels, as a read-only view."""
+        if self._labels is None:
+            atoms = [a.labels for a in self.factors]
+            tuples = tensor_basis_tuples(self.factors)
+            self._labels = {d: tuple(tuple(atoms[k][deg][i]
+                                           for k, (deg, i) in enumerate(t))
+                                     for t in tuples[d])
+                            for d in self.dims}
+        return MappingProxyType(self._labels)
 
     def dim(self, degree: int) -> int:
         return self.dims.get(degree, 0)
@@ -273,11 +296,16 @@ class GradedVectorSpace:
     def __eq__(self, other):
         if self is other:
             return True
-        return (isinstance(other, GradedVectorSpace)
-                and self.dims == other.dims and self.labels == other.labels)
+        if not isinstance(other, GradedVectorSpace) or self.dims != other.dims:
+            return False
+        # equal atoms give equal tensor products; an atom is its own
+        # only factor, so this test never recurses
+        if len(self.factors) > 1 and self.factors == other.factors:
+            return True
+        return self.labels == other.labels
 
     def __hash__(self):
-        return hash(tuple(sorted((d, self.labels[d]) for d in self.dims)))
+        return hash(tuple(sorted(self.dims.items())))
 
     def __repr__(self):
         return f"GradedVectorSpace({self.dims})"
@@ -290,27 +318,90 @@ def _atoms(factors: Sequence[GradedVectorSpace]) -> tuple:
     return tuple(out)
 
 
+class _ByDegree(Mapping):
+    """Read-only degree -> value mapping over the given degrees, each
+    value built by build(degree) when first read and then kept."""
+
+    def __init__(self, degrees: Mapping, build: Callable):
+        self._degrees = degrees
+        self._build = build
+        self._values: dict = {}
+
+    def __getitem__(self, d):
+        v = self._values.get(d)
+        if v is None:
+            if d not in self._degrees:
+                raise KeyError(d)
+            v = self._values[d] = self._build(d)
+        return v
+
+    def __contains__(self, d):
+        return d in self._degrees
+
+    def __iter__(self):
+        return iter(self._degrees)
+
+    def __len__(self):
+        return len(self._degrees)
+
+
+class _TensorBasis:
+    """Basis of the tensor product of a tuple of atomic factors.
+
+    dims comes from a DP over the atoms' degree counts, with no tuple
+    enumerated.  tuples[d], the degree-d basis tuples of per-atom
+    (degree, index) pairs in lexicographic order of the flat position
+    within each atom, is enumerated when degree d is first read;
+    index(d), each degree-d tuple's position, is built when first asked
+    for; and the space builds its labels when they are read.  So a
+    degree nobody reads costs nothing.  Every value is shared by all
+    callers, so none of them may be mutated.
+    """
+
+    def __init__(self, atoms: tuple):
+        self.atoms = atoms
+        # counts[k]: degree -> number of tuples over atoms[k:]
+        counts = [{0: 1}]
+        for a in reversed(atoms):
+            acc: dict[int, int] = {}
+            for deg, n in a.dims.items():
+                for rest, m in counts[-1].items():
+                    acc[deg + rest] = acc.get(deg + rest, 0) + n * m
+            counts.append(acc)
+        counts.reverse()
+        self._suffix_counts = counts[1:]
+        self.dims = {d: counts[0][d] for d in sorted(counts[0])}
+        self.space = (atoms[0] if len(atoms) == 1 else
+                      GradedVectorSpace._tensor(self.dims, atoms))
+        self.tuples = _ByDegree(self.dims, self._enumerate)
+        self._index: dict[int, dict] = {}
+
+    def _enumerate(self, d: int) -> tuple:
+        """The degree-d tuples in order: prefixes grow atom by atom, in
+        each atom's flat order, and a prefix is kept only while the
+        remaining atoms can make up the rest of degree d."""
+        level = [((), d)]
+        for a, rest in zip(self.atoms, self._suffix_counts):
+            steps = [(deg, a.dims[deg]) for deg in a.degrees()]
+            level = [(prefix + ((deg, i),), r - deg)
+                     for prefix, r in level for deg, n in steps
+                     if r - deg in rest for i in range(n)]
+        return tuple(prefix for prefix, _ in level)
+
+    def index(self, d: int) -> dict:
+        """Degree-d basis tuple -> its position (a plain dict)."""
+        idx = self._index.get(d)
+        if idx is None:
+            idx = self._index[d] = {
+                t: i for i, t in enumerate(self.tuples[d])}
+        return idx
+
+
 @functools.lru_cache(maxsize=256)
-def _tensor_basis(atoms: tuple):
-    """(space, degree -> basis tuples, basis tuple -> (degree, index))
-    of the tensor product of the atomic factors, computed once per
-    tuple of atoms; every value is shared by all callers, so none of
-    them may be mutated."""
-    tuples: dict[int, list] = {}
-    for combo in itertools.product(*[a.flat_basis() for a in atoms]):
-        tuples.setdefault(sum(deg for deg, _ in combo), []).append(combo)
-    tuples = {d: tuple(ts) for d, ts in tuples.items()}
-    index = {t: (d, i) for d, ts in tuples.items() for i, t in enumerate(ts)}
-    if len(atoms) == 1:
-        space = atoms[0]
-    else:
-        labels = {d: tuple(tuple(atoms[k].labels[deg][i]
-                                 for k, (deg, i) in enumerate(t))
-                           for t in ts)
-                  for d, ts in tuples.items()}
-        space = GradedVectorSpace({d: len(ts) for d, ts in tuples.items()},
-                                  labels, factors=atoms)
-    return space, MappingProxyType(tuples), MappingProxyType(index)
+def _tensor_basis(atoms: tuple) -> _TensorBasis:
+    """The _TensorBasis of a tuple of atoms, made once per tuple of
+    atoms (a bounded cache) and shared by every caller."""
+    return _TensorBasis(atoms)
 
 
 def tensor_spaces(factors: Sequence[GradedVectorSpace]) -> GradedVectorSpace:
@@ -322,13 +413,14 @@ def tensor_spaces(factors: Sequence[GradedVectorSpace]) -> GradedVectorSpace:
     products flatten to the same space, and equal atoms give the same
     object.
     """
-    return _tensor_basis(_atoms(factors))[0]
+    return _tensor_basis(_atoms(factors)).space
 
 
 def tensor_basis_tuples(factors: Sequence[GradedVectorSpace]) -> Mapping:
     """Degree -> ordered tuple of per-atom (degree, index) tuples
-    (read-only, shared between calls)."""
-    return _tensor_basis(_atoms(factors))[1]
+    (read-only, shared between calls; a degree's tuples are enumerated
+    when first read)."""
+    return _tensor_basis(_atoms(factors)).tuples
 
 
 def tensor_power(space: GradedVectorSpace, n: int) -> GradedVectorSpace:
@@ -509,14 +601,14 @@ def _chunked_images(m: GradedMap) -> dict:
     """Source basis tuple of m (over its atoms) -> (its degree, the
     nonzero entries of its image as (target basis tuple, coefficient)
     pairs).  Every coefficient equal to 1 is the shared _ONE."""
-    _, src_tuples, _ = _tensor_basis(m.source.factors)
-    _, tgt_tuples, _ = _tensor_basis(m.target.factors)
+    src_tuples = _tensor_basis(m.source.factors).tuples
+    tgt_tuples = _tensor_basis(m.target.factors).tuples
     out = {}
     for k, cols in m.columns.items():
-        rows = tgt_tuples[k + m.degree]
+        tuples, rows = src_tuples[k], tgt_tuples[k + m.degree]
         for c, col in cols.items():
-            out[src_tuples[k][c]] = (k, [(rows[r], _ONE if x == 1 else x)
-                                         for r, x in col.items()])
+            out[tuples[c]] = (k, [(rows[r], _ONE if x == 1 else x)
+                                  for r, x in col.items()])
     return out
 
 
@@ -530,8 +622,8 @@ def tensor_maps_many(factors: Sequence[GradedMap]) -> GradedMap:
     identity factor costs one entry per column.
     """
     factors = list(factors)
-    source, _, src_index = _tensor_basis(_atoms([f.source for f in factors]))
-    target, _, tgt_index = _tensor_basis(_atoms([f.target for f in factors]))
+    src = _tensor_basis(_atoms([f.source for f in factors]))
+    tgt = _tensor_basis(_atoms([f.target for f in factors]))
     degree = sum(f.degree for f in factors)
     out: Columns = {}
     images = [list(_chunked_images(f).items()) for f in factors]
@@ -542,7 +634,9 @@ def tensor_maps_many(factors: Sequence[GradedMap]) -> GradedMap:
             sign_exp += f.degree * before
             before += k
             chunks.extend(chunk)
-        d, col = src_index[tuple(chunks)]
+        # before is now the column's degree
+        col = src.index(before)[tuple(chunks)]
+        rows = tgt.index(before + degree)
         entries = {}
         for terms in itertools.product(*[img for _, (_, img) in pick]):
             coeff, tup = _ONE, []
@@ -550,10 +644,9 @@ def tensor_maps_many(factors: Sequence[GradedMap]) -> GradedMap:
                 tup.extend(t)
                 if x is not _ONE:
                     coeff = x if coeff is _ONE else coeff * x
-            entries[tgt_index[tuple(tup)][1]] = (-coeff if sign_exp % 2
-                                                 else coeff)
-        out.setdefault(d, {})[col] = entries
-    return GradedMap.from_columns(source, target, degree, out)
+            entries[rows[tuple(tup)]] = -coeff if sign_exp % 2 else coeff
+        out.setdefault(before, {})[col] = entries
+    return GradedMap.from_columns(src.space, tgt.space, degree, out)
 
 
 def tensor_maps(f: GradedMap, g: GradedMap) -> GradedMap:
@@ -564,23 +657,33 @@ def _tensor_differential(complexes: Sequence["ChainComplex"]) -> GradedMap:
     """Differential on the tensor product of the complexes: the sum of
     1 x..x d_i x..x 1 with Koszul signs, built column by column.  Term i
     changes only the i-th chunk of a basis tuple, so the terms never
-    meet on one entry."""
-    space, _, index = _tensor_basis(_atoms([c.space for c in complexes]))
+    meet on one entry.  With every d_i zero, nothing is enumerated."""
+    basis = _tensor_basis(_atoms([c.space for c in complexes]))
+    space = basis.space
+    out: Columns = {}
+    if all(c.differential.is_zero() for c in complexes):
+        return GradedMap.from_columns(space, space, -1, out)
     widths = [len(c.space.factors) for c in complexes]
     images = [_chunked_images(c.differential) for c in complexes]
-    out: Columns = {}
-    for tup, (d, col) in index.items():
-        entries = {}
-        pos, before = 0, 0
-        for w, img in zip(widths, images):
-            chunk = tup[pos:pos + w]
-            for t, x in img.get(chunk, (0, ()))[1]:
-                row = index[tup[:pos] + t + tup[pos + w:]][1]
-                entries[row] = -x if before % 2 else x
-            before += sum(deg for deg, _ in chunk)
-            pos += w
-        if entries:
-            out.setdefault(d, {})[col] = entries
+    for d in basis.dims:
+        if d - 1 not in basis.dims:
+            continue  # no degree to map to
+        rows = basis.index(d - 1)
+        blk = {}
+        for col, tup in enumerate(basis.tuples[d]):
+            entries = {}
+            pos, before = 0, 0
+            for w, img in zip(widths, images):
+                chunk = tup[pos:pos + w]
+                for t, x in img.get(chunk, (0, ()))[1]:
+                    row = rows[tup[:pos] + t + tup[pos + w:]]
+                    entries[row] = -x if before % 2 else x
+                before += sum(deg for deg, _ in chunk)
+                pos += w
+            if entries:
+                blk[col] = entries
+        if blk:
+            out[d] = blk
     return GradedMap.from_columns(space, space, -1, out)
 
 
@@ -635,6 +738,8 @@ def hom_differential(f: GradedMap, source_factors: Sequence[ChainComplex],
         raise ValueError("source of f is not the declared tensor product")
     if f.target != target.space:
         raise ValueError("target of f does not match the declared complex")
+    if f.is_zero():
+        return GradedMap.zero(f.source, target.space, f.degree - 1)
     first = source_factors[0]
     if all(c is first for c in source_factors):
         d_tensor = first.tensor_power_differential(len(source_factors))

@@ -39,12 +39,10 @@ from .exactlin import (
     solve_map_equation,
     split_contraction,
     split_coordinate_map,
-    tensor_maps_many,
     tensor_power,
     tensor_spaces,
 )
 from .operadcore import (
-    _compositions,
     _shift_space,
     _suspension_conjugate,
     action_check,
@@ -53,6 +51,7 @@ from .operadcore import (
 from .ainfty import (
     AInfinityAlgebra,
     AInfinityMorphism,
+    _partition_terms,
     compose_morphisms,
     fn_residual,
     underlying,
@@ -348,12 +347,9 @@ def _transfer(a: AInfinityAlgebra, target: ChainComplex, root: GradedMap,
     nu = {}
     f_out = {1: leaf}
     for n in range(2, N + 1):
-        terms = []
-        for k in range(2, n + 1):
-            for r in _compositions(n, k):
-                inner = tensor_maps_many([theta[rp] for rp in r])
-                terms.append(b(k).compose(inner))
-        total = map_sum(terms)
+        terms = [t for _, t in _partition_terms(b, theta.get, n, 2)]
+        total = (map_sum(terms) if terms else
+                 GradedMap.zero(tensor_spaces([sV] * n), sV, -1))
         nu_s = P.compose(total)
         theta[n] = H.compose(total)
         nu[n] = _suspension_conjugate(

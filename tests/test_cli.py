@@ -581,6 +581,18 @@ def test_machine_format_deterministic(dga_file, capsys):
     assert first["inputs"]  # file hash present
 
 
+def test_verify_ainf_exterior_dga_at_n10(tmp_path, capsys):
+    a = exterior_dga()
+    path = tmp_path / "dga10.json"
+    serialize.dump(str(path), serialize.algebra_to_data(
+        AInfinityAlgebra(a.complex, {2: a.mu(2)}, 10)))
+    assert main(["verify", "ainf", str(path), "--format", "machine"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in cert["checks"]] == [
+        f"stasheff-identity-n{n}" for n in range(2, 11)]
+    assert all(c["status"] == "pass" for c in cert["checks"])
+
+
 def test_certificate_written_to_file(dga_file, tmp_path, capsys):
     cpath = tmp_path / "cert.json"
     assert main(["verify", "ainf", dga_file, "--format", "machine",

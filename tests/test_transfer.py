@@ -345,6 +345,19 @@ def test_exterior_dga_is_coherent_at_n6():
     assert [e["n"] for e in res["entries"]] == [2, 3, 4, 5, 6]
 
 
+def test_exterior_dga_is_coherent_at_n12():
+    """Every operation of arity >= 3 is zero, so every residual term of
+    arity >= 4 has a zero factor: each residual is a typed zero."""
+    a = exterior_dga()
+    res = check_all_An(AInfinityAlgebra(a.complex, {2: a.mu(2)}, 12))
+    assert res["ok"]
+    assert [e["n"] for e in res["entries"]] == list(range(2, 13))
+    for e in res["entries"]:
+        r = e["residual"]
+        assert (r.source, r.target, r.degree) == (
+            tensor_power(a.space, e["n"]), a.space, e["n"] - 3)
+
+
 def test_transfer_m1_exterior_dga():
     a = exterior_dga()
     s = sdr_onto_homology(a.complex)
@@ -480,8 +493,10 @@ def test_perturb_m2_trivial():
 
 
 def test_perturb_m2_changes_underlying():
-    for seed in (2, 5, 8):
-        m = coherent_morphism(seed)
+    # at N = 6, no source tuple of V^(x 6) lies in the window of f_6
+    for seed, N in ((2, 4), (5, 4), (8, 4), (2, 6)):
+        m = coherent_morphism(seed, N)
+        assert check_all_Fn(m)["ok"]
         rng = random.Random(100 + seed)
         h = random_map(rng, m.source.space, m.target.space, 1)
         g = underlying(m).add(

@@ -1,0 +1,397 @@
+"""Degree-windowed tensor calculus against eager, unskipped references.
+
+The tensor basis counts its degrees by a DP and enumerates a degree's
+tuples, positions and labels only when they are read; here every
+degree is compared with an eager itertools.product enumeration.  The
+coherence sums skip terms with a zero factor and return typed zeros
+for arities whose terms all vanish; here every residual, composite and
+transferred structure is compared with a reference that sums every
+term, on random structures with some operations zero, including
+negatively graded ones, whose degree window never closes.
+"""
+
+import itertools
+import math
+import pickle
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from shalg.ainfty import (
+    AInfinityAlgebra,
+    AInfinityMorphism,
+    an_residual,
+    compose_morphisms,
+    fn_residual,
+    sign_epsilon,
+    sign_eta,
+    sign_nu,
+)
+from shalg.exactlin import (
+    ChainComplex,
+    GradedMap,
+    GradedVectorSpace,
+    _tensor_basis,
+    hom_differential,
+    map_sum,
+    tensor_basis_tuples,
+    tensor_maps_many,
+    tensor_power,
+    tensor_spaces,
+)
+from shalg.operadcore import _shift_space, _suspension_conjugate
+from shalg.transfer import SDRData, sdr_onto_homology, transfer_M1
+from test_transfer import exterior_dga, random_chain_complex
+
+SETTINGS = settings(max_examples=30, deadline=None)
+ENTRIES = (0, 1, -1, 2, Fraction(1, 2))
+rngs = st.integers(0, 2 ** 32 - 1).map(random.Random)
+
+
+# ------------------------------------------------------------ tensor bases
+
+
+@st.composite
+def atom_lists(draw):
+    """One to four atoms with degrees in -3..3, gaps and zero dims, and
+    sometimes custom labels; sometimes a power of one atom."""
+    def atom():
+        dims = draw(st.dictionaries(st.integers(-3, 3), st.integers(0, 2),
+                                    max_size=4))
+        if not draw(st.booleans()):
+            return GradedVectorSpace(dims)
+        return GradedVectorSpace(dims, {d: tuple(f"x{d}{chr(97 + i)}"
+                                                 for i in range(n))
+                                        for d, n in dims.items()})
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return [atom()] * n
+    return [atom() for _ in range(n)]
+
+
+def eager_basis(atoms):
+    """Degree -> tuples, positions and labels of the tensor product of
+    the atoms, from one itertools.product over their flat bases."""
+    tuples = {}
+    for combo in itertools.product(*[a.flat_basis() for a in atoms]):
+        tuples.setdefault(sum(deg for deg, _ in combo), []).append(combo)
+    tuples = {d: tuple(ts) for d, ts in tuples.items()}
+    index = {d: {t: i for i, t in enumerate(ts)} for d, ts in tuples.items()}
+    labels = {d: tuple(tuple(atoms[k].labels[deg][i]
+                             for k, (deg, i) in enumerate(t)) for t in ts)
+              for d, ts in tuples.items()}
+    return tuples, index, labels
+
+
+@SETTINGS
+@given(atoms=atom_lists(), order=rngs)
+def test_lazy_tensor_basis_matches_eager_product(atoms, order):
+    _tensor_basis.cache_clear()
+    basis = _tensor_basis(tuple(atoms))
+    tuples, index, labels = eager_basis(atoms)
+    assert basis.dims == {d: len(ts) for d, ts in tuples.items()}
+    assert not basis.tuples._values  # nothing enumerated yet
+    degrees = list(tuples)
+    order.shuffle(degrees)  # the order degrees are read in is free
+    for d in degrees:
+        assert basis.tuples[d] == tuples[d]
+        assert basis.index(d) == index[d]
+    assert dict(basis.tuples) == tuples
+    space = tensor_spaces(atoms)
+    assert space is basis.space
+    assert tensor_basis_tuples(atoms) is basis.tuples
+    if len(atoms) == 1:
+        assert space is atoms[0]
+        return
+    assert space.dims == basis.dims and space.factors == tuple(atoms)
+    assert dict(space.labels) == labels
+    nested = [atoms[0], tensor_spaces(atoms[1:])]
+    assert tensor_spaces(nested) is space
+    assert tensor_basis_tuples(nested) is basis.tuples
+
+
+@SETTINGS
+@given(atoms=atom_lists())
+def test_tensor_space_equality_and_hash(atoms):
+    """Equal spaces hash equally: rebuilt products, pickled copies, and a
+    space given the product's dims and labels outright."""
+    _tensor_basis.cache_clear()
+    space = tensor_spaces(atoms)
+    _tensor_basis.cache_clear()
+    again = tensor_spaces(atoms)
+    assert again == space and hash(again) == hash(space)
+    space.labels  # built labels are copied along
+    copied = pickle.loads(pickle.dumps(space))
+    assert copied == space and hash(copied) == hash(space)
+    _, _, labels = eager_basis(atoms)
+    if len(atoms) > 1:
+        plain = GradedVectorSpace(space.dims, labels)
+        assert plain == space and space == plain
+        assert hash(plain) == hash(space)
+        relabeled = GradedVectorSpace(space.dims, {
+            d: tuple(("y",) + ls for ls in labs)
+            for d, labs in labels.items()})
+        assert (relabeled == space) == (not space.dims)
+        flipped = atoms[::-1]
+        _, _, flipped_labels = eager_basis(flipped)
+        assert (tensor_spaces(flipped) == space) == (
+            flipped_labels == labels)
+
+
+@SETTINGS
+@given(atoms=atom_lists())
+def test_tensor_basis_mappings_are_read_only(atoms):
+    _tensor_basis.cache_clear()
+    basis = _tensor_basis(tuple(atoms))
+    space = basis.space
+    for d in basis.dims:
+        with pytest.raises(TypeError):
+            basis.tuples[d] = ()
+        with pytest.raises(TypeError):
+            space.labels[d] = ()
+        assert isinstance(basis.tuples[d], tuple)
+        assert all(isinstance(t, tuple) for t in basis.tuples[d])
+    with pytest.raises(KeyError):
+        basis.tuples[max(basis.dims, default=0) + 1]
+    with pytest.raises(TypeError):
+        del basis.tuples[0]
+
+
+def test_zero_maps_enumerate_no_tensor_basis():
+    """A zero operation, its bracket and a zero tensor factor read no
+    degree of V^(x 8): only the DP's dims are built."""
+    _tensor_basis.cache_clear()
+    c = exterior_dga().complex
+    v8 = tensor_power(c.space, 8)
+    zero = GradedMap.zero(v8, c.space, 6)
+    assert hom_differential(zero, [c] * 8, c) == GradedMap.zero(
+        v8, c.space, 5)
+    ident = GradedMap.identity(c.space)
+    t = tensor_maps_many([ident] * 6 + [GradedMap.zero(
+        tensor_power(c.space, 2), c.space, 0)])
+    assert t.is_zero() and t.source == v8
+    basis = _tensor_basis(v8.factors)
+    assert basis.dims == {k: 2 ** 8 * math.comb(8, k) for k in range(9)}
+    assert not basis.tuples._values and v8._labels is None
+
+
+# ------------------------------------------------------------ references
+
+
+def compositions(n, k):
+    """Ordered k-tuples of positive integers summing to n."""
+    return [r for r in itertools.product(range(1, n + 1), repeat=k)
+            if sum(r) == n]
+
+
+def ref_hom_differential(f, sources, target):
+    """[f, d] with the tensor differential summed term by term."""
+    d_terms = [tensor_maps_many([c.differential if q == p else
+                                 GradedMap.identity(c.space)
+                                 for q, c in enumerate(sources)])
+               for p in range(len(sources))]
+    sign = -1 if f.degree % 2 else 1
+    return map_sum([target.differential.compose(f),
+                    f.compose(map_sum(d_terms))], [1, -sign])
+
+
+def slotted(op, ident, i, s):
+    return tensor_maps_many([ident] * s + [op] + [ident] * (i - s - 1))
+
+
+def ref_an_residual(a, n):
+    ident = GradedMap.identity(a.space)
+    terms, coeffs = [], []
+    for j in range(2, n):
+        i = n + 1 - j
+        for s in range(i):
+            terms.append(a.mu(i).compose(slotted(a.mu(j), ident, i, s)))
+            coeffs.append(sign_epsilon(i, j, s))
+    terms.append(ref_hom_differential(a.mu(n), [a.complex] * n, a.complex))
+    return map_sum(terms, coeffs + [-1])
+
+
+def ref_fn_residual(m, n):
+    V, W = m.source, m.target
+    ident = GradedMap.identity(V.space)
+    terms, coeffs = [], []
+    for k in range(2, n + 1):
+        for r in compositions(n, k):
+            terms.append(W.mu(k).compose(
+                tensor_maps_many([m.f(rp) for rp in r])))
+            coeffs.append(sign_eta(r))
+    for j in range(2, n + 1):
+        i = n + 1 - j
+        for s in range(i):
+            terms.append(m.f(i).compose(slotted(V.mu(j), ident, i, s)))
+            coeffs.append(-sign_nu(n, j, s))
+    terms.append(ref_hom_differential(m.f(n), [V.complex] * n, W.complex))
+    return map_sum(terms, coeffs + [-1])
+
+
+def ref_compose(g, f, n):
+    terms, coeffs = [], []
+    for k in range(1, n + 1):
+        for r in compositions(n, k):
+            terms.append(g.f(k).compose(
+                tensor_maps_many([f.f(rp) for rp in r])))
+            coeffs.append(sign_eta(r))
+    return map_sum(terms, coeffs)
+
+
+def ref_transfer(a, s, N):
+    """The perturbation recursion of transfer_M1, every tree summed."""
+    V, W = a.complex, s.small
+    sV, sW = _shift_space(V.space), _shift_space(W.space)
+    P = _suspension_conjugate(s.f, [V.space], sV, sW, 1)
+    H = _suspension_conjugate(s.phi, [V.space], sV, sV, 1).scale(-1)
+    b = {k: _suspension_conjugate(a.mu(k), [V.space] * k,
+                                  tensor_spaces([sV] * k), sV, 1)
+         for k in range(2, N + 1)}
+    theta = {1: _suspension_conjugate(s.nabla, [W.space], sW, sV, 1)}
+    nu, f = {}, {1: s.nabla}
+    for n in range(2, N + 1):
+        total = map_sum([b[k].compose(tensor_maps_many(
+            [theta[rp] for rp in r]))
+            for k in range(2, n + 1) for r in compositions(n, k)])
+        theta[n] = H.compose(total)
+        wn = tensor_power(W.space, n)
+        nu[n] = _suspension_conjugate(P.compose(total), [W.space] * n, wn,
+                                      W.space, -1)
+        f[n] = _suspension_conjugate(theta[n], [W.space] * n, wn, V.space,
+                                     -1)
+    return nu, f
+
+
+# ------------------------------------------------------ random structures
+
+# degree windows of the random complexes; on the negative ones an
+# operation of every arity can be nonzero
+WINDOWS = ((0, 1), (-1, 0), (-2, -1), (-1, 0, 1), (-2, -1, 0))
+
+
+def random_complex(rng):
+    return random_chain_complex(
+        rng, {d: rng.randint(1, 2) for d in rng.choice(WINDOWS)})
+
+
+def random_map(rng, source, target, degree, p_zero=0.35):
+    if rng.random() < p_zero:
+        return GradedMap.zero(source, target, degree)
+    blocks = {k: [[rng.choice(ENTRIES) for _ in range(source.dim(k))]
+                  for _ in range(target.dim(k + degree))]
+              for k in source.degrees() if target.dim(k + degree)}
+    return GradedMap(source, target, degree, blocks)
+
+
+def random_algebra(rng, c, N):
+    return AInfinityAlgebra(c, {n: random_map(rng, tensor_power(c.space, n),
+                                              c.space, n - 2)
+                                for n in range(2, N + 1)}, N)
+
+
+def random_morphism(rng, a, b, N):
+    return AInfinityMorphism(a, b, {n: random_map(
+        rng, tensor_power(a.space, n), b.space, n - 1)
+        for n in range(1, N + 1)}, N)
+
+
+def assert_same(got, want):
+    assert (got.source, got.target, got.degree) == (
+        want.source, want.target, want.degree)
+    assert got.columns == want.columns
+
+
+@settings(max_examples=25, deadline=None)
+@given(rng=rngs)
+def test_residuals_match_unskipped_sums(rng):
+    N = rng.randint(2, 4)
+    a = random_algebra(rng, random_complex(rng), N)
+    b = random_algebra(rng, random_complex(rng), N)
+    m = random_morphism(rng, a, b, N)
+    for n in range(2, N + 1):
+        assert_same(an_residual(a, n), ref_an_residual(a, n))
+    for n in range(1, N + 1):
+        assert_same(fn_residual(m, n), ref_fn_residual(m, n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rng=rngs)
+def test_composites_match_unskipped_sums(rng):
+    N = rng.randint(1, 4)
+    algs = [random_algebra(rng, random_complex(rng), max(N, 2))
+            for _ in range(3)]
+    f = random_morphism(rng, algs[0], algs[1], N)
+    g = random_morphism(rng, algs[1], algs[2], N)
+    comp = compose_morphisms(g, f)
+    for n in range(1, N + 1):
+        assert_same(comp.f(n), ref_compose(g, f, n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(rng=rngs)
+def test_transfer_matches_unskipped_sums(rng):
+    N = rng.randint(2, 4)
+    c = random_complex(rng)
+    a = random_algebra(rng, c, N)
+    s = sdr_onto_homology(c)
+    out, mor = transfer_M1(a, s, N)
+    nu, f = ref_transfer(a, s, N)
+    for n in range(2, N + 1):
+        assert_same(out.mu(n), nu[n])
+        assert_same(mor.f(n), f[n])
+
+
+# ------------------------------------------------------------ empty sums
+
+
+def assert_typed_zero(m, source, target, degree):
+    assert m.is_zero()
+    assert (m.source, m.target, m.degree) == (source, target, degree)
+
+
+def test_composite_of_strict_morphisms_has_typed_zero_components():
+    """Every term of arity >= 2 has a zero factor, so each such
+    component of the composite is an empty sum."""
+    a = exterior_dga()
+    scaled = AInfinityAlgebra(a.complex, {2: a.mu(2).scale(2)}, a.N)
+    half = GradedMap.identity(a.space).scale(Fraction(1, 2))
+    f = AInfinityMorphism(a, scaled, {1: half}, 4)
+    g = AInfinityMorphism(scaled, a, {1: half.scale(4)}, 4)
+    comp = compose_morphisms(g, f)
+    assert comp.f(1) == GradedMap.identity(a.space)
+    for n in range(2, 5):
+        assert n in comp._f
+        assert_typed_zero(comp.f(n), tensor_power(a.space, n), a.space,
+                          n - 1)
+
+
+def test_transfer_of_strict_structure_has_typed_zero_components():
+    """Along the identity retract (phi = 0) every theta_n, n >= 2, is
+    zero, so from arity 3 on the recursion's sums are empty; with mu_2
+    zero too, they are empty from arity 2 on."""
+    a = exterior_dga()
+    ident = GradedMap.identity(a.space)
+    s = SDRData(a.complex, a.complex, ident, ident,
+                GradedMap.zero(a.space, a.space, 1))
+    for mu in ({2: a.mu(2)}, {}):
+        strict = AInfinityAlgebra(a.complex, mu, 5)
+        out, mor = transfer_M1(strict, s)
+        assert out.mu(2) == strict.mu(2)
+        for n in range(3, 6):
+            assert_typed_zero(out.mu(n), tensor_power(a.space, n), a.space,
+                              n - 2)
+        for n in range(2, 6):
+            assert_typed_zero(mor.f(n), tensor_power(a.space, n), a.space,
+                              n - 1)
+
+
+def test_empty_complex_products_are_typed():
+    empty = GradedVectorSpace({})
+    c = ChainComplex.zero_differential(empty)
+    a = AInfinityAlgebra(c, {}, 4)
+    for n in range(2, 5):
+        assert_typed_zero(an_residual(a, n), tensor_power(empty, n), empty,
+                          n - 3)
