@@ -2,56 +2,49 @@
 rational complexes.
 
 An algebra is a complex (V, d) with operations mu_n : V^(x n) -> V of
-degree n-2 for 2 <= n <= N; coherence is the family of Stasheff
-identities, checked exactly as operator equations.  A morphism is a
-family f_n : V^(x n) -> W of degree n-1 whose coherence identities mix
-the two structures.  Signs follow the conventions
-
-    epsilon = ij + j + s(j+1) + j(|a_1| + ... + |a_s|)   (i = n+1-j)
-    eta     = sum_{p<q} (r_p+1)
-              + sum_{p>=2} (r_p+1)(degrees before block p)
-    nu      = ij + j + s(j+1) + j(|a_1| + ... + |a_s|)   (i = n+1-j)
-
-where the degree-dependent parts are exactly the Koszul signs produced
-by tensoring graded maps, so the operator-level residuals below carry
-only the scalar parts.
+degree n-2 for 2 <= n <= N; a morphism is a family f_n : V^(x n) -> W
+of degree n-1.  Following Markl, such a structure is an action of a
+cofibrant colored operad: an algebra of the minimal model of Ass
+(ass-minimal), a morphism of its two-colored arrow version
+(ass-arrow-minimal).  The stored differentials of those models are the
+only definition of the coherence identities here: the residual in
+arity n is the action's value on d(mu_n) (or d(f_n)) minus the
+hom-complex differential of mu_n (or f_n), evaluated exactly by
+operadcore.eval_element.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Optional
 
 from .exactlin import (
     ChainComplex,
     GradedMap,
-    hom_differential,
     map_sum,
     tensor_maps_many,
     tensor_power,
 )
 from .operadcore import (
     Element,
+    OperadPresentation,
     _compositions,
     builtin_presentation,
+    generator_residual,
 )
 
 
 # ------------------------------------------------------------------ signs
 
 
-def sign_epsilon(i: int, j: int, s: int, degs=()) -> int:
-    """Sign of the (i, j, s) term of the Stasheff identity in arity
-    i+j-1, evaluated on leading arguments of the given degrees; an
-    empty degs gives the scalar part only (all arguments even)."""
-    if i < 2 or j < 2 or not 0 <= s <= i - 1 or (degs and len(degs) != s):
-        raise ValueError("invalid (i, j, s, degs) for a Stasheff term")
-    eps = i * j + j + s * (j + 1) + j * sum(degs)
-    return -1 if eps % 2 else 1
-
-
 def sign_eta(r, degs=None) -> int:
-    """Sign of the partition term nu_k(f_{r_1} x ... x f_{r_k}) of the
-    morphism identity; degs, when given, lists all input degrees."""
+    """Sign (-1)^eta of the partition term g_k . (f_{r_1} x ... x
+    f_{r_k}) of a composite morphism, where
+
+        eta = sum_{p<q} (r_p+1) + sum_{p>=2} (r_p+1)(degrees before block p);
+
+    degs, when given, lists all input degrees; without it, only the
+    scalar part, since tensoring graded maps produces the rest."""
     r = tuple(r)
     if not r or any(x < 1 for x in r):
         raise ValueError("block sizes must be positive")
@@ -67,16 +60,6 @@ def sign_eta(r, degs=None) -> int:
                 eta += (rp + 1) * sum(degs[:pos])
             pos += rp
     return -1 if eta % 2 else 1
-
-
-def sign_nu(n: int, j: int, s: int, degs=()) -> int:
-    """Sign of the (j, s) term on the structure side of the morphism
-    identity in arity n; an empty degs gives the scalar part only."""
-    if j < 2 or not 0 <= s <= n - j or (degs and len(degs) != s):
-        raise ValueError("invalid (n, j, s, degs) for a morphism term")
-    i = n + 1 - j
-    nu = i * j + j + s * (j + 1) + j * sum(degs)
-    return -1 if nu % 2 else 1
 
 
 # ------------------------------------------------------------ structures
@@ -175,33 +158,13 @@ def _partition_terms(outer, inner, n: int, k_min: int):
                 yield r, op.compose(tensor_maps_many(factors))
 
 
-def _slotted(op: GradedMap, ident: GradedMap, i: int, s: int) -> GradedMap:
-    """1^(x s) (x) op (x) 1^(x i-s-1) as a single graded map."""
-    factors = [ident] * s + [op] + [ident] * (i - s - 1)
-    return factors[0] if len(factors) == 1 else tensor_maps_many(factors)
-
-
 def an_residual(a: AInfinityAlgebra, n: int) -> GradedMap:
-    """Stasheff residual in arity n: the inner-sum operator minus the
-    hom-complex differential of mu_n; zero exactly when the identity
-    holds."""
+    """Stasheff residual in arity n: the value of d(mu_n) in the minimal
+    model of Ass under the algebra's action, minus the hom-complex
+    differential of mu_n; zero exactly when the identity holds."""
     if not 2 <= n <= a.N:
         raise ValueError(f"arity must be within 2..{a.N}")
-    ident = GradedMap.identity(a.space)
-    terms = []
-    coeffs = []
-    for j in range(2, n):
-        i = n + 1 - j
-        mu_i, mu_j = a.mu(i), a.mu(j)
-        if mu_i.is_zero() or mu_j.is_zero():
-            continue
-        for s in range(0, i):
-            terms.append(mu_i.compose(_slotted(mu_j, ident, i, s)))
-            coeffs.append(sign_epsilon(i, j, s))
-    inner = (map_sum(terms, coeffs) if terms else
-             GradedMap.zero(tensor_power(a.space, n), a.space, n - 3))
-    bracket = hom_differential(a.mu(n), [a.complex] * n, a.complex)
-    return inner.add(bracket, 1, -1)
+    return generator_residual(*_action(a), f"mu{n}")
 
 
 def check_An(a: AInfinityAlgebra, n: int) -> dict:
@@ -215,29 +178,12 @@ def check_all_An(a: AInfinityAlgebra) -> dict:
 
 
 def fn_residual(m: AInfinityMorphism, n: int) -> GradedMap:
-    """Morphism residual in arity n; n = 1 reduces to the chain-map
-    condition on f_1."""
+    """Morphism residual in arity n: the value of d(f_n) in the arrow
+    model under the morphism's action, minus the hom-complex
+    differential of f_n; n = 1 is the chain-map condition on f_1."""
     if not 1 <= n <= m.N:
         raise ValueError(f"arity must be within 1..{m.N}")
-    V, W = m.source, m.target
-    ident = GradedMap.identity(V.space)
-    terms = []
-    coeffs = []
-    for r, term in _partition_terms(W.mu, m.f, n, 2):
-        terms.append(term)
-        coeffs.append(sign_eta(r))
-    for j in range(2, n + 1):
-        i = n + 1 - j
-        f_i, mu_j = m.f(i), V.mu(j)
-        if f_i.is_zero() or mu_j.is_zero():
-            continue
-        for s in range(0, i):
-            terms.append(f_i.compose(_slotted(mu_j, ident, i, s)))
-            coeffs.append(-sign_nu(n, j, s))
-    inner = (map_sum(terms, coeffs) if terms else
-             GradedMap.zero(tensor_power(V.space, n), W.space, n - 2))
-    bracket = hom_differential(m.f(n), [V.complex] * n, W.complex)
-    return inner.add(bracket, 1, -1)
+    return generator_residual(*_action(m), f"f{n}")
 
 
 def check_Fn(m: AInfinityMorphism, n: int) -> dict:
@@ -285,10 +231,27 @@ def minimal_model_differential(model_name: str, generator: str) -> Element:
     return dict(pres.d_image(generator))
 
 
+@functools.lru_cache(maxsize=16)
+def _model(name: str, N: int) -> OperadPresentation:
+    """A bundled minimal model truncated at arity N, built once per
+    (name, N) (a bounded cache) so that its tree memos are shared by
+    every residual; builtin_presentation itself returns a fresh one."""
+    return builtin_presentation(name, N)
+
+
+@functools.lru_cache(maxsize=16)
+def _action(x):
+    """The operad action of an algebra or a morphism, made once per
+    structure (a bounded cache) and shared by its residuals."""
+    if isinstance(x, AInfinityAlgebra):
+        return action_from_structure(x)
+    return morphism_action(x)
+
+
 def action_from_structure(a: AInfinityAlgebra):
     """Operad action of the associativity minimal model determined by an
     algebra: (presentation, action dict, complexes dict)."""
-    pres = builtin_presentation("ass-minimal", a.N)
+    pres = _model("ass-minimal", a.N)
     action = {f"mu{n}": a.mu(n) for n in range(2, a.N + 1)}
     return pres, action, {"v": a.complex}
 
@@ -305,7 +268,7 @@ def morphism_action(m: AInfinityMorphism):
     """Operad action of the two-colored arrow model determined by a
     morphism between algebras (truncated at the smaller order)."""
     N = m.N
-    pres = builtin_presentation("ass-arrow-minimal", N)
+    pres = _model("ass-arrow-minimal", N)
     action = {}
     for n in range(2, N + 1):
         action[f"mu{n}"] = m.source.mu(n)

@@ -14,8 +14,9 @@ import time
 
 from . import serialize
 from .ainfty import (
-    check_An,
-    check_Fn,
+    AInfinityAlgebra,
+    an_residual,
+    fn_residual,
     underlying,
 )
 from .exactlin import GradedMap
@@ -77,12 +78,8 @@ class Certificate:
         self.checks = []
         self._start = time.monotonic()
 
-    def add(self, name, ok, residual_zero=None, witness=None,
-            applicable=True):
-        status = "pass" if ok else "fail"
-        if not applicable:
-            status = "not-applicable"
-        entry = {"name": name, "status": status}
+    def add(self, name, ok, residual_zero=None, witness=None):
+        entry = {"name": name, "status": "pass" if ok else "fail"}
         if residual_zero is not None:
             entry["residual_zero"] = bool(residual_zero)
         if witness is not None:
@@ -107,9 +104,7 @@ class Certificate:
     def render_text(self):
         lines = []
         for c in self.checks:
-            tag = {"pass": "PASS", "fail": "FAIL",
-                   "not-applicable": "N/A "}[c["status"]]
-            line = f"[{tag}] {c['name']}"
+            line = f"[{c['status'].upper()}] {c['name']}"
             if c.get("witness") is not None:
                 line += f"  witness={json.dumps(c['witness'], sort_keys=True)}"
             lines.append(line)
@@ -136,31 +131,22 @@ def _emit(cert: Certificate, args) -> int:
 def _resolve(path):
     if os.path.exists(path):
         return path
-    fixdir = os.environ.get("SHALG_FIXTURE_DIR")
-    if fixdir:
-        candidate = os.path.join(fixdir, path)
-        if os.path.exists(candidate):
-            return candidate
     raise FileNotFoundError(path)
 
 
 # ----------------------------------------------------------------- verify
 
 
-def _verify_algebra(cert, a, prefix="", bound=None):
-    """Stasheff identities of arities 2..N, N the smaller of a.N and
-    the bound when one is given."""
-    for n in range(2, min(a.N, bound or a.N) + 1):
-        cert.add_residual(f"{prefix}stasheff-identity-n{n}",
-                          check_An(a, n)["residual"])
-
-
-def _verify_morphism(cert, m, prefix="", bound=None):
-    """Morphism identities of arities 1..N, N the smaller of m.N and
-    the bound when one is given."""
-    for n in range(1, min(m.N, bound or m.N) + 1):
-        cert.add_residual(f"{prefix}morphism-identity-n{n}",
-                          check_Fn(m, n)["residual"])
+def _verify_identities(cert, x, prefix="", bound=None):
+    """The coherence identities of an algebra (arities 2..N) or of a
+    morphism (arities 1..N), N the smaller of x.N and the bound when one
+    is given."""
+    if isinstance(x, AInfinityAlgebra):
+        name, residual, first = "stasheff", an_residual, 2
+    else:
+        name, residual, first = "morphism", fn_residual, 1
+    for n in range(first, min(x.N, bound or x.N) + 1):
+        cert.add_residual(f"{prefix}{name}-identity-n{n}", residual(x, n))
 
 
 def _verify_sdr(cert, big, small, nabla, f, phi):
@@ -182,11 +168,11 @@ def cmd_verify(args):
     bounds = {"N": args.bound_n or DEFAULT_BOUND_N}
     cert = Certificate(["verify", args.kind, *args.files], [path], bounds)
     if args.kind == "ainf":
-        _verify_algebra(cert, serialize.algebra_from_data(data),
-                        bound=args.bound_n)
+        _verify_identities(cert, serialize.algebra_from_data(data),
+                           bound=args.bound_n)
     elif args.kind == "morphism":
-        _verify_morphism(cert, serialize.morphism_from_data(data),
-                         bound=args.bound_n)
+        _verify_identities(cert, serialize.morphism_from_data(data),
+                           bound=args.bound_n)
     elif args.kind == "sdr":
         _verify_sdr(cert, *serialize.sdr_parts_from_data(data))
     elif args.kind == "action":
@@ -238,8 +224,8 @@ def cmd_move(args):
             cert.add("hypothesis-side-conditions", flags["ok"])
             if flags["ok"]:
                 wa, mor = transfer_M1(a, s, N=min(N, a.N))
-                _verify_algebra(cert, wa, "output-")
-                _verify_morphism(cert, mor, "output-")
+                _verify_identities(cert, wa, "output-")
+                _verify_identities(cert, mor, "output-")
                 outputs = [(".structure.json", serialize.algebra_to_data(wa)),
                            (".morphism.json", serialize.morphism_to_data(mor))]
         elif args.move == "m2":
@@ -250,7 +236,7 @@ def cmd_move(args):
             cert.add("hypothesis-homotopy-between-chain-maps", True)
             out = perturb_M2(m, g, h, N=min(N, m.N))
             cert.add("output-underlying-map", underlying(out) == g)
-            _verify_morphism(cert, out, "output-")
+            _verify_identities(cert, out, "output-")
             outputs = [(".morphism.json", serialize.morphism_to_data(out))]
         elif args.move == "m3":
             m = serialize.morphism_from_data(datas[0])
@@ -261,13 +247,13 @@ def cmd_move(args):
             cert.add("hypothesis-homotopy-equivalence", True)
             out = invert_M3(m, g, h, ell, N=min(N, m.N))
             cert.add("output-underlying-map", underlying(out) == g)
-            _verify_morphism(cert, out, "output-")
+            _verify_identities(cert, out, "output-")
             outputs = [(".morphism.json", serialize.morphism_to_data(out))]
         elif args.move == "m4":
             ms = [serialize.morphism_from_data(d) for d in datas]
             cert.add("hypothesis-composable-chain", True)
             out = chain_M4(ms, N=min([N] + [m.N for m in ms]))
-            _verify_morphism(cert, out, "output-")
+            _verify_identities(cert, out, "output-")
             outputs = [(".morphism.json", serialize.morphism_to_data(out))]
         elif args.move == "s":
             a = serialize.algebra_from_data(datas[0])
@@ -278,8 +264,8 @@ def cmd_move(args):
             h = _map_field(datas[1], "h", a.space, a.space)
             cert.add("hypothesis-one-sided-retraction", True)
             wa, mor = transfer_S(a, w, f, g, h, N=min(N, a.N))
-            _verify_algebra(cert, wa, "output-")
-            _verify_morphism(cert, mor, "output-")
+            _verify_identities(cert, wa, "output-")
+            _verify_identities(cert, mor, "output-")
             outputs = [(".structure.json", serialize.algebra_to_data(wa)),
                        (".morphism.json", serialize.morphism_to_data(mor))]
         else:

@@ -24,6 +24,7 @@ Columns = dict[int, dict[int, dict[int, Fraction]]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _frac(x) -> Fraction:
@@ -382,10 +383,11 @@ class _TensorBasis:
         remaining atoms can make up the rest of degree d."""
         level = [((), d)]
         for a, rest in zip(self.atoms, self._suffix_counts):
-            steps = [(deg, a.dims[deg]) for deg in a.degrees()]
-            level = [(prefix + ((deg, i),), r - deg)
-                     for prefix, r in level for deg, n in steps
-                     if r - deg in rest for i in range(n)]
+            steps = [(deg, [((deg, i),) for i in range(a.dims[deg])])
+                     for deg in a.degrees()]
+            level = [(prefix + pair, r - deg)
+                     for prefix, r in level for deg, pairs in steps
+                     if r - deg in rest for pair in pairs]
         return tuple(prefix for prefix, _ in level)
 
     def index(self, d: int) -> dict:
@@ -627,6 +629,13 @@ def tensor_maps_many(factors: Sequence[GradedMap]) -> GradedMap:
     degree = sum(f.degree for f in factors)
     out: Columns = {}
     images = [list(_chunked_images(f).items()) for f in factors]
+    indexes: dict = {}  # column degree -> (source, target) positions
+    # an odd sign negates the image of one factor, one with an entry
+    # other than 1 where there is one, so each of its entries is negated
+    # once, not once per output entry
+    p = next((q for q, img in enumerate(images)
+              if any(x is not _ONE for _, (_, im) in img for _, x in im)), 0)
+    negated: dict = {}  # chunk of factor p -> its negated image
     for pick in itertools.product(*images):
         # Koszul sign from moving each f_j past the inputs before it
         sign_exp, before, chunks = 0, 0, []
@@ -635,16 +644,27 @@ def tensor_maps_many(factors: Sequence[GradedMap]) -> GradedMap:
             before += k
             chunks.extend(chunk)
         # before is now the column's degree
-        col = src.index(before)[tuple(chunks)]
-        rows = tgt.index(before + degree)
+        index = indexes.get(before)
+        if index is None:
+            index = indexes[before] = (src.index(before),
+                                       tgt.index(before + degree))
+        cols, rows = index
+        col = cols[tuple(chunks)]
+        imgs = [img for _, (_, img) in pick]
+        if sign_exp % 2:
+            chunk = pick[p][0]
+            if chunk not in negated:
+                negated[chunk] = [(t, _MINUS_ONE if x is _ONE else -x)
+                                  for t, x in imgs[p]]
+            imgs[p] = negated[chunk]
         entries = {}
-        for terms in itertools.product(*[img for _, (_, img) in pick]):
+        for terms in itertools.product(*imgs):
             coeff, tup = _ONE, []
             for t, x in terms:
                 tup.extend(t)
                 if x is not _ONE:
                     coeff = x if coeff is _ONE else coeff * x
-            entries[rows[tuple(tup)]] = -coeff if sign_exp % 2 else coeff
+            entries[rows[tuple(tup)]] = coeff
         out.setdefault(before, {})[col] = entries
     return GradedMap.from_columns(src.space, tgt.space, degree, out)
 

@@ -31,6 +31,7 @@ Fraction coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -40,6 +41,7 @@ from .exactlin import (
     GradedMap,
     GradedVectorSpace,
     hom_differential,
+    map_sum,
     mat_rank,
     tensor_basis_tuples,
     tensor_maps_many,
@@ -95,8 +97,10 @@ class OperadPresentation:
             if g.arity < 1:
                 raise ValueError("generators must have arity >= 1")
             self.generators[g.name] = g
-        self.differential = {k: {t: Fraction(c) for t, c in dict(v).items()}
-                             for k, v in dict(differential).items()}
+        self.differential = {
+            k: {t: c if type(c) is Fraction else Fraction(c)
+                for t, c in dict(v).items()}
+            for k, v in dict(differential).items()}
         for k in self.differential:
             if k not in self.generators:
                 raise ValueError(f"differential on unknown generator {k}")
@@ -362,10 +366,6 @@ def elem_add(a: Element, b: Element, ca=1, cb=1) -> Element:
 def elem_scale(a: Element, c) -> Element:
     c = Fraction(c)
     return {t: c * x for t, x in a.items() if c * x}
-
-
-def elem_normalize(a: Element) -> Element:
-    return {t: Fraction(c) for t, c in a.items() if c}
 
 
 def _accumulate(out: Element, t, c) -> None:
@@ -867,7 +867,11 @@ def kunneth_check(p1: OperadPresentation, p2: OperadPresentation,
 # ------------------------------------------------------------- actions
 
 
+@functools.lru_cache(maxsize=64)
 def _shift_space(space, shift=1):
+    """The space with every degree raised by shift, made once per space
+    and shift (a bounded cache), so that tensor products of shifted
+    spaces are shared between evaluations."""
     return GradedVectorSpace({k + shift: n for k, n in space.dims.items()})
 
 
@@ -890,8 +894,8 @@ def _suspension_conjugate(m, factors, new_source, new_target, direction):
         tuples = tb[k]
         out = {}
         for col, entries in cols.items():
-            tup = tuples[col]
-            if sum((n - 1 - p) * tup[p][0] for p in range(n)) % 2:
+            # (n-1-p) is odd exactly at p = n-2, n-4, ...
+            if sum(deg for deg, _ in tuples[col][-2::-2]) % 2:
                 entries = {r: -x for r, x in entries.items()}
             out[col] = entries
         columns[k + n if direction == 1 else k] = out
@@ -899,13 +903,24 @@ def _suspension_conjugate(m, factors, new_source, new_target, direction):
     return GradedMap.from_columns(new_source, new_target, degree, columns)
 
 
+@functools.lru_cache(maxsize=256)
+def _suspended(m: GradedMap, inputs: tuple, output) -> GradedMap:
+    """s . m . (s^-1)^(x n) for m : inputs[0] x ... x inputs[n-1] ->
+    output, made once per map (a bounded cache, shared by equal maps)."""
+    return _suspension_conjugate(
+        m, inputs, tensor_spaces([_shift_space(v) for v in inputs]),
+        _shift_space(output), 1)
+
+
 def eval_element(pres, action, complexes, elem: Element, input_colors,
-                 output_color) -> GradedMap:
-    """Value of the action on an element, in the convention consistent
-    with the stored differentials: each assigned map is conjugated by
-    suspensions, trees are composed with plain Koszul signs in the
-    suspended world, and the result is desuspended and weighted by the
-    tree orientation sign.
+                 output_color, degree: int) -> GradedMap:
+    """Value of the action on an element of the given degree, in the
+    convention consistent with the stored differentials: each assigned
+    map is conjugated by suspensions, trees are composed with plain
+    Koszul signs in the suspended world, and their sum, weighted by the
+    tree orientation signs, is desuspended.  A tree in which some
+    generator is assigned a zero map is skipped, so an element all of
+    whose trees have a zero factor is the zero map of that degree.
 
     On two-level trees this differs from the naive composite of the
     assigned maps only by (-1)^(product of the two arities); the twist
@@ -913,45 +928,68 @@ def eval_element(pres, action, complexes, elem: Element, input_colors,
     its action commuting with the differentials at every arity.
     """
     spaces = [complexes[c].space for c in input_colors]
-    source = spaces[0] if len(spaces) == 1 else tensor_spaces(spaces)
+    source = tensor_spaces(spaces)
     target = complexes[output_color].space
-    s_space = {c: _shift_space(cc.space) for c, cc in complexes.items()}
-    s_action: dict = {}
+    s_ident = {c: GradedMap.identity(_shift_space(cc.space))
+               for c, cc in complexes.items()}
 
     def suspended(name):
-        if name not in s_action:
-            g = pres.gen(name)
-            facs = [complexes[c].space for c in g.inputs]
-            s_facs = [s_space[c] for c in g.inputs]
-            s_src = s_facs[0] if len(s_facs) == 1 else tensor_spaces(s_facs)
-            s_action[name] = _suspension_conjugate(
-                action[name], facs, s_src, s_space[g.output], 1)
-        return s_action[name]
+        g = pres.gen(name)
+        return _suspended(action[name],
+                          tuple(complexes[c].space for c in g.inputs),
+                          complexes[g.output].space)
 
     def eval_s(t, color):
+        """Suspended value of t, or None when some generator of t is
+        assigned a zero map."""
         if is_leaf(t):
-            return GradedMap.identity(s_space[color])
+            return s_ident[color]
         g = pres.gen(t[0])
         if g.output != color:
             raise ValueError("output color mismatch in evaluation")
-        kids = [eval_s(c, g.inputs[i]) for i, c in enumerate(t[1:])]
+        if action[t[0]].is_zero():
+            return None
+        if all(is_leaf(c) for c in t[1:]):  # a corolla
+            return suspended(t[0])
+        kids = []
+        for c, in_color in zip(t[1:], g.inputs):
+            kid = eval_s(c, in_color)
+            if kid is None:
+                return None
+            kids.append(kid)
         inner = kids[0] if len(kids) == 1 else tensor_maps_many(kids)
         return suspended(t[0]).compose(inner)
 
-    total = None
+    terms, coeffs = [], []
     for t, c in elem.items():
-        val_s = eval_s(t, output_color)
-        s_spaces = [s_space[cc] for cc in input_colors]
-        s_src = s_spaces[0] if len(s_spaces) == 1 else tensor_spaces(s_spaces)
-        assert val_s.source == s_src
-        val = _suspension_conjugate(val_s, spaces, source, target, -1)
-        m = val.scale(c * _info(pres, t).sign)
-        total = m if total is None else total.add(m)
-    if total is None:
-        # zero element: degree is determined by the caller's context
-        return GradedMap.zero(source, target, 0)
-    assert total.source == source and total.target == target
+        val = eval_s(t, output_color)
+        if val is not None:
+            terms.append(val)
+            coeffs.append(c * _info(pres, t).sign)
+    if not terms:
+        return GradedMap.zero(source, target, degree)
+    total = _suspension_conjugate(map_sum(terms, coeffs), spaces, source,
+                                  target, -1)
+    assert total.degree == degree
     return total
+
+
+def generator_residual(pres: OperadPresentation,
+                       action: Mapping[str, GradedMap],
+                       complexes: Mapping[str, ChainComplex],
+                       name: str) -> GradedMap:
+    """The value of d(name) under the action minus the hom-complex
+    differential of the map assigned to name: zero exactly when the
+    action commutes with the differentials on that generator."""
+    g = pres.gen(name)
+    m = action[name]
+    if m.degree != g.degree:
+        raise ValueError(f"degree mismatch on {name}")
+    lhs = eval_element(pres, action, complexes, pres.d_image(name),
+                       g.inputs, g.output, g.degree - 1)
+    rhs = hom_differential(m, [complexes[c] for c in g.inputs],
+                           complexes[g.output])
+    return lhs.add(rhs, 1, -1)
 
 
 def action_check(pres: OperadPresentation, action: Mapping[str, GradedMap],
@@ -960,26 +998,16 @@ def action_check(pres: OperadPresentation, action: Mapping[str, GradedMap],
     """Certify that the assignment commutes with the differentials:
     the value of d(gen) equals the hom-complex differential of the
     assigned map, for every generator within the arity bound.  A failing
-    entry's witness is the nonzero difference of the two sides."""
+    entry's witness is the nonzero difference of the two sides, the
+    differential's side first."""
     entries = []
     for name, g in pres.generators.items():
         if g.arity > up_to_arity:
             continue
-        m = action[name]
-        sources = [complexes[c] for c in g.inputs]
-        target = complexes[g.output]
-        if m.degree != g.degree:
-            raise ValueError(f"degree mismatch on {name}")
-        lhs = eval_element(pres, action, complexes, pres.d_image(name),
-                           g.inputs, g.output)
-        rhs = hom_differential(m, sources, target)
-        if lhs.is_zero() and lhs.degree != rhs.degree:
-            # zero differential: retype the zero map to the right degree
-            lhs = GradedMap.zero(lhs.source, lhs.target, rhs.degree)
-        ok = (lhs.columns == rhs.columns)
-        entry = {"generator": name, "ok": ok}
-        if not ok:
-            entry["witness"] = rhs.add(lhs, 1, -1)
+        res = generator_residual(pres, action, complexes, name)
+        entry = {"generator": name, "ok": res.is_zero()}
+        if not entry["ok"]:
+            entry["witness"] = res.scale(-1)
         entries.append(entry)
     return {"ok": all(e["ok"] for e in entries), "entries": entries}
 
@@ -991,31 +1019,61 @@ def _mu(name_prefix, n):
     return f"{name_prefix}{n}"
 
 
+_SIGNS = (Fraction(1), Fraction(-1))  # (-1)^0, (-1)^1
+
+
+@functools.lru_cache(maxsize=64)
+def _stasheff_terms(prefix, n):
+    """d mu_n = sum over i+j = n+1 (i, j >= 2), s = 0..i-1 of
+    (-1)^(j + s(j+1)) mu_i composed with mu_j at input s+1, over the
+    generators named prefix + arity; the terms are distinct trees.  Made
+    once per (prefix, n) and shared by the presentations, which copy
+    it."""
+    terms: Element = {}
+    for j in range(2, n):
+        i = n + 1 - j
+        inner = ((_mu(prefix, j),) + (LEAF,) * j,)
+        head = (_mu(prefix, i),)
+        for s in range(i):
+            terms[head + (LEAF,) * s + inner + (LEAF,) * (i - 1 - s)] = (
+                _SIGNS[(j + s * (j + 1)) % 2])
+    return terms
+
+
 def ass_minimal(max_arity: int = 7) -> OperadPresentation:
-    """Minimal resolution of the associative operad: one generator in
-    each arity n >= 2, degree n-2, with
-    d mu_n = sum over i+j = n+1 (i, j >= 2), s = 0..i-1 of
-    (-1)^(j + s(j+1)) mu_i composed with mu_j at input s+1."""
+    """Minimal resolution of the associative operad: one generator mu_n
+    in each arity n >= 2, degree n-2, with d mu_n as in _stasheff_terms."""
     color = "v"
     gens = [GeneratorSpec(_mu("mu", n), (color,) * n, color, n - 2, tj=n - 2)
             for n in range(2, max_arity + 1)]
-    diff = {}
-    for n in range(2, max_arity + 1):
-        terms: Element = {}
-        for j in range(2, n):
-            i = n + 1 - j
-            if i < 2:
-                continue
-            for s in range(0, i):
-                sign = (-1) ** ((j + s * (j + 1)) % 2)
-                inner = (_mu("mu", j),) + (LEAF,) * j
-                kids = [LEAF] * i
-                kids[s] = inner
-                t = (_mu("mu", i),) + tuple(kids)
-                terms[t] = terms.get(t, Fraction(0)) + sign
-        diff[_mu("mu", n)] = elem_normalize(terms)
+    diff = {_mu("mu", n): _stasheff_terms("mu", n)
+            for n in range(2, max_arity + 1)}
     return OperadPresentation("ass-minimal", (color,), gens, diff,
                               symmetric=True, augmented=True)
+
+
+@functools.lru_cache(maxsize=64)
+def _morphism_terms(n):
+    """d f_n = sum over compositions r of n into k >= 2 parts of
+    (-1)^eta nu_k(f_r1, ..., f_rk), eta = sum_{a<b} r_a (r_b + 1), minus
+    sum over i+j = n+1 (j >= 2), s = 0..i-1 of (-1)^(n + s(j+1)) f_i
+    composed with mu_j at input s+1; distinct trees, made once per n
+    and shared like _stasheff_terms."""
+    terms: Element = {}
+    for k in range(2, n + 1):
+        for r in _compositions(n, k):
+            eta = sum(r[a] * (r[b] + 1)
+                      for a in range(k) for b in range(a + 1, k))
+            kids = tuple((_mu("f", ri),) + (LEAF,) * ri for ri in r)
+            terms[(_mu("nu", k),) + kids] = _SIGNS[eta % 2]
+    for j in range(2, n + 1):
+        i = n + 1 - j
+        inner = ((_mu("mu", j),) + (LEAF,) * j,)
+        head = (_mu("f", i),)
+        for s in range(i):
+            terms[head + (LEAF,) * s + inner + (LEAF,) * (i - 1 - s)] = (
+                _SIGNS[(n + s * (j + 1) + 1) % 2])
+    return terms
 
 
 def ass_arrow_minimal(max_arity: int = 5) -> OperadPresentation:
@@ -1030,46 +1088,12 @@ def ass_arrow_minimal(max_arity: int = 5) -> OperadPresentation:
     for n in range(1, max_arity + 1):
         gens.append(GeneratorSpec(_mu("f", n), (cv,) * n, cw, n - 1, n - 1,
                                   kind="mor"))
-    diff = {}
-    base = ass_minimal(max_arity)
-    for n in range(2, max_arity + 1):
-        diff[_mu("mu", n)] = base.differential[_mu("mu", n)]
-        diff[_mu("nu", n)] = {
-            _retag(t, "mu", "nu"): c
-            for t, c in base.differential[_mu("mu", n)].items()}
-    for n in range(1, max_arity + 1):
-        terms: Element = {}
-        for k in range(2, n + 1):
-            for r in _compositions(n, k):
-                eta = sum(r[a] * (r[b] + 1)
-                          for a in range(k) for b in range(a + 1, k))
-                sign = (-1) ** (eta % 2)
-                kids = tuple((_mu("f", ri),) + (LEAF,) * ri for ri in r)
-                t = (_mu("nu", k),) + kids
-                terms[t] = terms.get(t, Fraction(0)) + sign
-        for j in range(2, n + 1):
-            i = n + 1 - j
-            if i < 1:
-                continue
-            for s in range(0, i):
-                sign = -((-1) ** ((n + s * (j + 1)) % 2))
-                inner = (_mu("mu", j),) + (LEAF,) * j
-                kids = [LEAF] * i
-                kids[s] = inner
-                t = (_mu("f", i),) + tuple(kids)
-                terms[t] = terms.get(t, Fraction(0)) + sign
-        diff[_mu("f", n)] = elem_normalize(terms)
+    diff = {_mu(p, n): _stasheff_terms(p, n)
+            for n in range(2, max_arity + 1) for p in ("mu", "nu")}
+    diff.update((_mu("f", n), _morphism_terms(n))
+                for n in range(1, max_arity + 1))
     return OperadPresentation("ass-arrow-minimal", (cv, cw), gens, diff,
                               symmetric=True, augmented=False)
-
-
-def _retag(t, old, new):
-    if is_leaf(t):
-        return t
-    head = t[0]
-    if head.startswith(old) and head[len(old):].isdigit():
-        head = new + head[len(old):]
-    return (head,) + tuple(_retag(c, old, new) for c in t[1:])
 
 
 def _w(*names):

@@ -44,6 +44,7 @@ from .exactlin import (
 )
 from .operadcore import (
     _shift_space,
+    _suspended,
     _suspension_conjugate,
     action_check,
     builtin_presentation,
@@ -330,18 +331,13 @@ def _transfer(a: AInfinityAlgebra, target: ChainComplex, root: GradedMap,
     coherence identities are sign-free, then desuspends.
     """
     V, W = a.complex, target
-    sV, sW = _shift_space(V.space), _shift_space(W.space)
-    P = _suspension_conjugate(root, [V.space], sV, sW, 1)
-    I = _suspension_conjugate(leaf, [W.space], sW, sV, 1)
-    H = _suspension_conjugate(homotopy, [V.space], sV, sV, 1).scale(-1)
-    b_cache = {}
+    sV = _shift_space(V.space)
+    P = _suspended(root, (V.space,), W.space)
+    I = _suspended(leaf, (W.space,), V.space)
+    H = _suspended(homotopy, (V.space,), V.space).scale(-1)
 
     def b(k):
-        if k not in b_cache:
-            s_src = tensor_spaces([sV] * k)
-            b_cache[k] = _suspension_conjugate(
-                a.mu(k), [V.space] * k, s_src, sV, 1)
-        return b_cache[k]
+        return _suspended(a.mu(k), (V.space,) * k, V.space)
 
     theta = {1: I}
     nu = {}

@@ -1,4 +1,4 @@
-"""Tests for higher-structure coherence: sign tables, Stasheff and
+"""Tests for higher-structure coherence: the eta signs, Stasheff and
 morphism identity checks, obstruction-solving towers on contractible
 complexes, composition, and agreement with the operad-action oracle."""
 
@@ -32,9 +32,7 @@ from shalg.ainfty import (
     identity_morphism,
     minimal_model_differential,
     morphism_action,
-    sign_epsilon,
     sign_eta,
-    sign_nu,
     structure_from_action,
     underlying,
 )
@@ -146,24 +144,6 @@ def truncated_polynomial_algebra():
 # ------------------------------------------------------------------ signs
 
 
-def test_sign_epsilon_values():
-    assert sign_epsilon(2, 2, 0) == 1          # exponent 4 + 2
-    assert sign_epsilon(2, 2, 1, (0,)) == -1   # exponent 4 + 2 + 3
-    assert sign_epsilon(2, 3, 0) == -1         # exponent 6 + 3
-    assert sign_epsilon(2, 2, 1, (1,)) == -1   # even j: degrees cannot flip
-    assert sign_epsilon(3, 3, 1, (0,)) == 1    # 9 + 3 + 4
-    assert sign_epsilon(3, 3, 1, (1,)) == -1   # 9 + 3 + 4 + 3: odd j flips
-
-
-def test_sign_epsilon_validation():
-    with pytest.raises(ValueError):
-        sign_epsilon(1, 2, 0)
-    with pytest.raises(ValueError):
-        sign_epsilon(2, 2, 2, (0, 0))
-    with pytest.raises(ValueError):
-        sign_epsilon(2, 2, 0, (0,))
-
-
 def test_sign_eta_values():
     assert sign_eta((1, 1)) == 1               # (1+1)
     assert sign_eta((2, 1)) == -1              # (2+1)
@@ -176,17 +156,6 @@ def test_sign_eta_values():
         sign_eta((1, 0))
     with pytest.raises(ValueError):
         sign_eta((1, 1), (0,))
-
-
-def test_sign_nu_values():
-    assert sign_nu(2, 2, 0) == 1               # i=1: 2 + 2
-    assert sign_nu(3, 2, 0) == 1               # i=2: 4 + 2
-    assert sign_nu(3, 2, 1, (0,)) == -1        # 4 + 2 + 3
-    assert sign_nu(3, 2, 1, (1,)) == -1        # 4 + 2 + 3 + 2: even j
-    assert sign_nu(4, 3, 1, (0,)) == -1        # i=2: 6 + 3 + 4
-    assert sign_nu(4, 3, 1, (1,)) == 1         # 6 + 3 + 4 + 3: odd j flips
-    with pytest.raises(ValueError):
-        sign_nu(3, 2, 2, (0, 0))
 
 
 # ------------------------------------------------------- basic structures

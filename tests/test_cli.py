@@ -215,23 +215,46 @@ def test_verify_ainf_witness_is_first_row_major_entry(tmp_path, capsys):
     assert main(["verify", "ainf", str(path), "--format", "machine"]) == 1
     cert = json.loads(capsys.readouterr().out)
     assert cert["bounds"] == {"N": 5}
-    bad = serialize.algebra_from_data(data)
-    failed = 0
-    for check in cert["checks"]:
-        n = int(check["name"].rsplit("n", 1)[1])
-        blocks = an_residual(bad, n).blocks
-        first = next(((k, i, j, x) for k in sorted(blocks)
-                      for i, row in enumerate(blocks[k])
-                      for j, x in enumerate(row) if x), None)
-        if first is None:
-            assert check["status"] == "pass"
-            continue
-        failed += 1
-        assert check["status"] == "fail"
-        assert check["witness"] == {"degree": first[0], "row": first[1],
-                                    "column": first[2],
-                                    "value": serialize.dump_fraction(first[3])}
-    assert failed == 2
+    assert cert["checks"] == [
+        {"name": "stasheff-identity-n2", "status": "fail",
+         "residual_zero": False,
+         "witness": {"degree": 1, "row": 1, "column": 0, "value": -2}},
+        {"name": "stasheff-identity-n3", "status": "fail",
+         "residual_zero": False,
+         "witness": {"degree": 0, "row": 0, "column": 3, "value": 2}},
+        {"name": "stasheff-identity-n4", "status": "pass",
+         "residual_zero": True},
+        {"name": "stasheff-identity-n5", "status": "pass",
+         "residual_zero": True}]
+    # arity 3's witness is not the residual's first entry in column order
+    res = an_residual(serialize.algebra_from_data(data), 3)
+    k = min(res.columns)
+    j = min(res.columns[k])
+    assert (k, min(res.columns[k][j]), j) != (0, 0, 3)
+
+
+def test_verify_morphism_witnesses(tmp_path, capsys):
+    """A sign error in f_2 of a coherent tower morphism breaks the
+    identities of arities 2 to 4, each with its first row-major
+    entry as the witness."""
+    data = serialize.morphism_to_data(coherent_morphism(seed=1, N=4))
+    blocks = data["components"]["2"]["blocks"]
+    assert blocks["1"][1][0] == -3
+    blocks["1"][1][0] = 3
+    path = tmp_path / "mor.json"
+    serialize.dump(str(path), data)
+    assert main(["verify", "morphism", str(path), "--format",
+                 "machine"]) == 1
+    cert = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["status"], c.get("witness"))
+            for c in cert["checks"]] == [
+        ("morphism-identity-n1", "pass", None),
+        ("morphism-identity-n2", "fail",
+         {"degree": 1, "row": 0, "column": 1, "value": 24}),
+        ("morphism-identity-n3", "fail",
+         {"degree": 1, "row": 0, "column": 1, "value": -12}),
+        ("morphism-identity-n4", "fail",
+         {"degree": 0, "row": 0, "column": 0, "value": 36})]
 
 
 def test_verify_sdr_passes(sdr_file, capsys):

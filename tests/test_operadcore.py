@@ -356,7 +356,7 @@ def test_eval_element_two_terms():
     table = {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1)}
     p, action, cx = _dga_action(table)
     assoc = p.d_image("mu3")  # the associator, evaluates to zero
-    m = eval_element(p, action, cx, assoc, ("v", "v", "v"), "v")
+    m = eval_element(p, action, cx, assoc, ("v", "v", "v"), "v", 0)
     assert m.is_zero()
 
 
