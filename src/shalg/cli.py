@@ -65,14 +65,30 @@ def _map_witness(m: GradedMap):
             "value": serialize.dump_fraction(m.columns[k][j][i])}
 
 
+def _sha256_constructor():
+    """The interpreter's built-in SHA-256 (`_sha2` from Python 3.12,
+    `_sha256` before), as CPython's own random.py prefers: hashlib loads
+    OpenSSL's libcrypto, 3.6 MB of RSS, for the same digest.  hashlib is
+    the fallback for interpreters built without either module."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 class Certificate:
     def __init__(self, command, inputs, bounds):
         self.command = list(command)
         self.inputs = {}
         for path in inputs:
-            import hashlib  # not loaded by commands that hash no file
+            # imported here: commands that hash no file load none of it
+            sha256 = _sha256_constructor()
             with open(path, "rb") as fh:
-                self.inputs[os.path.basename(path)] = hashlib.sha256(
+                self.inputs[os.path.basename(path)] = sha256(
                     fh.read()).hexdigest()
         self.bounds = dict(bounds)
         self.checks = []

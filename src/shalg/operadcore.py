@@ -77,9 +77,9 @@ class OperadPresentation:
     carry an extra factor of arity!.
 
     The invariants of every tree the operad layer meets under this
-    presentation (arity, length, degrees, orientation sign, leaf colors)
-    and the images of its subtrees under D are memoized on the instance
-    and freed with it.
+    presentation (arity, length, degrees, orientation sign, leaf colors),
+    the images of its subtrees under D and the tree enumerations are
+    memoized on the instance and freed with it.
     """
 
     def __init__(self, name, colors, generators: Sequence[GeneratorSpec],
@@ -118,6 +118,8 @@ class OperadPresentation:
         # generator -> D(generator); subtree -> D(subtree); see _d_shifted
         self._d_gens = {}
         self._d_images = {LEAF: {}}
+        # enumerate_trees arguments -> tuple of trees
+        self._trees = {}
 
     def gen(self, name) -> GeneratorSpec:
         return self.generators[name]
@@ -560,13 +562,24 @@ def free_product(p1: OperadPresentation,
 
 def enumerate_trees(pres: OperadPresentation, arity: int, output_color,
                     max_vertices: int, include_unit: bool = True,
-                    max_degree=None):
+                    max_degree=None) -> tuple:
     """All valid planar trees with the given arity and output color, with
-    at most max_vertices internal vertices.  Deterministic order.
+    at most max_vertices internal vertices, as a tuple in a deterministic
+    order.  Memoized on pres per argument tuple: the enumeration of a
+    larger arity reads each smaller one once per child slot.
 
     max_degree prunes by total degree; it is only sound (and only
     applied) when every generator has nonnegative degree.
     """
+    key = (arity, output_color, max_vertices, include_unit, max_degree)
+    trees = pres._trees.get(key)
+    if trees is None:
+        trees = pres._trees[key] = tuple(_new_trees(pres, *key))
+    return trees
+
+
+def _new_trees(pres, arity, output_color, max_vertices, include_unit,
+               max_degree):
     if max_degree is not None and any(
             g.degree < 0 for g in pres.generators.values()):
         max_degree = None

@@ -4,7 +4,10 @@ import copy
 import hashlib
 import json
 import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +31,8 @@ from shalg.transfer import (
     sdr_onto_homology,
 )
 from test_transfer import coherent_morphism
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 # --------------------------------------------------------------- fixtures
@@ -548,13 +553,49 @@ def test_operad_riso_extend_wrong_degree_homotopy_exits_2(tmp_path, capsys):
     assert err == "error: phi must be a degree +1 map on the big complex\n"
 
 
+def _digests(*paths):
+    """{basename: SHA-256 hex digest} of each file, through hashlib."""
+    out = {}
+    for path in paths:
+        with open(path, "rb") as fh:
+            out[os.path.basename(path)] = hashlib.sha256(
+                fh.read()).hexdigest()
+    return out
+
+
 def test_operad_riso_extend_records_input_hash(sdr_file, capsys):
     assert main(["operad", "riso-extend", sdr_file,
                  "--format", "machine"]) == 0
     cert = json.loads(capsys.readouterr().out)
-    with open(sdr_file, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    assert cert["inputs"] == {os.path.basename(sdr_file): digest}
+    assert cert["inputs"] == _digests(sdr_file)
+
+
+def test_verify_ainf_records_input_hash(dga_file, capsys):
+    assert main(["verify", "ainf", dga_file, "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == _digests(dga_file)
+
+
+def test_move_records_input_hashes(dga_file, sdr_file, tmp_path, capsys):
+    assert main(["move", "m1", dga_file, sdr_file,
+                 "--out", str(tmp_path / "out"), "--format", "machine"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["inputs"] == _digests(dga_file, sdr_file)
+
+
+def test_hashlib_fallback_gives_the_same_digests(dga_file):
+    """On an interpreter without the built-in _sha2/_sha256 module, input
+    hashes come from hashlib, and they are the same digests."""
+    code = ("import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "from shalg.cli import main\n"
+            f"main(['verify', 'ainf', {dga_file!r}, '--format', 'machine'])\n"
+            "print('hashlib' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    cert, fell_back = out.rstrip("\n").rsplit("\n", 1)
+    assert fell_back == "True"
+    assert json.loads(cert)["inputs"] == _digests(dga_file)
 
 
 def test_operad_alpha(capsys):

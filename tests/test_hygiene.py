@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module of
 shalg imports is used in that module, no function works on dense
-matrices except the dense adapters, and importing the command line
-front end loads no module that only some commands need."""
+matrices except the dense adapters, importing the command line front
+end loads no module that only some commands need, and no command that
+hashes its input files loads OpenSSL."""
 
 import ast
 import pathlib
@@ -9,6 +10,10 @@ import subprocess
 import sys
 
 import pytest
+
+from shalg import serialize
+from shalg.transfer import sdr_onto_homology
+from test_cli import exterior_dga
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "shalg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -107,17 +112,46 @@ def test_no_dense_matrices_outside_the_adapters(path):
     assert [u for u in uses if (path.name, u[0]) not in DENSE_ALLOWED] == []
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    """Every command pays for what `import shalg.cli` loads.  dataclasses
-    (which loads inspect) is not needed at all, and hashlib and tempfile
-    only by commands that hash or write a file, which import them then."""
-    heavy = ("dataclasses", "inspect", "hashlib", "tempfile")
-    code = ("import sys\n"
-            f"sys.path.insert(0, {str(SRC.parent)!r})\n"
-            "import shalg.cli\n"
-            "shalg.cli.build_parser().parse_args("
-            "['operad', 'd2', 'ass-minimal', '--arity', '3'])\n"
-            f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n")
+def _modules_loaded(heavy, *lines):
+    """Which of the heavy modules a fresh `python -S` process holds after
+    importing shalg.cli and running the given lines of code."""
+    code = "\n".join(
+        ["import sys", f"sys.path.insert(0, {str(SRC.parent)!r})",
+         "import shalg.cli", *lines,
+         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"])
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.rstrip("\n").rsplit("\n", 1)[-1]
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    """Every command pays for what `import shalg.cli` loads.  dataclasses
+    (which loads inspect) is not needed at all, hashlib is never loaded
+    (see test_hashing_commands_leave_openssl_unloaded), and tempfile only
+    by commands that write a file, which import it then."""
+    heavy = ("dataclasses", "inspect", "hashlib", "_hashlib", "tempfile")
+    assert _modules_loaded(
+        heavy, "shalg.cli.build_parser().parse_args("
+               "['operad', 'd2', 'ass-minimal', '--arity', '3'])") == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "ainf", "{dga}"],
+    ["move", "m1", "{dga}", "{sdr}", "--out", "{out}"],
+    ["operad", "riso-extend", "{sdr}"],
+], ids=lambda c: "-".join(c[:2]))
+def test_hashing_commands_leave_openssl_unloaded(command, tmp_path):
+    """Certificates hash their input files with the interpreter's
+    built-in SHA-256; hashlib would load OpenSSL's libcrypto through
+    _hashlib, 3.6 MB of RSS, for the same digests."""
+    a = exterior_dga()
+    files = {"dga": tmp_path / "dga.json", "sdr": tmp_path / "sdr.json",
+             "out": tmp_path / "out"}
+    serialize.dump(str(files["dga"]), serialize.algebra_to_data(a))
+    serialize.dump(str(files["sdr"]),
+                   serialize.sdr_to_data(sdr_onto_homology(a.complex)))
+    argv = [arg.format(**{k: str(v) for k, v in files.items()})
+            for arg in command]
+    assert _modules_loaded(
+        ("hashlib", "_hashlib"),
+        f"assert shalg.cli.main({argv!r}) == 0") == "[]"

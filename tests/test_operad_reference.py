@@ -10,8 +10,10 @@ Presentations whose differential is rescaled by rationals exercise the
 integral shifted differential D = L·S·d·S with L > 1.
 """
 
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from shalg.cli import _gamma_nu2
@@ -210,6 +212,41 @@ def ref_derivation_extend(pres, x):
     return {t: c for t, c in out.items() if c}
 
 
+def ref_enumerate_trees(pres, arity, output_color, max_vertices,
+                        include_unit=True, max_degree=None):
+    """Every tree of enumerate_trees, in its order, enumerated afresh at
+    every child slot with nothing memoized."""
+    if max_degree is not None and any(
+            g.degree < 0 for g in pres.generators.values()):
+        max_degree = None
+    out = [LEAF] if arity == 1 and include_unit else []
+    if max_vertices < 1:
+        return out
+
+    def choices(arities, colors, budget, degree_budget):
+        if not arities:
+            yield ()
+            return
+        for sub in ref_enumerate_trees(pres, arities[0], colors[0], budget,
+                                       True, degree_budget):
+            rest_deg = (None if degree_budget is None
+                        else degree_budget - ref_tree_degree(pres, sub))
+            for rest in choices(arities[1:], colors[1:],
+                                budget - ref_tree_vertices(sub), rest_deg):
+                yield (sub,) + rest
+
+    for name, g in pres.generators.items():
+        if g.output != output_color or g.arity > arity or (
+                max_degree is not None and g.degree > max_degree):
+            continue
+        kid_budget = None if max_degree is None else max_degree - g.degree
+        for comp in itertools.product(range(1, arity + 1), repeat=g.arity):
+            if sum(comp) == arity:
+                out.extend((name,) + kids for kids in choices(
+                    comp, g.inputs, max_vertices - 1, kid_budget))
+    return out
+
+
 # ---------------------------------------------------------- presentations
 
 
@@ -291,6 +328,34 @@ def check_invariants(pres, t):
 
 
 # ----------------------------------------------------------------- tests
+
+
+def negative_ass():
+    """ass_minimal(4) with every degree negated: max_degree cannot prune
+    when some generator has negative degree."""
+    return OperadPresentation(
+        "ass-negative", ("v",),
+        [GeneratorSpec(g.name, g.inputs, g.output, -g.degree)
+         for g in ass_minimal(4).generators.values()])
+
+
+@pytest.mark.parametrize("make", [
+    ass_minimal, ass_arrow_minimal, *PRESENTATIONS.values(), negative_ass],
+    ids=lambda make: make.__name__)
+def test_enumerate_trees_memo_matches_reference(make):
+    """Every bundled presentation (and each derived one above) at small
+    arities: the memoized enumeration equals a fresh unmemoized one, in
+    order, both when first computed and when read back from the memo."""
+    pres = make()
+    arities = (1,) if pres.name == "riso" else range(1, 5)
+    args = [(a, c, v, unit, deg) for a in arities for c in pres.colors
+            for v in range(5) for unit in (True, False)
+            for deg in (None, 0, 1, 3)]
+    for _ in range(2):
+        for a in args:
+            trees = enumerate_trees(pres, *a)
+            assert type(trees) is tuple
+            assert list(trees) == ref_enumerate_trees(pres, *a)
 
 
 @SETTINGS
