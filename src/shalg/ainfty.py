@@ -10,7 +10,8 @@ cofibrant colored operad: an algebra of the minimal model of Ass
 only definition of the coherence identities here: the residual in
 arity n is the action's value on d(mu_n) (or d(f_n)) minus the
 hom-complex differential of mu_n (or f_n), evaluated exactly by
-operadcore.eval_element.
+operadcore.eval_element.  Composites of morphisms are summed as the
+evaluator and transfer sum trees: on suspended maps, with no sign.
 """
 
 from __future__ import annotations
@@ -24,42 +25,17 @@ from .exactlin import (
     map_sum,
     tensor_maps_many,
     tensor_power,
+    tensor_spaces,
 )
 from .operadcore import (
-    Element,
     OperadPresentation,
     _compositions,
+    _shift_space,
+    _suspended,
+    _suspension_conjugate,
     builtin_presentation,
     generator_residual,
 )
-
-
-# ------------------------------------------------------------------ signs
-
-
-def sign_eta(r, degs=None) -> int:
-    """Sign (-1)^eta of the partition term g_k . (f_{r_1} x ... x
-    f_{r_k}) of a composite morphism, where
-
-        eta = sum_{p<q} (r_p+1) + sum_{p>=2} (r_p+1)(degrees before block p);
-
-    degs, when given, lists all input degrees; without it, only the
-    scalar part, since tensoring graded maps produces the rest."""
-    r = tuple(r)
-    if not r or any(x < 1 for x in r):
-        raise ValueError("block sizes must be positive")
-    n = sum(r)
-    eta = sum((r[p] + 1)
-              for p in range(len(r)) for q in range(p + 1, len(r)))
-    if degs is not None:
-        if len(degs) != n:
-            raise ValueError("need one degree per input")
-        pos = 0
-        for p, rp in enumerate(r):
-            if p >= 1:
-                eta += (rp + 1) * sum(degs[:pos])
-            pos += rp
-    return -1 if eta % 2 else 1
 
 
 # ------------------------------------------------------------ structures
@@ -144,10 +120,14 @@ def identity_morphism(a: AInfinityAlgebra) -> AInfinityMorphism:
 # ------------------------------------------------------------ coherence
 
 
-def _partition_terms(outer, inner, n: int, k_min: int):
-    """(r, outer(k) . (inner(r_1) x ... x inner(r_k))) for each
-    composition r of n into k >= k_min parts, skipping every term with
-    a zero factor; outer and inner map an arity to a graded map."""
+def _partition_sum(outer, inner, n: int, k_min: int,
+                   zero: GradedMap) -> GradedMap:
+    """Sum of outer(k) . (inner(r_1) x ... x inner(r_k)) over the
+    compositions r of n into k >= k_min parts, with no coefficient, as
+    in the suspended world; every term with a zero factor is skipped,
+    and zero is returned when none is left.  outer and inner map an
+    arity to a graded map."""
+    terms = []
     for k in range(k_min, n + 1):
         op = outer(k)
         if op.is_zero():
@@ -155,7 +135,8 @@ def _partition_terms(outer, inner, n: int, k_min: int):
         for r in _compositions(n, k):
             factors = [inner(rp) for rp in r]
             if not any(f.is_zero() for f in factors):
-                yield r, op.compose(tensor_maps_many(factors))
+                terms.append(op.compose(tensor_maps_many(factors)))
+    return map_sum(terms) if terms else zero
 
 
 def an_residual(a: AInfinityAlgebra, n: int) -> GradedMap:
@@ -201,34 +182,30 @@ def check_all_Fn(m: AInfinityMorphism) -> dict:
 
 def compose_morphisms(g: AInfinityMorphism,
                       f: AInfinityMorphism) -> AInfinityMorphism:
-    """Composite strongly homotopy morphism, with partition signs chosen
-    to match the eta convention so coherence is preserved."""
-    if f.target is not g.source and not (
-            f.target.complex == g.source.complex):
-        raise ValueError("morphisms are not composable")
+    """Composite strongly homotopy morphism: with g_k and f_r suspended,
+    the sum of g_k . (f_{r_1} x ... x f_{r_k}) over the compositions r
+    of n, desuspended once.  f's target and g's source must be the same
+    complex with the same operations up to the composite's order."""
     N = min(f.N, g.N)
+    if f.target is not g.source and not (
+            f.target.complex == g.source.complex
+            and all(f.target.mu(n) == g.source.mu(n)
+                    for n in range(2, N + 1))):
+        raise ValueError("morphisms are not composable")
+    U, V, W = f.source.space, f.target.space, g.target.space
+    sU, sW = _shift_space(U), _shift_space(W)
     comps = {}
     for n in range(1, N + 1):
-        terms = []
-        coeffs = []
-        for r, term in _partition_terms(g.f, f.f, n, 1):
-            terms.append(term)
-            coeffs.append(sign_eta(r))
-        comps[n] = (map_sum(terms, coeffs) if terms else GradedMap.zero(
-            tensor_power(f.source.space, n), g.target.space, n - 1))
+        total = _partition_sum(
+            lambda k: _suspended(g.f(k), (V,) * k, W),
+            lambda r: _suspended(f.f(r), (U,) * r, V), n, 1,
+            GradedMap.zero(tensor_spaces([sU] * n), sW, 0))
+        comps[n] = _suspension_conjugate(
+            total, [U] * n, tensor_power(U, n), W, -1)
     return AInfinityMorphism(f.source, g.target, comps, N)
 
 
 # ------------------------------------------------ bridge to operad actions
-
-
-def minimal_model_differential(model_name: str, generator: str) -> Element:
-    """Stored differential of a generator of a bundled minimal model."""
-    pres = builtin_presentation(model_name)
-    if generator not in pres.generators:
-        raise ValueError(f"unknown generator {generator!r} "
-                         f"of {model_name!r}")
-    return dict(pres.d_image(generator))
 
 
 @functools.lru_cache(maxsize=16)

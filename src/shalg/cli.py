@@ -42,6 +42,7 @@ from .transfer import (
     perturb_M2,
     retract_residuals,
     riso_zero_extension,
+    side_condition_residuals,
     transfer_M1,
     transfer_S,
 )
@@ -81,18 +82,21 @@ def _sha256_constructor():
 
 
 class Certificate:
-    def __init__(self, command, inputs, bounds):
+    def __init__(self, command, bounds):
         self.command = list(command)
         self.inputs = {}
-        for path in inputs:
-            # imported here: commands that hash no file load none of it
-            sha256 = _sha256_constructor()
-            with open(path, "rb") as fh:
-                self.inputs[os.path.basename(path)] = sha256(
-                    fh.read()).hexdigest()
         self.bounds = dict(bounds)
         self.checks = []
         self._start = time.monotonic()
+
+    def load(self, path):
+        """The JSON data of an input file, recording the SHA-256 of the
+        bytes that were parsed: each input is read once."""
+        # imported here: commands that hash no file load none of it
+        digest = _sha256_constructor()()
+        data = serialize.load(_resolve(path), digest)
+        self.inputs[os.path.basename(path)] = digest.hexdigest()
+        return data
 
     def add(self, name, ok, residual_zero=None, witness=None):
         entry = {"name": name, "status": "pass" if ok else "fail"}
@@ -171,18 +175,16 @@ def _verify_sdr(cert, big, small, nabla, f, phi):
     residuals = retract_residuals(big, small, nabla, f, phi)
     cert.add_residual("retract-identity", next(
         (r for r in residuals if not r.is_zero()), residuals[0]))
-    cert.add_residual("side-condition-homotopy-squared", phi.compose(phi))
-    cert.add_residual("side-condition-homotopy-after-inclusion",
-                      phi.compose(nabla))
-    cert.add_residual("side-condition-projection-after-homotopy",
-                      f.compose(phi))
+    for name, residual in zip(("homotopy-squared", "homotopy-after-inclusion",
+                               "projection-after-homotopy"),
+                              side_condition_residuals(nabla, f, phi)):
+        cert.add_residual(f"side-condition-{name}", residual)
 
 
 def cmd_verify(args):
-    path = _resolve(args.files[0])
-    data = serialize.load(path)
     bounds = {"N": args.bound_n or DEFAULT_BOUND_N}
-    cert = Certificate(["verify", args.kind, *args.files], [path], bounds)
+    cert = Certificate(["verify", args.kind, *args.files], bounds)
+    data = cert.load(args.files[0])
     if args.kind == "ainf":
         _verify_identities(cert, serialize.algebra_from_data(data),
                            bound=args.bound_n)
@@ -226,10 +228,9 @@ def _map_field(data, key, source, target):
 
 
 def cmd_move(args):
-    paths = [_resolve(p) for p in args.files]
-    datas = [serialize.load(p) for p in paths]
     N = args.bound_n or DEFAULT_BOUND_N
-    cert = Certificate(["move", args.move, *args.files], paths, {"N": N})
+    cert = Certificate(["move", args.move, *args.files], {"N": N})
+    datas = [cert.load(p) for p in args.files]
     outputs = []
     try:
         if args.move == "m1":
@@ -317,8 +318,7 @@ def _operad_by_name(name, arity=None):
 def cmd_operad(args):
     names = args.files
     bounds = {"arity": args.arity, "length": args.length}
-    inputs = [_resolve(names[0])] if args.sub == "riso-extend" else []
-    cert = Certificate(["operad", args.sub, *names], inputs, bounds)
+    cert = Certificate(["operad", args.sub, *names], bounds)
     if args.sub == "d2":
         name = names[0]
         arity = args.arity or DEFAULT_ARITY.get(name, 5)
@@ -357,7 +357,7 @@ def cmd_operad(args):
                      {"predicted": e["predicted"], "direct": e["direct"]})
     elif args.sub == "riso-extend":
         res = riso_zero_extension(serialize.sdr_parts_from_data(
-            serialize.load(inputs[0])))
+            cert.load(names[0])))
         if res["ok"]:
             cert.add("zero-extension", True, residual_zero=True)
         else:
@@ -447,9 +447,27 @@ def build_parser():
     return p
 
 
+# Input files each move and operad computation reads; verify reads one,
+# and move m4 one or more, as its parser already demands.
+FILE_COUNTS = {"m1": 2, "m2": 2, "m3": 2, "s": 2, "d2": 1, "homology": 1,
+               "riso-extend": 1, "tree-dims": 2, "kunneth": 0, "alpha": 0}
+
+
+def _check_file_count(args):
+    """Raise ValueError unless the command got as many files as it
+    reads."""
+    what = getattr(args, "kind", None) or getattr(args, "move", None) \
+        or args.sub
+    want = 1 if args.cmd == "verify" else FILE_COUNTS.get(what)
+    if want is not None and len(args.files) != want:
+        raise ValueError(f"{args.cmd} {what} takes {want} argument"
+                         f"{'s' * (want != 1)}, got {len(args.files)}")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_file_count(args)
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")

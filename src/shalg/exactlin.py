@@ -40,32 +40,6 @@ def make_matrix(rows: Iterable[Iterable], nrows: int, ncols: int) -> Matrix:
     return m
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Dense matrix product (a reference; graded maps multiply sparsely)."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch in product")
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-              for j in range(len(b[0]) if b else 0))
-        for i in range(len(a))
-    )
-
-
-def mat_add(a: Matrix, b: Matrix, ca=1, cb=1) -> Matrix:
-    """Dense ca a + cb b (a reference; graded maps add sparsely)."""
-    ca, cb = _frac(ca), _frac(cb)
-    return tuple(
-        tuple(ca * a[i][j] + cb * b[i][j] for j in range(len(a[i])))
-        for i in range(len(a))
-    )
-
-
 def _subtract_multiple(row: dict, f: Fraction, pivot_row: dict) -> None:
     """row -= f * pivot_row on sparse rows, dropping entries that cancel."""
     for j, y in pivot_row.items():
@@ -667,10 +641,6 @@ def tensor_maps_many(factors: Sequence[GradedMap]) -> GradedMap:
             entries[rows[tuple(tup)]] = coeff
         out.setdefault(before, {})[col] = entries
     return GradedMap.from_columns(src.space, tgt.space, degree, out)
-
-
-def tensor_maps(f: GradedMap, g: GradedMap) -> GradedMap:
-    return tensor_maps_many([f, g])
 
 
 def _tensor_differential(complexes: Sequence["ChainComplex"]) -> GradedMap:

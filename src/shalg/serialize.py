@@ -310,13 +310,20 @@ def action_from_data(data, path="$"):
 # ------------------------------------------------------------------ files
 
 
-def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}, column "
-                             f"{exc.colno}: {exc.msg}") from exc
+def load(path, digest=None):
+    """The JSON data of a file, read once as bytes and decoded as UTF-8
+    text (newlines translated, as a text-mode read does); the bytes are
+    fed to digest, a hash object, when one is given."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if digest is not None:
+        digest.update(raw)
+    text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}, column "
+                         f"{exc.colno}: {exc.msg}") from exc
 
 
 def dump(path, data):

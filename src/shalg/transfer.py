@@ -35,7 +35,6 @@ from .exactlin import (
     hom_differential,
     homology_with_splitting,
     homotopy_residual,
-    map_sum,
     solve_map_equation,
     split_contraction,
     split_coordinate_map,
@@ -52,7 +51,7 @@ from .operadcore import (
 from .ainfty import (
     AInfinityAlgebra,
     AInfinityMorphism,
-    _partition_terms,
+    _partition_sum,
     compose_morphisms,
     fn_residual,
     underlying,
@@ -140,13 +139,18 @@ class SDRData:
         self.phi = phi
 
 
+def side_condition_residuals(nabla: GradedMap, f: GradedMap,
+                             phi: GradedMap) -> list:
+    """Residuals of the three side conditions, each zero exactly when it
+    holds: phi . phi, phi . nabla and f . phi."""
+    return [phi.compose(phi), phi.compose(nabla), f.compose(phi)]
+
+
 def check_side_conditions(s: SDRData) -> dict:
     """Report the three side conditions individually."""
-    flags = {
-        "phi_phi": s.phi.compose(s.phi).is_zero(),
-        "phi_nabla": s.phi.compose(s.nabla).is_zero(),
-        "f_phi": s.f.compose(s.phi).is_zero(),
-    }
+    flags = {name: residual.is_zero() for name, residual in zip(
+        ("phi_phi", "phi_nabla", "f_phi"),
+        side_condition_residuals(s.nabla, s.f, s.phi))}
     flags["ok"] = all(flags.values())
     return flags
 
@@ -331,7 +335,7 @@ def _transfer(a: AInfinityAlgebra, target: ChainComplex, root: GradedMap,
     coherence identities are sign-free, then desuspends.
     """
     V, W = a.complex, target
-    sV = _shift_space(V.space)
+    sV, sW = _shift_space(V.space), _shift_space(W.space)
     P = _suspended(root, (V.space,), W.space)
     I = _suspended(leaf, (W.space,), V.space)
     H = _suspended(homotopy, (V.space,), V.space).scale(-1)
@@ -343,9 +347,8 @@ def _transfer(a: AInfinityAlgebra, target: ChainComplex, root: GradedMap,
     nu = {}
     f_out = {1: leaf}
     for n in range(2, N + 1):
-        terms = [t for _, t in _partition_terms(b, theta.get, n, 2)]
-        total = (map_sum(terms) if terms else
-                 GradedMap.zero(tensor_spaces([sV] * n), sV, -1))
+        total = _partition_sum(b, theta.get, n, 2, GradedMap.zero(
+            tensor_spaces([sW] * n), sV, -1))
         nu_s = P.compose(total)
         theta[n] = H.compose(total)
         nu[n] = _suspension_conjugate(

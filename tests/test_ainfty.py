@@ -1,6 +1,6 @@
-"""Tests for higher-structure coherence: the eta signs, Stasheff and
-morphism identity checks, obstruction-solving towers on contractible
-complexes, composition, and agreement with the operad-action oracle."""
+"""Tests for higher-structure coherence: Stasheff and morphism identity
+checks, obstruction-solving towers on contractible complexes,
+composition, and agreement with the operad-action oracle."""
 
 import random
 from fractions import Fraction
@@ -30,9 +30,7 @@ from shalg.ainfty import (
     compose_morphisms,
     fn_residual,
     identity_morphism,
-    minimal_model_differential,
     morphism_action,
-    sign_eta,
     structure_from_action,
     underlying,
 )
@@ -139,23 +137,6 @@ def truncated_polynomial_algebra():
     mu2 = GradedMap(tensor_power(v, 2), v, 0,
                     {0: [[1, 0, 0, 0], [0, 1, 1, 0]]})
     return AInfinityAlgebra(c, {2: mu2}, 4)
-
-
-# ------------------------------------------------------------------ signs
-
-
-def test_sign_eta_values():
-    assert sign_eta((1, 1)) == 1               # (1+1)
-    assert sign_eta((2, 1)) == -1              # (2+1)
-    assert sign_eta((1, 2)) == 1               # (1+1)
-    assert sign_eta((1, 1, 1)) == 1            # 2 + 2 + 2
-    assert sign_eta((1, 1), (1, 0)) == 1       # 2 + (1+1)*1: still even
-    assert sign_eta((1, 2), (0, 0, 0)) == 1    # (1+1)
-    assert sign_eta((1, 2), (1, 0, 0)) == -1   # (1+1) + (2+1)*1
-    with pytest.raises(ValueError):
-        sign_eta((1, 0))
-    with pytest.raises(ValueError):
-        sign_eta((1, 1), (0,))
 
 
 # ------------------------------------------------------- basic structures
@@ -312,6 +293,21 @@ def test_strict_composite_of_strict_morphisms():
     assert comp.is_strict()
 
 
+def test_compose_requires_the_same_middle_operations():
+    """A middle complex in common is not enough: with mu_2 scaled by 2
+    on one side, f_1 = 1/2 is coherent, but the identity of the other
+    side does not compose with it."""
+    a = truncated_polynomial_algebra()
+    scaled = AInfinityAlgebra(a.complex, {2: a.mu(2).scale(2)}, a.N)
+    f = AInfinityMorphism(
+        a, scaled, {1: GradedMap.identity(a.space).scale(Fraction(1, 2))})
+    assert check_all_Fn(f)["ok"]
+    with pytest.raises(ValueError, match="not composable"):
+        compose_morphisms(identity_morphism(a), f)
+    comp = compose_morphisms(identity_morphism(scaled), f)
+    assert all(comp.f(n) == f.f(n) for n in range(1, f.N + 1))
+
+
 # ------------------------------------------- agreement with operad actions
 
 
@@ -324,14 +320,6 @@ def test_structure_action_round_trip():
     back = structure_from_action(action, complexes, 4)
     for n in range(2, 5):
         assert back.mu(n) == a.mu(n)
-
-
-def test_minimal_model_differential_lookup():
-    d3 = minimal_model_differential("ass-minimal", "mu3")
-    pres = builtin_presentation("ass-minimal")
-    assert d3 == dict(pres.d_image("mu3"))
-    with pytest.raises(ValueError):
-        minimal_model_differential("ass-minimal", "mu99")
 
 
 def test_stasheff_check_agrees_with_action_check():

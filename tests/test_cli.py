@@ -148,6 +148,20 @@ def test_parse_error_has_position(tmp_path):
         serialize.load(str(path))
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                         ids=["lf", "crlf", "cr"])
+def test_parse_error_counts_lines_as_text_mode_does(newline, tmp_path):
+    """The file is read as bytes, and its newlines are translated as a
+    text-mode read translates them, so every newline style gives one
+    position."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(f'{{"dims":{newline} {{"0": 2,}}'.encode("utf-8"))
+    with pytest.raises(ValueError) as exc:
+        serialize.load(str(path))
+    assert str(exc.value) == (f"{path}: line 2, column 10: Expecting "
+                              "property name enclosed in double quotes")
+
+
 def test_dump_is_atomic_and_deterministic(tmp_path):
     data = serialize.complex_to_data(exterior_dga().complex)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -483,6 +497,24 @@ def test_move_m3_and_m4(dga_file, sdr_file, tmp_path, capsys):
     assert comp.f(1) == GradedMap.identity(s.small.space)
 
 
+def test_move_m4_rejects_a_different_middle_structure(dga_file, tmp_path,
+                                                      capsys):
+    """Both morphisms live on one complex, but the middle algebras
+    differ in mu_2: the chain is not composable."""
+    a = exterior_dga()
+    scaled = AInfinityAlgebra(a.complex, {2: a.mu(2).scale(2)}, a.N)
+    half = GradedMap.identity(a.space).scale(Fraction(1, 2))
+    paths = [tmp_path / "f.json", tmp_path / "id.json"]
+    for path, m in zip(paths, [AInfinityMorphism(a, scaled, {1: half}),
+                               AInfinityMorphism(a, a, {1: half.scale(2)})]):
+        serialize.dump(str(path), serialize.morphism_to_data(m))
+    out = str(tmp_path / "c")
+    assert main(["move", "m4", *map(str, paths), "--out", out]) == 1
+    assert ("[FAIL] hypotheses  witness=\"morphisms are not composable\""
+            in capsys.readouterr().out)
+    assert not os.path.exists(out + ".morphism.json")
+
+
 def test_move_s(dga_file, sdr_file, tmp_path):
     s = serialize.sdr_from_data(serialize.load(sdr_file))
     epath = tmp_path / "onesided.json"
@@ -580,6 +612,72 @@ def test_move_records_input_hashes(dga_file, sdr_file, tmp_path, capsys):
                  "--out", str(tmp_path / "out"), "--format", "machine"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["inputs"] == _digests(dga_file, sdr_file)
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "ainf", "{dga}"],
+    ["move", "m1", "{dga}", "{sdr}", "--out", "{out}"],
+    ["operad", "riso-extend", "{sdr}"],
+], ids=lambda c: "-".join(c[:2]))
+def test_each_input_is_read_once_and_hashed_as_parsed(
+        command, dga_file, sdr_file, tmp_path, monkeypatch, capsys):
+    """Each input file is opened once, and its recorded digest is that
+    of the bytes parsed, even when the file is replaced right after it
+    was opened."""
+    files = {"dga": dga_file, "sdr": sdr_file, "out": str(tmp_path / "out")}
+    argv = [arg.format(**files) for arg in command]
+    parsed = {files[k]: pathlib.Path(files[k]).read_bytes()
+              for k in ("dga", "sdr") if f"{{{k}}}" in command}
+    opened = []
+    real_open = open
+
+    def open_then_replace(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if file in parsed:
+            opened.append(file)
+            serialize.dump(file, parsed[file].decode("utf-8") + "\n")
+        return fh
+
+    monkeypatch.setattr("builtins.open", open_then_replace)
+    assert main([*argv, "--format", "machine"]) == 0
+    assert sorted(opened) == sorted(parsed)
+    assert json.loads(capsys.readouterr().out)["inputs"] == {
+        os.path.basename(path): hashlib.sha256(raw).hexdigest()
+        for path, raw in parsed.items()}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["operad", "d2"], "operad d2 takes 1 argument, got 0"),
+    (["operad", "homology"], "operad homology takes 1 argument, got 0"),
+    (["operad", "tree-dims", "ass-minimal"],
+     "operad tree-dims takes 2 arguments, got 1"),
+    (["operad", "riso-extend"], "operad riso-extend takes 1 argument, got 0"),
+    (["operad", "riso-extend", "{dga}", "{dga}"],
+     "operad riso-extend takes 1 argument, got 2"),
+    (["operad", "kunneth", "ass-minimal"],
+     "operad kunneth takes 0 arguments, got 1"),
+    (["operad", "alpha", "riso"], "operad alpha takes 0 arguments, got 1"),
+    (["move", "m1", "{dga}", "--out", "{out}"],
+     "move m1 takes 2 arguments, got 1"),
+    (["move", "m2", "{dga}", "--out", "{out}"],
+     "move m2 takes 2 arguments, got 1"),
+    (["move", "m3", "{dga}", "{dga}", "{dga}", "--out", "{out}"],
+     "move m3 takes 2 arguments, got 3"),
+    (["move", "s", "{dga}", "--out", "{out}"],
+     "move s takes 2 arguments, got 1"),
+    (["verify", "ainf", "{dga}", "{dga}"],
+     "verify ainf takes 1 argument, got 2"),
+], ids=lambda x: "-".join(x[:2]) if isinstance(x, list) else x[-1])
+def test_wrong_argument_count_exits_2(argv, message, dga_file, tmp_path,
+                                      capsys):
+    """A missing or extra positional argument is an input error, found
+    before any file is read or written."""
+    files = {"dga": dga_file, "out": str(tmp_path / "out")}
+    assert main([arg.format(**files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dga.json"]
 
 
 def test_hashlib_fallback_gives_the_same_digests(dga_file):

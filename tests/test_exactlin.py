@@ -14,22 +14,19 @@ from shalg.exactlin import (
     GradedVectorSpace,
     homology_with_splitting,
     hom_differential,
-    identity_matrix,
     kernel_basis,
     make_matrix,
     map_sum,
-    mat_mul,
     mat_rank,
     rref,
     solve_matrix,
     solve_map_equation,
-    tensor_maps,
     tensor_basis_tuples,
     tensor_maps_many,
     tensor_power,
     tensor_spaces,
 )
-from test_sparse_reference import sparse_rows
+from test_sparse_reference import mat_mul, sparse_rows
 from test_transfer import random_chain_complex
 
 
@@ -119,7 +116,8 @@ def two_term_complex():
 def test_identity_tensor_identity():
     v = GradedVectorSpace({0: 1, 1: 2})
     i = GradedMap.identity(v)
-    assert tensor_maps(i, i) == GradedMap.identity(tensor_power(v, 2))
+    assert (tensor_maps_many([i, i])
+            == GradedMap.identity(tensor_power(v, 2)))
 
 
 def test_tensor_square_differential_squares_to_zero():
@@ -134,11 +132,11 @@ def test_koszul_sign_on_basis():
     # (1 x d)(b x b) = -(b x a): moving degree -1 map past degree-1 input
     c = two_term_complex()
     i = GradedMap.identity(c.space)
-    one_d = tensor_maps(i, c.differential)
+    one_d = tensor_maps_many([i, c.differential])
     # degree-2 source basis is the single (b, b); target degree-1 basis is
     # (a, b), (b, a) in flat lexicographic order
     assert one_d.block(2) == ((Fraction(0),), (Fraction(-1),))
-    d_one = tensor_maps(c.differential, i)
+    d_one = tensor_maps_many([c.differential, i])
     assert d_one.block(2) == ((Fraction(1),), (Fraction(0),))
 
 
@@ -177,9 +175,9 @@ def test_koszul_coherence_property(data):
     f = data.draw(map_between(s2, s3, d_f))
     gp = data.draw(map_between(t1, t2, d_gp))
     g = data.draw(map_between(t2, t3, d_g))
-    lhs = tensor_maps(f, g).compose(tensor_maps(fp, gp))
+    lhs = tensor_maps_many([f, g]).compose(tensor_maps_many([fp, gp]))
     sign = (-1) ** ((d_g * d_fp) % 2)
-    rhs = tensor_maps(f.compose(fp), g.compose(gp)).scale(sign)
+    rhs = tensor_maps_many([f.compose(fp), g.compose(gp)]).scale(sign)
     assert lhs == rhs
 
 

@@ -48,7 +48,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-DENSE_CALLS = {"rref", "kernel_basis", "make_matrix"}
+DENSE_CALLS = {"rref", "kernel_basis", "make_matrix", "mat_mul", "mat_add",
+               "identity_matrix"}
 DENSE_VIEWS = {"block", "blocks"}
 # The dense adapters themselves, and the action witness of `verify
 # action`, which prints the first nonzero block of a residual densely.
@@ -59,8 +60,8 @@ DENSE_ALLOWED = {("exactlin.py", "GradedMap.__init__"),
 
 def dense_uses(source: str) -> list:
     """(enclosing function, line, what) of each dense matrix use: a call
-    of rref, kernel_basis or make_matrix, a GradedMap built from dense
-    blocks, or a read of .block or .blocks."""
+    of a name in DENSE_CALLS, a GradedMap built from dense blocks, or a
+    read of .block or .blocks."""
     out = []
 
     def visit(node, scope):

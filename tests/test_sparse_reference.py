@@ -25,13 +25,10 @@ from shalg.exactlin import (
     LinearSolveResult,
     graded_inverse,
     hom_differential,
-    identity_matrix,
     kernel_basis,
     make_matrix,
     map_sum,
-    mat_add,
     mat_rank,
-    mat_mul,
     rref,
     solve_map_equation,
     tensor_maps_many,
@@ -55,6 +52,28 @@ def sparse_rows(a):
 
 def zeros(nrows, ncols):
     return tuple((Fraction(0),) * ncols for _ in range(nrows))
+
+
+def identity_matrix(n):
+    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
+                 for i in range(n))
+
+
+def mat_mul(a, b):
+    """Dense matrix product."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix shape mismatch in product")
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+              for j in range(len(b[0]) if b else 0))
+        for i in range(len(a)))
+
+
+def mat_add(a, b, ca=1, cb=1):
+    """Dense ca a + cb b."""
+    ca, cb = Fraction(ca), Fraction(cb)
+    return tuple(tuple(ca * a[i][j] + cb * b[i][j] for j in range(len(a[i])))
+                 for i in range(len(a)))
 
 
 def random_space(rng):

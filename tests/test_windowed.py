@@ -27,7 +27,6 @@ from shalg.ainfty import (
     an_residual,
     compose_morphisms,
     fn_residual,
-    sign_eta,
 )
 from shalg.exactlin import (
     ChainComplex,
@@ -186,12 +185,15 @@ def compositions(n, k):
             if sum(r) == n]
 
 
-# The hand-signed Stasheff and morphism identities: the residuals of
-# shalg.ainfty evaluate the stored differentials of the minimal models
-# instead, so these sums are an independent reference for them.  Signs:
+# The hand-signed Stasheff and morphism identities and composites: the
+# residuals of shalg.ainfty evaluate the stored differentials of the
+# minimal models, and composites and transfers sum suspended terms with
+# no sign, so these sums are an independent reference for them.  Signs:
 #
 #     epsilon = ij + j + s(j+1) + j(|a_1| + ... + |a_s|)   (i = n+1-j)
 #     nu      = ij + j + s(j+1) + j(|a_1| + ... + |a_s|)   (i = n+1-j)
+#     eta     = sum_{p<q} (r_p+1)
+#               + sum_{p>=2} (r_p+1)(degrees before block p)
 #
 # where the degree-dependent parts are the Koszul signs produced by
 # tensoring graded maps, so the operator-level sums carry only the
@@ -216,6 +218,28 @@ def sign_nu(n, j, s, degs=()):
     i = n + 1 - j
     nu = i * j + j + s * (j + 1) + j * sum(degs)
     return -1 if nu % 2 else 1
+
+
+def sign_eta(r, degs=None) -> int:
+    """Sign (-1)^eta of the partition term g_k . (f_{r_1} x ... x
+    f_{r_k}) of a composite morphism, or of mu_k . (f_{r_1} x ... x
+    f_{r_k}) in the morphism identity; degs, when given, lists all
+    input degrees; without it, only the scalar part."""
+    r = tuple(r)
+    if not r or any(x < 1 for x in r):
+        raise ValueError("block sizes must be positive")
+    n = sum(r)
+    eta = sum((r[p] + 1)
+              for p in range(len(r)) for q in range(p + 1, len(r)))
+    if degs is not None:
+        if len(degs) != n:
+            raise ValueError("need one degree per input")
+        pos = 0
+        for p, rp in enumerate(r):
+            if p >= 1:
+                eta += (rp + 1) * sum(degs[:pos])
+            pos += rp
+    return -1 if eta % 2 else 1
 
 
 def test_sign_epsilon_values():
@@ -245,6 +269,20 @@ def test_sign_nu_values():
     assert sign_nu(4, 3, 1, (1,)) == 1         # 6 + 3 + 4 + 3: odd j flips
     with pytest.raises(ValueError):
         sign_nu(3, 2, 2, (0, 0))
+
+
+def test_sign_eta_values():
+    assert sign_eta((1, 1)) == 1               # (1+1)
+    assert sign_eta((2, 1)) == -1              # (2+1)
+    assert sign_eta((1, 2)) == 1               # (1+1)
+    assert sign_eta((1, 1, 1)) == 1            # 2 + 2 + 2
+    assert sign_eta((1, 1), (1, 0)) == 1       # 2 + (1+1)*1: still even
+    assert sign_eta((1, 2), (0, 0, 0)) == 1    # (1+1)
+    assert sign_eta((1, 2), (1, 0, 0)) == -1   # (1+1) + (2+1)*1
+    with pytest.raises(ValueError):
+        sign_eta((1, 0))
+    with pytest.raises(ValueError):
+        sign_eta((1, 1), (0,))
 
 
 def ref_hom_differential(f, sources, target):
