@@ -10,8 +10,8 @@ cofibrant colored operad: an algebra of the minimal model of Ass
 only definition of the coherence identities here: the residual in
 arity n is the action's value on d(mu_n) (or d(f_n)) minus the
 hom-complex differential of mu_n (or f_n), evaluated exactly by
-operadcore.eval_element.  Composites of morphisms are summed as the
-evaluator and transfer sum trees: on suspended maps, with no sign.
+operadcore.eval_element.  Composites are operadcore.partition_sum's
+sign-free suspended sums, so this module holds unsuspended maps only.
 """
 
 from __future__ import annotations
@@ -19,22 +19,12 @@ from __future__ import annotations
 import functools
 from typing import Mapping, Optional
 
-from .exactlin import (
-    ChainComplex,
-    GradedMap,
-    map_sum,
-    tensor_maps_many,
-    tensor_power,
-    tensor_spaces,
-)
+from .exactlin import ChainComplex, GradedMap, tensor_power
 from .operadcore import (
     OperadPresentation,
-    _compositions,
-    _shift_space,
-    _suspended,
-    _suspension_conjugate,
     builtin_presentation,
     generator_residual,
+    partition_sum,
 )
 
 
@@ -120,25 +110,6 @@ def identity_morphism(a: AInfinityAlgebra) -> AInfinityMorphism:
 # ------------------------------------------------------------ coherence
 
 
-def _partition_sum(outer, inner, n: int, k_min: int,
-                   zero: GradedMap) -> GradedMap:
-    """Sum of outer(k) . (inner(r_1) x ... x inner(r_k)) over the
-    compositions r of n into k >= k_min parts, with no coefficient, as
-    in the suspended world; every term with a zero factor is skipped,
-    and zero is returned when none is left.  outer and inner map an
-    arity to a graded map."""
-    terms = []
-    for k in range(k_min, n + 1):
-        op = outer(k)
-        if op.is_zero():
-            continue
-        for r in _compositions(n, k):
-            factors = [inner(rp) for rp in r]
-            if not any(f.is_zero() for f in factors):
-                terms.append(op.compose(tensor_maps_many(factors)))
-    return map_sum(terms) if terms else zero
-
-
 def an_residual(a: AInfinityAlgebra, n: int) -> GradedMap:
     """Stasheff residual in arity n: the value of d(mu_n) in the minimal
     model of Ass under the algebra's action, minus the hom-complex
@@ -182,10 +153,11 @@ def check_all_Fn(m: AInfinityMorphism) -> dict:
 
 def compose_morphisms(g: AInfinityMorphism,
                       f: AInfinityMorphism) -> AInfinityMorphism:
-    """Composite strongly homotopy morphism: with g_k and f_r suspended,
-    the sum of g_k . (f_{r_1} x ... x f_{r_k}) over the compositions r
-    of n, desuspended once.  f's target and g's source must be the same
-    complex with the same operations up to the composite's order."""
+    """Composite strongly homotopy morphism: in arity n, the sign-free
+    suspended sum of g_k . (f_{r_1} x ... x f_{r_k}) over the
+    compositions r of n (operadcore.partition_sum).  f's target and g's
+    source must be the same complex with the same operations up to the
+    composite's order."""
     N = min(f.N, g.N)
     if f.target is not g.source and not (
             f.target.complex == g.source.complex
@@ -193,15 +165,8 @@ def compose_morphisms(g: AInfinityMorphism,
                     for n in range(2, N + 1))):
         raise ValueError("morphisms are not composable")
     U, V, W = f.source.space, f.target.space, g.target.space
-    sU, sW = _shift_space(U), _shift_space(W)
-    comps = {}
-    for n in range(1, N + 1):
-        total = _partition_sum(
-            lambda k: _suspended(g.f(k), (V,) * k, W),
-            lambda r: _suspended(f.f(r), (U,) * r, V), n, 1,
-            GradedMap.zero(tensor_spaces([sU] * n), sW, 0))
-        comps[n] = _suspension_conjugate(
-            total, [U] * n, tensor_power(U, n), W, -1)
+    comps = {n: partition_sum(g.f, f.f, n, 1, U, V, W, n - 1)
+             for n in range(1, N + 1)}
     return AInfinityMorphism(f.source, g.target, comps, N)
 
 

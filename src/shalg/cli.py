@@ -227,11 +227,23 @@ def _map_field(data, key, source, target):
                                    target, f"$.{key}")
 
 
+def _run_move(cert, hypothesis, move, *args, **kwargs):
+    """Run a move and record the hypothesis it checks: passed, returning
+    the result, or failed with the move's ValueError as witness (None)."""
+    try:
+        out = move(*args, **kwargs)
+    except ValueError as exc:
+        cert.add(hypothesis, False, witness=str(exc))
+        return None
+    cert.add(hypothesis, True)
+    return out
+
+
 def cmd_move(args):
     N = args.bound_n or DEFAULT_BOUND_N
     cert = Certificate(["move", args.move, *args.files], {"N": N})
     datas = [cert.load(p) for p in args.files]
-    outputs = []
+    outputs, out, pair = [], None, None
     try:
         if args.move == "m1":
             a = serialize.algebra_from_data(datas[0])
@@ -240,38 +252,27 @@ def cmd_move(args):
             flags = check_side_conditions(s)
             cert.add("hypothesis-side-conditions", flags["ok"])
             if flags["ok"]:
-                wa, mor = transfer_M1(a, s, N=min(N, a.N))
-                _verify_identities(cert, wa, "output-")
-                _verify_identities(cert, mor, "output-")
-                outputs = [(".structure.json", serialize.algebra_to_data(wa)),
-                           (".morphism.json", serialize.morphism_to_data(mor))]
-        elif args.move == "m2":
+                pair = transfer_M1(a, s, N=min(N, a.N))
+        elif args.move in ("m2", "m3"):
             m = serialize.morphism_from_data(datas[0])
             V, W = m.source, m.target
-            g = _map_field(datas[1], "g", V.space, W.space)
-            h = _map_field(datas[1], "h", V.space, W.space)
-            cert.add("hypothesis-homotopy-between-chain-maps", True)
-            out = perturb_M2(m, g, h, N=min(N, m.N))
-            cert.add("output-underlying-map", underlying(out) == g)
-            _verify_identities(cert, out, "output-")
-            outputs = [(".morphism.json", serialize.morphism_to_data(out))]
-        elif args.move == "m3":
-            m = serialize.morphism_from_data(datas[0])
-            V, W = m.source, m.target
-            g = _map_field(datas[1], "g", W.space, V.space)
-            h = _map_field(datas[1], "h", V.space, V.space)
-            ell = _map_field(datas[1], "l", W.space, W.space)
-            cert.add("hypothesis-homotopy-equivalence", True)
-            out = invert_M3(m, g, h, ell, N=min(N, m.N))
-            cert.add("output-underlying-map", underlying(out) == g)
-            _verify_identities(cert, out, "output-")
-            outputs = [(".morphism.json", serialize.morphism_to_data(out))]
+            if args.move == "m2":
+                g = _map_field(datas[1], "g", V.space, W.space)
+                h = _map_field(datas[1], "h", V.space, W.space)
+                out = _run_move(cert, "hypothesis-homotopy-between-chain-maps",
+                                perturb_M2, m, g, h, N=min(N, m.N))
+            else:
+                g = _map_field(datas[1], "g", W.space, V.space)
+                h = _map_field(datas[1], "h", V.space, V.space)
+                ell = _map_field(datas[1], "l", W.space, W.space)
+                out = _run_move(cert, "hypothesis-homotopy-equivalence",
+                                invert_M3, m, g, h, ell, N=min(N, m.N))
+            if out is not None:
+                cert.add("output-underlying-map", underlying(out) == g)
         elif args.move == "m4":
             ms = [serialize.morphism_from_data(d) for d in datas]
-            cert.add("hypothesis-composable-chain", True)
-            out = chain_M4(ms, N=min([N] + [m.N for m in ms]))
-            _verify_identities(cert, out, "output-")
-            outputs = [(".morphism.json", serialize.morphism_to_data(out))]
+            out = _run_move(cert, "hypothesis-composable-chain", chain_M4, ms,
+                            N=min([N] + [m.N for m in ms]))
         elif args.move == "s":
             a = serialize.algebra_from_data(datas[0])
             w = serialize.complex_from_data(
@@ -279,14 +280,17 @@ def cmd_move(args):
             f = _map_field(datas[1], "f", a.space, w.space)
             g = _map_field(datas[1], "g", w.space, a.space)
             h = _map_field(datas[1], "h", a.space, a.space)
-            cert.add("hypothesis-one-sided-retraction", True)
-            wa, mor = transfer_S(a, w, f, g, h, N=min(N, a.N))
-            _verify_identities(cert, wa, "output-")
-            _verify_identities(cert, mor, "output-")
-            outputs = [(".structure.json", serialize.algebra_to_data(wa)),
-                       (".morphism.json", serialize.morphism_to_data(mor))]
+            pair = _run_move(cert, "hypothesis-one-sided-retraction",
+                             transfer_S, a, w, f, g, h, N=min(N, a.N))
         else:
             raise ValueError(args.move)
+        if pair is not None:  # a transferred structure and its morphism
+            wa, out = pair
+            _verify_identities(cert, wa, "output-")
+            outputs = [(".structure.json", serialize.algebra_to_data(wa))]
+        if out is not None:
+            _verify_identities(cert, out, "output-")
+            outputs.append((".morphism.json", serialize.morphism_to_data(out)))
     except serialize.InputError:
         raise
     except ValueError as exc:

@@ -221,7 +221,7 @@ class GradedVectorSpace:
     labels, when they are first read.
     """
 
-    def __init__(self, dims: Mapping[int, int], labels=None, factors=None):
+    def __init__(self, dims: Mapping[int, int], labels=None):
         self.dims = {int(d): int(n) for d, n in dims.items() if n}
         if any(n < 0 for n in self.dims.values()):
             raise ValueError("negative dimension")
@@ -232,7 +232,7 @@ class GradedVectorSpace:
         for d, n in self.dims.items():
             if len(self._labels[d]) != n:
                 raise ValueError(f"label count mismatch in degree {d}")
-        self.factors = tuple(factors) if factors is not None else (self,)
+        self.factors = (self,)
 
     @classmethod
     def _tensor(cls, dims: dict, atoms: tuple) -> "GradedVectorSpace":
@@ -796,10 +796,10 @@ def graded_inverse(m: GradedMap) -> Optional[GradedMap]:
     return GradedMap.from_columns(m.target, m.source, 0, out)
 
 
-def split_coordinate_map(source: GradedVectorSpace,
-                         target: GradedVectorSpace, source_counts: Mapping,
-                         target_counts: Mapping,
-                         harmonic: GradedMap) -> GradedMap:
+def _split_coordinate_map(source: GradedVectorSpace,
+                          target: GradedVectorSpace, source_counts: Mapping,
+                          target_counts: Mapping,
+                          harmonic: GradedMap) -> GradedMap:
     """Degree-0 map between split coordinates (see HomologyData): the
     p-th boundary and the p-th preimage coordinate of the source go to
     the p-th ones of the target while p is below both counts, the rest
@@ -818,8 +818,8 @@ def split_coordinate_map(source: GradedVectorSpace,
     return GradedMap.from_columns(source, target, 0, out)
 
 
-def split_contraction(space: GradedVectorSpace, counts: Mapping,
-                      keep: Mapping) -> GradedMap:
+def _split_contraction(space: GradedVectorSpace, counts: Mapping,
+                       keep: Mapping) -> GradedMap:
     """Degree +1 map on split coordinates taking the p-th boundary
     coordinate of degree k, for p from keep.get(k, 0) on, to minus the
     p-th preimage coordinate of degree k + 1 (whose image under d is
@@ -877,15 +877,39 @@ def homology_with_splitting(c: ChainComplex) -> HomologyData:
     coords = graded_inverse(basis)
     if coords is None:
         raise AssertionError("decomposition columns are not a basis")
-    h_counts = {k: (0, n, 0) for k, n in homology.dims.items()}
+    out = HomologyData(c, homology, None, None, None, basis, coords, counts,
+                       pivots)
     ident = GradedMap.identity(homology)
-    inclusion = basis.compose(
-        split_coordinate_map(homology, space, h_counts, counts, ident))
-    projection = split_coordinate_map(
-        space, homology, counts, h_counts, ident).compose(coords)
-    phi = basis.compose(split_contraction(space, counts, {})).compose(coords)
-    return HomologyData(c, homology, inclusion, projection, phi, basis,
-                        coords, counts, pivots)
+    trivial = HomologyData(
+        ChainComplex.zero_differential(homology), homology, ident, ident,
+        GradedMap.zero(homology, homology, 1), ident, ident,
+        {k: (0, n, 0) for k, n in homology.dims.items()}, {})
+    out.inclusion, out.projection, out.splitting_homotopy = split_retract(
+        out, trivial, ident, ident)
+    return out
+
+
+def split_retract(big: HomologyData, small: HomologyData, alpha: GradedMap,
+                  alpha_inv: GradedMap):
+    """Retract (nabla, f, phi) of big's complex onto small's, assembled
+    from their splittings; alpha maps H(small) to H(big) and alpha_inv
+    back.  In split coordinates, nabla and f pair the first boundaries
+    and preimages of the two sides and map the harmonic parts by alpha
+    and alpha_inv; phi contracts the boundaries of big left unpaired, so
+    the three side conditions hold.  None when small has more preimages
+    than big in some degree."""
+    if any(nt > big.counts.get(k, (0, 0, 0))[2]
+           for k, (_, _, nt) in small.counts.items()):
+        return None
+    B, S = big.complex.space, small.complex.space
+    nabla = big.basis.compose(_split_coordinate_map(
+        S, B, small.counts, big.counts, alpha)).compose(small.coords)
+    f = small.basis.compose(_split_coordinate_map(
+        B, S, big.counts, small.counts, alpha_inv)).compose(big.coords)
+    paired = {k: nb for k, (nb, _, _) in small.counts.items()}
+    phi = big.basis.compose(_split_contraction(
+        B, big.counts, paired)).compose(big.coords)
+    return nabla, f, phi
 
 
 class LinearSolveResult:
@@ -931,21 +955,13 @@ def solve_map_equation(operator: Callable[[GradedMap], GradedMap],
         return {eq_index[(k, r, cc)]: x for k, cols in m.columns.items()
                 for cc, col in cols.items() for r, x in col.items()}
 
-    base = flatten(operator(GradedMap.zero(unknown_source, unknown_target,
-                                           unknown_degree)))
-
-    def less_base(vec: dict) -> dict:
-        _subtract_multiple(vec, _ONE, base)
-        return vec
-
     rows: list[dict] = [{} for _ in eq_rows]
     for j, (k, r, cc) in enumerate(variables):
         unit = GradedMap.from_columns(unknown_source, unknown_target,
                                       unknown_degree, {k: {cc: {r: _ONE}}})
-        for i, x in less_base(flatten(operator(unit))).items():
+        for i, x in flatten(operator(unit)).items():
             rows[i][j] = x
-    status, payload = solve_matrix(rows, len(variables),
-                                   less_base(flatten(rhs)))
+    status, payload = solve_matrix(rows, len(variables), flatten(rhs))
     if status == "solution":
         cols: Columns = {}
         for j in sorted(payload):

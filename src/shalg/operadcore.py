@@ -45,6 +45,7 @@ from .exactlin import (
     mat_rank,
     tensor_basis_tuples,
     tensor_maps_many,
+    tensor_power,
     tensor_spaces,
 )
 
@@ -520,8 +521,8 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int,
     return {"ok": not failures, "checked": checked, "failures": failures}
 
 
-def rename_generators(pres: OperadPresentation, mapping: Mapping[str, str],
-                      name=None) -> OperadPresentation:
+def rename_generators(pres: OperadPresentation,
+                      mapping: Mapping[str, str]) -> OperadPresentation:
     """Copy of a presentation with generators renamed per `mapping`
     (missing names are kept); differentials are retagged accordingly."""
     def newname(old):
@@ -537,7 +538,7 @@ def rename_generators(pres: OperadPresentation, mapping: Mapping[str, str],
             for g in pres.generators.values()]
     diff = {newname(k): {retag(t): c for t, c in img.items()}
             for k, img in pres.differential.items()}
-    return OperadPresentation(name or pres.name + "-renamed", pres.colors,
+    return OperadPresentation(pres.name + "-renamed", pres.colors,
                               gens, diff, symmetric=pres.symmetric,
                               augmented=pres.augmented)
 
@@ -633,19 +634,13 @@ def _children_choices(pres, arities, colors, budget, degree_budget=None):
 
 
 def component_dims(pres: OperadPresentation, arity: int, output_color,
-                   max_vertices=None, include_unit=True,
-                   input_colors=None) -> dict:
+                   include_unit=True) -> dict:
     """Per-degree dimensions of the arity component, with the arity!
     multiplicity for symmetric (regular-representation) presentations."""
-    if max_vertices is None:
-        max_vertices = _exact_vertex_bound(pres, arity)
     mult = math.factorial(arity) if pres.symmetric else 1
     dims: dict[int, int] = {}
-    for t in enumerate_trees(pres, arity, output_color, max_vertices,
-                             include_unit):
-        if input_colors is not None and tuple(
-                tree_leaf_colors(pres, t, output_color)) != tuple(input_colors):
-            continue
+    for t in enumerate_trees(pres, arity, output_color,
+                             _exact_vertex_bound(pres, arity), include_unit):
         d = _info(pres, t).degree
         dims[d] = dims.get(d, 0) + mult
     return dims
@@ -881,11 +876,11 @@ def kunneth_check(p1: OperadPresentation, p2: OperadPresentation,
 
 
 @functools.lru_cache(maxsize=64)
-def _shift_space(space, shift=1):
-    """The space with every degree raised by shift, made once per space
-    and shift (a bounded cache), so that tensor products of shifted
-    spaces are shared between evaluations."""
-    return GradedVectorSpace({k + shift: n for k, n in space.dims.items()})
+def _shift_space(space):
+    """The space with every degree raised by one, made once per space (a
+    bounded cache), so that tensor products of shifted spaces are shared
+    between evaluations."""
+    return GradedVectorSpace({k + 1: n for k, n in space.dims.items()})
 
 
 def _suspension_conjugate(m, factors, new_source, new_target, direction):
@@ -923,6 +918,33 @@ def _suspended(m: GradedMap, inputs: tuple, output) -> GradedMap:
     return _suspension_conjugate(
         m, inputs, tensor_spaces([_shift_space(v) for v in inputs]),
         _shift_space(output), 1)
+
+
+def partition_sum(outer, inner, n: int, k_min: int, source, middle, target,
+                  degree: int) -> GradedMap:
+    """Sum of outer(k) . (inner(r_1) x ... x inner(r_k)) over the
+    compositions r of n into k >= k_min parts, in the suspended world:
+    each factor is suspended once, no term carries a sign, and the sum
+    is desuspended once.  outer(k) : middle^(x k) -> target and
+    inner(r) : source^(x r) -> middle are unsuspended maps.  A term with
+    a zero factor is skipped, and the zero map source^(x n) -> target of
+    the given degree is returned when none is left."""
+    terms = []
+    for k in range(k_min, n + 1):
+        op = outer(k)
+        if op.is_zero():
+            continue
+        op = _suspended(op, (middle,) * k, target)
+        for r in _compositions(n, k):
+            factors = [inner(rp) for rp in r]
+            if not any(f.is_zero() for f in factors):
+                terms.append(op.compose(tensor_maps_many(
+                    [_suspended(f, (source,) * rp, middle)
+                     for f, rp in zip(factors, r)])))
+    if not terms:
+        return GradedMap.zero(tensor_power(source, n), target, degree)
+    return _suspension_conjugate(map_sum(terms), [source] * n,
+                                 tensor_power(source, n), target, -1)
 
 
 def eval_element(pres, action, complexes, elem: Element, input_colors,

@@ -13,14 +13,17 @@ The moves: transfer of a structure along an SDR (or along one-sided
 homotopy-retraction data), perturbation of the underlying map of a
 morphism along a chain homotopy, inversion of a morphism whose
 underlying map is a homotopy equivalence, and perturbation of a
-composite chain.  Transfer is computed by the homotopy perturbation
-recursion in the suspended world, which expands to the usual summation
-over planar rooted trees with operations at the vertices, the homotopy
-on the internal edges, the inclusion at the leaves, and the projection
-at the root.  The perturbation-style moves solve for one Taylor
-coefficient at a time by exact linear algebra; the relevant homotopy
-invariance theorems guarantee the systems are consistent, and an
-inconsistent solve is reported as an internal error.
+composite chain.  Transfer is the homotopy perturbation recursion,
+which expands to the usual summation over planar rooted trees with
+operations at the vertices, the homotopy on the internal edges, the
+inclusion at the leaves, and the projection at the root.  This module
+holds unsuspended maps only: the recursion's sign-free suspended sums
+are operadcore.partition_sum's, and SDRs are assembled from homology
+splittings by exactlin.split_retract.  The perturbation-style moves
+solve for one Taylor coefficient at a time by exact linear algebra;
+the relevant homotopy invariance theorems guarantee the systems are
+consistent, and an inconsistent solve is reported as an internal
+error.
 """
 
 from __future__ import annotations
@@ -30,28 +33,18 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .exactlin import (
     ChainComplex,
     GradedMap,
-    HomologyData,
     graded_inverse,
     hom_differential,
     homology_with_splitting,
     homotopy_residual,
     solve_map_equation,
-    split_contraction,
-    split_coordinate_map,
+    split_retract,
     tensor_power,
-    tensor_spaces,
 )
-from .operadcore import (
-    _shift_space,
-    _suspended,
-    _suspension_conjugate,
-    action_check,
-    builtin_presentation,
-)
+from .operadcore import action_check, builtin_presentation, partition_sum
 from .ainfty import (
     AInfinityAlgebra,
     AInfinityMorphism,
-    _partition_sum,
     compose_morphisms,
     fn_residual,
     underlying,
@@ -222,39 +215,16 @@ def sdr_from_equivalence(e: HomotopyEquivalence) -> SDRData:
     ainv = graded_inverse(amap)
     if ainv is None:
         raise ValueError("f does not induce an isomorphism on homology")
-
-    def feasible(big: HomologyData, small: HomologyData) -> bool:
-        return all(len(p) <= len(big.pivots.get(k, ()))
-                   for k, p in small.pivots.items())
-
-    if feasible(dw, dv):
-        return _build_sdr(dw, dv, amap, ainv)
-    if feasible(dv, dw):
-        return _build_sdr(dv, dw, ainv, amap)
+    for big, small, alpha, alpha_inv in ((dw, dv, amap, ainv),
+                                         (dv, dw, ainv, amap)):
+        parts = split_retract(big, small, alpha, alpha_inv)
+        if parts is not None:
+            out = SDRData(big.complex, small.complex, *parts)
+            assert check_side_conditions(out)["ok"]
+            return out
     raise ValueError("acyclic parts of the two complexes are incomparable; "
                      "no strong deformation retract exists in either "
                      "direction")
-
-
-def _build_sdr(big: HomologyData, small: HomologyData,
-               alpha: GradedMap, alpha_inv: GradedMap) -> SDRData:
-    """SDR of big onto small; alpha maps H(small) to H(big).  In split
-    coordinates, nabla and f pair the first boundaries and preimages of
-    the two sides and map the harmonic parts by alpha and its inverse;
-    phi contracts the boundaries of big left unpaired."""
-    B, S = big.complex, small.complex
-    nabla = big.basis.compose(split_coordinate_map(
-        S.space, B.space, small.counts, big.counts, alpha)).compose(
-        small.coords)
-    f = small.basis.compose(split_coordinate_map(
-        B.space, S.space, big.counts, small.counts, alpha_inv)).compose(
-        big.coords)
-    paired = {k: nb for k, (nb, _, _) in small.counts.items()}
-    phi = big.basis.compose(split_contraction(
-        B.space, big.counts, paired)).compose(big.coords)
-    out = SDRData(B, S, nabla, f, phi)
-    assert check_side_conditions(out)["ok"]
-    return out
 
 
 def sdr_onto_homology(c: ChainComplex) -> SDRData:
@@ -328,38 +298,20 @@ def riso_zero_extension(s: SDRData | RetractParts) -> dict:
 
 def _transfer(a: AInfinityAlgebra, target: ChainComplex, root: GradedMap,
               leaf: GradedMap, homotopy: GradedMap, N: int):
-    """Perturbation recursion shared by the two transfer moves.
-
-    root: V -> W, leaf: W -> V, homotopy on V with [homotopy, d]
-    = leaf . root - 1.  Works in the suspended world where the
-    coherence identities are sign-free, then desuspends.
-    """
-    V, W = a.complex, target
-    sV, sW = _shift_space(V.space), _shift_space(W.space)
-    P = _suspended(root, (V.space,), W.space)
-    I = _suspended(leaf, (W.space,), V.space)
-    H = _suspended(homotopy, (V.space,), V.space).scale(-1)
-
-    def b(k):
-        return _suspended(a.mu(k), (V.space,) * k, V.space)
-
-    theta = {1: I}
+    """Perturbation recursion shared by the two transfer moves, for root:
+    V -> W, leaf: W -> V and homotopy on V with [homotopy, d] = leaf .
+    root - 1.  Sigma_n, the sign-free suspended sum of mu_k . (f_{r_1} x
+    ... x f_{r_k}) over k >= 2 (operadcore.partition_sum), gives nu_n =
+    root . Sigma_n and f_n = -homotopy . Sigma_n, with f_1 = leaf."""
+    V, W = a.complex.space, target.space
     nu = {}
     f_out = {1: leaf}
     for n in range(2, N + 1):
-        total = _partition_sum(b, theta.get, n, 2, GradedMap.zero(
-            tensor_spaces([sW] * n), sV, -1))
-        nu_s = P.compose(total)
-        theta[n] = H.compose(total)
-        nu[n] = _suspension_conjugate(
-            nu_s, [W.space] * n, tensor_power(W.space, n), W.space, -1)
-        f_out[n] = _suspension_conjugate(
-            theta[n], [W.space] * n, tensor_power(W.space, n), V.space, -1)
-    out = AInfinityAlgebra(
-        W, {n: m for n, m in nu.items() if not m.is_zero()}, N)
-    mor = AInfinityMorphism(
-        out, a, {n: m for n, m in f_out.items() if not m.is_zero()}, N)
-    return out, mor
+        total = partition_sum(a.mu, f_out.get, n, 2, W, V, V, n - 2)
+        nu[n] = root.compose(total)
+        f_out[n] = homotopy.compose(total).scale(-1)
+    out = AInfinityAlgebra(target, nu, N)
+    return out, AInfinityMorphism(out, a, f_out, N)
 
 
 def transfer_M1(a: AInfinityAlgebra, s: SDRData, N: Optional[int] = None):

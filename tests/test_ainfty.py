@@ -155,6 +155,26 @@ def test_algebra_validation():
     assert a.mu(3).is_zero() and a.mu(3).degree == 1
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda c, a: AInfinityAlgebra(c, {}, 1),
+     "truncation order must be at least 2"),
+    (lambda c, a: AInfinityAlgebra(c, {2: GradedMap.zero(c.space, c.space,
+                                                         0)}),
+     "mu_2 has wrong source or target"),
+    (lambda c, a: AInfinityMorphism(a, a, {3: GradedMap.zero(
+        tensor_power(c.space, 3), c.space, 2)}, 2),
+     "f_3 outside truncation 1..2"),
+    (lambda c, a: AInfinityMorphism(a, a, {1: GradedMap.zero(
+        tensor_power(c.space, 2), c.space, 0)}),
+     "f_1 has wrong source or target"),
+], ids=["algebra-N", "algebra-source", "morphism-arity", "morphism-source"])
+def test_structure_input_checks(build, message):
+    c = contractible()
+    with pytest.raises(ValueError) as info:
+        build(c, AInfinityAlgebra(c, {}, 4))
+    assert str(info.value) == message
+
+
 def test_morphism_validation():
     c = contractible()
     a = AInfinityAlgebra(c, {}, 4)

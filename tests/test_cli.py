@@ -24,7 +24,12 @@ from shalg.exactlin import (
     tensor_maps_many,
     tensor_power,
 )
-from shalg.ainfty import AInfinityAlgebra, AInfinityMorphism, an_residual
+from shalg.ainfty import (
+    AInfinityAlgebra,
+    AInfinityMorphism,
+    an_residual,
+    identity_morphism,
+)
 from shalg.transfer import (
     retract_residuals,
     riso_zero_extension,
@@ -510,9 +515,51 @@ def test_move_m4_rejects_a_different_middle_structure(dga_file, tmp_path,
         serialize.dump(str(path), serialize.morphism_to_data(m))
     out = str(tmp_path / "c")
     assert main(["move", "m4", *map(str, paths), "--out", out]) == 1
-    assert ("[FAIL] hypotheses  witness=\"morphisms are not composable\""
-            in capsys.readouterr().out)
+    text = capsys.readouterr().out
+    assert ("[FAIL] hypothesis-composable-chain  "
+            "witness=\"morphisms are not composable\"") in text
+    assert "[PASS] hypothesis-composable-chain" not in text
+    assert "[FAIL] hypotheses" not in text
     assert not os.path.exists(out + ".morphism.json")
+
+
+def _failing_move_data(move):
+    """The second input file of a move on the exterior DGA whose named
+    hypothesis fails: g is twice the identity, which no zero homotopy
+    relates to the identity."""
+    sp = exterior_dga().space
+    ident, zero = GradedMap.identity(sp), GradedMap.zero(sp, sp, 1)
+    maps = {"g": ident.scale(2), "h": zero}
+    if move == "m3":
+        maps["l"] = zero
+    if move == "s":
+        maps.update(target=exterior_dga().complex, f=ident)
+    return {k: serialize.complex_to_data(v) if k == "target"
+            else serialize.map_to_data(v) for k, v in maps.items()}
+
+
+@pytest.mark.parametrize("move, hypothesis, witness", [
+    ("m2", "homotopy-between-chain-maps",
+     "h is not a homotopy from underlying(m) to g"),
+    ("m3", "homotopy-equivalence", "h is not a homotopy from 1 to g f"),
+    ("s", "one-sided-retraction", "h is not a homotopy from 1 to g f"),
+], ids=["m2", "m3", "s"])
+def test_move_records_its_failed_hypothesis(move, hypothesis, witness,
+                                            tmp_path, capsys):
+    """A move that rejects its data fails its named hypothesis, with the
+    move's message as witness, and never passes it first."""
+    a = exterior_dga()
+    first = (serialize.algebra_to_data(a) if move == "s" else
+             serialize.morphism_to_data(identity_morphism(a)))
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path, data in zip(paths, [first, _failing_move_data(move)]):
+        serialize.dump(str(path), data)
+    out = str(tmp_path / "out")
+    assert main(["move", move, *map(str, paths), "--out", out]) == 1
+    assert capsys.readouterr().out == (
+        f"[FAIL] hypothesis-{hypothesis}  witness=\"{witness}\"\n"
+        "FAILED: 0 passed, 1 failed\n")
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_move_s(dga_file, sdr_file, tmp_path):

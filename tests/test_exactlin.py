@@ -81,6 +81,33 @@ def test_tensor_power_identity_case():
     assert tensor_power(v, 1) is v
 
 
+_LINE = GradedVectorSpace({0: 1, 1: 1})
+_LINE_COMPLEX = ChainComplex(_LINE, GradedMap(_LINE, _LINE, -1, {1: [[1]]}))
+_POINT = GradedVectorSpace({0: 2})
+_RAY = GradedVectorSpace({0: 1, 1: 1, 2: 1})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChainComplex(_LINE, GradedMap.zero(_LINE, _POINT, -1)),
+     "differential must be an endomap of the space"),
+    (lambda: ChainComplex(_LINE, GradedMap.zero(_LINE, _LINE, 0)),
+     "differential must have degree -1"),
+    (lambda: ChainComplex(_RAY, GradedMap(_RAY, _RAY, -1,
+                                          {1: [[1]], 2: [[1]]})),
+     "differential does not square to zero"),
+    (lambda: hom_differential(GradedMap.zero(_POINT, _LINE, 0),
+                              [_LINE_COMPLEX], _LINE_COMPLEX),
+     "source of f is not the declared tensor product"),
+    (lambda: hom_differential(GradedMap.zero(_LINE, _POINT, 0),
+                              [_LINE_COMPLEX], _LINE_COMPLEX),
+     "target of f does not match the declared complex"),
+], ids=["not-endomap", "degree", "square", "hom-source", "hom-target"])
+def test_complex_input_checks(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_tensor_power_rejects_zero():
     with pytest.raises(ValueError):
         tensor_power(GradedVectorSpace({0: 1}), 0)

@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every name a module of
-shalg imports is used in that module, no function works on dense
-matrices except the dense adapters, importing the command line front
-end loads no module that only some commands need, and no command that
-hashes its input files loads OpenSSL."""
+shalg imports is used in that module, no module imports another's
+underscore names, no function works on dense matrices except the dense
+adapters, importing the command line front end loads no module that
+only some commands need, and no command that hashes its input files
+loads OpenSSL."""
 
 import ast
 import pathlib
@@ -46,6 +47,31 @@ def test_detects_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each underscore name imported from another module
+    of the package, `from .module import _name`: every module keeps its
+    conventions behind its public functions."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_detects_private_imports():
+    source = ("from __future__ import annotations\n"
+              "from fractions import _gcd\n"
+              "from .exactlin import GradedMap, _frac\n"
+              "from .operadcore import (\n    _suspended,\n"
+              "    partition_sum,\n)\n"
+              "from . import _tables\n")
+    assert private_imports(source) == [
+        (3, "_frac"), (4, "_suspended"), (8, "_tables")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_between_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 DENSE_CALLS = {"rref", "kernel_basis", "make_matrix", "mat_mul", "mat_add",

@@ -146,6 +146,45 @@ def perturbed_sdr(rng, dims):
 # ------------------------------------------------------- SDR construction
 
 
+def _equivalence_maps(bad):
+    """Maps f, g, h, l on the acyclic complex Q -> Q in degrees 1, 0
+    making a homotopy equivalence, except the one named bad: a map that
+    is no chain map for f or g, and for h or l a contraction in degree 0
+    where the zero map is the homotopy."""
+    sp = GradedVectorSpace({0: 1, 1: 1})
+    c = ChainComplex(sp, GradedMap(sp, sp, -1, {1: [[1]]}))
+    maps = {"f": GradedMap.identity(sp), "g": GradedMap.identity(sp),
+            "h": GradedMap.zero(sp, sp, 1), "l": GradedMap.zero(sp, sp, 1)}
+    maps[bad] = (GradedMap(sp, sp, 0, {0: [[1]]}) if bad in "fg" else
+                 GradedMap(sp, sp, 1, {0: [[1]]}))
+    return c, maps
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("f", "f is not a chain map"),
+    ("g", "g is not a chain map"),
+    ("h", "h is not a homotopy from 1 to g f"),
+    ("l", "l is not a homotopy from 1 to f g"),
+])
+def test_homotopy_equivalence_input_checks(bad, message):
+    c, m = _equivalence_maps(bad)
+    with pytest.raises(ValueError) as info:
+        HomotopyEquivalence(c, c, m["f"], m["g"], m["h"], m["l"])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("f", "f is not a chain map"),
+    ("g", "g is not a chain map"),
+    ("h", "h is not a homotopy from 1 to g f"),
+])
+def test_transfer_s_input_checks(bad, message):
+    c, m = _equivalence_maps(bad)
+    with pytest.raises(ValueError) as info:
+        transfer_S(AInfinityAlgebra(c, {}, 3), c, m["f"], m["g"], m["h"])
+    assert str(info.value) == message
+
+
 def test_sdr_validation_rejects_wrong_data():
     rng = random.Random(0)
     sp = GradedVectorSpace({0: 2, 1: 1})
