@@ -36,6 +36,7 @@ from .operadcore import (
 )
 from .operadcore import GeneratorSpec, OperadPresentation
 from .transfer import (
+    NOT_ON_BIG_COMPLEX,
     chain_M4,
     check_side_conditions,
     invert_M3,
@@ -248,10 +249,12 @@ def cmd_move(args):
         if args.move == "m1":
             a = serialize.algebra_from_data(datas[0])
             s = serialize.sdr_from_data(datas[1])
-            cert.add("hypothesis-retract-data", True)
+            same = s.big == a.complex
+            cert.add("hypothesis-retract-data", same,
+                     witness=None if same else NOT_ON_BIG_COMPLEX)
             flags = check_side_conditions(s)
             cert.add("hypothesis-side-conditions", flags["ok"])
-            if flags["ok"]:
+            if same and flags["ok"]:
                 pair = transfer_M1(a, s, N=min(N, a.N))
         elif args.move in ("m2", "m3"):
             m = serialize.morphism_from_data(datas[0])

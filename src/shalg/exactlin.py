@@ -399,6 +399,11 @@ def tensor_basis_tuples(factors: Sequence[GradedVectorSpace]) -> Mapping:
     return _tensor_basis(_atoms(factors)).tuples
 
 
+def tensor_basis_index(factors: Sequence[GradedVectorSpace], d: int) -> dict:
+    """Degree-d basis tuple -> its position (shared, never mutated)."""
+    return _tensor_basis(_atoms(factors)).index(d)
+
+
 def tensor_power(space: GradedVectorSpace, n: int) -> GradedVectorSpace:
     """n-fold tensor power; basis labels are ordered n-tuples."""
     if n < 1:

@@ -32,6 +32,7 @@ Fraction coefficients.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -43,6 +44,7 @@ from .exactlin import (
     hom_differential,
     map_sum,
     mat_rank,
+    tensor_basis_index,
     tensor_basis_tuples,
     tensor_maps_many,
     tensor_power,
@@ -947,6 +949,26 @@ def partition_sum(outer, inner, n: int, k_min: int, source, middle, target,
                                  tensor_power(source, n), target, -1)
 
 
+@functools.lru_cache(maxsize=256)
+def _suspended_images(m: GradedMap):
+    """(L, images): images[K] maps each source tuple of suspended degree
+    K to the nonzero entries of its image under s . m . (s^-1)^(x n),
+    scaled by L, the lcm of m's denominators, to ints; once per map."""
+    scale = math.lcm(1, *(x.denominator for cols in m.columns.values()
+                          for col in cols.values() for x in col.values()))
+    tuples = tensor_basis_tuples([m.source])
+    images = {}
+    for k, cols in m.columns.items():
+        out = images[k + len(m.source.factors)] = {}
+        for c, col in cols.items():
+            t = tuples[k][c]
+            sign = -1 if sum(deg for deg, _ in t[-2::-2]) % 2 else 1
+            out[t] = [((k + m.degree, r),
+                       sign * x.numerator * (scale // x.denominator))
+                      for r, x in col.items()]
+    return scale, images
+
+
 def eval_element(pres, action, complexes, elem: Element, input_colors,
                  output_color, degree: int) -> GradedMap:
     """Value of the action on an element of the given degree, in the
@@ -954,59 +976,86 @@ def eval_element(pres, action, complexes, elem: Element, input_colors,
     map is conjugated by suspensions, trees are composed with plain
     Koszul signs in the suspended world, and their sum, weighted by the
     tree orientation signs, is desuspended.  A tree in which some
-    generator is assigned a zero map is skipped, so an element all of
-    whose trees have a zero factor is the zero map of that degree.
+    generator is assigned a zero map contributes nothing.
 
     On two-level trees this differs from the naive composite of the
     assigned maps only by (-1)^(product of the two arities); the twist
     is what makes the coherence identities of a structure equivalent to
     its action commuting with the differentials at every arity.
+
+    Each subtree is an integer table (source tuple -> nonzero image) per
+    suspended degree, shared within the call, and is asked only for the
+    degrees the target, or its parent's nonzero columns, can take.
     """
     spaces = [complexes[c].space for c in input_colors]
     source = tensor_spaces(spaces)
     target = complexes[output_color].space
-    s_ident = {c: GradedMap.identity(_shift_space(cc.space))
-               for c, cc in complexes.items()}
 
-    def suspended(name):
-        g = pres.gen(name)
-        return _suspended(action[name],
-                          tuple(complexes[c].space for c in g.inputs),
-                          complexes[g.output].space)
-
-    def eval_s(t, color):
-        """Suspended value of t, or None when some generator of t is
-        assigned a zero map."""
-        if is_leaf(t):
-            return s_ident[color]
-        g = pres.gen(t[0])
+    @functools.cache
+    def table(t, color, k):
+        if t == LEAF:
+            return {((k - 1, i),): [((k - 1, i), 1)]
+                    for i in range(complexes[color].space.dim(k - 1))}
+        g, kids, tab = pres.gen(t[0]), t[1:], {}
         if g.output != color:
             raise ValueError("output color mismatch in evaluation")
-        if action[t[0]].is_zero():
-            return None
-        if all(is_leaf(c) for c in t[1:]):  # a corolla
-            return suspended(t[0])
-        kids = []
-        for c, in_color in zip(t[1:], g.inputs):
-            kid = eval_s(c, in_color)
-            if kid is None:
-                return None
-            kids.append(kid)
-        inner = kids[0] if len(kids) == 1 else tensor_maps_many(kids)
-        return suspended(t[0]).compose(inner)
+        shifts = [_info(pres, c).shifted_degree for c in kids]
+        gcols = _suspended_images(action[t[0]])[1].get(k + sum(shifts), {})
+        for split in {tuple([d + 1 - f for (d, _), f in zip(y, shifts)])
+                      for y in gcols}:
+            subs = [table(c, in_color, s)
+                    for c, in_color, s in zip(kids, g.inputs, split)]
+            if not all(subs):
+                continue
+            # Koszul sign of the children's tensor product on this split
+            odd = sum(f * sum(split[:j]) for j, f in enumerate(shifts)) % 2
+            for picks in itertools.product(*[sub.items() for sub in subs]):
+                chunks, images = zip(*picks)
+                col = {}
+                for terms in itertools.product(*images):
+                    ys, coeffs = zip(*terms)
+                    entries = gcols.get(ys)
+                    if entries:
+                        x = math.prod(coeffs)
+                        for z, b in entries:
+                            col[z] = col.get(z, 0) + x * b
+                col = [(z, -v if odd else v) for z, v in col.items() if v]
+                if col:
+                    tab[sum(chunks, ())] = col
+        return tab
 
-    terms, coeffs = [], []
+    n = len(spaces)
+    window = [k + n for k in source.dims if k + degree in target.dims]
+    by_root = {}  # LEAF[0] is LEAF: the unit tree is a group of its own
     for t, c in elem.items():
-        val = eval_s(t, output_color)
-        if val is not None:
-            terms.append(val)
-            coeffs.append(c * _info(pres, t).sign)
-    if not terms:
-        return GradedMap.zero(source, target, degree)
-    total = _suspension_conjugate(map_sum(terms, coeffs), spaces, source,
-                                  target, -1)
-    assert total.degree == degree
-    return total
+        by_root.setdefault(t[0], []).append((t, c))
+    weights = {}  # tree -> its weight over the tables' scale
+    for root, trees in by_root.items():
+        if root == LEAF or not action[root].is_zero():
+            for t, c in trees:
+                if _info(pres, t).degree != degree:
+                    raise ValueError("tree degree differs from the element's")
+                weights[t] = Fraction(c * _info(pres, t).sign, math.prod(
+                    [_suspended_images(action[v])[0] for v in tree_word(t)]))
+    denom = math.lcm(1, *(w.denominator for w in weights.values()))
+    total = {}  # source tuple -> target index -> int over denom
+    for t, w in weights.items():
+        w = w.numerator * (denom // w.denominator)
+        for k in window:
+            for src, image in table(t, output_color, k).items():
+                col = total.setdefault(src, {})
+                for (_, r), v in image:
+                    col[r] = col.get(r, 0) + w * v
+    table.cache_clear()  # the closure is a cycle: free the tables now
+    columns = {}
+    for src, col in total.items():
+        k = sum(deg for deg, _ in src)
+        sign = -1 if sum(deg for deg, _ in src[-2::-2]) % 2 else 1
+        col = {r: Fraction(sign * v, denom) for r, v in col.items() if v}
+        if col:
+            columns.setdefault(k, {})[
+                tensor_basis_index(spaces, k)[src]] = col
+    return GradedMap.from_columns(source, target, degree, columns)
 
 
 def generator_residual(pres: OperadPresentation,

@@ -314,13 +314,16 @@ def _transfer(a: AInfinityAlgebra, target: ChainComplex, root: GradedMap,
     return out, AInfinityMorphism(out, a, f_out, N)
 
 
+NOT_ON_BIG_COMPLEX = "structure does not live on the big complex"
+
+
 def transfer_M1(a: AInfinityAlgebra, s: SDRData, N: Optional[int] = None):
     """Transfer a structure on the big complex of an SDR onto the small
     one.  Returns the transferred structure and a coherent morphism from
     it back to the input whose underlying map is nabla.  Requires the
     side conditions (normalize first if needed)."""
-    if s.big != a.complex and s.big.space != a.complex.space:
-        raise ValueError("structure does not live on the big complex")
+    if s.big != a.complex:
+        raise ValueError(NOT_ON_BIG_COMPLEX)
     flags = check_side_conditions(s)
     if not flags["ok"]:
         bad = [k for k, v in flags.items() if k != "ok" and not v]

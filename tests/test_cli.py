@@ -466,6 +466,24 @@ def test_move_m1_rejects_violating_sdr(dga_file, tmp_path, capsys):
     assert not os.path.exists(out + ".structure.json")
 
 
+def test_move_m1_rejects_retract_of_another_differential(dga_file, tmp_path,
+                                                         capsys):
+    a = exterior_dga()
+    s = sdr_onto_homology(ChainComplex.zero_differential(a.space))
+    spath = tmp_path / "other_sdr.json"
+    serialize.dump(str(spath), serialize.sdr_to_data(s))
+    out = str(tmp_path / "out")
+    assert main(["move", "m1", dga_file, str(spath), "--out", out,
+                 "--format", "machine"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [
+        {"name": "hypothesis-retract-data", "status": "fail",
+         "witness": "structure does not live on the big complex"},
+        {"name": "hypothesis-side-conditions", "status": "pass"}]
+    assert not os.path.exists(out + ".structure.json")
+    assert not os.path.exists(out + ".morphism.json")
+
+
 def test_move_m2_identity_homotopy(dga_file, tmp_path, capsys):
     a = exterior_dga()
     m = AInfinityMorphism(a, a, {1: GradedMap.identity(a.space)}, 4)

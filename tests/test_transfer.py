@@ -434,6 +434,16 @@ def test_transfer_m1_requires_side_conditions():
         transfer_M1(a, s)
 
 
+def test_transfer_m1_rejects_another_differential():
+    """A retract of the structure's space under another differential is
+    no retract of its complex, even where the side conditions hold."""
+    a = exterior_dga()
+    s = sdr_onto_homology(ChainComplex.zero_differential(a.space))
+    assert check_side_conditions(s)["ok"]
+    with pytest.raises(ValueError, match="big complex"):
+        transfer_M1(a, s)
+
+
 def test_transfer_m1_random_structures():
     done = 0
     for seed in (9, 13, 17, 19, 23, 29):

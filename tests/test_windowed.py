@@ -9,7 +9,8 @@ zero factor; all return typed zeros for arities whose terms all
 vanish.  Here every residual, composite and transferred structure is
 compared with a hand-signed reference that sums every term, on random
 structures with some operations zero, including negatively graded
-ones, whose degree window never closes.
+ones, whose degree window never closes, and the residuals also on
+such structures with every operation nonzero.
 """
 
 import itertools
@@ -376,10 +377,10 @@ def random_complex(rng):
         rng, {d: rng.randint(1, 2) for d in rng.choice(WINDOWS)})
 
 
-def random_map(rng, source, target, degree, p_zero=0.35):
+def random_map(rng, source, target, degree, p_zero=0.35, entries=ENTRIES):
     if rng.random() < p_zero:
         return GradedMap.zero(source, target, degree)
-    blocks = {k: [[rng.choice(ENTRIES) for _ in range(source.dim(k))]
+    blocks = {k: [[rng.choice(entries) for _ in range(source.dim(k))]
                   for _ in range(target.dim(k + degree))]
               for k in source.degrees() if target.dim(k + degree)}
     return GradedMap(source, target, degree, blocks)
@@ -416,6 +417,42 @@ def test_residuals_match_unskipped_sums(rng):
     for n in range(2, N + 1):
         assert_same(an_residual(a, n), ref_an_residual(a, n))
     for n in range(1, m.N + 1):
+        assert_same(fn_residual(m, n), ref_fn_residual(m, n))
+
+
+# no zero, and two denominators, so that the subtree tables carry scales
+# other than 1 and the trees are summed over a common denominator
+DENSE_ENTRIES = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(rng=rngs, window=st.sampled_from(((-1, 0, 1), (-2, -1, 0))))
+def test_window_open_residuals_match_unskipped_sums(rng, window):
+    """With every operation and every f_n nonzero, on windows where every
+    arity has degrees to map, the residuals that evaluate integer
+    subtree tables equal the hand-signed sums."""
+    N = rng.randint(2, 5)
+
+    def dense(source, target, degree):
+        m = random_map(rng, source, target, degree, 0, DENSE_ENTRIES)
+        assert not m.is_zero()
+        return m
+
+    def algebra():  # four dimensions in three degrees
+        wide = rng.choice(window)
+        c = random_chain_complex(rng, {d: 1 + (d == wide) for d in window})
+        return AInfinityAlgebra(c, {n: dense(tensor_power(c.space, n),
+                                             c.space, n - 2)
+                                    for n in range(2, N + 1)}, N)
+
+    a, b = algebra(), algebra()
+    M = rng.randint(1, N)  # a partial morphism, as the towers build them
+    m = AInfinityMorphism(a, b, {n: dense(tensor_power(a.space, n), b.space,
+                                          n - 1)
+                                 for n in range(1, M + 1)}, M)
+    for n in range(2, N + 1):
+        assert_same(an_residual(a, n), ref_an_residual(a, n))
+    for n in range(1, M + 1):
         assert_same(fn_residual(m, n), ref_fn_residual(m, n))
 
 
