@@ -6,11 +6,12 @@ pass/fail status, an exact-residual flag, and a first-failure witness.
 Exit status is nonzero exactly when some check fails.
 """
 
-import argparse
 import json
 import os
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import serialize
 from .ainfty import (
@@ -402,70 +403,295 @@ def cmd_operad(args):
 
 
 # ------------------------------------------------------------------ parser
+#
+# The command line is read by hand from one table, with argparse's rules:
+# argparse, with the gettext and locale modules it loads, cost every
+# command about 8 ms of start-up, more than most commands' own work.
+
+DESCRIPTION = ("Exact verification and homotopy-invariance moves for "
+               "strongly homotopy associative structures.")
 
 
 def _positive_int(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
+# The options every command takes: (option, dest, metavar, values,
+# default, help), where values is the tuple of the allowed texts or a
+# function that converts the text, raising ValueError with the message.
+_OPTIONS = (
+    ("--bound-n", "bound_n", "N", _positive_int, None,
+     "coherence truncation order"),
+    ("--arity", "arity", "N", _positive_int, None, None),
+    ("--length", "length", "N", _positive_int, None,
+     "word-length cap for truncated computations"),
+    ("--format", "format", None, ("text", "machine"), "text", None),
+)
+
+# One row per command: its help, the function that runs it, the dest of
+# its positional choice, each choice with the number of inputs it reads
+# (None: one or more, the chain move m4 composes), the fewest inputs the
+# command line may give, and its --out as (dest, metavar, required, help).
+COMMANDS = {
+    "verify": {
+        "help": "check coherence identities", "func": cmd_verify,
+        "choice": "kind",
+        "files": {"ainf": 1, "morphism": 1, "sdr": 1, "action": 1},
+        "least": 1,
+        "out": ("cert_out", "PATH", False,
+                "write the certificate to this path")},
+    "move": {
+        "help": "run a homotopy-invariance move", "func": cmd_move,
+        "choice": "move",
+        "files": {"m1": 2, "m2": 2, "m3": 2, "m4": None, "s": 2},
+        "least": 1,
+        "out": ("out", "PREFIX", True, "prefix for output structure files")},
+    "operad": {
+        "help": "operad-level computations", "func": cmd_operad,
+        "choice": "sub",
+        "files": {"d2": 1, "homology": 1, "kunneth": 0, "riso-extend": 1,
+                  "tree-dims": 2, "alpha": 0},
+        "least": 0,
+        "out": ("cert_out", "PATH", False,
+                "write the certificate to this path")},
+}
+
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _options(name):
+    """Option string -> (dest, metavar, values, default, help) for one
+    command, --out last."""
+    dest, metavar, _, help_ = COMMANDS[name]["out"]
+    return {option: spec for option, *spec in
+            (*_OPTIONS, ("--out", dest, metavar, str, None, help_))}
+
+
+def _metavar(metavar, values):
+    return metavar or "{" + ",".join(values) + "}"
+
+
+def _usage(name):
+    if name is None:
+        return f"usage: shalg [-h] {_metavar(None, COMMANDS)} ..."
+    row = COMMANDS[name]
+    parts = ["[-h]"]
+    for option, (_, metavar, values, _, _) in _options(name).items():
+        part = f"{option} {_metavar(metavar, values)}"
+        parts.append(part if option == "--out" and row["out"][2]
+                     else f"[{part}]")
+    inputs = "INPUT [INPUT ...]" if row["least"] else "[INPUT ...]"
+    return (f"usage: shalg {name} {' '.join(parts)} "
+            f"{_metavar(None, row['files'])} {inputs}")
+
+
+def _help(name):
+    """The -h text of the top level (name None) or of one command."""
+    text = [_usage(name), ""]
+    help_row = ("-h, --help", "show this help message and exit")
+    if name is None:
+        text.append(DESCRIPTION)
+        sections = [("commands",
+                     [(n, row["help"]) for n, row in COMMANDS.items()]),
+                    ("options", [help_row])]
+    else:
+        row = COMMANDS[name]
+        text.append(row["help"])
+        counts = ", ".join(f"{c} {'1 or more' if k is None else k}"
+                           for c, k in row["files"].items())
+        sections = [
+            ("arguments", [(_metavar(None, row["files"]), None),
+                           ("INPUT", f"inputs each reads: {counts}")]),
+            ("options", [help_row] + [
+                (f"{option} {_metavar(metavar, values)}",
+                 " ".join(filter(None, (help_, default and
+                                        f"(default: {default})"))))
+                for option, (_, metavar, values, default, help_)
+                in _options(name).items()])]
+    for title, rows in sections:
+        width = max(len(left) for left, _ in rows) + 2
+        text += ["", f"{title}:"] + [f"  {left:<{width}}{right or ''}".rstrip()
+                                     for left, right in rows]
+    return "\n".join(text) + "\n"
+
+
+def _fail(name, message):
+    """Print the usage and the error, and exit with status 2."""
+    prog = "shalg" if name is None else f"shalg {name}"
+    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help_or_fail(name, option, value):
+    """-h or --help: print the help and exit with status 0.  A value
+    glued to it is an error, except more h's (-hh is -h twice)."""
+    if value is not None:
+        glued = value.lstrip("h") if option == "-h" else value
+        if glued or not value:
+            _fail(name, f"argument -h/--help: ignored explicit argument "
+                        f"{glued!r}")
+    sys.stdout.write(_help(name))
+    raise SystemExit(0)
+
+
+def _convert(name, what, values, text):
+    if isinstance(values, tuple):
+        if text in values:
+            return text
+        _fail(name, f"argument {what}: invalid choice: {text!r} (choose "
+                    f"from {', '.join(map(repr, values))})")
+    try:
+        return values(text)
+    except ValueError as exc:
+        _fail(name, f"argument {what}: {exc}")
+
+
+def _read_option(token, options, name):
+    """How argparse reads one token against the option strings `options`:
+    None for a positional, (None, None) for an unknown option, else the
+    option and the value glued to it by '=' (or to a short option), or
+    None.  An ambiguous prefix is an error."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in options:
+        return head, value
+    if token[1] == "-":
+        matches = [o for o in options if o.startswith(head)]
+        if len(matches) > 1:
+            _fail(name, f"ambiguous option: {token} could match "
+                        f"{', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[:2] in options:
+        return token[:2], token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _without_end(run):
+    """The tokens of a run of positionals, less the first '--' (argparse
+    drops it from each argument's tokens)."""
+    tokens = [token for token, _ in run]
+    if "--" in tokens:
+        tokens.remove("--")
+    return tokens
+
+
+def _parse_command(name, tokens):
+    """The attributes one command's tokens give, and the tokens left
+    unrecognized.  Each token reads as a positional (None), an option (a
+    tuple), or the '--' after which every token is a positional (False).
+    As in argparse, each run of positionals between options is matched
+    greedily against the positionals still waiting, the choice and then
+    the inputs; a run that no positional takes is left over."""
+    row = COMMANDS[name]
+    options = _options(name)
+    items = []
+    for at, token in enumerate(tokens):
+        if token == "--":
+            items += [(token, False)] + [(t, None) for t in tokens[at + 1:]]
+            break
+        items.append((token, _read_option(token, (*_HELP, *options), name)))
+    choice, least = row["choice"], row["least"]
+    args = {"cmd": name, choice: None, "files": None}
+    args.update((dest, default) for dest, _, _, default, _
+                in options.values())
+    waiting, extras, i = [choice, "files"], [], 0
+    while i < len(items):
+        token, read = items[i]
+        i += 1
+        if read:
+            option, value = read
+            if option is None:
+                extras.append(token)
+                continue
+            if option in _HELP:
+                _help_or_fail(name, option, value)
+            if value is None:
+                if i == len(items) or items[i][1] is not None:
+                    _fail(name, f"argument {option}: expected one argument")
+                value = items[i][0]
+                i += 1
+            dest, _, values, _, _ = options[option]
+            args[dest] = _convert(name, option, values, value)
+            continue
+        j = i
+        while j < len(items) and not items[j][1]:
+            j += 1
+        run, i = items[i - 1:j], j
+        given = sum(read is None for _, read in run)
+        k = 0
+        if waiting[:1] == [choice] and given:
+            # the choice takes the first positional and a '--' after it
+            k = 1 + next(p for p, (_, read) in enumerate(run) if read is None)
+            k += k < len(run) and run[k][1] is False
+            args[choice] = _convert(name, choice, tuple(row["files"]),
+                                    *_without_end(run[:k]))
+            waiting.pop(0)
+            given -= 1
+        if waiting == ["files"] and given >= least:
+            args["files"], waiting, k = _without_end(run[k:]), [], len(run)
+        extras += [token for token, _ in run[k:]]
+    dest, _, required, _ = row["out"]
+    missing = waiting + ["--out"] * (required and args[dest] is None)
+    if missing:
+        _fail(name, f"the following arguments are required: "
+                    f"{', '.join(missing)}")
+    return args, extras
+
+
+class Parser:
+    """The command line of COMMANDS, read by argparse's rules: options
+    as `--opt value` or `--opt=value`, before, between or after the
+    positionals, the last one given winning; unambiguous prefixes of long
+    options; negative numbers read as values; `--` ends the options.  On
+    an error it prints the usage and exits with status 2; -h prints the
+    help and exits with status 0."""
+
+    def parse_args(self, argv=None):
+        """The attributes of argv (sys.argv[1:] when None): cmd, the
+        command's choice, files, bound_n, arity, length, format, cert_out
+        (out for move) and func, the function that runs the command."""
+        argv = sys.argv[1:] if argv is None else list(argv)
+        extras = []
+        for i, token in enumerate(argv):
+            read = None if token == "--" else _read_option(token, _HELP, None)
+            if read is None:
+                break
+            if read[0] is None:
+                extras.append(token)
+            else:
+                _help_or_fail(None, *read)
+        else:
+            _fail(None, "the following arguments are required: cmd")
+        name = _convert(None, "cmd", tuple(COMMANDS), argv[i])
+        args, unknown = _parse_command(name, argv[i + 1:])
+        if extras or unknown:
+            _fail(name, "unrecognized arguments: "
+                        + " ".join(extras + unknown))
+        return SimpleNamespace(**args, func=COMMANDS[name]["func"])
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
-        prog="shalg",
-        description="Exact verification and homotopy-invariance moves for "
-                    "strongly homotopy associative structures.")
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp, cert_out=True):
-        sp.add_argument("--bound-n", type=_positive_int, default=None,
-                        dest="bound_n",
-                        help="coherence truncation order")
-        sp.add_argument("--arity", type=_positive_int, default=None)
-        sp.add_argument("--length", type=_positive_int, default=None,
-                        help="word-length cap for truncated computations")
-        sp.add_argument("--format", choices=("text", "machine"),
-                        default="text")
-        if cert_out:
-            sp.add_argument("--out", dest="cert_out", default=None,
-                            help="write the certificate to this path")
-
-    v = sub.add_parser("verify", help="check coherence identities")
-    v.add_argument("kind", choices=("ainf", "morphism", "sdr", "action"))
-    v.add_argument("files", nargs="+")
-    common(v)
-    v.set_defaults(func=cmd_verify)
-
-    m = sub.add_parser("move", help="run a homotopy-invariance move")
-    m.add_argument("move", choices=("m1", "m2", "m3", "m4", "s"))
-    m.add_argument("files", nargs="+")
-    m.add_argument("--out", required=True,
-                   help="prefix for output structure files")
-    common(m, cert_out=False)
-    m.set_defaults(func=cmd_move)
-
-    o = sub.add_parser("operad", help="operad-level computations")
-    o.add_argument("sub", choices=("d2", "homology", "kunneth",
-                                   "riso-extend", "tree-dims", "alpha"))
-    o.add_argument("files", nargs="*")
-    common(o)
-    o.set_defaults(func=cmd_operad)
-    return p
-
-
-# Input files each move and operad computation reads; verify reads one,
-# and move m4 one or more, as its parser already demands.
-FILE_COUNTS = {"m1": 2, "m2": 2, "m3": 2, "s": 2, "d2": 1, "homology": 1,
-               "riso-extend": 1, "tree-dims": 2, "kunneth": 0, "alpha": 0}
+    return Parser()
 
 
 def _check_file_count(args):
     """Raise ValueError unless the command got as many files as it
     reads."""
-    what = getattr(args, "kind", None) or getattr(args, "move", None) \
-        or args.sub
-    want = 1 if args.cmd == "verify" else FILE_COUNTS.get(what)
+    what = getattr(args, COMMANDS[args.cmd]["choice"])
+    want = COMMANDS[args.cmd]["files"][what]
     if want is not None and len(args.files) != want:
         raise ValueError(f"{args.cmd} {what} takes {want} argument"
                          f"{'s' * (want != 1)}, got {len(args.files)}")

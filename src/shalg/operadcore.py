@@ -120,6 +120,7 @@ class OperadPresentation:
         self._leaf_colors = {}
         # generator -> D(generator); subtree -> D(subtree); see _d_shifted
         self._d_gens = {}
+        self._d_terms = {}  # generator -> terms of D; see _d_gen_terms
         self._d_images = {LEAF: {}}
         # enumerate_trees arguments -> tuple of trees
         self._trees = {}
@@ -424,8 +425,12 @@ def _apply_shifted(pres, x) -> dict:
     x's own trees are not memoized, those of their subtrees are."""
     out: dict = {}
     for t, c in x.items():
-        for u, cu in _d_shifted(pres, t, keep=False).items():
-            _accumulate(out, u, c * cu)
+        img = pres._d_images.get(t)
+        if img is None:
+            _add_d_image(pres, t, c, out)
+        else:
+            for u, cu in img.items():
+                _accumulate(out, u, c * cu)
     return {u: c for u, c in out.items() if c}
 
 
@@ -444,6 +449,31 @@ def _d_gen(pres, name) -> dict:
     return img
 
 
+def _d_gen_terms(pres, name) -> list:
+    """The terms of _d_gen as (tree u, coefficient, the input colors of
+    u, _leaf_after of u): what plugging a vertex's children into u
+    reads, listed once per generator and memoized on pres.  A u whose
+    own edges disagree in color is left out; the unit tree has colors
+    None, since it takes its one child as it is."""
+    terms = pres._d_terms.get(name)
+    if terms is None:
+        arity = pres.gen(name).arity
+        terms = []
+        for u, cu in _d_gen(pres, name).items():
+            if is_leaf(u):
+                if arity != 1:
+                    raise ValueError("unit tree takes exactly one child")
+                terms.append((u, cu, None, None))
+                continue
+            if _info(pres, u).arity != arity:
+                raise ValueError("child count does not match arity")
+            colors = _leaf_colors(pres, u)
+            if colors is not None:
+                terms.append((u, cu, colors, _leaf_after(pres, u)))
+        pres._d_terms[name] = terms
+    return terms
+
+
 def _d_shifted(pres, t, keep=True) -> dict:
     """D(t): the word derivation in the shifted grading that extends
     _d_gen, with int coefficients; t's generators are known to pres.
@@ -451,34 +481,47 @@ def _d_shifted(pres, t, keep=True) -> dict:
     keep=False leaves t itself out of the memo (its subtrees are kept)."""
     img = pres._d_images.get(t)
     if img is None:
-        img = _new_d_image(pres, t)
+        img = {}
+        _add_d_image(pres, t, 1, img)
+        img = {u: c for u, c in img.items() if c}
         if keep:
             pres._d_images[t] = img
     return img
 
 
-def _new_d_image(pres, t) -> dict:
-    """D(t) for a non-leaf t: D of the root generator with t's children
-    plugged in, plus D of each child in place, with the shifted Koszul
-    sign of the generators before it."""
+def _add_d_image(pres, t, c, out) -> None:
+    """Add c·D(t) to out, for a non-leaf t: D of the root generator with
+    t's children plugged in (as _substitute_shifted), plus D of each
+    child in place, with the shifted Koszul sign of the generators
+    before it.  Entries that cancel are left in out as zeros."""
     children = t[1:]
-    out: dict = {}
-    for u, cu in _d_gen(pres, t[0]).items():
-        r = _substitute_shifted(pres, u, children)
-        if r is None:
+    gens = pres.generators
+    # (output color, shifted degree) of each child, None for a leaf
+    kids = [None if ch == LEAF else
+            (gens[ch[0]].output, _info(pres, ch).shifted_degree)
+            for ch in children]
+    for u, cu, colors, after in _d_gen_terms(pres, t[0]):
+        if colors is None:
+            _accumulate(out, children[0], c * cu)
             continue
-        s, tt = r
-        _accumulate(out, tt, cu if s > 0 else -cu)
+        exp = 0
+        for kid, color, a in zip(kids, colors, after):
+            if kid is not None:
+                if kid[0] != color:
+                    break
+                exp += kid[1] * a
+        else:
+            _accumulate(out, _plug(u, iter(children)),
+                        -c * cu if exp % 2 else c * cu)
     pre_deg = _shifted_degree(pres, t[0])
-    for j, c in enumerate(children):
-        if c == LEAF:
+    for j, ch in enumerate(children):
+        if ch == LEAF:
             continue
-        odd = pre_deg % 2
+        sc = -c if pre_deg % 2 else c
         head, tail = (t[0],) + children[:j], children[j + 1:]
-        for u, cu in _d_shifted(pres, c).items():
-            _accumulate(out, head + (u,) + tail, -cu if odd else cu)
-        pre_deg += _info(pres, c).shifted_degree
-    return {t_: c_ for t_, c_ in out.items() if c_}
+        for u, cu in _d_shifted(pres, ch).items():
+            _accumulate(out, head + (u,) + tail, sc * cu)
+        pre_deg += kids[j][1]
 
 
 # ------------------------------------------------------------ diagnostics

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from shalg import serialize
-from shalg.cli import _map_witness, main
+from shalg.cli import COMMANDS, _map_witness, main
 from shalg.exactlin import (
     ChainComplex,
     GradedMap,
@@ -743,6 +743,35 @@ def test_wrong_argument_count_exits_2(argv, message, dga_file, tmp_path,
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dga.json"]
+
+
+@pytest.mark.parametrize("command", [None, "verify", "move", "operad"])
+def test_help_lists_every_choice_and_option(command, capsys):
+    """-h exits 0 and lists what the command table holds: the commands,
+    or a command's choices, with the inputs each reads, and options."""
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"] if command is None else [command, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if command is None:
+        words = [*COMMANDS, *(row["help"] for row in COMMANDS.values())]
+    else:
+        row = COMMANDS[command]
+        words = [*row["files"], "--bound-n", "--arity", "--length",
+                 "--format", "--out", row["help"],
+                 *(f"{choice} {'1 or more' if n is None else n}"
+                   for choice, n in row["files"].items())]
+    assert [w for w in ["-h, --help", *words] if w not in out] == []
+
+
+def test_help_reads_sys_argv():
+    """The console script calls main() with no argv: sys.argv[1:] is
+    read."""
+    run = subprocess.run([sys.executable, "-S", "-m", "shalg.cli", "-h"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("usage: shalg [-h] {verify,move,operad}")
 
 
 def test_hashlib_fallback_gives_the_same_digests(dga_file):

@@ -2,8 +2,8 @@
 shalg imports is used in that module, no module imports another's
 underscore names, no function works on dense matrices except the dense
 adapters, importing the command line front end loads no module that
-only some commands need, and no command that hashes its input files
-loads OpenSSL."""
+only some commands need, no command that hashes its input files
+loads OpenSSL, and no command loads argparse."""
 
 import ast
 import pathlib
@@ -154,12 +154,29 @@ def _modules_loaded(heavy, *lines):
 def test_cli_import_leaves_heavy_modules_unloaded():
     """Every command pays for what `import shalg.cli` loads.  dataclasses
     (which loads inspect) is not needed at all, hashlib is never loaded
-    (see test_hashing_commands_leave_openssl_unloaded), and tempfile only
-    by commands that write a file, which import it then."""
-    heavy = ("dataclasses", "inspect", "hashlib", "_hashlib", "tempfile")
+    (see test_hashing_commands_leave_openssl_unloaded), argparse, with
+    the gettext and locale it loads, is not used (see
+    test_commands_leave_argparse_unloaded), and tempfile and shutil only
+    by commands that write a file, which import them then."""
+    heavy = ("dataclasses", "inspect", "hashlib", "_hashlib", "tempfile",
+             "argparse", "gettext", "locale", "shutil")
     assert _modules_loaded(
         heavy, "shalg.cli.build_parser().parse_args("
                "['operad', 'd2', 'ass-minimal', '--arity', '3'])") == "[]"
+
+
+def _main_loads(heavy, command, tmp_path):
+    """Which of the heavy modules a fresh `python -S` process holds after
+    main ran the command, passing, on files of the exterior DGA."""
+    a = exterior_dga()
+    files = {"dga": tmp_path / "dga.json", "sdr": tmp_path / "sdr.json",
+             "out": tmp_path / "out"}
+    serialize.dump(str(files["dga"]), serialize.algebra_to_data(a))
+    serialize.dump(str(files["sdr"]),
+                   serialize.sdr_to_data(sdr_onto_homology(a.complex)))
+    argv = [arg.format(**{k: str(v) for k, v in files.items()})
+            for arg in command]
+    return _modules_loaded(heavy, f"assert shalg.cli.main({argv!r}) == 0")
 
 
 @pytest.mark.parametrize("command", [
@@ -171,14 +188,17 @@ def test_hashing_commands_leave_openssl_unloaded(command, tmp_path):
     """Certificates hash their input files with the interpreter's
     built-in SHA-256; hashlib would load OpenSSL's libcrypto through
     _hashlib, 3.6 MB of RSS, for the same digests."""
-    a = exterior_dga()
-    files = {"dga": tmp_path / "dga.json", "sdr": tmp_path / "sdr.json",
-             "out": tmp_path / "out"}
-    serialize.dump(str(files["dga"]), serialize.algebra_to_data(a))
-    serialize.dump(str(files["sdr"]),
-                   serialize.sdr_to_data(sdr_onto_homology(a.complex)))
-    argv = [arg.format(**{k: str(v) for k, v in files.items()})
-            for arg in command]
-    assert _modules_loaded(
-        ("hashlib", "_hashlib"),
-        f"assert shalg.cli.main({argv!r}) == 0") == "[]"
+    assert _main_loads(("hashlib", "_hashlib"), command, tmp_path) == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "ainf", "{dga}"],
+    ["move", "m1", "{dga}", "{sdr}", "--out", "{out}"],
+    ["operad", "d2", "ass-minimal", "--arity", "4"],
+], ids=lambda c: "-".join(c[:2]))
+def test_commands_leave_argparse_unloaded(command, tmp_path):
+    """The command line is read from shalg.cli's command table: argparse,
+    with the gettext and locale it loads, cost every command about 8 ms
+    of start-up."""
+    assert _main_loads(("argparse", "gettext", "locale"), command,
+                       tmp_path) == "[]"
