@@ -11,7 +11,8 @@ only definition of the coherence identities here: the residual in
 arity n is the action's value on d(mu_n) (or d(f_n)) minus the
 hom-complex differential of mu_n (or f_n), evaluated exactly by
 operadcore.eval_element.  Composites are operadcore.partition_sum's
-sign-free suspended sums, so this module holds unsuspended maps only.
+sums of two-level trees, evaluated by the same eval_element, so this
+module holds unsuspended maps only.
 """
 
 from __future__ import annotations
@@ -153,11 +154,12 @@ def check_all_Fn(m: AInfinityMorphism) -> dict:
 
 def compose_morphisms(g: AInfinityMorphism,
                       f: AInfinityMorphism) -> AInfinityMorphism:
-    """Composite strongly homotopy morphism: in arity n, the sign-free
-    suspended sum of g_k . (f_{r_1} x ... x f_{r_k}) over the
-    compositions r of n (operadcore.partition_sum).  f's target and g's
-    source must be the same complex with the same operations up to the
-    composite's order."""
+    """Composite strongly homotopy morphism: in arity n, the sum of
+    g_k . (f_{r_1} x ... x f_{r_k}) over the compositions r of n, with
+    no sign of its own in the suspended world, evaluated as two-level
+    trees by operadcore.partition_sum.  f's target and g's source must
+    be the same complex with the same operations up to the composite's
+    order."""
     N = min(f.N, g.N)
     if f.target is not g.source and not (
             f.target.complex == g.source.complex

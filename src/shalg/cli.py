@@ -697,10 +697,26 @@ def _check_file_count(args):
                          f"{'s' * (want != 1)}, got {len(args.files)}")
 
 
+def _check_out(args):
+    """Raise ValueError unless --out, when given, names a file (for
+    move, a file name prefix) in a directory that exists."""
+    dest = COMMANDS[args.cmd]["out"][0]
+    path = getattr(args, dest)
+    if path is None:
+        return
+    head, tail = os.path.split(path)
+    if tail in ("", ".", "..") or (dest == "cert_out"
+                                   and os.path.isdir(path)):
+        raise ValueError(f"--out {path!r} names no file")
+    if not os.path.isdir(head or "."):
+        raise ValueError(f"--out {path!r}: no directory {head!r}")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _check_file_count(args)
+        _check_out(args)
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")

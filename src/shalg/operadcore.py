@@ -40,14 +40,10 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .exactlin import (
     ChainComplex,
     GradedMap,
-    GradedVectorSpace,
     hom_differential,
-    map_sum,
     mat_rank,
     tensor_basis_index,
     tensor_basis_tuples,
-    tensor_maps_many,
-    tensor_power,
     tensor_spaces,
 )
 
@@ -920,106 +916,86 @@ def kunneth_check(p1: OperadPresentation, p2: OperadPresentation,
 # ------------------------------------------------------------- actions
 
 
-@functools.lru_cache(maxsize=64)
-def _shift_space(space):
-    """The space with every degree raised by one, made once per space (a
-    bounded cache), so that tensor products of shifted spaces are shared
-    between evaluations."""
-    return GradedVectorSpace({k + 1: n for k, n in space.dims.items()})
-
-
-def _suspension_conjugate(m, factors, new_source, new_target, direction):
-    """Conjugate a multilinear map by per-input suspensions.
-
-    direction +1 turns f into s . f . (s^-1)^(x n) (inputs and output all
-    shifted up by one); -1 is the inverse.  Both directions carry the
-    Koszul sign of moving the n suspensions past the arguments, which
-    depends only on the unshifted argument degrees, so the transform is
-    an involution up to relabeling.
-    """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    n = len(factors)
-    tb = tensor_basis_tuples(factors)  # unshifted degrees
-    columns = {}
-    for old_k, cols in m.columns.items():
-        k = old_k if direction == 1 else old_k - n
-        tuples = tb[k]
-        out = {}
-        for col, entries in cols.items():
-            # (n-1-p) is odd exactly at p = n-2, n-4, ...
-            if sum(deg for deg, _ in tuples[col][-2::-2]) % 2:
-                entries = {r: -x for r, x in entries.items()}
-            out[col] = entries
-        columns[k + n if direction == 1 else k] = out
-    degree = m.degree + direction * (1 - n)
-    return GradedMap.from_columns(new_source, new_target, degree, columns)
-
-
-@functools.lru_cache(maxsize=256)
-def _suspended(m: GradedMap, inputs: tuple, output) -> GradedMap:
-    """s . m . (s^-1)^(x n) for m : inputs[0] x ... x inputs[n-1] ->
-    output, made once per map (a bounded cache, shared by equal maps)."""
-    return _suspension_conjugate(
-        m, inputs, tensor_spaces([_shift_space(v) for v in inputs]),
-        _shift_space(output), 1)
+def _suspension_sign(t) -> int:
+    """Koszul sign of moving n suspensions past a basis tuple t of
+    unshifted degrees ((n-1-p) is odd exactly at p = n-2, n-4, ...);
+    suspending and desuspending a map both multiply column t by it."""
+    return -1 if sum(deg for deg, _ in t[-2::-2]) % 2 else 1
 
 
 def partition_sum(outer, inner, n: int, k_min: int, source, middle, target,
                   degree: int) -> GradedMap:
     """Sum of outer(k) . (inner(r_1) x ... x inner(r_k)) over the
-    compositions r of n into k >= k_min parts, in the suspended world:
-    each factor is suspended once, no term carries a sign, and the sum
-    is desuspended once.  outer(k) : middle^(x k) -> target and
-    inner(r) : source^(x r) -> middle are unsuspended maps.  A term with
-    a zero factor is skipped, and the zero map source^(x n) -> target of
-    the given degree is returned when none is left."""
-    terms = []
+    compositions r of n into k >= k_min parts, with no sign of its own in
+    the suspended world, for unsuspended maps outer(k) : middle^(x k) ->
+    target and inner(r) : source^(x r) -> middle.  It is eval_element's
+    value on the two-level trees o_k(i_{r_1}, ..., i_{r_k}) of a
+    three-colored presentation, each tree's coefficient its orientation
+    sign, which cancels the sign eval_element weights it with; the zero
+    map of the given degree when every term has a zero factor."""
+    action, gens = {}, []
     for k in range(k_min, n + 1):
-        op = outer(k)
-        if op.is_zero():
-            continue
-        op = _suspended(op, (middle,) * k, target)
-        for r in _compositions(n, k):
-            factors = [inner(rp) for rp in r]
-            if not any(f.is_zero() for f in factors):
-                terms.append(op.compose(tensor_maps_many(
-                    [_suspended(f, (source,) * rp, middle)
-                     for f, rp in zip(factors, r)])))
-    if not terms:
-        return GradedMap.zero(tensor_power(source, n), target, degree)
-    return _suspension_conjugate(map_sum(terms), [source] * n,
-                                 tensor_power(source, n), target, -1)
+        action[f"o{k}"] = m = outer(k)
+        gens.append(GeneratorSpec(f"o{k}", ("middle",) * k, "target",
+                                  m.degree))
+    for r in range(1, n - k_min + 2):
+        action[f"i{r}"] = m = inner(r)
+        gens.append(GeneratorSpec(f"i{r}", ("source",) * r, "middle",
+                                  m.degree))
+    pres = OperadPresentation("two-level", ("source", "middle", "target"),
+                              gens, symmetric=False)
+    trees = [(f"o{k}",) + tuple(pres.corolla(f"i{rp}") for rp in r)
+             for k in range(k_min, n + 1) for r in _compositions(n, k)]
+    return eval_element(
+        pres, action, {"source": source, "middle": middle, "target": target},
+        {t: basis_sign(pres, t) for t in trees}, ("source",) * n, "target",
+        degree)
 
 
-@functools.lru_cache(maxsize=256)
-def _suspended_images(m: GradedMap):
-    """(L, images): images[K] maps each source tuple of suspended degree
-    K to the nonzero entries of its image under s . m . (s^-1)^(x n),
-    scaled by L, the lcm of m's denominators, to ints; once per map."""
-    scale = math.lcm(1, *(x.denominator for cols in m.columns.values()
-                          for col in cols.values() for x in col.values()))
-    tuples = tensor_basis_tuples([m.source])
-    images = {}
-    for k, cols in m.columns.items():
-        out = images[k + len(m.source.factors)] = {}
-        for c, col in cols.items():
-            t = tuples[k][c]
-            sign = -1 if sum(deg for deg, _ in t[-2::-2]) % 2 else 1
-            out[t] = [((k + m.degree, r),
-                       sign * x.numerator * (scale // x.denominator))
-                      for r, x in col.items()]
-    return scale, images
+class _SuspendedImages(dict):
+    """K -> {the degrees of a source tuple of suspended degree K -> {each
+    such tuple: the nonzero entries of its image under s . m .
+    (s^-1)^(x n), scaled by scale, the lcm of m's denominators, to
+    ints}}; a degree is built when first read."""
+
+    def __init__(self, m: GradedMap):
+        super().__init__()
+        self.map = m
+        self.scale = math.lcm(1, *{x.denominator
+                                   for cols in m.columns.values()
+                                   for col in cols.values()
+                                   for x in col.values()})
+
+    def __missing__(self, K):
+        m, scale = self.map, self.scale
+        k = K - len(m.source.factors)
+        out = self[K] = {}
+        cols = m.columns.get(k)
+        if cols:
+            tuples = tensor_basis_tuples([m.source])[k]
+            for c, col in cols.items():
+                t = tuples[c]
+                sign = _suspension_sign(t)
+                out.setdefault(tuple([d for d, _ in t]), {})[t] = [
+                    ((k + m.degree, r),
+                     sign * x.numerator * (scale // x.denominator))
+                    for r, x in col.items()]
+        return out
 
 
-def eval_element(pres, action, complexes, elem: Element, input_colors,
+# a map's _SuspendedImages, made once per map (a bounded cache)
+_suspended_images = functools.lru_cache(maxsize=256)(_SuspendedImages)
+
+
+def eval_element(pres, action, spaces, elem: Element, input_colors,
                  output_color, degree: int) -> GradedMap:
     """Value of the action on an element of the given degree, in the
     convention consistent with the stored differentials: each assigned
     map is conjugated by suspensions, trees are composed with plain
     Koszul signs in the suspended world, and their sum, weighted by the
     tree orientation signs, is desuspended.  A tree in which some
-    generator is assigned a zero map contributes nothing.
+    generator is assigned a zero map contributes nothing.  spaces maps
+    each color to its graded vector space.
 
     On two-level trees this differs from the naive composite of the
     assigned maps only by (-1)^(product of the two arities); the twist
@@ -1030,22 +1006,22 @@ def eval_element(pres, action, complexes, elem: Element, input_colors,
     suspended degree, shared within the call, and is asked only for the
     degrees the target, or its parent's nonzero columns, can take.
     """
-    spaces = [complexes[c].space for c in input_colors]
-    source = tensor_spaces(spaces)
-    target = complexes[output_color].space
+    factors = [spaces[c] for c in input_colors]
+    source = tensor_spaces(factors)
+    target = spaces[output_color]
 
     @functools.cache
     def table(t, color, k):
         if t == LEAF:
             return {((k - 1, i),): [((k - 1, i), 1)]
-                    for i in range(complexes[color].space.dim(k - 1))}
+                    for i in range(spaces[color].dim(k - 1))}
         g, kids, tab = pres.gen(t[0]), t[1:], {}
         if g.output != color:
             raise ValueError("output color mismatch in evaluation")
         shifts = [_info(pres, c).shifted_degree for c in kids]
-        gcols = _suspended_images(action[t[0]])[1].get(k + sum(shifts), {})
-        for split in {tuple([d + 1 - f for (d, _), f in zip(y, shifts)])
-                      for y in gcols}:
+        by_degrees = _suspended_images(action[t[0]])[k + sum(shifts)]
+        for degrees, gcols in by_degrees.items():
+            split = tuple([d + 1 - f for d, f in zip(degrees, shifts)])
             subs = [table(c, in_color, s)
                     for c, in_color, s in zip(kids, g.inputs, split)]
             if not all(subs):
@@ -1067,19 +1043,15 @@ def eval_element(pres, action, complexes, elem: Element, input_colors,
                     tab[sum(chunks, ())] = col
         return tab
 
-    n = len(spaces)
+    n = len(factors)
     window = [k + n for k in source.dims if k + degree in target.dims]
-    by_root = {}  # LEAF[0] is LEAF: the unit tree is a group of its own
-    for t, c in elem.items():
-        by_root.setdefault(t[0], []).append((t, c))
     weights = {}  # tree -> its weight over the tables' scale
-    for root, trees in by_root.items():
-        if root == LEAF or not action[root].is_zero():
-            for t, c in trees:
-                if _info(pres, t).degree != degree:
-                    raise ValueError("tree degree differs from the element's")
-                weights[t] = Fraction(c * _info(pres, t).sign, math.prod(
-                    [_suspended_images(action[v])[0] for v in tree_word(t)]))
+    for t, c in elem.items():  # a tree with a zero root is skipped unread
+        if t == LEAF or not action[t[0]].is_zero():
+            if _info(pres, t).degree != degree:
+                raise ValueError("tree degree differs from the element's")
+            weights[t] = Fraction(c * _info(pres, t).sign, math.prod(
+                [_suspended_images(action[v]).scale for v in tree_word(t)]))
     denom = math.lcm(1, *(w.denominator for w in weights.values()))
     total = {}  # source tuple -> target index -> int over denom
     for t, w in weights.items():
@@ -1093,11 +1065,11 @@ def eval_element(pres, action, complexes, elem: Element, input_colors,
     columns = {}
     for src, col in total.items():
         k = sum(deg for deg, _ in src)
-        sign = -1 if sum(deg for deg, _ in src[-2::-2]) % 2 else 1
+        sign = _suspension_sign(src)
         col = {r: Fraction(sign * v, denom) for r, v in col.items() if v}
         if col:
             columns.setdefault(k, {})[
-                tensor_basis_index(spaces, k)[src]] = col
+                tensor_basis_index(factors, k)[src]] = col
     return GradedMap.from_columns(source, target, degree, columns)
 
 
@@ -1112,8 +1084,9 @@ def generator_residual(pres: OperadPresentation,
     m = action[name]
     if m.degree != g.degree:
         raise ValueError(f"degree mismatch on {name}")
-    lhs = eval_element(pres, action, complexes, pres.d_image(name),
-                       g.inputs, g.output, g.degree - 1)
+    lhs = eval_element(pres, action,
+                       {c: x.space for c, x in complexes.items()},
+                       pres.d_image(name), g.inputs, g.output, g.degree - 1)
     rhs = hom_differential(m, [complexes[c] for c in g.inputs],
                            complexes[g.output])
     return lhs.add(rhs, 1, -1)

@@ -328,14 +328,18 @@ def load(path, digest=None):
 
 def dump(path, data):
     """Write to path atomically (write-then-rename): a str as it is,
-    anything else as JSON."""
+    anything else as JSON.  The file gets the mode open() would give a
+    new file, 0o666 less the umask."""
     if not isinstance(data, str):
         data = json.dumps(data, indent=1, sort_keys=True) + "\n"
     import tempfile  # not loaded by commands that write no file
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)  # the only way to read it is to set it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -17,7 +17,7 @@ composite chain.  Transfer is the homotopy perturbation recursion,
 which expands to the usual summation over planar rooted trees with
 operations at the vertices, the homotopy on the internal edges, the
 inclusion at the leaves, and the projection at the root.  This module
-holds unsuspended maps only: the recursion's sign-free suspended sums
+holds unsuspended maps only: the recursion's sums of two-level trees
 are operadcore.partition_sum's, and SDRs are assembled from homology
 splittings by exactlin.split_retract.  The perturbation-style moves
 solve for one Taylor coefficient at a time by exact linear algebra;
@@ -300,9 +300,10 @@ def _transfer(a: AInfinityAlgebra, target: ChainComplex, root: GradedMap,
               leaf: GradedMap, homotopy: GradedMap, N: int):
     """Perturbation recursion shared by the two transfer moves, for root:
     V -> W, leaf: W -> V and homotopy on V with [homotopy, d] = leaf .
-    root - 1.  Sigma_n, the sign-free suspended sum of mu_k . (f_{r_1} x
-    ... x f_{r_k}) over k >= 2 (operadcore.partition_sum), gives nu_n =
-    root . Sigma_n and f_n = -homotopy . Sigma_n, with f_1 = leaf."""
+    root - 1.  Sigma_n, the sum of mu_k . (f_{r_1} x ... x f_{r_k}) over
+    k >= 2 with no sign of its own in the suspended world, evaluated as
+    two-level trees by operadcore.partition_sum, gives nu_n = root .
+    Sigma_n and f_n = -homotopy . Sigma_n, with f_1 = leaf."""
     V, W = a.complex.space, target.space
     nu = {}
     f_out = {1: leaf}

@@ -857,6 +857,45 @@ def test_certificate_written_to_file(dga_file, tmp_path, capsys):
     assert data["ok"] is True
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002],
+                         ids=lambda u: f"{u:03o}")
+def test_written_files_get_the_mode_open_gives(dga_file, tmp_path, umask):
+    """Certificates and move outputs are created with 0o666 less the
+    umask, like a file that open() creates."""
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert main(["verify", "ainf", dga_file,
+                     "--out", str(tmp_path / "cert.json")]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777
+             for p in tmp_path.iterdir() if p.name != "dga.json"}
+    assert modes == {"plain": 0o666 & ~umask, "cert.json": 0o666 & ~umask}
+
+
+@pytest.mark.parametrize("command, out", [
+    ("move", ""), ("move", "."), ("move", "sub/"), ("move", "sub/.."),
+    ("move", "missing/out"), ("verify", ""), ("verify", "sub"),
+    ("verify", "sub/"), ("verify", "missing/cert.json")])
+def test_out_naming_no_file_is_rejected_before_any_work(
+        command, out, dga_file, sdr_file, tmp_path, monkeypatch, capsys):
+    """An --out that names no file, or whose directory is missing, exits
+    2 before any work: no certificate is printed and nothing is
+    written, hidden files included."""
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    argv = (["move", "m1", dga_file, sdr_file] if command == "move"
+            else ["verify", "ainf", dga_file])
+    assert main([*argv, f"--out={out}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out!r}")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["verify", "ainf", "/nonexistent/file.json"]) == 2
 

@@ -3,7 +3,8 @@ shalg imports is used in that module, no module imports another's
 underscore names, no function works on dense matrices except the dense
 adapters, importing the command line front end loads no module that
 only some commands need, no command that hashes its input files
-loads OpenSSL, and no command loads argparse."""
+loads OpenSSL, no command loads argparse, and only exactlin names
+tensor_maps_many."""
 
 import ast
 import pathlib
@@ -137,6 +138,34 @@ def test_no_dense_matrices_outside_the_adapters(path):
     dense matrices are only built for literal input and test references."""
     uses = dense_uses(path.read_text(encoding="utf-8"))
     assert [u for u in uses if (path.name, u[0]) not in DENSE_ALLOWED] == []
+
+
+def names(source: str) -> set:
+    """Every name a module reads, imports, or looks up as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update({node.name, node.asname} - {None})
+    return out
+
+
+def test_detects_names():
+    assert names("from .exactlin import tensor_maps_many as tm\n"
+                 "x = exactlin.mat_mul(a, b)\n") == {
+        "tensor_maps_many", "tm", "x", "exactlin", "mat_mul", "a", "b"}
+
+
+def test_only_exactlin_names_tensor_maps_many():
+    """Residuals, composites and transfer evaluate subtree tables
+    (operadcore.eval_element), so no module of shalg but the one that
+    defines it builds a tensor product of maps."""
+    assert [p.name for p in MODULES if p.name != "exactlin.py"
+            and "tensor_maps_many" in names(p.read_text(encoding="utf-8"))
+            ] == []
 
 
 def _modules_loaded(heavy, *lines):

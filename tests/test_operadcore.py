@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from shalg import operadcore
-from shalg.ainfty import check_all_An, check_all_Fn
 from shalg.cli import _gamma_nu2
 from shalg.exactlin import (
     ChainComplex,
@@ -48,8 +47,6 @@ from shalg.operadcore import (
     tree_word,
     truncated_homology,
 )
-from shalg.transfer import riso_zero_extension, sdr_onto_homology
-from test_transfer import coherent_morphism, exterior_dga
 
 MU2 = ("mu2", LEAF, LEAF)
 MU3 = ("mu3", LEAF, LEAF, LEAF)
@@ -359,27 +356,9 @@ def test_eval_element_two_terms():
     table = {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1)}
     p, action, cx = _dga_action(table)
     assoc = p.d_image("mu3")  # the associator, evaluates to zero
-    m = eval_element(p, action, cx, assoc, ("v", "v", "v"), "v", 0)
+    m = eval_element(p, action, {"v": cx["v"].space}, assoc, ("v", "v", "v"),
+                     "v", 0)
     assert m.is_zero()
-
-
-def test_evaluation_builds_no_slotted_maps(monkeypatch):
-    """Residuals and action checks evaluate subtree tables: no tensor
-    product of maps is built, for an algebra, a morphism, or the riso
-    action whose d(h) holds the unit tree."""
-    m = coherent_morphism(seed=1)
-    riso_action = riso_zero_extension(
-        sdr_onto_homology(exterior_dga().complex))["action"]
-    assert LEAF in riso_action.pres.d_image("h")
-
-    def slotted(factors):
-        raise AssertionError("a tensor product of maps was built")
-
-    monkeypatch.setattr(operadcore, "tensor_maps_many", slotted)
-    assert check_all_An(m.source)["ok"] and check_all_An(m.target)["ok"]
-    assert check_all_Fn(m)["ok"]
-    assert action_check(riso_action.pres, riso_action.assignment,
-                        riso_action.complexes(), 1)["ok"]
 
 
 # ---------------------------------------------------- iso normal forms

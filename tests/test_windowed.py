@@ -9,8 +9,9 @@ zero factor; all return typed zeros for arities whose terms all
 vanish.  Here every residual, composite and transferred structure is
 compared with a hand-signed reference that sums every term, on random
 structures with some operations zero, including negatively graded
-ones, whose degree window never closes, and the residuals also on
-such structures with every operation nonzero.
+ones, whose degree window never closes, and also on such structures
+with every operation nonzero.  The suspension conjugation below is the
+reference for the transfer's suspended recursion.
 """
 
 import itertools
@@ -41,7 +42,6 @@ from shalg.exactlin import (
     tensor_power,
     tensor_spaces,
 )
-from shalg.operadcore import _shift_space, _suspension_conjugate
 from shalg.transfer import SDRData, sdr_onto_homology, transfer_M1
 from test_transfer import exterior_dga, random_chain_complex
 
@@ -341,16 +341,47 @@ def ref_compose(g, f, n):
     return map_sum(terms, coeffs)
 
 
+def shift_space(space):
+    """The space with every degree raised by one."""
+    return GradedVectorSpace({k + 1: n for k, n in space.dims.items()})
+
+
+def suspension_conjugate(m, factors, new_source, new_target, direction):
+    """Conjugate a multilinear map by per-input suspensions.
+
+    direction +1 turns f into s . f . (s^-1)^(x n) (inputs and output all
+    shifted up by one); -1 is the inverse.  Both directions carry the
+    Koszul sign of moving the n suspensions past the arguments, which
+    depends only on the unshifted argument degrees, so the transform is
+    an involution up to relabeling.
+    """
+    n = len(factors)
+    tb = tensor_basis_tuples(factors)  # unshifted degrees
+    columns = {}
+    for old_k, cols in m.columns.items():
+        k = old_k if direction == 1 else old_k - n
+        tuples = tb[k]
+        out = {}
+        for col, entries in cols.items():
+            # (n-1-p) is odd exactly at p = n-2, n-4, ...
+            if sum(deg for deg, _ in tuples[col][-2::-2]) % 2:
+                entries = {r: -x for r, x in entries.items()}
+            out[col] = entries
+        columns[k + n if direction == 1 else k] = out
+    degree = m.degree + direction * (1 - n)
+    return GradedMap.from_columns(new_source, new_target, degree, columns)
+
+
 def ref_transfer(a, s, N):
     """The perturbation recursion of transfer_M1, every tree summed."""
     V, W = a.complex, s.small
-    sV, sW = _shift_space(V.space), _shift_space(W.space)
-    P = _suspension_conjugate(s.f, [V.space], sV, sW, 1)
-    H = _suspension_conjugate(s.phi, [V.space], sV, sV, 1).scale(-1)
-    b = {k: _suspension_conjugate(a.mu(k), [V.space] * k,
-                                  tensor_spaces([sV] * k), sV, 1)
+    sV, sW = shift_space(V.space), shift_space(W.space)
+    P = suspension_conjugate(s.f, [V.space], sV, sW, 1)
+    H = suspension_conjugate(s.phi, [V.space], sV, sV, 1).scale(-1)
+    b = {k: suspension_conjugate(a.mu(k), [V.space] * k,
+                                 tensor_spaces([sV] * k), sV, 1)
          for k in range(2, N + 1)}
-    theta = {1: _suspension_conjugate(s.nabla, [W.space], sW, sV, 1)}
+    theta = {1: suspension_conjugate(s.nabla, [W.space], sW, sV, 1)}
     nu, f = {}, {1: s.nabla}
     for n in range(2, N + 1):
         total = map_sum([b[k].compose(tensor_maps_many(
@@ -358,10 +389,10 @@ def ref_transfer(a, s, N):
             for k in range(2, n + 1) for r in compositions(n, k)])
         theta[n] = H.compose(total)
         wn = tensor_power(W.space, n)
-        nu[n] = _suspension_conjugate(P.compose(total), [W.space] * n, wn,
-                                      W.space, -1)
-        f[n] = _suspension_conjugate(theta[n], [W.space] * n, wn, V.space,
-                                     -1)
+        nu[n] = suspension_conjugate(P.compose(total), [W.space] * n, wn,
+                                     W.space, -1)
+        f[n] = suspension_conjugate(theta[n], [W.space] * n, wn, V.space,
+                                    -1)
     return nu, f
 
 
@@ -425,31 +456,42 @@ def test_residuals_match_unskipped_sums(rng):
 DENSE_ENTRIES = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
 
 
+# windows where every arity has degrees to map
+OPEN_WINDOWS = st.sampled_from(((-1, 0, 1), (-2, -1, 0)))
+
+
+def dense_map(rng, source, target, degree):
+    m = random_map(rng, source, target, degree, 0, DENSE_ENTRIES)
+    assert not m.is_zero()
+    return m
+
+
+def dense_algebra(rng, window, N):
+    """Every mu_n nonzero on four dimensions in the window's three
+    degrees."""
+    wide = rng.choice(window)
+    c = random_chain_complex(rng, {d: 1 + (d == wide) for d in window})
+    return AInfinityAlgebra(c, {n: dense_map(rng, tensor_power(c.space, n),
+                                             c.space, n - 2)
+                                for n in range(2, N + 1)}, N)
+
+
+def dense_morphism(rng, a, b, N):
+    return AInfinityMorphism(a, b, {n: dense_map(
+        rng, tensor_power(a.space, n), b.space, n - 1)
+        for n in range(1, N + 1)}, N)
+
+
 @settings(max_examples=15, deadline=None)
-@given(rng=rngs, window=st.sampled_from(((-1, 0, 1), (-2, -1, 0))))
+@given(rng=rngs, window=OPEN_WINDOWS)
 def test_window_open_residuals_match_unskipped_sums(rng, window):
     """With every operation and every f_n nonzero, on windows where every
     arity has degrees to map, the residuals that evaluate integer
     subtree tables equal the hand-signed sums."""
     N = rng.randint(2, 5)
-
-    def dense(source, target, degree):
-        m = random_map(rng, source, target, degree, 0, DENSE_ENTRIES)
-        assert not m.is_zero()
-        return m
-
-    def algebra():  # four dimensions in three degrees
-        wide = rng.choice(window)
-        c = random_chain_complex(rng, {d: 1 + (d == wide) for d in window})
-        return AInfinityAlgebra(c, {n: dense(tensor_power(c.space, n),
-                                             c.space, n - 2)
-                                    for n in range(2, N + 1)}, N)
-
-    a, b = algebra(), algebra()
+    a, b = dense_algebra(rng, window, N), dense_algebra(rng, window, N)
     M = rng.randint(1, N)  # a partial morphism, as the towers build them
-    m = AInfinityMorphism(a, b, {n: dense(tensor_power(a.space, n), b.space,
-                                          n - 1)
-                                 for n in range(1, M + 1)}, M)
+    m = dense_morphism(rng, a, b, M)
     for n in range(2, N + 1):
         assert_same(an_residual(a, n), ref_an_residual(a, n))
     for n in range(1, M + 1):
@@ -481,6 +523,28 @@ def test_transfer_matches_unskipped_sums(rng):
     for n in range(2, N + 1):
         assert_same(out.mu(n), nu[n])
         assert_same(mor.f(n), f[n])
+
+
+@settings(max_examples=15, deadline=None)
+@given(rng=rngs, window=OPEN_WINDOWS)
+def test_window_open_composites_and_transfer_match_unskipped_sums(rng,
+                                                                   window):
+    """With every mu_n and every f_n nonzero, on windows where every
+    arity has degrees to map, the composites and the transfer, which sum
+    two-level trees of subtree tables, equal the hand-signed sums."""
+    N = rng.randint(2, 5)
+    algs = [dense_algebra(rng, window, N) for _ in range(3)]
+    f = dense_morphism(rng, algs[0], algs[1], N)
+    g = dense_morphism(rng, algs[1], algs[2], N)
+    comp = compose_morphisms(g, f)
+    for n in range(1, N + 1):
+        assert_same(comp.f(n), ref_compose(g, f, n))
+    a, s = algs[0], sdr_onto_homology(algs[0].complex)
+    out, mor = transfer_M1(a, s, N)
+    nu, fs = ref_transfer(a, s, N)
+    for n in range(2, N + 1):
+        assert_same(out.mu(n), nu[n])
+        assert_same(mor.f(n), fs[n])
 
 
 # ------------------------------------------------------------ empty sums
