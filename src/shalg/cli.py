@@ -29,13 +29,13 @@ from .operadcore import (
     builtin_presentation,
     d_squared_check,
     enumerate_trees,
+    free_binary,
     kunneth_check,
     tree_decomposition_dims,
     tree_degree,
     tree_leaf_colors,
     truncated_homology,
 )
-from .operadcore import GeneratorSpec, OperadPresentation
 from .transfer import (
     NOT_ON_BIG_COMPLEX,
     chain_M4,
@@ -216,11 +216,18 @@ def cmd_verify(args):
 # ------------------------------------------------------------------- move
 
 
+# The files each move writes, as suffixes of its --out prefix.
+MOVE_OUTPUTS = {"m1": (".structure.json", ".morphism.json"),
+                "m2": (".morphism.json",), "m3": (".morphism.json",),
+                "m4": (".morphism.json",),
+                "s": (".structure.json", ".morphism.json")}
+
+
 def _write_outputs(cert, args, outputs):
     """Write output structure files only after every check passed."""
     if not cert.ok:
         return
-    for suffix, data in outputs:
+    for suffix, data in zip(MOVE_OUTPUTS[args.move], outputs):
         serialize.dump(f"{args.out}{suffix}", data)
 
 
@@ -291,10 +298,10 @@ def cmd_move(args):
         if pair is not None:  # a transferred structure and its morphism
             wa, out = pair
             _verify_identities(cert, wa, "output-")
-            outputs = [(".structure.json", serialize.algebra_to_data(wa))]
+            outputs = [serialize.algebra_to_data(wa)]
         if out is not None:
             _verify_identities(cert, out, "output-")
-            outputs.append((".morphism.json", serialize.morphism_to_data(out)))
+            outputs.append(serialize.morphism_to_data(out))
     except serialize.InputError:
         raise
     except ValueError as exc:
@@ -306,18 +313,9 @@ def cmd_move(args):
 # ----------------------------------------------------------------- operad
 
 
-def _gamma_nu2():
-    """One binary generator, zero differential: the free counterpart used
-    opposite the minimal associativity resolution in product checks."""
-    return OperadPresentation(
-        "free-binary", ("v",),
-        [GeneratorSpec("nu2", ("v", "v"), "v", 0, tj=0)], {},
-        symmetric=True, augmented=True)
-
-
 def _operad_by_name(name, arity=None):
     if name == "free-binary":
-        return _gamma_nu2()
+        return free_binary()
     if name == "ass-minimal-3":
         return ass_minimal(3)
     return builtin_presentation(name, arity)
@@ -358,7 +356,7 @@ def cmd_operad(args):
     elif args.sub == "kunneth":
         arity = args.arity or 3
         cert.bounds["arity"] = arity
-        res = kunneth_check(ass_minimal(3), _gamma_nu2(), arity)
+        res = kunneth_check(ass_minimal(3), free_binary(), arity)
         for e in res["per_degree"]:
             cert.add(f"product-homology-degree{e['degree']}", e["ok"],
                      witness=None if e["ok"] else
@@ -699,7 +697,8 @@ def _check_file_count(args):
 
 def _check_out(args):
     """Raise ValueError unless --out, when given, names a file (for
-    move, a file name prefix) in a directory that exists."""
+    move, a file name prefix) in a directory that exists, and no file a
+    move writes is an existing directory."""
     dest = COMMANDS[args.cmd]["out"][0]
     path = getattr(args, dest)
     if path is None:
@@ -710,6 +709,11 @@ def _check_out(args):
         raise ValueError(f"--out {path!r} names no file")
     if not os.path.isdir(head or "."):
         raise ValueError(f"--out {path!r}: no directory {head!r}")
+    if dest == "out":
+        for suffix in MOVE_OUTPUTS[args.move]:
+            if os.path.isdir(path + suffix):
+                raise ValueError(f"--out {path!r}: {path + suffix!r} is a "
+                                 f"directory")
 
 
 def main(argv=None):
@@ -718,9 +722,13 @@ def main(argv=None):
         _check_file_count(args)
         _check_out(args)
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except ValueError as exc:
+        message = exc
+    except OSError as exc:  # a missing input raises with the bare path
+        message = (exc if exc.filename is None
+                   else f"{exc.filename}: {exc.strerror}")
+    sys.stderr.write(f"error: {message}\n")
+    return 2
 
 
 if __name__ == "__main__":

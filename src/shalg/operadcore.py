@@ -705,7 +705,10 @@ def tree_decomposition_from_tables(t1: Mapping[int, Mapping[int, int]],
 
     Sums over isomorphism classes of leaf-labeled abstract rooted trees
     with unordered children, vertices labeled by one of the two factors,
-    adjacent vertices labeled by different factors.
+    adjacent vertices labeled by different factors.  A subtree's table
+    depends only on its number of leaves, so the trees are counted by
+    the exponential formula, leaf count by leaf count, choosing the
+    block that holds the first leaf: polynomial in the arity.
     """
     tables = {1: {int(a): {int(d): n for d, n in row.items()}
                   for a, row in t1.items()},
@@ -713,63 +716,36 @@ def tree_decomposition_from_tables(t1: Mapping[int, Mapping[int, int]],
                   for a, row in t2.items()}}
     if any(a < 2 for tab in tables.values() for a in tab):
         raise ValueError("factor tables must cover arities >= 2 only")
-    if arity == 1:
-        return {0: 1}
-    cache: dict = {}
 
-    def conv(a: dict, b: dict) -> dict:
-        out: dict[int, int] = {}
+    def conv_into(acc: dict, a: dict, b: dict, scale: int = 1) -> None:
         for d1, n1 in a.items():
             for d2, n2 in b.items():
-                out[d1 + d2] = out.get(d1 + d2, 0) + n1 * n2
-        return out
+                acc[d1 + d2] = acc.get(d1 + d2, 0) + scale * n1 * n2
 
-    def subtree(leafset: frozenset, parent_label) -> dict:
-        """Degree table for vertex-rooted subtrees on the leaf set whose
-        root label differs from parent_label."""
-        key = (leafset, parent_label)
-        if key in cache:
-            return cache[key]
-        total: dict[int, int] = {}
+    # under[p][n]: subtrees on n leaves whose root label is not p (p = 0:
+    # any root), the leaf on one; sets[l][k, n]: unordered k-sets of
+    # under[l] subtrees that partition n leaves.
+    under = {p: {1: {0: 1}} for p in (0, 1, 2)}
+    sets = {label: {(1, 1): {0: 1}} for label in (1, 2)}
+    for n in range(2, arity + 1):
         for label in (1, 2):
-            if label == parent_label:
-                continue
-            for k, tab_row in tables[label].items():
-                if k > len(leafset) or not tab_row:
-                    continue
-                for blocks in _set_partitions(sorted(leafset), k):
-                    acc = dict(tab_row)
-                    for blk in blocks:
-                        if len(blk) == 1:
-                            child = {0: 1}
-                        else:
-                            child = subtree(frozenset(blk), label)
-                        acc = conv(acc, child)
-                        if not acc:
-                            break
-                    for d, n in acc.items():
-                        total[d] = total.get(d, 0) + n
-        cache[key] = total
-        return total
-
-    return subtree(frozenset(range(1, arity + 1)), None)
-
-
-def _set_partitions(items, k):
-    """Partitions of a list into exactly k unordered nonempty blocks."""
-    if k == 1:
-        yield [list(items)]
-        return
-    if len(items) < k:
-        return
-    first, rest = items[0], items[1:]
-    # first joins an existing block of a (k)-partition of rest
-    for part in _set_partitions(rest, k):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-    # or forms its own block
-    for part in _set_partitions(rest, k - 1):
-        yield [[first]] + part
+            for k in range(2, n + 1):
+                acc = sets[label][k, n] = {}
+                for s in range(1, n - k + 2):
+                    conv_into(acc, under[label][s],
+                              sets[label][k - 1, n - s],
+                              math.comb(n - 1, s - 1))
+        for p in (0, 1, 2):
+            acc = under[p][n] = {}
+            for label in (1, 2):
+                if label != p:
+                    for k, row in tables[label].items():
+                        if k <= n:
+                            conv_into(acc, row, sets[label][k, n])
+        # last: the k-sets above, k >= 2, hold subtrees on fewer leaves
+        for label in (1, 2):
+            sets[label][1, n] = under[label][n]
+    return under[0].get(arity, {})
 
 
 def tree_decomposition_dims(p1: OperadPresentation, p2: OperadPresentation,
@@ -1150,6 +1126,15 @@ def ass_minimal(max_arity: int = 7) -> OperadPresentation:
             for n in range(2, max_arity + 1)}
     return OperadPresentation("ass-minimal", (color,), gens, diff,
                               symmetric=True, augmented=True)
+
+
+def free_binary() -> OperadPresentation:
+    """One binary generator, zero differential: the free counterpart used
+    opposite the minimal associativity resolution in product checks."""
+    return OperadPresentation(
+        "free-binary", ("v",),
+        [GeneratorSpec("nu2", ("v", "v"), "v", 0, tj=0)], {},
+        symmetric=True, augmented=True)
 
 
 @functools.lru_cache(maxsize=64)

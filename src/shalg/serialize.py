@@ -318,7 +318,11 @@ def load(path, digest=None):
         raw = fh.read()
     if digest is not None:
         digest.update(raw)
-    text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -329,20 +333,24 @@ def load(path, digest=None):
 def dump(path, data):
     """Write to path atomically (write-then-rename): a str as it is,
     anything else as JSON.  The file gets the mode open() would give a
-    new file, 0o666 less the umask."""
+    new file, 0o666 less the umask.  An OSError names path, not the
+    temporary file."""
     if not isinstance(data, str):
         data = json.dumps(data, indent=1, sort_keys=True) + "\n"
     import tempfile  # not loaded by commands that write no file
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     umask = os.umask(0)  # the only way to read it is to set it
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.chmod(tmp, 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

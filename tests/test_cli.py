@@ -1,6 +1,7 @@
 """Tests for the file formats and the batch command-line front end."""
 
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -165,6 +166,22 @@ def test_parse_error_counts_lines_as_text_mode_does(newline, tmp_path):
         serialize.load(str(path))
     assert str(exc.value) == (f"{path}: line 2, column 10: Expecting "
                               "property name enclosed in double quotes")
+
+
+def test_undecodable_file_is_named(tmp_path, capsys):
+    """A file that is not UTF-8 is reported with its path, as a JSON
+    error is, and exits 2."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "\xe9"}')
+    with pytest.raises(ValueError) as exc:
+        serialize.load(str(path))
+    assert str(exc.value) == (f"{path}: 'utf-8' codec can't decode byte "
+                              "0xe9 in position 10: invalid continuation "
+                              "byte")
+    assert main(["verify", "ainf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {exc.value}\n"
 
 
 def test_dump_is_atomic_and_deterministic(tmp_path):
@@ -609,6 +626,23 @@ def test_operad_kunneth(capsys):
     assert main(["operad", "kunneth", "--arity", "3"]) == 0
 
 
+def test_operad_tree_dims_arity9_certificate(capsys):
+    """The machine certificate of the largest bundled tree count, less
+    its wall time, as the set-partition enumeration computed it."""
+    assert main(["operad", "tree-dims", "ass-minimal-3", "free-binary",
+                 "--arity", "9", "--format", "machine"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert.pop("wall_time") >= 0
+    assert cert == {
+        "bounds": {"arity": 9, "length": None},
+        "checks": [{"name": "tree-decomposition-arity9", "status": "pass",
+                    "witness": {"0": 132843110400, "1": 116237721600,
+                                "2": 29059430400, "3": 2075673600,
+                                "4": 19958400}}],
+        "command": ["operad", "tree-dims", "ass-minimal-3", "free-binary"],
+        "inputs": {}, "ok": True}
+
+
 def test_operad_riso_extend_localizes(tmp_path, capsys):
     s = sdr_onto_homology(exterior_dga().complex)
     bad_phi = s.phi.add(s.nabla.compose(
@@ -896,8 +930,66 @@ def test_out_naming_no_file_is_rejected_before_any_work(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("move, suffix", [
+    ("m1", ".structure.json"), ("m1", ".morphism.json"),
+    ("s", ".structure.json"), ("m2", ".morphism.json"),
+    ("m4", ".morphism.json")])
+def test_move_output_that_is_a_directory_is_rejected_before_any_work(
+        move, suffix, dga_file, sdr_file, tmp_path, capsys):
+    """A file the move would write that is an existing directory exits 2
+    before any work: no certificate is printed and nothing is written."""
+    out = str(tmp_path / "out")
+    os.mkdir(out + suffix)
+    before = sorted(tmp_path.rglob("*"))
+    files = [dga_file] if move == "m4" else [dga_file, sdr_file]
+    assert main(["move", move, *files, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --out {out!r}: {out + suffix!r} is a "
+                            "directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ainf"], ["operad", "riso-extend"], ["move", "m1", None]],
+    ids=["verify", "operad", "move"])
+def test_input_that_is_a_directory_exits_2(argv, sdr_file, tmp_path,
+                                           capsys):
+    """An input path that names a directory is reported with its path and
+    the system's reason, with no traceback and nothing written."""
+    before = sorted(tmp_path.rglob("*"))
+    argv = [sdr_file if a is None else a for a in argv]
+    out = ["--out", str(tmp_path / "out")]
+    assert main([*argv[:2], str(tmp_path), *argv[2:], *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {tmp_path}: "
+                            f"{os.strerror(errno.EISDIR)}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["verify", "move"])
+def test_failed_write_exits_2_naming_the_output(command, dga_file, sdr_file,
+                                                tmp_path, capsys):
+    """A write the system refuses, here a file name longer than the file
+    system allows, exits 2 with the output's path and the system's
+    reason, and leaves no temporary file behind."""
+    out = str(tmp_path / ("c" * 300))
+    argv = (["move", "m1", dga_file, sdr_file] if command == "move"
+            else ["verify", "ainf", dga_file])
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--out", out]) == 2
+    written = out + ".structure.json" if command == "move" else out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {written}: "
+                            f"{os.strerror(errno.ENAMETOOLONG)}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["verify", "ainf", "/nonexistent/file.json"]) == 2
+    assert capsys.readouterr().err == "error: /nonexistent/file.json\n"
 
 
 def test_malformed_structure_exits_2(tmp_path, capsys):

@@ -7,7 +7,9 @@ the two-colored presentations with morphism generators
 (ass_arrow_minimal) and from riso; presentations derived by renaming
 and by free products check that no memo leaks between presentations.
 Presentations whose differential is rescaled by rationals exercise the
-integral shifted differential D = L·S·d·S with L > 1.
+integral shifted differential D = L·S·d·S with L > 1.  The free-product
+tree count that enumerated set partitions of leaf sets is the reference
+for the exponential-formula count.
 """
 
 import itertools
@@ -16,7 +18,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shalg.cli import _gamma_nu2
 from shalg.operadcore import (
     LEAF,
     GeneratorSpec,
@@ -26,15 +27,18 @@ from shalg.operadcore import (
     ass_arrow_minimal,
     ass_minimal,
     basis_sign,
+    component_dims,
     d_squared_check,
     derivation_extend,
     enumerate_trees,
+    free_binary,
     free_product,
     graft,
     rename_generators,
     riso,
     substitute,
     tree_arity,
+    tree_decomposition_from_tables,
     tree_degree,
     tree_shifted_degree,
     tree_vertices,
@@ -247,6 +251,69 @@ def ref_enumerate_trees(pres, arity, output_color, max_vertices,
     return out
 
 
+def ref_tree_decomposition(t1, t2, arity):
+    """tree_decomposition_from_tables as it was before the exponential
+    formula: every set partition of every leaf set, memoized on the
+    (frozenset of leaves, parent label) pair."""
+    tables = {1: {int(a): {int(d): n for d, n in row.items()}
+                  for a, row in t1.items()},
+              2: {int(a): {int(d): n for d, n in row.items()}
+                  for a, row in t2.items()}}
+    if any(a < 2 for tab in tables.values() for a in tab):
+        raise ValueError("factor tables must cover arities >= 2 only")
+    if arity == 1:
+        return {0: 1}
+    cache = {}
+
+    def conv(a, b):
+        out = {}
+        for d1, n1 in a.items():
+            for d2, n2 in b.items():
+                out[d1 + d2] = out.get(d1 + d2, 0) + n1 * n2
+        return out
+
+    def subtree(leafset, parent_label):
+        key = (leafset, parent_label)
+        if key in cache:
+            return cache[key]
+        total = {}
+        for label in (1, 2):
+            if label == parent_label:
+                continue
+            for k, tab_row in tables[label].items():
+                if k > len(leafset) or not tab_row:
+                    continue
+                for blocks in ref_set_partitions(sorted(leafset), k):
+                    acc = dict(tab_row)
+                    for blk in blocks:
+                        child = ({0: 1} if len(blk) == 1
+                                 else subtree(frozenset(blk), label))
+                        acc = conv(acc, child)
+                    for d, n in acc.items():
+                        total[d] = total.get(d, 0) + n
+        cache[key] = total
+        return total
+
+    return subtree(frozenset(range(1, arity + 1)), None)
+
+
+def ref_set_partitions(items, k):
+    """Partitions of a list into exactly k unordered nonempty blocks."""
+    if k == 1:
+        yield [list(items)]
+        return
+    if len(items) < k:
+        return
+    first, rest = items[0], items[1:]
+    # first joins an existing block of a k-partition of rest
+    for part in ref_set_partitions(rest, k):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+    # or forms its own block
+    for part in ref_set_partitions(rest, k - 1):
+        yield [[first]] + part
+
+
 # ---------------------------------------------------------- presentations
 
 
@@ -271,7 +338,7 @@ def shifted_ass():
 
 
 def product():
-    return free_product(shifted_ass(), _gamma_nu2())
+    return free_product(shifted_ass(), free_binary())
 
 
 def scaled(pres, factors):
@@ -487,3 +554,32 @@ def test_homology_is_invariant_under_a_common_rational_scaling():
     expected = truncated_homology(base, 6, "v")
     assert expected["dims"] == {0: 720}
     assert truncated_homology(pres, 6, "v") == expected
+
+
+degree_tables = st.dictionaries(
+    st.integers(2, 7),
+    st.dictionaries(st.integers(-2, 3), st.integers(1, 30), max_size=3),
+    max_size=6)
+
+
+@SETTINGS
+@given(degree_tables, degree_tables, st.integers(1, 7))
+def test_tree_decomposition_matches_set_partition_reference(t1, t2, arity):
+    assert tree_decomposition_from_tables(t1, t2, arity) == (
+        ref_tree_decomposition(t1, t2, arity))
+
+
+def test_tree_decomposition_of_bundled_tables_matches_reference():
+    """The component tables of tree-dims and the homology tables of
+    kunneth for ass-minimal-3 and free-binary; arities 8 and 9 are
+    pinned by the tree-dims certificate of the CLI tests."""
+    factors = ass_minimal(3), free_binary()
+    for arity in range(1, 8):
+        for table in (
+                lambda p, a: component_dims(p, a, "v", include_unit=False),
+                lambda p, a: truncated_homology(p, a, "v",
+                                                include_unit=False)["dims"]):
+            t1, t2 = ({a: table(p, a) for a in range(2, arity + 1)}
+                      for p in factors)
+            assert tree_decomposition_from_tables(t1, t2, arity) == (
+                ref_tree_decomposition(t1, t2, arity))

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from shalg import operadcore
-from shalg.cli import _gamma_nu2
 from shalg.exactlin import (
     ChainComplex,
     GradedMap,
@@ -29,6 +28,7 @@ from shalg.operadcore import (
     elem_scale,
     enumerate_trees,
     eval_element,
+    free_binary,
     free_product,
     graft,
     iso_normal_form,
@@ -263,11 +263,11 @@ def test_tree_decomposition_tables_oracles():
 
 
 def test_tree_decomposition_matches_free_product_dims():
-    p1 = ass_minimal(4)
-    p2 = rename_generators(ass_minimal(4),
-                           {"mu2": "rho2", "mu3": "rho3", "mu4": "rho4"})
+    p1 = ass_minimal(6)
+    p2 = rename_generators(ass_minimal(6),
+                           {f"mu{n}": f"rho{n}" for n in range(2, 7)})
     fp = free_product(p1, p2)
-    for arity in (2, 3):
+    for arity in range(2, 7):
         direct = component_dims(fp, arity, "v", include_unit=False)
         assert tree_decomposition_dims(p1, p2, arity) == direct
 
@@ -434,4 +434,4 @@ def test_truncated_homology_ranks_each_d_matrix_once(monkeypatch):
         return len(matrices)
 
     assert rank_calls(truncated_homology, ass_minimal(6), 6, "v") == 4
-    assert rank_calls(kunneth_check, ass_minimal(3), _gamma_nu2(), 5) == 6
+    assert rank_calls(kunneth_check, ass_minimal(3), free_binary(), 5) == 6
