@@ -38,6 +38,7 @@ from .operadcore import (
 )
 from .transfer import (
     NOT_ON_BIG_COMPLEX,
+    InconsistentSolve,
     chain_M4,
     check_side_conditions,
     invert_M3,
@@ -224,11 +225,13 @@ MOVE_OUTPUTS = {"m1": (".structure.json", ".morphism.json"),
 
 
 def _write_outputs(cert, args, outputs):
-    """Write output structure files only after every check passed."""
+    """Write output structure files only after every check passed, all
+    of them or none."""
     if not cert.ok:
         return
-    for suffix, data in zip(MOVE_OUTPUTS[args.move], outputs):
-        serialize.dump(f"{args.out}{suffix}", data)
+    first, *rest = [(f"{args.out}{suffix}", data)
+                    for suffix, data in zip(MOVE_OUTPUTS[args.move], outputs)]
+    serialize.dump(*first, *rest)
 
 
 def _map_field(data, key, source, target):
@@ -238,11 +241,18 @@ def _map_field(data, key, source, target):
 
 def _run_move(cert, hypothesis, move, *args, **kwargs):
     """Run a move and record the hypothesis it checks: passed, returning
-    the result, or failed with the move's ValueError as witness (None)."""
+    the result, or failed with the move's ValueError as witness (None).
+    A Taylor coefficient that no map solves, because the input
+    structures are not coherent, fails the check extension-solvable
+    after the passed hypothesis, with the arity as witness (None)."""
     try:
         out = move(*args, **kwargs)
     except ValueError as exc:
         cert.add(hypothesis, False, witness=str(exc))
+        return None
+    except InconsistentSolve as exc:
+        cert.add(hypothesis, True)
+        cert.add("extension-solvable", False, witness={"arity": exc.stage})
         return None
     cert.add(hypothesis, True)
     return out

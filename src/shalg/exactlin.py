@@ -5,6 +5,10 @@ stored as sparse exact rational columns per degree, chain complexes
 with a degree -1 differential, homology with explicit splitting data,
 and a certified linear solver.  Everything is a plain immutable value;
 no floating point is used anywhere.
+
+No differential of a tensor product is built: hom_differential pushes
+a map's nonzero columns through each slot's differential, so [f, d]
+reads only the degrees where f is nonzero and the degree above each.
 """
 
 from __future__ import annotations
@@ -562,6 +566,12 @@ def map_sum(maps: Sequence[GradedMap], coeffs=None) -> GradedMap:
                 for i, x in col.items():
                     v = x if c == 1 else c * x
                     acc[i] = acc[i] + v if i in acc else v
+    return GradedMap.from_columns(first.source, first.target, first.degree,
+                                  _drop_zeros(out))
+
+
+def _drop_zeros(out: Columns) -> Columns:
+    """out without its zero entries, empty columns and empty degrees."""
     for k in list(out):
         blk = out[k]
         for j in list(blk):
@@ -574,8 +584,7 @@ def map_sum(maps: Sequence[GradedMap], coeffs=None) -> GradedMap:
                     del blk[j]
         if not blk:
             del out[k]
-    return GradedMap.from_columns(first.source, first.target, first.degree,
-                                  out)
+    return out
 
 
 def _chunked_images(m: GradedMap) -> dict:
@@ -648,40 +657,6 @@ def tensor_maps_many(factors: Sequence[GradedMap]) -> GradedMap:
     return GradedMap.from_columns(src.space, tgt.space, degree, out)
 
 
-def _tensor_differential(complexes: Sequence["ChainComplex"]) -> GradedMap:
-    """Differential on the tensor product of the complexes: the sum of
-    1 x..x d_i x..x 1 with Koszul signs, built column by column.  Term i
-    changes only the i-th chunk of a basis tuple, so the terms never
-    meet on one entry.  With every d_i zero, nothing is enumerated."""
-    basis = _tensor_basis(_atoms([c.space for c in complexes]))
-    space = basis.space
-    out: Columns = {}
-    if all(c.differential.is_zero() for c in complexes):
-        return GradedMap.from_columns(space, space, -1, out)
-    widths = [len(c.space.factors) for c in complexes]
-    images = [_chunked_images(c.differential) for c in complexes]
-    for d in basis.dims:
-        if d - 1 not in basis.dims:
-            continue  # no degree to map to
-        rows = basis.index(d - 1)
-        blk = {}
-        for col, tup in enumerate(basis.tuples[d]):
-            entries = {}
-            pos, before = 0, 0
-            for w, img in zip(widths, images):
-                chunk = tup[pos:pos + w]
-                for t, x in img.get(chunk, (0, ()))[1]:
-                    row = rows[tup[:pos] + t + tup[pos + w:]]
-                    entries[row] = -x if before % 2 else x
-                before += sum(deg for deg, _ in chunk)
-                pos += w
-            if entries:
-                blk[col] = entries
-        if blk:
-            out[d] = blk
-    return GradedMap.from_columns(space, space, -1, out)
-
-
 class ChainComplex:
     """Graded space with a degree -1 differential squaring to zero."""
 
@@ -695,22 +670,10 @@ class ChainComplex:
             raise ValueError("differential does not square to zero")
         self.space = space
         self.differential = differential
-        self._tensor_differentials: dict[int, GradedMap] = {}
 
     @classmethod
     def zero_differential(cls, space):
         return cls(space, GradedMap.zero(space, space, -1))
-
-    def tensor_power_differential(self, n: int) -> GradedMap:
-        """Differential on space^(x n): sum of 1 x..x d x..x 1 with Koszul
-        signs, built once per n."""
-        if n < 1:
-            raise ValueError("n >= 1 required")
-        if n == 1:
-            return self.differential
-        if n not in self._tensor_differentials:
-            self._tensor_differentials[n] = _tensor_differential([self] * n)
-        return self._tensor_differentials[n]
 
     def __eq__(self, other):
         return (isinstance(other, ChainComplex)
@@ -728,20 +691,53 @@ def hom_differential(f: GradedMap, source_factors: Sequence[ChainComplex],
     [f, d] = d_target . f - (-1)^|f| f . d_tensor.  Applying it twice
     gives zero.  The source of f must be the declared tensor product of
     the factor complexes.
+
+    f . d_tensor is built from f's nonzero columns: the column at tuple
+    t goes, times x and (-1)^(degree of the chunks before slot i), to
+    t with chunk i replaced by each s whose d_i(s) holds x t_i.  Only
+    the degrees of f's columns and the degree above each are read.
     """
-    if f.source != tensor_spaces([c.space for c in source_factors]):
+    basis = _tensor_basis(_atoms([c.space for c in source_factors]))
+    if f.source != basis.space:
         raise ValueError("source of f is not the declared tensor product")
     if f.target != target.space:
         raise ValueError("target of f does not match the declared complex")
     if f.is_zero():
         return GradedMap.zero(f.source, target.space, f.degree - 1)
-    first = source_factors[0]
-    if all(c is first for c in source_factors):
-        d_tensor = first.tensor_power_differential(len(source_factors))
-    else:
-        d_tensor = _tensor_differential(source_factors)
-    sign = -1 if f.degree % 2 else 1
-    return target.differential.compose(f).add(f.compose(d_tensor), 1, -sign)
+    # per factor, chunk t -> (s, x, -x) for each chunk s with x t in d(s)
+    transposed: dict = {}
+    slots, hi = [], 0  # (lo, hi, transposed d): slot i is tup[lo:hi]
+    for c in source_factors:
+        lo, hi = hi, hi + len(c.space.factors)
+        if id(c) not in transposed:
+            pre = transposed[id(c)] = {}
+            for s, (_, img) in _chunked_images(c.differential).items():
+                for t, x in img:
+                    pre.setdefault(t, []).append((s, x, -x))
+        slots.append((lo, hi, transposed[id(c)]))
+    out = {k: {j: dict(col) for j, col in cols.items()}
+           for k, cols in target.differential.compose(f).columns.items()}
+    # with every d_i zero there is nothing to push, and nothing is read
+    for k, cols in f.columns.items() if any(transposed.values()) else ():
+        if k + 1 not in basis.dims:
+            continue  # no tuple of degree k + 1 to push a column to
+        tuples, index = basis.tuples[k], basis.index(k + 1)
+        blk = out.setdefault(k + 1, {})
+        for c, col in cols.items():
+            tup = tuples[c]
+            # -(-1)^|f| times the Koszul sign of the chunks before slot i
+            before = f.degree + 1
+            for lo, hi, pre in slots:
+                chunk = tup[lo:hi]
+                for s, x, minus_x in pre.get(chunk, ()):
+                    acc = blk.setdefault(index[tup[:lo] + s + tup[hi:]], {})
+                    coeff = minus_x if before % 2 else x
+                    for r, y in col.items():
+                        v = coeff * y
+                        acc[r] = acc[r] + v if r in acc else v
+                before += sum(deg for deg, _ in chunk)
+    return GradedMap.from_columns(f.source, target.space, f.degree - 1,
+                                  _drop_zeros(out))
 
 
 def homotopy_residual(h: GradedMap, a: GradedMap, b: GradedMap,

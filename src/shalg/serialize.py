@@ -330,27 +330,35 @@ def load(path, digest=None):
                          f"{exc.colno}: {exc.msg}") from exc
 
 
-def dump(path, data):
-    """Write to path atomically (write-then-rename): a str as it is,
-    anything else as JSON.  The file gets the mode open() would give a
-    new file, 0o666 less the umask.  An OSError names path, not the
+def dump(path, data, *more):
+    """Write data to path atomically (write-then-rename): a str as it
+    is, anything else as JSON.  more holds further (path, data) pairs,
+    written with the first as one step: every file goes to a temporary
+    file next to its target before any target is replaced, and on
+    failure the temporaries are removed, so a failed write replaces no
+    target.  Each file gets the mode open() would give a new file,
+    0o666 less the umask.  An OSError names its target, not the
     temporary file."""
-    if not isinstance(data, str):
-        data = json.dumps(data, indent=1, sort_keys=True) + "\n"
     import tempfile  # not loaded by commands that write no file
-    directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)  # the only way to read it is to set it
     os.umask(umask)
-    tmp = None
+    staged = []  # (temporary, target) pairs
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.chmod(tmp, 0o666 & ~umask)
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in ((path, data), *more):
+            if not isinstance(data, str):
+                data = json.dumps(data, indent=1, sort_keys=True) + "\n"
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.chmod(tmp, 0o666 & ~umask)
+                fh.write(data)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise

@@ -20,10 +20,11 @@ inclusion at the leaves, and the projection at the root.  This module
 holds unsuspended maps only: the recursion's sums of two-level trees
 are operadcore.partition_sum's, and SDRs are assembled from homology
 splittings by exactlin.split_retract.  The perturbation-style moves
-solve for one Taylor coefficient at a time by exact linear algebra;
-the relevant homotopy invariance theorems guarantee the systems are
-consistent, and an inconsistent solve is reported as an internal
-error.
+solve for one Taylor coefficient at a time by exact linear algebra.
+The relevant homotopy invariance theorems guarantee the systems are
+consistent when the input structures are coherent; an inconsistent
+solve means they are not, and raises InconsistentSolve naming the
+arity.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ from .ainfty import (
     fn_residual,
     underlying,
 )
-
-
-def _is_chain_map(m: GradedMap, source: ChainComplex,
-                  target: ChainComplex) -> bool:
-    return hom_differential(m, [source], target).is_zero()
 
 
 def _is_homotopy(h: GradedMap, a: GradedMap, b: GradedMap,
@@ -170,6 +166,19 @@ def normalize_side_conditions(s: SDRData) -> SDRData:
 # --------------------------------------------------- homotopy equivalences
 
 
+def _check_one_sided(source: ChainComplex, target: ChainComplex,
+                     f: GradedMap, g: GradedMap, h: GradedMap) -> None:
+    """Raise ValueError unless f: source -> target and g back are chain
+    maps and h is a homotopy from 1 to g f on source."""
+    if not hom_differential(f, [source], target).is_zero():
+        raise ValueError("f is not a chain map")
+    if not hom_differential(g, [target], source).is_zero():
+        raise ValueError("g is not a chain map")
+    if not _is_homotopy(h, GradedMap.identity(source.space), g.compose(f),
+                        source, source):
+        raise ValueError("h is not a homotopy from 1 to g f")
+
+
 class HomotopyEquivalence:
     """Chain homotopy equivalence with explicit two-sided witnesses.
 
@@ -179,13 +188,7 @@ class HomotopyEquivalence:
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  f: GradedMap, g: GradedMap, h: GradedMap, l: GradedMap):
-        if not _is_chain_map(f, source, target):
-            raise ValueError("f is not a chain map")
-        if not _is_chain_map(g, target, source):
-            raise ValueError("g is not a chain map")
-        if not _is_homotopy(h, GradedMap.identity(source.space),
-                            g.compose(f), source, source):
-            raise ValueError("h is not a homotopy from 1 to g f")
+        _check_one_sided(source, target, f, g, h)
         if not _is_homotopy(l, GradedMap.identity(target.space),
                             f.compose(g), target, target):
             raise ValueError("l is not a homotopy from 1 to f g")
@@ -339,13 +342,7 @@ def transfer_S(a: AInfinityAlgebra, target: ChainComplex, f: GradedMap,
     V, and no witness on W is required.  Same tree summation as the SDR
     transfer with h as the only homotopy; the morphism returned has
     underlying map g."""
-    V = a.complex
-    if not _is_chain_map(f, V, target):
-        raise ValueError("f is not a chain map")
-    if not _is_chain_map(g, target, V):
-        raise ValueError("g is not a chain map")
-    if not _is_homotopy(h, GradedMap.identity(V.space), g.compose(f), V, V):
-        raise ValueError("h is not a homotopy from 1 to g f")
+    _check_one_sided(a.complex, target, f, g, h)
     return _transfer(a, target, f, g, h, N if N is not None else a.N)
 
 
@@ -353,9 +350,10 @@ def transfer_S(a: AInfinityAlgebra, target: ChainComplex, f: GradedMap,
 
 
 class InconsistentSolve(RuntimeError):
-    """A linear system that homotopy invariance guarantees to be
-    consistent turned out not to be: an implementation bug, reported
-    with the inconsistency certificate."""
+    """No Taylor coefficient solves the coherence identity in arity
+    stage.  Homotopy invariance guarantees a solution when the source
+    and target structures are coherent, so one of them is not; the
+    certificate is the solver's inconsistency certificate."""
 
     def __init__(self, stage: int, certificate):
         super().__init__(f"inconsistent solve at stage {stage}")

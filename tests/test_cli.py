@@ -19,6 +19,7 @@ from shalg.exactlin import (
     ChainComplex,
     GradedMap,
     GradedVectorSpace,
+    hom_differential,
     kernel_basis,
     make_matrix,
     tensor_basis_tuples,
@@ -36,7 +37,7 @@ from shalg.transfer import (
     riso_zero_extension,
     sdr_onto_homology,
 )
-from test_transfer import coherent_morphism
+from test_transfer import coherent_morphism, random_map
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -595,6 +596,68 @@ def test_move_records_its_failed_hypothesis(move, hypothesis, witness,
         f"[FAIL] hypothesis-{hypothesis}  witness=\"{witness}\"\n"
         "FAILED: 0 passed, 1 failed\n")
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("move, hypothesis", [
+    ("m2", "homotopy-between-chain-maps"),
+    ("m3", "homotopy-equivalence")])
+def test_move_on_incoherent_input_fails_extension_solvable(
+        move, hypothesis, tmp_path, capsys):
+    """A source whose mu_4 is one entry off a coherent structure leaves
+    the arity-4 Taylor coefficient of the rebuilt morphism unsolvable:
+    the move prints its certificate with the arity as witness, exits 1
+    and writes nothing."""
+    m = coherent_morphism(1)
+    V, W = m.source, m.target
+    mus = {n: V.mu(n) for n in range(2, 5)}
+    mus[4] = mus[4].add(GradedMap.from_columns(
+        mus[4].source, V.space, 2, {0: {0: {0: Fraction(1)}}}))
+    bad = AInfinityMorphism(AInfinityAlgebra(V.complex, mus, 4), W,
+                            {n: m.f(n) for n in range(1, 5)}, 4)
+    if move == "m2":
+        h = random_map(random.Random(3), V.space, W.space, 1)
+        maps = {"g": m.f(1).add(hom_differential(h, [V.complex], W.complex)),
+                "h": h}
+    else:
+        zero = GradedMap.zero(V.space, V.space, 1)
+        maps = {"g": GradedMap.identity(V.space), "h": zero, "l": zero}
+    paths = [tmp_path / "bad.json", tmp_path / "maps.json"]
+    serialize.dump(str(paths[0]), serialize.morphism_to_data(bad))
+    serialize.dump(str(paths[1]), {k: serialize.map_to_data(v)
+                                   for k, v in maps.items()})
+    out = str(tmp_path / "out")
+    assert main(["move", move, *map(str, paths), "--out", out]) == 1
+    assert capsys.readouterr().out == (
+        f"[PASS] hypothesis-{hypothesis}\n"
+        "[FAIL] extension-solvable  witness={\"arity\": 4}\n"
+        "FAILED: 1 passed, 1 failed\n")
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_failed_second_write_leaves_no_output(dga_file, sdr_file, tmp_path,
+                                              monkeypatch, capsys):
+    """move m1 writes its two files as one step: when the second cannot
+    be written (here the disk is full), the command exits 2 naming it,
+    and neither the first output nor a temporary file is left."""
+    import tempfile
+    mkstemp, made = tempfile.mkstemp, []
+
+    def full_on_second(*args, **kwargs):
+        made.append(kwargs)
+        if len(made) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return mkstemp(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", full_on_second)
+    out = str(tmp_path / "out")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["move", "m1", dga_file, sdr_file, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {out}.morphism.json: "
+                            f"{os.strerror(errno.ENOSPC)}\n")
+    assert len(made) == 2 and not os.path.exists(out + ".structure.json")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_move_s(dga_file, sdr_file, tmp_path):

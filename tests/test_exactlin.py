@@ -28,6 +28,7 @@ from shalg.exactlin import (
 )
 from test_sparse_reference import mat_mul, sparse_rows
 from test_transfer import random_chain_complex
+from test_windowed import tensor_differential
 
 
 # ---------------------------------------------------------------- matrices
@@ -148,11 +149,16 @@ def test_identity_tensor_identity():
 
 
 def test_tensor_square_differential_squares_to_zero():
+    """The Koszul-signed slot sum of 1 x..x d x..x 1 squares to zero,
+    and hom_differential pushes columns through the same d_tensor: the
+    identity of V^(x n) is a chain map into (V^(x n), the slot sum)."""
     c = two_term_complex()
-    d2 = c.tensor_power_differential(2)
-    assert d2.compose(d2).is_zero()
-    d3 = c.tensor_power_differential(3)
-    assert d3.compose(d3).is_zero()
+    for n in (2, 3):
+        d = tensor_differential([c] * n)
+        assert not d.is_zero() and d.compose(d).is_zero()
+        ident = GradedMap.identity(tensor_power(c.space, n))
+        assert hom_differential(ident, [c] * n,
+                                ChainComplex(d.source, d)).is_zero()
 
 
 def test_koszul_sign_on_basis():

@@ -11,6 +11,7 @@ certificates of the dense solver it replaced, kept here on that loop.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -454,15 +455,25 @@ def test_tensor_product_matches_signed_kronecker(rng):
     assert got.blocks == ref_tensor(factors)
 
 
+def random_factor(rng):
+    """A random complex, or sometimes one whose differential is zero."""
+    if rng.random() < 0.3:
+        return ChainComplex.zero_differential(random_space(rng)), {}
+    return random_complex(rng)
+
+
 @SETTINGS
 @given(rngs)
 def test_hom_differential_matches_dense_leibniz(rng):
-    n = rng.randint(1, 3)
-    if rng.random() < 0.5:
-        sources = [random_complex(rng)] * n
-    else:
-        sources = [random_complex(rng) for _ in range(n)]
-    target, target_d = random_complex(rng)
+    n = rng.randint(1, 4)
+    while True:  # keep the dense Kronecker products small
+        if rng.random() < 0.5:
+            sources = [random_factor(rng)] * n
+        else:
+            sources = [random_factor(rng) for _ in range(n)]
+        if math.prod(c.space.total_dim for c, _ in sources) <= 144:
+            break
+    target, target_d = random_factor(rng)
     cxs = [c for c, _ in sources]
     src = tensor_spaces([c.space for c in cxs])
     deg = random_degree(rng, src, target.space)
@@ -480,8 +491,6 @@ def test_hom_differential_matches_dense_leibniz(rng):
                          c.space, c.space, 0))
         d_terms.append((ref_tensor(facs), 1))
     d_tensor = ref_sum(d_terms, src, src, -1)
-    if n > 1 and all(c is cxs[0] for c in cxs):
-        assert cxs[0].tensor_power_differential(n).blocks == d_tensor
     fd = stored(fb, src, target.space, deg)
     want = ref_sum(
         [(ref_compose(target_d, (target.space, target.space, -1),

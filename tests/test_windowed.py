@@ -34,6 +34,7 @@ from shalg.exactlin import (
     ChainComplex,
     GradedMap,
     GradedVectorSpace,
+    _TensorBasis,
     _tensor_basis,
     hom_differential,
     map_sum,
@@ -177,6 +178,31 @@ def test_zero_maps_enumerate_no_tensor_basis():
     assert not basis.tuples._values and v8._labels is None
 
 
+def test_hom_differential_enumerates_only_its_degrees(monkeypatch):
+    """On a window-open complex, the bracket of a map on V^(x 6) that is
+    nonzero in one source degree k enumerates the tuples of degrees k
+    and k + 1 of V^(x 6) only, and equals the term-by-term reference."""
+    read = []
+    enumerate_ = _TensorBasis._enumerate
+
+    def recording(self, d):
+        read.append((len(self.atoms), d))
+        return enumerate_(self, d)
+
+    _tensor_basis.cache_clear()
+    monkeypatch.setattr(_TensorBasis, "_enumerate", recording)
+    c = random_chain_complex(random.Random(7), {-1: 1, 0: 2, 1: 1})
+    v6 = tensor_power(c.space, 6)
+    k = -4  # mu_6 has degree 4, so its degree -4 columns land in degree 0
+    f = GradedMap.from_columns(v6, c.space, 4, {
+        k: {0: {0: Fraction(1)}, 5: {1: Fraction(-2)}, 17: {0: Fraction(3)}}})
+    got = hom_differential(f, [c] * 6, c)
+    assert sorted(d for n, d in read if n == 6) == [k, k + 1]
+    assert sorted(got.columns) == [k, k + 1]
+    assert got == ref_hom_differential(f, [c] * 6, c)
+    _tensor_basis.cache_clear()
+
+
 # ------------------------------------------------------------ references
 
 
@@ -286,15 +312,20 @@ def test_sign_eta_values():
         sign_eta((1, 1), (0,))
 
 
+def tensor_differential(sources):
+    """d on the tensor product of the complexes: the sum over slots p of
+    1 x..x d_p x..x 1, with the Koszul signs of tensor_maps_many."""
+    return map_sum([tensor_maps_many([c.differential if q == p else
+                                      GradedMap.identity(c.space)
+                                      for q, c in enumerate(sources)])
+                    for p in range(len(sources))])
+
+
 def ref_hom_differential(f, sources, target):
     """[f, d] with the tensor differential summed term by term."""
-    d_terms = [tensor_maps_many([c.differential if q == p else
-                                 GradedMap.identity(c.space)
-                                 for q, c in enumerate(sources)])
-               for p in range(len(sources))]
     sign = -1 if f.degree % 2 else 1
     return map_sum([target.differential.compose(f),
-                    f.compose(map_sum(d_terms))], [1, -sign])
+                    f.compose(tensor_differential(sources))], [1, -sign])
 
 
 def slotted(op, ident, i, s):
