@@ -4,6 +4,12 @@ Loads structures from files, runs verifications and moves, and emits
 certificates: a machine-readable record of every identity checked, with
 pass/fail status, an exact-residual flag, and a first-failure witness.
 Exit status is nonzero exactly when some check fails.
+
+Importing this module loads the operad layer (operadcore, and exactlin
+under it) and nothing else of shalg: serialize, ainfty and transfer are
+imported by the functions that run them, so an operad command that
+reads no file never loads them, and verify ainf|morphism|action never
+loads transfer.
 """
 
 import json
@@ -13,13 +19,6 @@ import sys
 import time
 from types import SimpleNamespace
 
-from . import serialize
-from .ainfty import (
-    AInfinityAlgebra,
-    an_residual,
-    fn_residual,
-    underlying,
-)
 from .exactlin import GradedMap
 from .operadcore import (
     ISO_NORMAL_FORMS,
@@ -36,19 +35,6 @@ from .operadcore import (
     tree_leaf_colors,
     truncated_homology,
 )
-from .transfer import (
-    NOT_ON_BIG_COMPLEX,
-    InconsistentSolve,
-    chain_M4,
-    check_side_conditions,
-    invert_M3,
-    perturb_M2,
-    retract_residuals,
-    riso_zero_extension,
-    side_condition_residuals,
-    transfer_M1,
-    transfer_S,
-)
 
 DEFAULT_BOUND_N = 5
 DEFAULT_ARITY = {"ass-minimal": 7, "ass-arrow-minimal": 5, "riso": 3}
@@ -63,10 +49,11 @@ def _map_witness(m: GradedMap):
     column) order, as an exact record."""
     if m.is_zero():
         return None
+    from .serialize import dump_fraction
     k = min(m.columns)
     i, j = min((i, j) for j, col in m.columns[k].items() for i in col)
     return {"degree": k, "row": i, "column": j,
-            "value": serialize.dump_fraction(m.columns[k][j][i])}
+            "value": dump_fraction(m.columns[k][j][i])}
 
 
 def _sha256_constructor():
@@ -95,7 +82,8 @@ class Certificate:
     def load(self, path):
         """The JSON data of an input file, recording the SHA-256 of the
         bytes that were parsed: each input is read once."""
-        # imported here: commands that hash no file load none of it
+        # imported here: commands that read no file load none of it
+        from . import serialize
         digest = _sha256_constructor()()
         data = serialize.load(_resolve(path), digest)
         self.inputs[os.path.basename(path)] = digest.hexdigest()
@@ -146,7 +134,8 @@ def _emit(cert: Certificate, args) -> int:
         text = cert.render_text() + "\n"
     out = getattr(args, "cert_out", None)
     if out:
-        serialize.dump(out, text)
+        from .serialize import dump
+        dump(out, text)
     sys.stdout.write(text)
     return 0 if cert.ok else 1
 
@@ -164,6 +153,7 @@ def _verify_identities(cert, x, prefix="", bound=None):
     """The coherence identities of an algebra (arities 2..N) or of a
     morphism (arities 1..N), N the smaller of x.N and the bound when one
     is given."""
+    from .ainfty import AInfinityAlgebra, an_residual, fn_residual
     if isinstance(x, AInfinityAlgebra):
         name, residual, first = "stasheff", an_residual, 2
     else:
@@ -175,6 +165,7 @@ def _verify_identities(cert, x, prefix="", bound=None):
 def _verify_sdr(cert, big, small, nabla, f, phi):
     """The retract identities as one check, failing with the witness of
     the first that breaks, then the three side conditions."""
+    from .transfer import retract_residuals, side_condition_residuals
     residuals = retract_residuals(big, small, nabla, f, phi)
     cert.add_residual("retract-identity", next(
         (r for r in residuals if not r.is_zero()), residuals[0]))
@@ -185,19 +176,22 @@ def _verify_sdr(cert, big, small, nabla, f, phi):
 
 
 def cmd_verify(args):
+    from . import serialize
     bounds = {"N": args.bound_n or DEFAULT_BOUND_N}
     cert = Certificate(["verify", args.kind, *args.files], bounds)
     data = cert.load(args.files[0])
-    if args.kind == "ainf":
-        _verify_identities(cert, serialize.algebra_from_data(data),
-                           bound=args.bound_n)
-    elif args.kind == "morphism":
-        _verify_identities(cert, serialize.morphism_from_data(data),
-                           bound=args.bound_n)
+    if args.kind in ("ainf", "morphism"):
+        x = (serialize.algebra_from_data if args.kind == "ainf"
+             else serialize.morphism_from_data)(data)
+        _verify_identities(cert, x, bound=args.bound_n)
+        # a structure's own N is at least 2, so only --bound-n 1 is empty
+        bound = f"--bound-n {args.bound_n}"
     elif args.kind == "sdr":
         _verify_sdr(cert, *serialize.sdr_parts_from_data(data))
     elif args.kind == "action":
-        res = action_check(*serialize.action_from_data(data))
+        pres, action, complexes, truncation = serialize.action_from_data(data)
+        res = action_check(pres, action, complexes, truncation)
+        bound = f"truncation {truncation}"
         for entry in res["entries"]:
             witness = None
             if not entry["ok"]:
@@ -211,6 +205,8 @@ def cmd_verify(args):
                      witness=witness)
     else:
         raise ValueError(args.kind)
+    if not cert.checks:  # refused: it would pass having checked nothing
+        raise ValueError(f"{bound} checks no identity of {args.files[0]}")
     return _emit(cert, args)
 
 
@@ -229,12 +225,14 @@ def _write_outputs(cert, args, outputs):
     of them or none."""
     if not cert.ok:
         return
+    from .serialize import dump
     first, *rest = [(f"{args.out}{suffix}", data)
                     for suffix, data in zip(MOVE_OUTPUTS[args.move], outputs)]
-    serialize.dump(*first, *rest)
+    dump(*first, *rest)
 
 
 def _map_field(data, key, source, target):
+    from . import serialize
     return serialize.map_from_data(serialize.field(data, key), source,
                                    target, f"$.{key}")
 
@@ -245,6 +243,7 @@ def _run_move(cert, hypothesis, move, *args, **kwargs):
     A Taylor coefficient that no map solves, because the input
     structures are not coherent, fails the check extension-solvable
     after the passed hypothesis, with the arity as witness (None)."""
+    from .transfer import InconsistentSolve
     try:
         out = move(*args, **kwargs)
     except ValueError as exc:
@@ -259,6 +258,10 @@ def _run_move(cert, hypothesis, move, *args, **kwargs):
 
 
 def cmd_move(args):
+    from . import serialize
+    from .ainfty import underlying
+    from .transfer import (NOT_ON_BIG_COMPLEX, chain_M4, check_side_conditions,
+                           invert_M3, perturb_M2, transfer_M1, transfer_S)
     N = args.bound_n or DEFAULT_BOUND_N
     cert = Certificate(["move", args.move, *args.files], {"N": N})
     datas = [cert.load(p) for p in args.files]
@@ -341,13 +344,16 @@ def cmd_operad(args):
         cert.bounds["arity"] = arity
         pres = _operad_by_name(name, arity)
         res = d_squared_check(pres, arity)
+        if not res["checked"]:
+            raise ValueError(f"--arity {arity} checks no generator of {name}")
         for entry in res["checked"]:
-            cert.add(f"d-squared-{entry['generator']}",
-                     entry["d_squared_zero"],
-                     residual_zero=entry["d_squared_zero"],
-                     witness=[repr(entry["witness"][0]),
-                              serialize.dump_fraction(entry["witness"][1])]
-                     if not entry["d_squared_zero"] else None)
+            ok, witness = entry["d_squared_zero"], None
+            if not ok:
+                from .serialize import dump_fraction
+                t, c = entry["witness"]
+                witness = [repr(t), dump_fraction(c)]
+            cert.add(f"d-squared-{entry['generator']}", ok, residual_zero=ok,
+                     witness=witness)
         for f in res["failures"]:
             if "reason" in f:
                 cert.add(f"grading-{f['generator']}-{f['reason']}", False)
@@ -372,8 +378,9 @@ def cmd_operad(args):
                      witness=None if e["ok"] else
                      {"predicted": e["predicted"], "direct": e["direct"]})
     elif args.sub == "riso-extend":
-        res = riso_zero_extension(serialize.sdr_parts_from_data(
-            cert.load(names[0])))
+        from .serialize import sdr_parts_from_data
+        from .transfer import riso_zero_extension
+        res = riso_zero_extension(sdr_parts_from_data(cert.load(names[0])))
         if res["ok"]:
             cert.add("zero-extension", True, residual_zero=True)
         else:

@@ -76,9 +76,10 @@ class OperadPresentation:
     carry an extra factor of arity!.
 
     The invariants of every tree the operad layer meets under this
-    presentation (arity, length, degrees, orientation sign, leaf colors),
-    the images of its subtrees under D and the tree enumerations are
-    memoized on the instance and freed with it.
+    presentation (arity, length, degrees, orientation sign), the terms
+    of each generator's D image with their leaf records, the images of
+    its subtrees under D and the tree enumerations are memoized on the
+    instance and freed with it.
     """
 
     def __init__(self, name, colors, generators: Sequence[GeneratorSpec],
@@ -110,10 +111,8 @@ class OperadPresentation:
                                       for c in v.values()))
         self.symmetric = symmetric
         self.augmented = augmented
-        # tree -> memoized invariants; see _info, _leaf_after, _leaf_colors
+        # tree -> memoized invariants; see _info
         self._tree_info = {LEAF: _LEAF_INFO}
-        self._leaf_after = {}
-        self._leaf_colors = {}
         # generator -> D(generator); subtree -> D(subtree); see _d_shifted
         self._d_gens = {}
         self._d_terms = {}  # generator -> terms of D; see _d_gen_terms
@@ -174,6 +173,9 @@ def _new_info(pres: OperadPresentation, t) -> _TreeInfo:
     arity = vertices = degree = shifted = exp = 0
     sign = 1
     for slot, c in enumerate(t[1:]):
+        if c == LEAF:
+            arity += 1
+            continue
         k = _info(pres, c)
         if k.vertices:
             r = k.arity
@@ -191,35 +193,6 @@ def _new_info(pres: OperadPresentation, t) -> _TreeInfo:
     return _TreeInfo(arity, 1 + vertices, g.degree + degree,
                      g.degree + 1 - g.arity + shifted,
                      -sign if exp % 2 else sign)
-
-
-def _leaf_after(pres: OperadPresentation, t) -> tuple:
-    """For each leaf of t in planar order, the total shifted degree of
-    the generators after it in the depth-first word; memoized on pres."""
-    after = pres._leaf_after.get(t)
-    if after is None:
-        if is_leaf(t):
-            after = (0,)
-        else:
-            out = []
-            rest = _info(pres, t).shifted_degree - _shifted_degree(pres, t[0])
-            for c in t[1:]:
-                rest -= _info(pres, c).shifted_degree
-                out.extend(a + rest for a in _leaf_after(pres, c))
-            after = tuple(out)
-        pres._leaf_after[t] = after
-    return after
-
-
-def _leaf_colors(pres: OperadPresentation, t):
-    """Input colors of t in planar leaf order, or None when the two ends
-    of an edge of t disagree; memoized on pres."""
-    colors = pres._leaf_colors.get(t, False)
-    if colors is False:
-        colors = (tuple(tree_leaf_colors(pres, t, pres.gen(t[0]).output))
-                  if tree_is_valid(pres, t) else None)
-        pres._leaf_colors[t] = colors
-    return colors
 
 
 def _shifted_degree(pres, name) -> int:
@@ -250,7 +223,8 @@ def tree_word(t) -> list:
         return []
     out = [t[0]]
     for c in t[1:]:
-        out.extend(tree_word(c))
+        if c != LEAF:
+            out.extend(tree_word(c))
     return out
 
 
@@ -306,6 +280,82 @@ def basis_sign(pres: OperadPresentation, t) -> int:
     return _info(pres, t).sign
 
 
+# index path -> itself: the leaf records of all trees share their paths
+_PATHS: dict = {}
+
+
+def _leaf_record(pres: OperadPresentation, u):
+    """The leaf record of a non-leaf tree u, what plugging children into
+    it reads: three tuples over its leaves in planar order, each leaf's
+    input color, the total shifted degree of the generators after it in
+    u's depth-first word, and the index path from u's root to it.  Found
+    in one walk of u; None when the two ends of an edge of u disagree."""
+    gens = pres.generators
+    colors, after, paths = [], [], []
+    rest = _info(pres, u).shifted_degree  # of the generators not yet passed
+
+    def walk(t, path):
+        nonlocal rest
+        g = gens[t[0]]
+        k = len(g.inputs)
+        if len(t) != k + 1:
+            return False
+        rest -= g.degree + 1 - k
+        for i, color in enumerate(g.inputs, 1):
+            c = t[i]
+            if c == LEAF:
+                colors.append(color)
+                after.append(rest)
+                leaf = path + (i,)
+                paths.append(_PATHS.setdefault(leaf, leaf))
+            elif gens[c[0]].output != color or not walk(c, path + (i,)):
+                return False
+        return True
+
+    if not walk(u, ()):
+        return None
+    return tuple(colors), tuple(after), tuple(paths)
+
+
+def _put_children(u, leaves, kids):
+    """Plug children into the leaves of u with shifted-grading word
+    signs: kids lists (j, tree, output color, shifted degree) of each
+    non-leaf child, in slot order, and it replaces leaf j of u, whose
+    color, degree after and path are read from u's leaf record; the
+    other leaves stay.  Returns (sign, tree), or None when a child's
+    output color is not its leaf's input color.  Only the tuples on the
+    paths are rebuilt: the root once, a deeper one once per child
+    below it."""
+    if not kids:
+        return (1, u)
+    colors, after, paths = leaves
+    out, exp = list(u), 0
+    for j, c, color, shifted in kids:
+        if colors[j] != color:
+            return None
+        exp += shifted * after[j]
+        path = paths[j]
+        i = path[0]
+        out[i] = c if len(path) == 1 else _put(out[i], path, 1, c)
+    return (-1 if exp % 2 else 1, tuple(out))
+
+
+def _put(t, path, depth, c):
+    """t with its subtree at path[depth:] replaced by c."""
+    i = path[depth]
+    if depth + 1 < len(path):
+        c = _put(t[i], path, depth + 1, c)
+    return t[:i] + (c,) + t[i + 1:]
+
+
+def _kids(pres, children) -> list:
+    """(slot, tree, output color, shifted degree) of each non-leaf tree
+    of children: what _put_children plugs."""
+    gens = pres.generators
+    return [(j, c, gens[c[0]].output, _info(pres, c).shifted_degree)
+            for j, c in enumerate(children) if c != LEAF]
+
+
 def _substitute_shifted(pres: OperadPresentation, u, children):
     """Plug trees into the leaves of u with shifted-grading word signs.
 
@@ -318,23 +368,10 @@ def _substitute_shifted(pres: OperadPresentation, u, children):
         return (1, children[0])
     if len(children) != _info(pres, u).arity:
         raise ValueError("child count does not match arity")
-    colors = _leaf_colors(pres, u)
-    if colors is None:
+    leaves = _leaf_record(pres, u)
+    if leaves is None:
         return None
-    gens = pres.generators
-    exp = 0
-    for c, a, color in zip(children, _leaf_after(pres, u), colors):
-        if c != LEAF:
-            if gens[c[0]].output != color:
-                return None
-            exp += _info(pres, c).shifted_degree * a
-    return (-1 if exp % 2 else 1, _plug(u, iter(children)))
-
-
-def _plug(t, it):
-    """t with its leaves replaced, in planar order, by the items of it."""
-    return (t[0],) + tuple([next(it) if c == LEAF else _plug(c, it)
-                            for c in t[1:]])
+    return _put_children(u, leaves, _kids(pres, children))
 
 
 def substitute(pres: OperadPresentation, u, children):
@@ -371,8 +408,13 @@ def elem_scale(a: Element, c) -> Element:
 
 
 def _accumulate(out: Element, t, c) -> None:
-    prev = out.get(t)
-    out[t] = c if prev is None else prev + c
+    """out[t] += c, dropping t when the sum is zero: terms that cancel
+    free their trees at once."""
+    c += out.get(t, 0)
+    if c:
+        out[t] = c
+    else:
+        out.pop(t, None)
 
 
 def graft(pres: OperadPresentation, outer: Element, position: int,
@@ -401,7 +443,7 @@ def graft(pres: OperadPresentation, outer: Element, position: int,
                 s = -s
             c = Fraction(oc * ic)
             _accumulate(out, t, c if s > 0 else -c)
-    return {t: c for t, c in out.items() if c}
+    return out
 
 
 def derivation_extend(pres: OperadPresentation, x: Element) -> Element:
@@ -427,7 +469,7 @@ def _apply_shifted(pres, x) -> dict:
         else:
             for u, cu in img.items():
                 _accumulate(out, u, c * cu)
-    return {u: c for u, c in out.items() if c}
+    return out
 
 
 def _d_gen(pres, name) -> dict:
@@ -446,11 +488,11 @@ def _d_gen(pres, name) -> dict:
 
 
 def _d_gen_terms(pres, name) -> list:
-    """The terms of _d_gen as (tree u, coefficient, the input colors of
-    u, _leaf_after of u): what plugging a vertex's children into u
-    reads, listed once per generator and memoized on pres.  A u whose
-    own edges disagree in color is left out; the unit tree has colors
-    None, since it takes its one child as it is."""
+    """The terms of _d_gen as (tree u, coefficient, the leaf record of
+    u): what plugging a vertex's children into u reads, listed once per
+    generator and memoized on pres.  A u whose own edges disagree in
+    color is left out; the unit tree has record None, since it takes its
+    one child as it is."""
     terms = pres._d_terms.get(name)
     if terms is None:
         arity = pres.gen(name).arity
@@ -459,13 +501,13 @@ def _d_gen_terms(pres, name) -> list:
             if is_leaf(u):
                 if arity != 1:
                     raise ValueError("unit tree takes exactly one child")
-                terms.append((u, cu, None, None))
+                terms.append((u, cu, None))
                 continue
             if _info(pres, u).arity != arity:
                 raise ValueError("child count does not match arity")
-            colors = _leaf_colors(pres, u)
-            if colors is not None:
-                terms.append((u, cu, colors, _leaf_after(pres, u)))
+            leaves = _leaf_record(pres, u)
+            if leaves is not None:
+                terms.append((u, cu, leaves))
         pres._d_terms[name] = terms
     return terms
 
@@ -479,7 +521,6 @@ def _d_shifted(pres, t, keep=True) -> dict:
     if img is None:
         img = {}
         _add_d_image(pres, t, 1, img)
-        img = {u: c for u, c in img.items() if c}
         if keep:
             pres._d_images[t] = img
     return img
@@ -487,37 +528,25 @@ def _d_shifted(pres, t, keep=True) -> dict:
 
 def _add_d_image(pres, t, c, out) -> None:
     """Add c·D(t) to out, for a non-leaf t: D of the root generator with
-    t's children plugged in (as _substitute_shifted), plus D of each
-    child in place, with the shifted Koszul sign of the generators
-    before it.  Entries that cancel are left in out as zeros."""
+    t's children plugged in (by _put_children, along each term's leaf
+    record), plus D of each non-leaf child in place, with the shifted
+    Koszul sign of the generators before it."""
     children = t[1:]
-    gens = pres.generators
-    # (output color, shifted degree) of each child, None for a leaf
-    kids = [None if ch == LEAF else
-            (gens[ch[0]].output, _info(pres, ch).shifted_degree)
-            for ch in children]
-    for u, cu, colors, after in _d_gen_terms(pres, t[0]):
-        if colors is None:
+    kids = _kids(pres, children)
+    for u, cu, leaves in _d_gen_terms(pres, t[0]):
+        if leaves is None:
             _accumulate(out, children[0], c * cu)
             continue
-        exp = 0
-        for kid, color, a in zip(kids, colors, after):
-            if kid is not None:
-                if kid[0] != color:
-                    break
-                exp += kid[1] * a
-        else:
-            _accumulate(out, _plug(u, iter(children)),
-                        -c * cu if exp % 2 else c * cu)
+        r = _put_children(u, leaves, kids)
+        if r is not None:
+            _accumulate(out, r[1], c * cu if r[0] > 0 else -c * cu)
     pre_deg = _shifted_degree(pres, t[0])
-    for j, ch in enumerate(children):
-        if ch == LEAF:
-            continue
+    for j, ch, _, shifted in kids:
         sc = -c if pre_deg % 2 else c
         head, tail = (t[0],) + children[:j], children[j + 1:]
         for u, cu in _d_shifted(pres, ch).items():
             _accumulate(out, head + (u,) + tail, sc * cu)
-        pre_deg += kids[j][1]
+        pre_deg += shifted
 
 
 # ------------------------------------------------------------ diagnostics
@@ -531,7 +560,8 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int,
     strictly smaller tj (the filtration condition)."""
     failures = []
     checked = []
-    for name, g in pres.generators.items():
+    gens = pres.generators
+    for name, g in gens.items():
         if g.arity > up_to_arity:
             continue
         img = pres.d_image(name)
@@ -549,13 +579,12 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int,
             failures.append(entry)
         if g.tj is not None:
             for t in img:
-                tj = tree_tj(pres, t)
-                if tj != g.tj - 1:
+                tjs = [gens[v].tj for v in tree_word(t)]
+                if None in tjs or sum(tjs) != g.tj - 1:
                     entry["tj"] = False
                     failures.append({"generator": name, "reason": "tj total",
                                      "tree": t})
-                if any(pres.gen(v).tj is None or pres.gen(v).tj >= g.tj
-                       for v in tree_word(t)):
+                if any(tj is None or tj >= g.tj for tj in tjs):
                     failures.append({"generator": name,
                                      "reason": "filtration", "tree": t})
         checked.append(entry)
@@ -677,14 +706,49 @@ def _children_choices(pres, arities, colors, budget, degree_budget=None):
 def component_dims(pres: OperadPresentation, arity: int, output_color,
                    include_unit=True) -> dict:
     """Per-degree dimensions of the arity component, with the arity!
-    multiplicity for symmetric (regular-representation) presentations."""
+    multiplicity for symmetric (regular-representation) presentations.
+
+    The trees are counted, not built.  A tree of arity n is a generator
+    of arity k over a composition of n into k parts, each part a leaf or
+    a smaller tree of the input's color, so the per-degree counts of
+    arity n are convolutions of those of smaller arities, slot by slot
+    over each generator's inputs.  Without unary generators (which
+    raise) every tree of arity n has fewer than n vertices, so all of
+    them count."""
+    _exact_vertex_bound(pres, arity)  # raises on unary generators
+    counts = {}  # (arity, color) -> degree -> trees with a root vertex
+
+    def parts(m, color):
+        return {0: 1} if m == 1 else counts[m, color]
+
+    for n in range(2, arity + 1):
+        for color in pres.colors:
+            acc = counts[n, color] = {}
+            for g in pres.generators.values():
+                if g.output != color or g.arity > n:
+                    continue
+                # leaves used by the slots so far -> their degree table
+                prefix = {0: {0: 1}}
+                for c in g.inputs:
+                    grown = {}
+                    for s, row in prefix.items():
+                        for m in range(1, n - s + 1):
+                            _convolve_into(grown.setdefault(s + m, {}), row,
+                                           parts(m, c))
+                    prefix = grown
+                for d, x in prefix.get(n, {}).items():
+                    acc[d + g.degree] = acc.get(d + g.degree, 0) + x
+    dims = ({0: 1} if arity == 1 and include_unit
+            else counts.get((arity, output_color), {}))
     mult = math.factorial(arity) if pres.symmetric else 1
-    dims: dict[int, int] = {}
-    for t in enumerate_trees(pres, arity, output_color,
-                             _exact_vertex_bound(pres, arity), include_unit):
-        d = _info(pres, t).degree
-        dims[d] = dims.get(d, 0) + mult
-    return dims
+    return {d: x * mult for d, x in sorted(dims.items())}
+
+
+def _convolve_into(acc: dict, a: dict, b: dict, scale: int = 1) -> None:
+    """acc += scale · (a * b), for degree tables (degree -> count) a, b."""
+    for d1, n1 in a.items():
+        for d2, n2 in b.items():
+            acc[d1 + d2] = acc.get(d1 + d2, 0) + scale * n1 * n2
 
 
 def _exact_vertex_bound(pres, arity):
@@ -717,11 +781,6 @@ def tree_decomposition_from_tables(t1: Mapping[int, Mapping[int, int]],
     if any(a < 2 for tab in tables.values() for a in tab):
         raise ValueError("factor tables must cover arities >= 2 only")
 
-    def conv_into(acc: dict, a: dict, b: dict, scale: int = 1) -> None:
-        for d1, n1 in a.items():
-            for d2, n2 in b.items():
-                acc[d1 + d2] = acc.get(d1 + d2, 0) + scale * n1 * n2
-
     # under[p][n]: subtrees on n leaves whose root label is not p (p = 0:
     # any root), the leaf on one; sets[l][k, n]: unordered k-sets of
     # under[l] subtrees that partition n leaves.
@@ -732,16 +791,16 @@ def tree_decomposition_from_tables(t1: Mapping[int, Mapping[int, int]],
             for k in range(2, n + 1):
                 acc = sets[label][k, n] = {}
                 for s in range(1, n - k + 2):
-                    conv_into(acc, under[label][s],
-                              sets[label][k - 1, n - s],
-                              math.comb(n - 1, s - 1))
+                    _convolve_into(acc, under[label][s],
+                                   sets[label][k - 1, n - s],
+                                   math.comb(n - 1, s - 1))
         for p in (0, 1, 2):
             acc = under[p][n] = {}
             for label in (1, 2):
                 if label != p:
                     for k, row in tables[label].items():
                         if k <= n:
-                            conv_into(acc, row, sets[label][k, n])
+                            _convolve_into(acc, row, sets[label][k, n])
         # last: the k-sets above, k >= 2, hold subtrees on fewer leaves
         for label in (1, 2):
             sets[label][1, n] = under[label][n]
@@ -1029,23 +1088,28 @@ def eval_element(pres, action, spaces, elem: Element, input_colors,
             weights[t] = Fraction(c * _info(pres, t).sign, math.prod(
                 [_suspended_images(action[v]).scale for v in tree_word(t)]))
     denom = math.lcm(1, *(w.denominator for w in weights.values()))
-    total = {}  # source tuple -> target index -> int over denom
+    # source degree -> source tuple -> target index -> int over denom
+    total = {k - n: {} for k in window}
     for t, w in weights.items():
         w = w.numerator * (denom // w.denominator)
         for k in window:
+            by_src = total[k - n]
             for src, image in table(t, output_color, k).items():
-                col = total.setdefault(src, {})
+                col = by_src.setdefault(src, {})
                 for (_, r), v in image:
                     col[r] = col.get(r, 0) + w * v
     table.cache_clear()  # the closure is a cycle: free the tables now
     columns = {}
-    for src, col in total.items():
-        k = sum(deg for deg, _ in src)
-        sign = _suspension_sign(src)
-        col = {r: Fraction(sign * v, denom) for r, v in col.items() if v}
-        if col:
-            columns.setdefault(k, {})[
-                tensor_basis_index(factors, k)[src]] = col
+    for k, by_src in total.items():
+        cols = {}
+        for src, col in by_src.items():
+            sign = _suspension_sign(src)
+            col = {r: Fraction(sign * v, denom) for r, v in col.items() if v}
+            if col:
+                cols[src] = col
+        if cols:  # the basis of a degree whose sum cancels is not read
+            index = tensor_basis_index(factors, k)
+            columns[k] = {index[src]: col for src, col in cols.items()}
     return GradedMap.from_columns(source, target, degree, columns)
 
 

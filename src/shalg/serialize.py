@@ -19,7 +19,6 @@ from .exactlin import (
 )
 from .ainfty import AInfinityAlgebra, AInfinityMorphism
 from .operadcore import builtin_presentation
-from .transfer import RetractParts, SDRData
 
 
 # -------------------------------------------------------------- rationals
@@ -266,6 +265,7 @@ def sdr_to_data(s) -> dict:
 def sdr_parts_from_data(data, path="$"):
     """RetractParts (big, small, nabla, f, phi) of a retract file, with
     the retract identities left unchecked."""
+    from .transfer import RetractParts  # only retract files load transfer
     big = _nested(complex_from_data, data, "big", path)
     small = _nested(complex_from_data, data, "small", path)
     return RetractParts(
@@ -275,7 +275,9 @@ def sdr_parts_from_data(data, path="$"):
         _nested(map_from_data, data, "phi", path, big.space, big.space))
 
 
-def sdr_from_data(data, path="$") -> SDRData:
+def sdr_from_data(data, path="$"):
+    """SDRData of a retract file: the parts, checked to be a retract."""
+    from .transfer import SDRData
     return SDRData(*sdr_parts_from_data(data, path))
 
 

@@ -385,6 +385,34 @@ def test_verify_bound_n_below_one_exits_2(dga_file, capsys):
     assert "--bound-n: must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_verify_ainf_bound_checking_nothing_exits_2(dga_file, capsys):
+    """A bound below the lowest arity would print "OK: 0 passed" and
+    exit 0: it is refused, naming the bound, and no certificate is
+    printed."""
+    assert main(["verify", "ainf", dga_file, "--bound-n", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --bound-n 1 checks no identity of {dga_file}\n"
+    assert main(["verify", "ainf", dga_file, "--bound-n", "1",
+                 "--format", "machine"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_action_truncation_checking_nothing_exits_2(tmp_path,
+                                                           capsys):
+    """ass-minimal's generators start at arity 2, so truncation 1 would
+    check none of them."""
+    path = str(tmp_path / "action.json")
+    serialize.dump(path, {
+        "kind": "action", "presentation": "ass-minimal",
+        "complexes": {"v": serialize.complex_to_data(exterior_dga().complex)},
+        "truncation": 1})
+    assert main(["verify", "action", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: truncation 1 checks no identity of {path}\n"
+
+
 def test_verify_morphism(dga_file, tmp_path, capsys):
     a = exterior_dga()
     m = AInfinityMorphism(a, a, {1: GradedMap.identity(a.space)}, 4)
@@ -683,6 +711,20 @@ def test_operad_d2_builtins(capsys):
     assert main(["operad", "d2", "ass-minimal", "--arity", "5"]) == 0
     assert main(["operad", "d2", "ass-arrow-minimal", "--arity", "4"]) == 0
     assert main(["operad", "d2", "riso"]) == 0
+
+
+def test_operad_d2_arity_checking_nothing_exits_2(tmp_path, capsys):
+    """ass-minimal has no generator of arity 1: the certificate would
+    check nothing and pass, so the bound is refused and nothing is
+    printed or written."""
+    cert = tmp_path / "cert.json"
+    assert main(["operad", "d2", "ass-minimal", "--arity", "1",
+                 "--format", "machine", "--out", str(cert)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --arity 1 checks no generator of ass-minimal\n"
+    assert not cert.exists()
+    assert main(["operad", "d2", "ass-arrow-minimal", "--arity", "1"]) == 0
 
 
 def test_operad_kunneth(capsys):

@@ -2,9 +2,9 @@
 shalg imports is used in that module, no module imports another's
 underscore names, no function works on dense matrices except the dense
 adapters, importing the command line front end loads no module that
-only some commands need, no command that hashes its input files
-loads OpenSSL, no command loads argparse, and only exactlin names
-tensor_maps_many."""
+only some commands need, operad commands load only the operad layer,
+no command that hashes its input files loads OpenSSL, no command loads
+argparse, and only exactlin names tensor_maps_many."""
 
 import ast
 import pathlib
@@ -230,4 +230,36 @@ def test_commands_leave_argparse_unloaded(command, tmp_path):
     with the gettext and locale it loads, cost every command about 8 ms
     of start-up."""
     assert _main_loads(("argparse", "gettext", "locale"), command,
+                       tmp_path) == "[]"
+
+
+# The layers above operadcore: files, structures and moves.
+NOT_OPERAD = ("shalg.serialize", "shalg.ainfty", "shalg.transfer")
+
+
+def test_cli_import_loads_only_the_operad_layer():
+    """shalg.cli imports serialize, ainfty and transfer in the functions
+    that run them, so importing it and parsing loads none of them."""
+    assert _modules_loaded(
+        NOT_OPERAD, "shalg.cli.build_parser().parse_args("
+                    "['verify', 'ainf', 'x.json'])") == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["operad", "d2", "ass-minimal", "--arity", "4"],
+    ["operad", "homology", "ass-minimal", "--arity", "3"],
+    ["operad", "kunneth", "--arity", "3", "--format", "machine"],
+    ["operad", "tree-dims", "ass-minimal-3", "free-binary", "--arity", "3"],
+    ["operad", "alpha", "--length", "3"],
+], ids=lambda c: "-".join(c[:2]))
+def test_operad_commands_load_only_the_operad_layer(command, tmp_path):
+    """An operad command that reads no file runs operadcore and exactlin
+    only; the start-up of the other layers would be most of its cost."""
+    assert _main_loads(NOT_OPERAD, command, tmp_path) == "[]"
+
+
+def test_verify_ainf_leaves_transfer_unloaded(tmp_path):
+    """serialize imports transfer's retract types in the retract loaders
+    only, so verifying a structure file never loads transfer."""
+    assert _main_loads(("shalg.transfer",), ["verify", "ainf", "{dga}"],
                        tmp_path) == "[]"

@@ -13,6 +13,7 @@ for the exponential-formula count.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,9 @@ from shalg.operadcore import (
     LEAF,
     GeneratorSpec,
     OperadPresentation,
+    _d_gen_terms,
     _info,
-    _leaf_after,
+    _leaf_record,
     ass_arrow_minimal,
     ass_minimal,
     basis_sign,
@@ -40,6 +42,7 @@ from shalg.operadcore import (
     tree_arity,
     tree_decomposition_from_tables,
     tree_degree,
+    tree_leaf_colors,
     tree_shifted_degree,
     tree_vertices,
     tree_word,
@@ -216,6 +219,15 @@ def ref_derivation_extend(pres, x):
     return {t: c for t, c in out.items() if c}
 
 
+def ref_leaf_paths(t, path=()):
+    """The index path from t's root to each of its leaves, in planar
+    order."""
+    if t == LEAF:
+        return [path]
+    return [p for i, c in enumerate(t[1:], 1)
+            for p in ref_leaf_paths(c, path + (i,))]
+
+
 def ref_enumerate_trees(pres, arity, output_color, max_vertices,
                         include_unit=True, max_degree=None):
     """Every tree of enumerate_trees, in its order, enumerated afresh at
@@ -249,6 +261,20 @@ def ref_enumerate_trees(pres, arity, output_color, max_vertices,
                 out.extend((name,) + kids for kids in choices(
                     comp, g.inputs, max_vertices - 1, kid_budget))
     return out
+
+
+def ref_component_dims(pres, arity, output_color, include_unit=True):
+    """component_dims as it was before it counted trees: every tree of
+    the component enumerated and counted by its degree."""
+    if any(g.arity == 1 for g in pres.generators.values()):
+        raise ValueError("unary generators need an explicit length cap")
+    mult = math.factorial(arity) if pres.symmetric else 1
+    dims = {}
+    for t in ref_enumerate_trees(pres, arity, output_color,
+                                 max(arity - 1, 1), include_unit):
+        d = ref_tree_degree(pres, t)
+        dims[d] = dims.get(d, 0) + mult
+    return dims
 
 
 def ref_tree_decomposition(t1, t2, arity):
@@ -341,6 +367,24 @@ def product():
     return free_product(shifted_ass(), free_binary())
 
 
+def deep():
+    """ass_arrow_minimal(4) with a morphism generator w4 whose image
+    holds trees of three vertices, so that D plugs a vertex's children
+    along leaf paths of depth 3; the image need not square to zero."""
+    base = arrow()
+    w4 = GeneratorSpec("w4", ("v",) * 4, "w", 3, kind="mor")
+    mu2 = ("mu2", LEAF, LEAF)
+    image = {("nu2", ("f2", mu2, LEAF), ("f1", LEAF)): Fraction(1),
+             ("f1", ("mu3", LEAF, mu2, LEAF)): Fraction(-1),
+             ("f2", LEAF, ("mu2", mu2, LEAF)): Fraction(2),
+             ("f1", ("mu2", LEAF, ("mu3", LEAF, LEAF, LEAF))): Fraction(1, 3),
+             ("f4",) + (LEAF,) * 4: Fraction(1)}
+    assert all(ref_tree_arity(t) == 4 for t in image)
+    return OperadPresentation(
+        "deep", base.colors, [*base.generators.values(), w4],
+        {**base.differential, "w4": image}, symmetric=True, augmented=False)
+
+
 def scaled(pres, factors):
     """pres with the image of each generator g multiplied by factors[g]."""
     return OperadPresentation(
@@ -360,7 +404,7 @@ def random_scaling(pres, rng):
 
 
 PRESENTATIONS = {"arrow": arrow, "swapped": swapped_arrow, "riso": riso,
-                 "product": product}
+                 "product": product, "deep": deep}
 
 
 def tree_pool(pres):
@@ -372,7 +416,32 @@ def tree_pool(pres):
             for t in enumerate_trees(pres, a, c, 4 if unary else 3)]
 
 
+def deep_pool(pres):
+    """Every tree of arity at most 6 (1 for riso) and at most 4
+    vertices, of every output color, that has a leaf at depth 3 or more
+    or a vertex with two or more non-leaf children."""
+    unary = pres.name == "riso"
+
+    def deep_enough(t):
+        if t == LEAF:
+            return False
+        kids = [c for c in t[1:] if c != LEAF]
+        return (len(kids) > 1 or max(map(len, ref_leaf_paths(t))) >= 3
+                or any(deep_enough(c) for c in kids))
+
+    return [t for c in pres.colors
+            for a in ((1,) if unary else range(1, 7))
+            for t in enumerate_trees(pres, a, c, 4) if deep_enough(t)]
+
+
+def deep_leaves(t):
+    """Positions (from 1, in planar order) of t's leaves at depth 3 or
+    more."""
+    return [i for i, p in enumerate(ref_leaf_paths(t), 1) if len(p) >= 3]
+
+
 POOLS = {name: tree_pool(make()) for name, make in PRESENTATIONS.items()}
+DEEP_POOLS = {name: deep_pool(make()) for name, make in PRESENTATIONS.items()}
 names = st.sampled_from(sorted(PRESENTATIONS))
 # a seeded stream for drawing from the pools
 rngs = st.randoms(use_true_random=False)
@@ -390,7 +459,12 @@ def check_invariants(pres, t):
     assert tree_degree(pres, t) == info.degree
     assert tree_shifted_degree(pres, t) == info.shifted_degree
     assert basis_sign(pres, t) == info.sign
-    assert _leaf_after(pres, t) == tuple(ref_leaf_after_shifted(pres, t))
+    if t != LEAF:
+        colors, after, paths = _leaf_record(pres, t)
+        assert list(after) == ref_leaf_after_shifted(pres, t)
+        assert list(colors) == tree_leaf_colors(pres, t,
+                                                pres.gen(t[0]).output)
+        assert list(paths) == ref_leaf_paths(t)
     assert tree_word(t) == ref_tree_word(t)
 
 
@@ -480,6 +554,28 @@ def test_substitute_and_graft_match_reference(name, rng):
         assert all(type(c) is Fraction for c in grafted.values())
 
 
+@SETTINGS
+@given(names, rngs)
+def test_substitute_and_graft_at_deep_leaves_match_reference(name, rng):
+    """Children plugged at leaves of depth 3 or more, into trees with
+    several non-leaf children, rebuild the tuples along long paths."""
+    pres = PRESENTATIONS[name]()
+    pool = DEEP_POOLS[name]
+    targets = [t for t in pool if deep_leaves(t)]
+    for _ in range(6):
+        u = rng.choice(targets)
+        deep_at = set(deep_leaves(u))
+        children = [rng.choice(pool) if i in deep_at or rng.random() < 0.3
+                    else LEAF for i in range(1, ref_tree_arity(u) + 1)]
+        assert substitute(pres, u, children) == ref_substitute(
+            pres, u, children)
+        position = rng.choice(sorted(deep_at))
+        outer = {u: rng.choice(COEFFICIENTS)}
+        inner = {t: rng.choice(COEFFICIENTS) for t in rng.sample(pool, 2)}
+        assert graft(pres, outer, position, inner) == ref_graft(
+            pres, outer, position, inner)
+
+
 def test_graft_of_int_coefficients_is_fractional():
     pres = ass_minimal(3)
     mu2 = pres.corolla("mu2")
@@ -498,6 +594,30 @@ def test_derivation_extend_matches_reference(name, rng):
         img = pres.d_image(g)
         assert derivation_extend(pres, img) == ref_derivation_extend(
             pres, img)
+
+
+@SETTINGS
+@given(names, rngs)
+def test_derivation_extend_on_deep_trees_matches_reference(name, rng):
+    pres = PRESENTATIONS[name]()
+    x = {t: Fraction(rng.choice(COEFFICIENTS))
+         for t in rng.sample(DEEP_POOLS[name], 4)}
+    assert derivation_extend(pres, x) == ref_derivation_extend(pres, x)
+
+
+def test_derivation_extend_plugs_along_deep_leaf_paths():
+    """D(w4)'s terms have leaves at depth 3, where D of a w4 vertex puts
+    its non-leaf children: every tree of arity 5 to 7 with a w4 root and
+    one or two more vertices."""
+    pres = deep()
+    assert any(len(path) >= 3 for _, _, (_, _, paths) in _d_gen_terms(
+        pres, "w4") for path in paths)
+    trees = [t for a in range(5, 8) for t in enumerate_trees(pres, a, "w", 3)
+             if t[0] == "w4"]
+    assert len(trees) > 20
+    for t in trees:
+        assert derivation_extend(pres, {t: 1}) == ref_derivation_extend(
+            pres, {t: 1})
 
 
 def test_d_squared_at_benchmark_arities():
@@ -583,3 +703,33 @@ def test_tree_decomposition_of_bundled_tables_matches_reference():
                       for p in factors)
             assert tree_decomposition_from_tables(t1, t2, arity) == (
                 ref_tree_decomposition(t1, t2, arity))
+
+
+def no_unary():
+    """ass_arrow_minimal(4) without f1: two colors and no unary
+    generator, so its components can be counted."""
+    base = arrow()
+    return OperadPresentation(
+        "arrow-no-f1", base.colors,
+        [g for g in base.generators.values() if g.name != "f1"])
+
+
+COUNTED = {"ass-minimal": ass_minimal, "ass-minimal-3": lambda: ass_minimal(3),
+           "ass-arrow-minimal": ass_arrow_minimal, "free-binary": free_binary,
+           "no-unary": no_unary, **PRESENTATIONS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(COUNTED)), st.integers(0, 7), st.booleans(),
+       rngs)
+def test_component_dims_match_enumeration(name, arity, unit, rng):
+    """The counted dimensions equal those of the enumerated trees on the
+    bundled presentations and the ones above; unary generators raise."""
+    pres = COUNTED[name]()
+    color = rng.choice(pres.colors)
+    if any(g.arity == 1 for g in pres.generators.values()):
+        with pytest.raises(ValueError, match="unary generators"):
+            component_dims(pres, arity, color, unit)
+        return
+    assert component_dims(pres, arity, color, unit) == ref_component_dims(
+        pres, arity, color, unit)
