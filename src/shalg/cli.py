@@ -451,13 +451,17 @@ _OPTIONS = (
 
 # One row per command: its help, the function that runs it, the dest of
 # its positional choice, each choice with the number of inputs it reads
-# (None: one or more, the chain move m4 composes), the fewest inputs the
-# command line may give, and its --out as (dest, metavar, required, help).
+# (None: one or more, the chain move m4 composes), the options each
+# choice reads besides --format and --out, which every choice reads, the
+# fewest inputs the command line may give, and its --out as (dest,
+# metavar, required, help).
 COMMANDS = {
     "verify": {
         "help": "check coherence identities", "func": cmd_verify,
         "choice": "kind",
         "files": {"ainf": 1, "morphism": 1, "sdr": 1, "action": 1},
+        "reads": {"ainf": ("--bound-n",), "morphism": ("--bound-n",),
+                  "sdr": (), "action": ()},
         "least": 1,
         "out": ("cert_out", "PATH", False,
                 "write the certificate to this path")},
@@ -465,6 +469,7 @@ COMMANDS = {
         "help": "run a homotopy-invariance move", "func": cmd_move,
         "choice": "move",
         "files": {"m1": 2, "m2": 2, "m3": 2, "m4": None, "s": 2},
+        "reads": dict.fromkeys(("m1", "m2", "m3", "m4", "s"), ("--bound-n",)),
         "least": 1,
         "out": ("out", "PREFIX", True, "prefix for output structure files")},
     "operad": {
@@ -472,6 +477,9 @@ COMMANDS = {
         "choice": "sub",
         "files": {"d2": 1, "homology": 1, "kunneth": 0, "riso-extend": 1,
                   "tree-dims": 2, "alpha": 0},
+        "reads": {"d2": ("--arity",), "homology": ("--arity", "--length"),
+                  "kunneth": ("--arity",), "riso-extend": (),
+                  "tree-dims": ("--arity",), "alpha": ("--length",)},
         "least": 0,
         "out": ("cert_out", "PATH", False,
                 "write the certificate to this path")},
@@ -712,6 +720,17 @@ def _check_file_count(args):
                          f"{'s' * (want != 1)}, got {len(args.files)}")
 
 
+def _check_options_read(args):
+    """Raise ValueError if an option is given that the command never
+    reads: it would be ignored, or recorded in the bounds unchecked."""
+    row = COMMANDS[args.cmd]
+    what = getattr(args, row["choice"])
+    for option, dest, *_ in _OPTIONS:
+        if (option not in ("--format", *row["reads"][what])
+                and getattr(args, dest) is not None):
+            raise ValueError(f"{args.cmd} {what} does not read {option}")
+
+
 def _check_out(args):
     """Raise ValueError unless --out, when given, names a file (for
     move, a file name prefix) in a directory that exists, and no file a
@@ -737,6 +756,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _check_file_count(args)
+        _check_options_read(args)
         _check_out(args)
         return args.func(args)
     except ValueError as exc:

@@ -201,25 +201,9 @@ def _shifted_degree(pres, name) -> int:
     return g.degree + 1 - g.arity
 
 
-def is_leaf(t) -> bool:
-    return t == LEAF
-
-
-def tree_arity(t) -> int:
-    if is_leaf(t):
-        return 1
-    return sum(tree_arity(c) for c in t[1:])
-
-
-def tree_vertices(t) -> int:
-    if is_leaf(t):
-        return 0
-    return 1 + sum(tree_vertices(c) for c in t[1:])
-
-
 def tree_word(t) -> list:
     """Depth-first generator names (root first, children left to right)."""
-    if is_leaf(t):
+    if t == LEAF:
         return []
     out = [t[0]]
     for c in t[1:]:
@@ -232,41 +216,15 @@ def tree_degree(pres: OperadPresentation, t) -> int:
     return _info(pres, t).degree
 
 
-def tree_tj(pres: OperadPresentation, t):
-    tjs = [pres.gen(g).tj for g in tree_word(t)]
-    if any(x is None for x in tjs):
-        return None
-    return sum(tjs)
-
-
 def tree_leaf_colors(pres: OperadPresentation, t, output_color) -> list:
     """Input colors in planar leaf order, given the tree's output color."""
-    if is_leaf(t):
+    if t == LEAF:
         return [output_color]
     g = pres.gen(t[0])
     out = []
     for i, c in enumerate(t[1:]):
         out.extend(tree_leaf_colors(pres, c, g.inputs[i]))
     return out
-
-
-def tree_is_valid(pres: OperadPresentation, t, output_color=None) -> bool:
-    """Color discipline: every edge's two ends agree."""
-    if is_leaf(t):
-        return True
-    g = pres.generators.get(t[0])
-    if g is None or len(t) - 1 != g.arity:
-        return False
-    if output_color is not None and g.output != output_color:
-        return False
-    return all(tree_is_valid(pres, c, g.inputs[i])
-               for i, c in enumerate(t[1:]))
-
-
-def tree_shifted_degree(pres, t) -> int:
-    """Degree in the arity-shifted grading, where a generator of arity k
-    and degree d counts d + 1 - k."""
-    return _info(pres, t).shifted_degree
 
 
 def basis_sign(pres: OperadPresentation, t) -> int:
@@ -362,7 +320,7 @@ def _substitute_shifted(pres: OperadPresentation, u, children):
     Returns (sign, tree), or None when an edge color mismatch makes the
     composite zero.
     """
-    if is_leaf(u):
+    if u == LEAF:
         if len(children) != 1:
             raise ValueError("unit tree takes exactly one child")
         return (1, children[0])
@@ -498,7 +456,7 @@ def _d_gen_terms(pres, name) -> list:
         arity = pres.gen(name).arity
         terms = []
         for u, cu in _d_gen(pres, name).items():
-            if is_leaf(u):
+            if u == LEAF:
                 if arity != 1:
                     raise ValueError("unit tree takes exactly one child")
                 terms.append((u, cu, None))
@@ -512,17 +470,15 @@ def _d_gen_terms(pres, name) -> list:
     return terms
 
 
-def _d_shifted(pres, t, keep=True) -> dict:
+def _d_shifted(pres, t) -> dict:
     """D(t): the word derivation in the shifted grading that extends
     _d_gen, with int coefficients; t's generators are known to pres.
-    Memoized on pres, since child subtrees recur across parents;
-    keep=False leaves t itself out of the memo (its subtrees are kept)."""
+    Memoized on pres, since child subtrees recur across parents."""
     img = pres._d_images.get(t)
     if img is None:
         img = {}
         _add_d_image(pres, t, 1, img)
-        if keep:
-            pres._d_images[t] = img
+        pres._d_images[t] = img
     return img
 
 
@@ -552,8 +508,7 @@ def _add_d_image(pres, t, c, out) -> None:
 # ------------------------------------------------------------ diagnostics
 
 
-def d_squared_check(pres: OperadPresentation, up_to_arity: int,
-                    up_to_length: int = None) -> dict:
+def d_squared_check(pres: OperadPresentation, up_to_arity: int) -> dict:
     """Certify d^2 = 0 on every generator within the arity bound, plus the
     upper-grading conditions when tj degrees are declared: each tree in
     d(gen) has total tj equal to tj(gen) - 1 and uses only generators of
@@ -565,10 +520,6 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int,
         if g.arity > up_to_arity:
             continue
         img = pres.d_image(name)
-        if up_to_length is not None and any(
-                _info(pres, t).vertices > up_to_length for t in img):
-            failures.append({"generator": name, "reason": "length bound"})
-            continue
         # d² = S·D²·S/L² and a corolla's sign is 1: test D² instead
         dd = _apply_shifted(pres, _d_gen(pres, name))
         entry = {"generator": name, "d_squared_zero": not dd}
@@ -599,7 +550,7 @@ def rename_generators(pres: OperadPresentation,
         return mapping.get(old, old)
 
     def retag(t):
-        if is_leaf(t):
+        if t == LEAF:
             return t
         return (newname(t[0]),) + tuple(retag(c) for c in t[1:])
 
@@ -879,13 +830,15 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
         whose columns are d of each source tree, with the targets and
         the rank.  Built and ranked once per (degree, sources): the
         cycle matrix of one degree is often the boundary matrix of the
-        degree below."""
-        key = (deg, tuple(sources))
+        degree below.  Both source lists of a degree are filters of
+        by_degree[deg] in order, by a vertex cap of L or L + 1, so they
+        are equal exactly when their lengths are."""
+        key = (deg, len(sources))
         if key not in ranked:
             targets = by_degree.get(deg - 1, [])
             rows: list[dict] = [{} for _ in targets]
             for j, t in enumerate(sources):
-                for u, c in _d_shifted(pres, t, keep=False).items():
+                for u, c in _apply_shifted(pres, {t: 1}).items():
                     i = index[deg - 1].get(u)
                     if i is None:
                         raise AssertionError("differential escaped the window")

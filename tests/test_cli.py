@@ -961,6 +961,37 @@ def test_operad_default_arity_is_recorded(argv, capsys):
     assert cert["checks"][0]["name"].endswith("-arity3")
 
 
+# The bound options each choice reads; --format and --out are read by all.
+READS = {("verify", "ainf"): {"--bound-n"},
+         ("verify", "morphism"): {"--bound-n"},
+         ("verify", "sdr"): set(), ("verify", "action"): set(),
+         **{("move", m): {"--bound-n"} for m in ("m1", "m2", "m3", "m4", "s")},
+         ("operad", "d2"): {"--arity"}, ("operad", "kunneth"): {"--arity"},
+         ("operad", "tree-dims"): {"--arity"},
+         ("operad", "homology"): {"--arity", "--length"},
+         ("operad", "alpha"): {"--length"}, ("operad", "riso-extend"): set()}
+UNREAD = [(cmd, choice, option) for (cmd, choice), reads in READS.items()
+          for option in ("--bound-n", "--arity", "--length")
+          if option not in reads]
+
+
+@pytest.mark.parametrize("cmd, choice, option", UNREAD,
+                         ids=lambda x: x.lstrip("-"))
+def test_unread_option_exits_2(cmd, choice, option, tmp_path, capsys):
+    """An option the command never reads is refused before any input is
+    read: it would be ignored, or recorded in the bounds as if checked."""
+    n = COMMANDS[cmd]["files"][choice]
+    files = [str(tmp_path / f"in{i}.json")
+             for i in range(2 if n is None else n)]
+    out = str(tmp_path / "out")
+    assert main([cmd, choice, *files, option, "3", "--format", "machine",
+                 "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cmd} {choice} does not read {option}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------- certificate output
 
 

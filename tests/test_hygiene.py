@@ -4,7 +4,9 @@ underscore names, no function works on dense matrices except the dense
 adapters, importing the command line front end loads no module that
 only some commands need, operad commands load only the operad layer,
 no command that hashes its input files loads OpenSSL, no command loads
-argparse, and only exactlin names tensor_maps_many."""
+argparse, only exactlin names tensor_maps_many, and every public
+function or class of shalg is run by shalg or the benchmark, or is
+listed as library API."""
 
 import ast
 import pathlib
@@ -140,10 +142,12 @@ def test_no_dense_matrices_outside_the_adapters(path):
     assert [u for u in uses if (path.name, u[0]) not in DENSE_ALLOWED] == []
 
 
-def names(source: str) -> set:
-    """Every name a module reads, imports, or looks up as an attribute."""
+def names(source) -> set:
+    """Every name a module (its source, or a node of its tree) reads,
+    imports, or looks up as an attribute."""
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source) if isinstance(source, str) else source
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -157,6 +161,74 @@ def test_detects_names():
     assert names("from .exactlin import tensor_maps_many as tm\n"
                  "x = exactlin.mat_mul(a, b)\n") == {
         "tensor_maps_many", "tm", "x", "exactlin", "mat_mul", "a", "b"}
+
+
+def unreachable(sources: dict, readers=()) -> list:
+    """(module, name) of each public top-level function or class of the
+    modules `sources` (file name -> source) that no other of them reads,
+    no other code of its own module reads, and no source in `readers`
+    reads; a name in a string constant is not a read."""
+    body = {m: ast.parse(source).body for m, source in sources.items()}
+    reads = {m: [names(node) for node in nodes] for m, nodes in body.items()}
+    outside = set().union(*map(names, readers))
+    out = []
+    for module, nodes in body.items():
+        others = set().union(outside, *(r for m, rs in reads.items()
+                                        if m != module for r in rs))
+        for i, node in enumerate(nodes):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in others
+                    and not any(node.name in r for j, r
+                                in enumerate(reads[module]) if j != i)):
+                out.append((module, node.name))
+    return out
+
+
+def test_detects_unreachable():
+    sources = {"a.py": "def walk(t):\n    return [walk(c) for c in t]\n"
+                       "def used():\n    pass\n"
+                       "def run():\n    return used()\n"
+                       "class Spec:\n    pass\n"
+                       "def _private():\n    pass\n",
+               "b.py": "from .a import run\nNAMES = {'walk', 'Spec'}\n"}
+    assert unreachable(sources) == [("a.py", "walk"), ("a.py", "Spec")]
+    assert unreachable(sources, ["x = a.Spec\n"]) == [("a.py", "walk")]
+
+
+# Public functions that neither shalg nor the benchmark runs: the
+# library API of the paper's constructions, with what each is for.
+LIBRARY_API = (
+    ("identity_morphism", "the unit morphism that towers of moves start "
+                          "from"),
+    ("check_all_An", "every Stasheff identity of a structure in one call"),
+    ("check_all_Fn", "every morphism identity of a morphism in one call"),
+    ("structure_from_action", "the A-infinity structure of an action of "
+                              "the minimal resolution"),
+    ("elem_add", "linear combinations of operad elements"),
+    ("elem_scale", "scalar multiples of operad elements"),
+    ("graft", "operadic partial composition of elements"),
+    ("derivation_extend", "the differential of a span of trees in the "
+                          "public basis"),
+    ("rename_generators", "a presentation with its generators renamed, "
+                          "for free products of copies"),
+    ("normalize_side_conditions", "retract data whose homotopy meets "
+                                  "the three side conditions"),
+    ("sdr_from_equivalence", "the retract a homotopy equivalence "
+                             "induces"),
+)
+
+
+def test_every_public_function_is_run_or_library_api():
+    """No dead API: a public function or class of shalg is read by
+    another module of shalg, by other code of its own module, or by the
+    benchmark's code, or it is listed in LIBRARY_API; and every listed
+    name is public and read by none of them."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    bench = [p.read_text(encoding="utf-8")
+             for p in sorted((SRC.parents[1] / "bench").glob("*.py"))]
+    assert sorted(name for _, name in unreachable(sources, bench)) == sorted(
+        name for name, _ in LIBRARY_API)
 
 
 def test_only_exactlin_names_tensor_maps_many():

