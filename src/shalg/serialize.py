@@ -281,18 +281,30 @@ def sdr_from_data(data, path="$"):
     return SDRData(*sdr_parts_from_data(data, path))
 
 
+def _known(table, names, path, what):
+    """Raise InputError at the first key of table that names lacks, a
+    key that is no `what` (a color or generator of the presentation)."""
+    for key in table:
+        if key not in names:
+            raise InputError(f"{path}.{key}: no {what}")
+
+
 def action_from_data(data, path="$"):
     """Resolution-action file: a named built-in presentation, one complex
     per color, one assigned map (or null) per generator, and the
-    coherence truncation order (at least 1, default 1)."""
+    coherence truncation order (at least 1, default 1).  A color or
+    generator name the presentation lacks is refused."""
     pres = builtin_presentation(field(data, "presentation", path, str))
     given = field(data, "complexes", path, dict)
+    _known(given, pres.colors, f"{path}.complexes", f"color of {pres.name}")
     for c in pres.colors:
         field(given, c, f"{path}.complexes")
     complexes = {c: complex_from_data(cd, f"{path}.complexes.{c}")
                  for c, cd in given.items()}
     assignment = {}
     table = field(data, "assignment", path, dict, {})
+    _known(table, pres.generators, f"{path}.assignment",
+           f"generator of {pres.name}")
     for name, g in pres.generators.items():
         source = tensor_spaces([complexes[c].space for c in g.inputs])
         target = complexes[g.output].space

@@ -5,9 +5,14 @@ An SDR consists of complexes A (big) and M (small) with chain maps
 nabla: M -> A and f: A -> M and a degree +1 homotopy phi on A subject
 to f . nabla = 1 and nabla . f - 1 = [phi, d].  The three side
 conditions phi phi = 0, phi nabla = 0, f phi = 0 can always be arranged
-by the two classical replacements implemented here, and they are
-exactly what makes the zero-extension of an SDR to an action of the
-bundled resolution of the isomorphism groupoid succeed.
+by the two classical replacements implemented here.
+
+Each identity has one definition, the stored differential of riso, the
+bundled resolution of the isomorphism groupoid: under the action that
+assigns nabla, f, 0 and phi to its generators f, g, h and l, and zero
+to the rest, f, g, h and l state the retract identities and g3, f2
+and g2 the side conditions, so the zero extension succeeds exactly when
+both hold.  A homotopy equivalence assigns its own f, g, h and l.
 
 The moves: transfer of a structure along an SDR (or along one-sided
 homotopy-retraction data), perturbation of the underlying map of a
@@ -29,6 +34,7 @@ arity.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .exactlin import (
@@ -42,7 +48,7 @@ from .exactlin import (
     split_retract,
     tensor_power,
 )
-from .operadcore import action_check, builtin_presentation, partition_sum
+from .operadcore import builtin_presentation, generator_residual, partition_sum
 from .ainfty import (
     AInfinityAlgebra,
     AInfinityMorphism,
@@ -52,11 +58,50 @@ from .ainfty import (
 )
 
 
-def _is_homotopy(h: GradedMap, a: GradedMap, b: GradedMap,
-                 source: ChainComplex, target: ChainComplex) -> bool:
-    # an h of the wrong degree is no homotopy, not a type error
-    return (h.degree == a.degree + 1
-            and homotopy_residual(h, a, b, source, target).is_zero())
+# ------------------------------------------------------------ riso checks
+
+
+@functools.lru_cache(maxsize=1)
+def _riso():
+    """riso, built once per process (a bounded cache, as ainfty._model)
+    so that its tree memos are shared by every check."""
+    return builtin_presentation("riso")
+
+
+def _riso_zeros(a: ChainComplex, b: ChainComplex) -> dict:
+    """The zero map of every riso generator, colors a and b given."""
+    spaces = {"a": a.space, "b": b.space}
+    return {name: GradedMap.zero(spaces[g.inputs[0]], spaces[g.output],
+                                 g.degree)
+            for name, g in _riso().generators.items()}
+
+
+def _riso_residuals(a: ChainComplex, b: ChainComplex,
+                    maps: Mapping[str, GradedMap], names):
+    """Yield, for each generator of names in turn, the action_check
+    witness [m, d] - value(d gen) of the riso action on colors a and b
+    that assigns maps by name and zero elsewhere: zero exactly when the
+    identity d(gen) holds.  A map of names whose type is not its
+    generator's yields None and ends the residuals, since evaluation
+    trusts the types of the maps it reads; callers check other maps."""
+    zeros = _riso_zeros(a, b)
+    action = {**zeros, **maps}
+    for name in names:
+        m, z = action[name], zeros[name]
+        if (m.source, m.target, m.degree) != (z.source, z.target, z.degree):
+            yield None
+            return
+        yield generator_residual(_riso(), action, {"a": a, "b": b},
+                                 name).scale(-1)
+
+
+def _require(a: ChainComplex, b: ChainComplex,
+             maps: Mapping[str, GradedMap], errors: Mapping[str, str]):
+    """Raise ValueError(errors[name]) for the first generator of maps,
+    in order, whose map has the wrong type or breaks its identity."""
+    for name, residual in zip(maps, _riso_residuals(a, b, maps, maps)):
+        if residual is None or not residual.is_zero():
+            raise ValueError(errors[name])
 
 
 # ------------------------------------------------------------------- SDRs
@@ -71,39 +116,42 @@ class RetractParts(NamedTuple):
     phi: GradedMap
 
 
-def _check_retract_types(big: ChainComplex, small: ChainComplex,
-                         nabla: GradedMap, f: GradedMap,
-                         phi: GradedMap) -> None:
-    """Raise ValueError when a map has the wrong source, target or
-    degree for retract data."""
-    if nabla.source != small.space or nabla.target != big.space \
-            or nabla.degree != 0:
+def _retract_maps(s: RetractParts | SDRData) -> dict:
+    """riso's f, g, h, l on colors a = small and b = big for retract
+    data: nabla, f, zero and phi.  Raises ValueError when a map has the
+    wrong source, target or degree for retract data."""
+    if s.nabla.source != s.small.space or s.nabla.target != s.big.space \
+            or s.nabla.degree != 0:
         raise ValueError("nabla must be a degree-0 map small -> big")
-    if f.source != big.space or f.target != small.space or f.degree != 0:
+    if s.f.source != s.big.space or s.f.target != s.small.space \
+            or s.f.degree != 0:
         raise ValueError("f must be a degree-0 map big -> small")
-    if phi.source != big.space or phi.target != big.space \
-            or phi.degree != 1:
+    if s.phi.source != s.big.space or s.phi.target != s.big.space \
+            or s.phi.degree != 1:
         raise ValueError("phi must be a degree +1 map on the big complex")
+    return {"f": s.nabla, "g": s.f,
+            "h": GradedMap.zero(s.small.space, s.small.space, 1),
+            "l": s.phi}
+
+
+# riso's identities under _retract_maps: the retract ones, the side ones
+_RETRACT_ERRORS = {"f": "nabla is not a chain map",
+                   "g": "f is not a chain map",
+                   "h": "f . nabla is not the identity",
+                   "l": "phi is not a homotopy from 1 to nabla . f"}
+_SIDE_CONDITIONS = {"g3": "phi_phi", "f2": "phi_nabla", "g2": "f_phi"}
 
 
 def retract_residuals(big: ChainComplex, small: ChainComplex,
                       nabla: GradedMap, f: GradedMap,
                       phi: GradedMap) -> list:
-    """Residuals of the four retract identities, each zero exactly when
-    it holds: nabla is a chain map, f is a chain map, f . nabla = 1, and
-    phi is a homotopy from 1 to nabla . f.  Raises ValueError when a map
-    has the wrong source, target or degree."""
-    _check_retract_types(big, small, nabla, f, phi)
-    return [hom_differential(nabla, [small], big),
-            hom_differential(f, [big], small),
-            f.compose(nabla).add(GradedMap.identity(small.space), 1, -1),
-            homotopy_residual(phi, GradedMap.identity(big.space),
-                              nabla.compose(f), big, big)]
-
-
-_RETRACT_ERRORS = ("nabla is not a chain map", "f is not a chain map",
-                   "f . nabla is not the identity",
-                   "phi is not a homotopy from 1 to nabla . f")
+    """riso's residuals at f, g, h, l, g3, f2 and g2 under _retract_maps,
+    each zero exactly when its identity holds: the four retract
+    identities, then the three side conditions.  Raises ValueError when
+    a map has the wrong source, target or degree."""
+    return list(_riso_residuals(
+        small, big, _retract_maps(RetractParts(big, small, nabla, f, phi)),
+        [*_RETRACT_ERRORS, *_SIDE_CONDITIONS]))
 
 
 class SDRData:
@@ -117,29 +165,17 @@ class SDRData:
 
     def __init__(self, big: ChainComplex, small: ChainComplex,
                  nabla: GradedMap, f: GradedMap, phi: GradedMap):
-        residuals = retract_residuals(big, small, nabla, f, phi)
-        for residual, message in zip(residuals, _RETRACT_ERRORS):
-            if not residual.is_zero():
-                raise ValueError(message)
-        self.big = big
-        self.small = small
-        self.nabla = nabla
-        self.f = f
-        self.phi = phi
-
-
-def side_condition_residuals(nabla: GradedMap, f: GradedMap,
-                             phi: GradedMap) -> list:
-    """Residuals of the three side conditions, each zero exactly when it
-    holds: phi . phi, phi . nabla and f . phi."""
-    return [phi.compose(phi), phi.compose(nabla), f.compose(phi)]
+        _require(small, big, _retract_maps(
+            RetractParts(big, small, nabla, f, phi)), _RETRACT_ERRORS)
+        self.big, self.small = big, small
+        self.nabla, self.f, self.phi = nabla, f, phi
 
 
 def check_side_conditions(s: SDRData) -> dict:
     """Report the three side conditions individually."""
-    flags = {name: residual.is_zero() for name, residual in zip(
-        ("phi_phi", "phi_nabla", "f_phi"),
-        side_condition_residuals(s.nabla, s.f, s.phi))}
+    flags = {flag: residual.is_zero() for flag, residual in zip(
+        _SIDE_CONDITIONS.values(),
+        _riso_residuals(s.small, s.big, _retract_maps(s), _SIDE_CONDITIONS))}
     flags["ok"] = all(flags.values())
     return flags
 
@@ -166,17 +202,10 @@ def normalize_side_conditions(s: SDRData) -> SDRData:
 # --------------------------------------------------- homotopy equivalences
 
 
-def _check_one_sided(source: ChainComplex, target: ChainComplex,
-                     f: GradedMap, g: GradedMap, h: GradedMap) -> None:
-    """Raise ValueError unless f: source -> target and g back are chain
-    maps and h is a homotopy from 1 to g f on source."""
-    if not hom_differential(f, [source], target).is_zero():
-        raise ValueError("f is not a chain map")
-    if not hom_differential(g, [target], source).is_zero():
-        raise ValueError("g is not a chain map")
-    if not _is_homotopy(h, GradedMap.identity(source.space), g.compose(f),
-                        source, source):
-        raise ValueError("h is not a homotopy from 1 to g f")
+_EQUIVALENCE_ERRORS = {"f": "f is not a chain map",
+                       "g": "g is not a chain map",
+                       "h": "h is not a homotopy from 1 to g f",
+                       "l": "l is not a homotopy from 1 to f g"}
 
 
 class HomotopyEquivalence:
@@ -188,16 +217,10 @@ class HomotopyEquivalence:
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  f: GradedMap, g: GradedMap, h: GradedMap, l: GradedMap):
-        _check_one_sided(source, target, f, g, h)
-        if not _is_homotopy(l, GradedMap.identity(target.space),
-                            f.compose(g), target, target):
-            raise ValueError("l is not a homotopy from 1 to f g")
-        self.source = source
-        self.target = target
-        self.f = f
-        self.g = g
-        self.h = h
-        self.l = l
+        _require(source, target, {"f": f, "g": g, "h": h, "l": l},
+                 _EQUIVALENCE_ERRORS)
+        self.source, self.target = source, target
+        self.f, self.g, self.h, self.l = f, g, h, l
 
 
 def sdr_from_equivalence(e: HomotopyEquivalence) -> SDRData:
@@ -243,25 +266,11 @@ def sdr_onto_homology(c: ChainComplex) -> SDRData:
 # ------------------------------------------------- resolution zero-extension
 
 
-class RIsoAction:
-    """Action of the bundled resolution of the isomorphism groupoid on a
-    pair of complexes; color a is the small side, color b the big one."""
-
-    def __init__(self, small: ChainComplex, big: ChainComplex,
-                 assignment: Mapping[str, GradedMap]):
-        self.pres = builtin_presentation("riso")
-        self.small = small
-        self.big = big
-        self.assignment = dict(assignment)
-        for name, g in self.pres.generators.items():
-            if name not in self.assignment:
-                raise ValueError(f"missing assignment for generator {name}")
-
-    def complexes(self) -> dict:
-        return {"a": self.small, "b": self.big}
-
-    def check(self) -> dict:
-        return action_check(self.pres, self.assignment, self.complexes(), 1)
+class ZeroExtension(NamedTuple):
+    """riso's action on colors a = small and b = big, by generator."""
+    small: ChainComplex
+    big: ChainComplex
+    assignment: dict
 
 
 def riso_zero_extension(s: SDRData | RetractParts) -> dict:
@@ -271,29 +280,16 @@ def riso_zero_extension(s: SDRData | RetractParts) -> dict:
     the nonzero obstruction map.  The equations include the retract
     identities, so unchecked RetractParts that are no retract fail the
     same way; a map of the wrong type raises ValueError."""
-    _check_retract_types(s.big, s.small, s.nabla, s.f, s.phi)
-    pres = builtin_presentation("riso")
-    cmap = {"a": s.small, "b": s.big}
-    assignment = {
-        "f": s.nabla,
-        "g": s.f,
-        "h": GradedMap.zero(s.small.space, s.small.space, 1),
-        "l": s.phi,
-    }
-    for name, g in pres.generators.items():
-        if name in assignment:
-            continue
-        assignment[name] = GradedMap.zero(
-            cmap[g.inputs[0]].space, cmap[g.output].space, g.degree)
-    action = RIsoAction(s.small, s.big, assignment)
-    res = action.check()
-    if res["ok"]:
-        return {"ok": True, "action": action,
-                "failed_generator": None, "obstruction": None}
-    first = next(e for e in res["entries"] if not e["ok"])
-    return {"ok": False, "action": None,
-            "failed_generator": first["generator"],
-            "obstruction": first["witness"]}
+    maps, names = _retract_maps(s), _riso().generators
+    residuals = _riso_residuals(s.small, s.big, maps, names)
+    for name, residual in zip(names, residuals):
+        if not residual.is_zero():
+            return {"ok": False, "action": None, "failed_generator": name,
+                    "obstruction": residual}
+    action = ZeroExtension(s.small, s.big,
+                           {**_riso_zeros(s.small, s.big), **maps})
+    return {"ok": True, "action": action, "failed_generator": None,
+            "obstruction": None}
 
 
 # -------------------------------------------------------------- transfers
@@ -342,7 +338,8 @@ def transfer_S(a: AInfinityAlgebra, target: ChainComplex, f: GradedMap,
     V, and no witness on W is required.  Same tree summation as the SDR
     transfer with h as the only homotopy; the morphism returned has
     underlying map g."""
-    _check_one_sided(a.complex, target, f, g, h)
+    _require(a.complex, target, {"f": f, "g": g, "h": h},
+             _EQUIVALENCE_ERRORS)
     return _transfer(a, target, f, g, h, N if N is not None else a.N)
 
 
@@ -390,7 +387,8 @@ def perturb_M2(m: AInfinityMorphism, g: GradedMap, h: GradedMap,
     N = N if N is not None else m.N
     V, W = m.source, m.target
     f1 = underlying(m)
-    if not _is_homotopy(h, f1, g, V.complex, W.complex):
+    if h.degree != f1.degree + 1 \
+            or not homotopy_residual(h, f1, g, V.complex, W.complex).is_zero():
         raise ValueError("h is not a homotopy from underlying(m) to g")
     if g == f1 and h.is_zero():
         return m

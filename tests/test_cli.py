@@ -442,6 +442,33 @@ def test_verify_action(tmp_path, capsys):
         "error: $.truncation: must be at least 1, got 0\n")
 
 
+@pytest.mark.parametrize("table, old, new, renamed", [
+    ("assignment", "l", "L", True),
+    ("assignment", "l", "zz", False),
+    ("complexes", "a", "c", False),
+], ids=["typo", "extra-generator", "extra-color"])
+def test_verify_action_rejects_unknown_names(table, old, new, renamed,
+                                             tmp_path, capsys):
+    """A generator or color name the presentation lacks is an input
+    error naming it, not a map or complex silently dropped: l misspelt
+    L would otherwise be checked as the zero map."""
+    s = sdr_onto_homology(exterior_dga().complex)
+    act = riso_zero_extension(s)["action"]
+    data = {"kind": "action", "presentation": "riso",
+            "complexes": {"a": serialize.complex_to_data(act.small),
+                          "b": serialize.complex_to_data(act.big)},
+            "assignment": {n: serialize.map_to_data(m)
+                           for n, m in act.assignment.items()}}
+    entries = data[table]
+    entries[new] = entries.pop(old) if renamed else entries[old]
+    what = "generator" if table == "assignment" else "color"
+    path = tmp_path / "action.json"
+    serialize.dump(str(path), data)
+    assert main(["verify", "action", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: $.{table}.{new}: no {what} of riso\n")
+
+
 # ------------------------------------------------------------------- move
 
 
@@ -790,12 +817,12 @@ def test_operad_riso_extend_wrong_degree_homotopy_exits_2(tmp_path, capsys):
 
 
 def _digests(*paths):
-    """{basename: SHA-256 hex digest} of each file, through hashlib."""
+    """{path as given: SHA-256 hex digest} of each file, through
+    hashlib."""
     out = {}
     for path in paths:
         with open(path, "rb") as fh:
-            out[os.path.basename(path)] = hashlib.sha256(
-                fh.read()).hexdigest()
+            out[path] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 
@@ -816,6 +843,23 @@ def test_move_records_input_hashes(dga_file, sdr_file, tmp_path, capsys):
                  "--out", str(tmp_path / "out"), "--format", "machine"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["inputs"] == _digests(dga_file, sdr_file)
+
+
+def test_inputs_with_one_file_name_keep_both_digests(tmp_path, capsys):
+    """Inputs are keyed by the path as given, so two files of one name in
+    different directories each keep their digest."""
+    a = exterior_dga()
+    paths = []
+    for folder, N in (("x", 4), ("y", 5)):
+        (tmp_path / folder).mkdir()
+        paths.append(str(tmp_path / folder / "m.json"))
+        serialize.dump(paths[-1], serialize.morphism_to_data(
+            AInfinityMorphism(a, a, {1: GradedMap.identity(a.space)}, N)))
+    assert main(["move", "m4", *paths, "--out", str(tmp_path / "out"),
+                 "--format", "machine"]) == 0
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert inputs == _digests(*paths)
+    assert len(set(inputs.values())) == 2
 
 
 @pytest.mark.parametrize("command", [
@@ -846,7 +890,7 @@ def test_each_input_is_read_once_and_hashed_as_parsed(
     assert main([*argv, "--format", "machine"]) == 0
     assert sorted(opened) == sorted(parsed)
     assert json.loads(capsys.readouterr().out)["inputs"] == {
-        os.path.basename(path): hashlib.sha256(raw).hexdigest()
+        path: hashlib.sha256(raw).hexdigest()
         for path, raw in parsed.items()}
 
 

@@ -29,10 +29,10 @@ from shalg.ainfty import (
     underlying,
 )
 from shalg.exactlin import solve_map_equation
+from shalg.operadcore import action_check, builtin_presentation
 from shalg.transfer import (
     HomotopyEquivalence,
     InconsistentSolve,
-    RIsoAction,
     SDRData,
     chain_M4,
     check_side_conditions,
@@ -337,7 +337,9 @@ def test_riso_zero_extension_clean_sdr():
         s = sdr_onto_homology(random_chain_complex(rng, {0: 2, 1: 3, 2: 1}))
         res = riso_zero_extension(s)
         assert res["ok"]
-        assert res["action"].check()["ok"]
+        act = res["action"]
+        assert action_check(builtin_presentation("riso"), act.assignment,
+                            {"a": act.small, "b": act.big}, 1)["ok"]
 
 
 def test_riso_zero_extension_iff_side_conditions():
