@@ -6,6 +6,12 @@ with a degree -1 differential, homology with explicit splitting data,
 and a certified linear solver.  Everything is a plain immutable value;
 no floating point is used anywhere.
 
+Scalars are Rational, a slotted exact rational with int fast paths,
+defined here: the standard library's fractions, which loads decimal
+and numbers, costs each process more memory than all of shalg's own
+modules, and shalg only ever builds rationals from ints, int pairs and
+"p/q" strings.
+
 No differential of a tensor product is built: hom_differential pushes
 a map's nonzero columns through each slot's differential, so [f, d]
 reads only the degrees where f is nonzero and the degree above each.
@@ -16,35 +22,239 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
 
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-# degree k -> source column -> target row -> nonzero coefficient
-Columns = dict[int, dict[int, dict[int, Fraction]]]
+# ------------------------------------------------------------- rationals
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+_gcd = math.gcd
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+_object_new = object.__new__
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _parts(x):
+    """(numerator, denominator) in lowest terms, with a positive
+    denominator, of anything with integer numerator and nonzero
+    denominator attributes (an int, a Rational, the standard library's
+    Fraction), or None."""
+    n = getattr(x, "numerator", None)
+    d = getattr(x, "denominator", None)
+    if type(n) is not int or type(d) is not int or not d:
+        return None
+    g = _gcd(n, d)
+    return (n // g, d // g) if d > 0 else (-n // g, -d // g)
+
+
+class Rational:
+    """An exact rational number, kept as numerator/denominator in lowest
+    terms with a positive denominator.
+
+    Rational(n) and Rational(n, d) take ints, or anything with integer
+    numerator and denominator attributes (the standard library's
+    Fraction too); + - * / and == take the same operands on either side.
+    The hash is the interpreter's numeric hash, so a Rational hashes
+    like the equal int or Fraction.  Treat it as immutable.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __new__(cls, numerator=0, denominator=1):
+        if type(numerator) is int and type(denominator) is int:
+            if denominator == 1:
+                self = _object_new(cls)
+                self.numerator, self.denominator = numerator, 1
+                return self
+            n, d = numerator, denominator
+        elif type(numerator) is Rational and denominator == 1:
+            return numerator
+        else:
+            p, q = _parts(numerator), _parts(denominator)
+            if p is None or q is None:
+                raise TypeError(
+                    f"not a rational: {numerator!r}, {denominator!r}")
+            n, d = p[0] * q[1], p[1] * q[0]
+        if not d:
+            raise ZeroDivisionError(f"Rational({numerator!r}, 0)")
+        g = _gcd(n, d)
+        if d < 0:
+            g = -g
+        self = _object_new(cls)
+        self.numerator, self.denominator = n // g, d // g
+        return self
+
+    def __repr__(self):
+        return f"Rational({self.numerator}, {self.denominator})"
+
+    def __bool__(self):
+        return self.numerator != 0
+
+    def __hash__(self):
+        n, d = self.numerator, self.denominator
+        if d == 1:
+            return hash(n)
+        # CPython's hash of n/d: n * d^-1 modulo the hash modulus
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:  # d is a multiple of the modulus
+            h = _HASH_INF
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __eq__(a, b):
+        if type(b) is int:
+            return a.numerator == b and a.denominator == 1
+        if type(b) is Rational:
+            return (a.numerator == b.numerator
+                    and a.denominator == b.denominator)
+        p = _parts(b)
+        if p is None:
+            return NotImplemented
+        return a.numerator == p[0] and a.denominator == p[1]
+
+    def __neg__(a):
+        return _new(-a.numerator, a.denominator)
+
+    def __add__(a, b):
+        na, da = a.numerator, a.denominator
+        if type(b) is Rational:
+            nb, db = b.numerator, b.denominator
+        elif type(b) is int:
+            return _new(na + b * da, da)
+        else:
+            p = _parts(b)
+            if p is None:
+                return NotImplemented
+            nb, db = p
+        if da == 1 and db == 1:
+            return _new(na + nb, 1)
+        return _add(na, da, nb, db)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        na, da = a.numerator, a.denominator
+        if type(b) is Rational:
+            nb, db = b.numerator, b.denominator
+        elif type(b) is int:
+            return _new(na - b * da, da)
+        else:
+            p = _parts(b)
+            if p is None:
+                return NotImplemented
+            nb, db = p
+        if da == 1 and db == 1:
+            return _new(na - nb, 1)
+        return _add(na, da, -nb, db)
+
+    def __rsub__(a, b):
+        return -a + b
+
+    def __mul__(a, b):
+        na, da = a.numerator, a.denominator
+        if type(b) is Rational:
+            nb, db = b.numerator, b.denominator
+        elif type(b) is int:
+            if da == 1:
+                return _new(na * b, 1)
+            g = _gcd(b, da)
+            return _new(na * (b // g), da // g)
+        else:
+            p = _parts(b)
+            if p is None:
+                return NotImplemented
+            nb, db = p
+        if da == 1 and db == 1:
+            return _new(na * nb, 1)
+        g = _gcd(na, db)
+        if g > 1:
+            na, db = na // g, db // g
+        g = _gcd(nb, da)
+        if g > 1:
+            nb, da = nb // g, da // g
+        return _new(na * nb, da * db)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if type(b) is Rational:
+            nb, db = b.numerator, b.denominator
+        elif type(b) is int:
+            nb, db = b, 1
+        else:
+            p = _parts(b)
+            if p is None:
+                return NotImplemented
+            nb, db = p
+        return _div(a.numerator, a.denominator, nb, db)
+
+    def __rtruediv__(a, b):
+        if type(b) is int:
+            return _div(b, 1, a.numerator, a.denominator)
+        p = _parts(b)
+        if p is None:
+            return NotImplemented
+        return _div(p[0], p[1], a.numerator, a.denominator)
+
+
+def _new(n, d):
+    """The Rational n/d of coprime n and d > 0, unchecked."""
+    r = _object_new(Rational)
+    r.numerator = n
+    r.denominator = d
+    return r
+
+
+def _add(na, da, nb, db):
+    """na/da + nb/db of two fractions in lowest terms."""
+    g = _gcd(da, db)
+    if g == 1:
+        return _new(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _new(t, s * db)
+    return _new(t // g2, s * (db // g2))
+
+
+def _div(na, da, nb, db):
+    """(na/da) / (nb/db) of two fractions in lowest terms."""
+    if not nb:
+        raise ZeroDivisionError(f"Rational({na}, {da}) / 0")
+    g = _gcd(na, nb)
+    if g > 1:
+        na, nb = na // g, nb // g
+    g = _gcd(db, da)
+    if g > 1:
+        da, db = da // g, db // g
+    n, d = na * db, nb * da
+    if d < 0:
+        n, d = -n, -d
+    return _new(n, d)
+
+
+# dense rows of Rationals (an int given as an entry is read as one)
+Matrix = tuple[tuple[Rational, ...], ...]
+# degree k -> source column -> target row -> nonzero Rational coefficient
+Columns = dict[int, dict[int, dict[int, Rational]]]
+
+_ZERO = Rational(0)
+_ONE = Rational(1)
+_MINUS_ONE = Rational(-1)
 
 
 def make_matrix(rows: Iterable[Iterable], nrows: int, ncols: int) -> Matrix:
-    m = tuple(tuple(_frac(x) for x in row) for row in rows)
+    m = tuple(tuple(Rational(x) for x in row) for row in rows)
     if len(m) != nrows or any(len(row) != ncols for row in m):
         raise ValueError(f"expected a {nrows}x{ncols} matrix, got {m!r}")
     return m
 
 
-def _subtract_multiple(row: dict, f: Fraction, pivot_row: dict) -> None:
+def _subtract_multiple(row: dict, f: Rational, pivot_row: dict) -> None:
     """row -= f * pivot_row on sparse rows, dropping entries that cancel."""
     for j, y in pivot_row.items():
         x = row.get(j)
@@ -186,7 +396,7 @@ def _null_space(r: list[dict], pivots: Sequence[int],
     return basis
 
 
-def kernel_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis(a: Matrix) -> list[tuple[Rational, ...]]:
     """Deterministic basis of the right null space, one vector per free
     column (a dense adapter of _rref_rows)."""
     ncols = len(a[0]) if a else 0
@@ -194,7 +404,7 @@ def kernel_basis(a: Matrix) -> list[tuple[Fraction, ...]]:
     return list(_dense_rows(_null_space(r, pivots, ncols), ncols))
 
 
-def solve_matrix(rows: list[dict], ncols: int, b: Mapping[int, Fraction]):
+def solve_matrix(rows: list[dict], ncols: int, b: Mapping[int, Rational]):
     """Solve a x = b exactly, for the matrix a with the given sparse rows
     (reduced in place, so pass fresh ones) and ncols columns, and the
     sparse right-hand side b ({row: nonzero}).
@@ -499,7 +709,7 @@ class GradedMap:
                         blk[c] = acol if x == 1 else {
                             i: x * y for i, y in acol.items()}
                     continue
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, Rational] = {}
                 for r, x in vec.items():
                     for i, y in a.get(r, {}).items():
                         acc[i] = acc[i] + x * y if i in acc else x * y
@@ -515,7 +725,7 @@ class GradedMap:
         return map_sum([self, other], [c1, c2])
 
     def scale(self, c) -> "GradedMap":
-        c = _frac(c)
+        c = Rational(c)
         if c == 1:
             return self
         return GradedMap.from_columns(
@@ -552,7 +762,7 @@ def map_sum(maps: Sequence[GradedMap], coeffs=None) -> GradedMap:
         if (m.source != first.source or m.target != first.target
                 or m.degree != first.degree):
             raise ValueError("can only add maps of equal type and degree")
-        c = _frac(c)
+        c = Rational(c)
         if not c:
             continue
         for k, cols in m.columns.items():

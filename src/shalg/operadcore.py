@@ -4,7 +4,7 @@ Free colored operads are realized as Q-linear spans of planar rooted
 trees with vertices labeled by generators.  A tree is a nested tuple
 (generator_name, child_1, ..., child_k); a leaf is the constant LEAF.
 Leaves are implicitly numbered 1..arity left to right (only identity
-leaf orderings are supported).  An element is a dict tree -> Fraction.
+leaf orderings are supported).  An element is a dict tree -> Rational.
 
 Sign conventions.  All Koszul bookkeeping is done internally in the
 arity-shifted grading where a generator of arity k and degree d counts
@@ -26,7 +26,7 @@ the lcm of the stored coefficients' denominators (1 for the bundled
 presentations).  Since d = S·D·S/L, d_squared_check tests D^2 = 0 and
 truncated_homology ranks D's integer matrices (a diagonal +-1 or L
 scaling changes no rank); derivation_extend conjugates back and returns
-Fraction coefficients.
+exact rational coefficients (exactlin.Rational).
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .exactlin import (
     ChainComplex,
     GradedMap,
+    Rational,
     hom_differential,
     mat_rank,
     tensor_basis_index,
@@ -49,7 +49,7 @@ from .exactlin import (
 
 LEAF = "*"
 
-Element = dict  # tree -> Fraction
+Element = dict  # tree -> Rational
 
 
 class GeneratorSpec(NamedTuple):
@@ -98,8 +98,7 @@ class OperadPresentation:
                 raise ValueError("generators must have arity >= 1")
             self.generators[g.name] = g
         self.differential = {
-            k: {t: c if type(c) is Fraction else Fraction(c)
-                for t, c in dict(v).items()}
+            k: {t: Rational(c) for t, c in dict(v).items()}
             for k, v in dict(differential).items()}
         for k in self.differential:
             if k not in self.generators:
@@ -354,14 +353,14 @@ def substitute(pres: OperadPresentation, u, children):
 def elem_add(a: Element, b: Element, ca=1, cb=1) -> Element:
     out = {}
     for t, c in a.items():
-        out[t] = out.get(t, Fraction(0)) + Fraction(ca) * c
+        out[t] = out.get(t, Rational(0)) + Rational(ca) * c
     for t, c in b.items():
-        out[t] = out.get(t, Fraction(0)) + Fraction(cb) * c
+        out[t] = out.get(t, Rational(0)) + Rational(cb) * c
     return {t: c for t, c in out.items() if c}
 
 
 def elem_scale(a: Element, c) -> Element:
-    c = Fraction(c)
+    c = Rational(c)
     return {t: c * x for t, x in a.items() if c * x}
 
 
@@ -399,7 +398,7 @@ def graft(pres: OperadPresentation, outer: Element, position: int,
             s, t = r
             if (ar + 1) * _info(pres, it_).degree % 2:
                 s = -s
-            c = Fraction(oc * ic)
+            c = Rational(oc * ic)
             _accumulate(out, t, c if s > 0 else -c)
     return out
 
@@ -408,10 +407,10 @@ def derivation_extend(pres: OperadPresentation, x: Element) -> Element:
     """Extend the generator differential to spans of trees as a
     derivation: d = S·D·S/L in the public basis, where S is the diagonal
     basis_sign and D = L·S·d·S the integral word derivation of _d_shifted.
-    Coefficients are Fractions."""
+    Coefficients are exact rationals, exactlin.Rational."""
     sx = {t: c if _info(pres, t).sign > 0 else -c for t, c in x.items()}
     scale = pres._d_scale
-    return {u: Fraction(c if _info(pres, u, keep=False).sign > 0 else -c,
+    return {u: Rational(c if _info(pres, u, keep=False).sign > 0 else -c,
                         scale)
             for u, c in _apply_shifted(pres, sx).items()}
 
@@ -525,7 +524,7 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int) -> dict:
         entry = {"generator": name, "d_squared_zero": not dd}
         if dd:
             t, c = min(dd.items(), key=lambda kv: repr(kv[0]))
-            entry["witness"] = (t, Fraction(c, pres._d_scale ** 2)
+            entry["witness"] = (t, Rational(c, pres._d_scale ** 2)
                                 * _info(pres, t, keep=False).sign)
             failures.append(entry)
         if g.tj is not None:
@@ -1038,7 +1037,7 @@ def eval_element(pres, action, spaces, elem: Element, input_colors,
         if t == LEAF or not action[t[0]].is_zero():
             if _info(pres, t).degree != degree:
                 raise ValueError("tree degree differs from the element's")
-            weights[t] = Fraction(c * _info(pres, t).sign, math.prod(
+            weights[t] = Rational(c * _info(pres, t).sign, math.prod(
                 [_suspended_images(action[v]).scale for v in tree_word(t)]))
     denom = math.lcm(1, *(w.denominator for w in weights.values()))
     # source degree -> source tuple -> target index -> int over denom
@@ -1057,7 +1056,7 @@ def eval_element(pres, action, spaces, elem: Element, input_colors,
         cols = {}
         for src, col in by_src.items():
             sign = _suspension_sign(src)
-            col = {r: Fraction(sign * v, denom) for r, v in col.items() if v}
+            col = {r: Rational(sign * v, denom) for r, v in col.items() if v}
             if col:
                 cols[src] = col
         if cols:  # the basis of a degree whose sum cancels is not read
@@ -1112,7 +1111,7 @@ def _mu(name_prefix, n):
     return f"{name_prefix}{n}"
 
 
-_SIGNS = (Fraction(1), Fraction(-1))  # (-1)^0, (-1)^1
+_SIGNS = (Rational(1), Rational(-1))  # (-1)^0, (-1)^1
 
 
 @functools.lru_cache(maxsize=64)
@@ -1224,7 +1223,7 @@ def riso() -> OperadPresentation:
         GeneratorSpec("f4", (a,), b, 4, None),
         GeneratorSpec("g4", (b,), a, 4, None),
     ]
-    one = Fraction(1)
+    one = Rational(1)
     diff = {
         "f": {},
         "g": {},
@@ -1281,12 +1280,12 @@ def alpha_iso_matrix(pres: OperadPresentation, trees, input_color):
     """Matrix of the resolution-to-groupoid quotient map on a list of
     degree-0 word trees with the given input color.  Columns are the
     trees; rows are the four normal forms in ISO_NORMAL_FORMS order."""
-    rows = [[Fraction(0)] * len(trees) for _ in ISO_NORMAL_FORMS]
+    rows = [[Rational(0)] * len(trees) for _ in ISO_NORMAL_FORMS]
     nf_index = {nf: i for i, nf in enumerate(ISO_NORMAL_FORMS)}
     for j, t in enumerate(trees):
         word = tuple(tree_word(t))
         red = iso_normal_form(word)
         if red is None:
             continue
-        rows[nf_index[(input_color, red)]][j] = Fraction(1)
+        rows[nf_index[(input_color, red)]][j] = Rational(1)
     return tuple(tuple(r) for r in rows)

@@ -2,18 +2,21 @@
 
 Everything is JSON-compatible text.  Matrices are stored column-major:
 one list per source basis vector, each listing the coordinates of its
-image.  Rational entries are integers or "p/q" strings; no floats are
-ever read or written.
+image.  Rational entries are JSON integers or strings of the form
+"p" or "p/q": an optional sign, decimal digits and an optional "/"
+with decimal digits, with optional whitespace around it all.  No
+floats are ever read or written, and strings such as "1.5", "1e3" or
+"1_000" are refused.
 """
 
 import json
 import os
-from fractions import Fraction
 
 from .exactlin import (
     ChainComplex,
     GradedMap,
     GradedVectorSpace,
+    Rational,
     tensor_power,
     tensor_spaces,
 )
@@ -25,19 +28,31 @@ from .operadcore import builtin_presentation
 
 
 def dump_fraction(x):
-    x = Fraction(x)
+    """An int or rational x as a JSON integer or a "p/q" string."""
     if x.denominator == 1:
         return x.numerator
     return f"{x.numerator}/{x.denominator}"
 
 
+def _digits(s):
+    return s.isascii() and s.isdigit()
+
+
 def parse_fraction(v):
+    """The Rational of a JSON integer or a "p" or "p/q" string (see the
+    module docstring); ValueError on anything else, ZeroDivisionError
+    on a zero denominator."""
     if isinstance(v, bool):
         raise ValueError(f"not a rational: {v!r}")
     if isinstance(v, int):
-        return Fraction(v)
+        return Rational(v)
     if isinstance(v, str):
-        return Fraction(v)
+        num, slash, den = v.strip().partition("/")
+        if (_digits(num[1:] if num[:1] in "+-" else num)
+                and (_digits(den) or not slash)):
+            return Rational(int(num), int(den) if slash else 1)
+        raise ValueError(f"not a rational: {v!r} (expected an integer or "
+                         f"\"p/q\")")
     raise ValueError(f"not a rational: {v!r} (floats are not accepted)")
 
 

@@ -1192,6 +1192,25 @@ def test_column_given_as_int_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("1.5", "not a rational: '1.5' (expected an integer or \"p/q\")"),
+    ("1e3", "not a rational: '1e3' (expected an integer or \"p/q\")"),
+    ("1/0", "zero denominator in '1/0'"),
+])
+def test_entry_outside_the_rational_grammar_exits_2(entry, message,
+                                                    tmp_path, capsys):
+    """Entries are integers or "p/q" strings: a decimal or exponent
+    string is refused at its JSON path, not read as 3/2 or 1000."""
+    data = serialize.algebra_to_data(exterior_dga())
+    data["operations"]["2"]["blocks"]["0"][0][0] = entry
+    path = tmp_path / "bad_entry.json"
+    serialize.dump(str(path), data)
+    assert main(["verify", "ainf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: $.operations.2.blocks.0[0][0]: {message}\n"
+
+
 def test_move_with_missing_map_exits_2(tmp_path, capsys):
     a = exterior_dga()
     m = AInfinityMorphism(a, a, {1: GradedMap.identity(a.space)}, 3)

@@ -4,9 +4,9 @@ underscore names, no function works on dense matrices except the dense
 adapters, importing the command line front end loads no module that
 only some commands need, operad commands load only the operad layer,
 no command that hashes its input files loads OpenSSL, no command loads
-argparse, only exactlin names tensor_maps_many, and every public
-function or class of shalg is run by shalg or the benchmark, or is
-listed as library API."""
+argparse or fractions, only exactlin names tensor_maps_many, and every
+public function or class of shalg is run by shalg or the benchmark, or
+is listed as library API."""
 
 import ast
 import pathlib
@@ -16,6 +16,8 @@ import sys
 import pytest
 
 from shalg import serialize
+from shalg.ainfty import AInfinityAlgebra
+from shalg.exactlin import Rational
 from shalg.transfer import sdr_onto_homology
 from test_cli import exterior_dga
 
@@ -252,15 +254,21 @@ def _modules_loaded(heavy, *lines):
     return out.rstrip("\n").rsplit("\n", 1)[-1]
 
 
+# The standard library's rationals and the modules fractions loads.
+NUMERIC = ("fractions", "decimal", "_decimal", "numbers")
+
+
 def test_cli_import_leaves_heavy_modules_unloaded():
     """Every command pays for what `import shalg.cli` loads.  dataclasses
     (which loads inspect) is not needed at all, hashlib is never loaded
     (see test_hashing_commands_leave_openssl_unloaded), argparse, with
     the gettext and locale it loads, is not used (see
     test_commands_leave_argparse_unloaded), and tempfile and shutil only
-    by commands that write a file, which import them then."""
+    by commands that write a file, which import them then; fractions,
+    with the decimal and numbers it loads, is not used (see
+    test_commands_leave_fractions_unloaded)."""
     heavy = ("dataclasses", "inspect", "hashlib", "_hashlib", "tempfile",
-             "argparse", "gettext", "locale", "shutil")
+             "argparse", "gettext", "locale", "shutil") + NUMERIC
     assert _modules_loaded(
         heavy, "shalg.cli.build_parser().parse_args("
                "['operad', 'd2', 'ass-minimal', '--arity', '3'])") == "[]"
@@ -268,11 +276,15 @@ def test_cli_import_leaves_heavy_modules_unloaded():
 
 def _main_loads(heavy, command, tmp_path):
     """Which of the heavy modules a fresh `python -S` process holds after
-    main ran the command, passing, on files of the exterior DGA."""
+    main ran the command, passing, on files of the exterior DGA ("half"
+    is the DGA with mu_2 halved, whose entries are "1/2" strings)."""
     a = exterior_dga()
     files = {"dga": tmp_path / "dga.json", "sdr": tmp_path / "sdr.json",
-             "out": tmp_path / "out"}
+             "half": tmp_path / "half.json", "out": tmp_path / "out"}
     serialize.dump(str(files["dga"]), serialize.algebra_to_data(a))
+    half = AInfinityAlgebra(a.complex, {2: a.mu(2).scale(Rational(1, 2))},
+                            a.N)
+    serialize.dump(str(files["half"]), serialize.algebra_to_data(half))
     serialize.dump(str(files["sdr"]),
                    serialize.sdr_to_data(sdr_onto_homology(a.complex)))
     argv = [arg.format(**{k: str(v) for k, v in files.items()})
@@ -303,6 +315,20 @@ def test_commands_leave_argparse_unloaded(command, tmp_path):
     of start-up."""
     assert _main_loads(("argparse", "gettext", "locale"), command,
                        tmp_path) == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "ainf", "{half}"],
+    ["move", "m1", "{dga}", "{sdr}", "--out", "{out}"],
+    ["operad", "d2", "ass-minimal", "--arity", "4"],
+    ["operad", "riso-extend", "{sdr}"],
+], ids=lambda c: "-".join(c[:2]))
+def test_commands_leave_fractions_unloaded(command, tmp_path):
+    """Coefficients are exactlin.Rational: fractions, with the decimal
+    (libmpdec) and numbers it loads, cost every process about 0.5 MB of
+    RSS and 3.5 ms of start-up."""
+    assert _main_loads(NUMERIC, command, tmp_path) == "[]"
+    assert '"1/2"' in (tmp_path / "half.json").read_text(encoding="utf-8")
 
 
 # The layers above operadcore: files, structures and moves.

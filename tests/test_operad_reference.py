@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shalg.exactlin import Rational
 from shalg.operadcore import (
     LEAF,
     GeneratorSpec,
@@ -538,14 +539,14 @@ def test_substitute_and_graft_match_reference(name, rng):
                     for _ in range(ref_tree_arity(u))]
         assert substitute(pres, u, children) == ref_substitute(
             pres, u, children)
-        # int and Fraction coefficients alike come back as Fractions
+        # int and Fraction coefficients alike come back as Rationals
         outer = {t: rng.choice(COEFFICIENTS) for t in rng.sample(pool, 2)}
         ar = min(ref_tree_arity(t) for t in outer)
         inner = {t: rng.choice(COEFFICIENTS) for t in rng.sample(pool, 2)}
         position = rng.randint(1, ar)
         grafted = graft(pres, outer, position, inner)
         assert grafted == ref_graft(pres, outer, position, inner)
-        assert all(type(c) is Fraction for c in grafted.values())
+        assert all(type(c) is Rational for c in grafted.values())
 
 
 @SETTINGS
@@ -574,7 +575,7 @@ def test_graft_of_int_coefficients_is_fractional():
     pres = ass_minimal(3)
     mu2 = pres.corolla("mu2")
     grafted = graft(pres, {mu2: 1}, 1, {mu2: 2})
-    assert grafted and all(type(c) is Fraction for c in grafted.values())
+    assert grafted and all(type(c) is Rational for c in grafted.values())
 
 
 @SETTINGS
@@ -632,7 +633,7 @@ def test_derivation_extend_of_rational_scaling_matches_reference(rng):
         x = {t: rng.choice(COEFFICIENTS) for t in rng.sample(pool, 4)}
         dx = derivation_extend(pres, x)
         assert dx == ref_derivation_extend(pres, x)
-        assert all(type(c) is Fraction for c in dx.values())
+        assert all(type(c) is Rational for c in dx.values())
         for g in pres.generators:
             img = pres.d_image(g)
             assert derivation_extend(pres, img) == ref_derivation_extend(
@@ -657,7 +658,7 @@ def test_d_squared_witness_of_rational_scaling_matches_reference(rng):
             if dd:
                 t, c = entry["witness"]
                 assert (t, c) == min(dd.items(), key=lambda kv: repr(kv[0]))
-                assert type(c) is Fraction
+                assert type(c) is Rational
                 failed += 1
     assert failed
 

@@ -24,6 +24,7 @@ from shalg.exactlin import (
     GradedMap,
     GradedVectorSpace,
     LinearSolveResult,
+    Rational,
     graded_inverse,
     hom_differential,
     kernel_basis,
@@ -385,7 +386,7 @@ def test_dense_views_equal_stored_blocks(rng):
         blk = m.block(k)
         assert blk == view(want, s, t, deg, k)
         assert isinstance(blk, tuple) and all(
-            isinstance(row, tuple) and all(type(x) is Fraction for x in row)
+            isinstance(row, tuple) and all(type(x) is Rational for x in row)
             for row in blk)
 
 
