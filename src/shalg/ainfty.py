@@ -21,12 +21,7 @@ import functools
 from typing import Mapping, Optional
 
 from .exactlin import ChainComplex, GradedMap, tensor_power
-from .operadcore import (
-    OperadPresentation,
-    builtin_presentation,
-    generator_residual,
-    partition_sum,
-)
+from .operadcore import builtin_presentation, generator_residual, partition_sum
 
 
 # ------------------------------------------------------------ structures
@@ -70,13 +65,19 @@ class AInfinityAlgebra:
 
 class AInfinityMorphism:
     """Taylor coefficients f_n : V^(x n) -> W (n = 1..N) of a strongly
-    homotopy morphism; missing entries are zero maps."""
+    homotopy morphism; missing entries are zero maps.  N is at most the
+    order of either algebra, whose missing operations are not zero but
+    undefined."""
 
     def __init__(self, source: AInfinityAlgebra, target: AInfinityAlgebra,
                  f: Mapping[int, GradedMap], N: Optional[int] = None):
         self.source = source
         self.target = target
-        self.N = N if N is not None else min(source.N, target.N)
+        top = min(source.N, target.N)
+        self.N = top if N is None else N
+        if self.N > top:
+            raise ValueError(f"truncation order {N} exceeds the algebras' "
+                             f"orders (at most {top})")
         self._f = {}
         for n, m in dict(f).items():
             n = int(n)
@@ -97,6 +98,13 @@ class AInfinityMorphism:
 
     def is_strict(self) -> bool:
         return all(self.f(n).is_zero() for n in range(2, self.N + 1))
+
+    def truncated(self, N: int) -> AInfinityMorphism:
+        """The morphism with its coefficients above arity N dropped:
+        itself when N is its own order."""
+        return self if N == self.N else AInfinityMorphism(
+            self.source, self.target,
+            {n: f for n, f in self._f.items() if n <= N}, N)
 
 
 def underlying(m: AInfinityMorphism) -> GradedMap:
@@ -176,14 +184,6 @@ def compose_morphisms(g: AInfinityMorphism,
 
 
 @functools.lru_cache(maxsize=16)
-def _model(name: str, N: int) -> OperadPresentation:
-    """A bundled minimal model truncated at arity N, built once per
-    (name, N) (a bounded cache) so that its tree memos are shared by
-    every residual; builtin_presentation itself returns a fresh one."""
-    return builtin_presentation(name, N)
-
-
-@functools.lru_cache(maxsize=16)
 def _action(x):
     """The operad action of an algebra or a morphism, made once per
     structure (a bounded cache) and shared by its residuals."""
@@ -195,7 +195,7 @@ def _action(x):
 def action_from_structure(a: AInfinityAlgebra):
     """Operad action of the associativity minimal model determined by an
     algebra: (presentation, action dict, complexes dict)."""
-    pres = _model("ass-minimal", a.N)
+    pres = builtin_presentation("ass-minimal", a.N)
     action = {f"mu{n}": a.mu(n) for n in range(2, a.N + 1)}
     return pres, action, {"v": a.complex}
 
@@ -212,7 +212,7 @@ def morphism_action(m: AInfinityMorphism):
     """Operad action of the two-colored arrow model determined by a
     morphism between algebras (truncated at the smaller order)."""
     N = m.N
-    pres = _model("ass-arrow-minimal", N)
+    pres = builtin_presentation("ass-arrow-minimal", N)
     action = {}
     for n in range(2, N + 1):
         action[f"mu{n}"] = m.source.mu(n)

@@ -24,11 +24,9 @@ from .operadcore import (
     ISO_NORMAL_FORMS,
     action_check,
     alpha_iso_matrix,
-    ass_minimal,
     builtin_presentation,
     d_squared_check,
     enumerate_trees,
-    free_binary,
     kunneth_check,
     tree_decomposition_dims,
     tree_degree,
@@ -275,7 +273,7 @@ def cmd_move(args):
             flags = check_side_conditions(s)
             cert.add("hypothesis-side-conditions", flags["ok"])
             if same and flags["ok"]:
-                pair = transfer_M1(a, s, N=min(N, a.N))
+                pair = transfer_M1(a, s, N=N)
         elif args.move in ("m2", "m3"):
             m = serialize.morphism_from_data(datas[0])
             V, W = m.source, m.target
@@ -283,19 +281,19 @@ def cmd_move(args):
                 g = _map_field(datas[1], "g", V.space, W.space)
                 h = _map_field(datas[1], "h", V.space, W.space)
                 out = _run_move(cert, "hypothesis-homotopy-between-chain-maps",
-                                perturb_M2, m, g, h, N=min(N, m.N))
+                                perturb_M2, m, g, h, N=N)
             else:
                 g = _map_field(datas[1], "g", W.space, V.space)
                 h = _map_field(datas[1], "h", V.space, V.space)
                 ell = _map_field(datas[1], "l", W.space, W.space)
                 out = _run_move(cert, "hypothesis-homotopy-equivalence",
-                                invert_M3, m, g, h, ell, N=min(N, m.N))
+                                invert_M3, m, g, h, ell, N=N)
             if out is not None:
                 cert.add("output-underlying-map", underlying(out) == g)
         elif args.move == "m4":
             ms = [serialize.morphism_from_data(d) for d in datas]
             out = _run_move(cert, "hypothesis-composable-chain", chain_M4, ms,
-                            N=min([N] + [m.N for m in ms]))
+                            N=N)
         elif args.move == "s":
             a = serialize.algebra_from_data(datas[0])
             w = serialize.complex_from_data(
@@ -304,7 +302,7 @@ def cmd_move(args):
             g = _map_field(datas[1], "g", w.space, a.space)
             h = _map_field(datas[1], "h", a.space, a.space)
             pair = _run_move(cert, "hypothesis-one-sided-retraction",
-                             transfer_S, a, w, f, g, h, N=min(N, a.N))
+                             transfer_S, a, w, f, g, h, N=N)
         else:
             raise ValueError(args.move)
         if pair is not None:  # a transferred structure and its morphism
@@ -325,14 +323,6 @@ def cmd_move(args):
 # ----------------------------------------------------------------- operad
 
 
-def _operad_by_name(name, arity=None):
-    if name == "free-binary":
-        return free_binary()
-    if name == "ass-minimal-3":
-        return ass_minimal(3)
-    return builtin_presentation(name, arity)
-
-
 def cmd_operad(args):
     names = args.files
     bounds = {"arity": args.arity, "length": args.length}
@@ -341,7 +331,7 @@ def cmd_operad(args):
         name = names[0]
         arity = args.arity or DEFAULT_ARITY.get(name, 5)
         cert.bounds["arity"] = arity
-        pres = _operad_by_name(name, arity)
+        pres = builtin_presentation(name, arity)
         res = d_squared_check(pres, arity)
         if not res["checked"]:
             raise ValueError(f"--arity {arity} checks no generator of {name}")
@@ -360,7 +350,7 @@ def cmd_operad(args):
         name = names[0]
         arity = args.arity or 3
         cert.bounds["arity"] = arity
-        pres = _operad_by_name(name, arity)
+        pres = builtin_presentation(name, arity)
         color = pres.colors[0]
         res = truncated_homology(pres, arity, color,
                                  max_length=args.length)
@@ -371,7 +361,8 @@ def cmd_operad(args):
     elif args.sub == "kunneth":
         arity = args.arity or 3
         cert.bounds["arity"] = arity
-        res = kunneth_check(ass_minimal(3), free_binary(), arity)
+        res = kunneth_check(builtin_presentation("ass-minimal-3"),
+                            builtin_presentation("free-binary"), arity)
         for e in res["per_degree"]:
             cert.add(f"product-homology-degree{e['degree']}", e["ok"],
                      witness=None if e["ok"] else
@@ -390,8 +381,8 @@ def cmd_operad(args):
     elif args.sub == "tree-dims":
         arity = args.arity or 3
         cert.bounds["arity"] = arity
-        p1 = _operad_by_name(names[0], arity)
-        p2 = _operad_by_name(names[1], arity)
+        p1 = builtin_presentation(names[0], arity)
+        p2 = builtin_presentation(names[1], arity)
         dims = tree_decomposition_dims(p1, p2, arity)
         cert.add(f"tree-decomposition-arity{arity}", True,
                  witness={str(k): v for k, v in sorted(dims.items())})

@@ -1242,14 +1242,27 @@ def riso() -> OperadPresentation:
                               symmetric=False, augmented=False)
 
 
+# name -> (builder, default truncation order, None for a whole model)
+_BUNDLED = {"ass-minimal": (ass_minimal, 7),
+            "ass-arrow-minimal": (ass_arrow_minimal, 5),
+            "riso": (riso, None), "free-binary": (free_binary, None),
+            "ass-minimal-3": (lambda: ass_minimal(3), None)}
+_BUILT = {}  # (name, truncation order) -> presentation
+
+
 def builtin_presentation(name: str, max_arity=None) -> OperadPresentation:
-    if name == "ass-minimal":
-        return ass_minimal(max_arity or 7)
-    if name == "ass-arrow-minimal":
-        return ass_arrow_minimal(max_arity or 5)
-    if name == "riso":
-        return riso()
-    raise ValueError(f"unknown presentation {name!r}")
+    """The bundled model called name: ass-minimal and ass-arrow-minimal
+    truncated at max_arity (7 and 5 by default); riso, free-binary and
+    ass-minimal-3 (ass-minimal at 3) whole, whatever max_arity.  Each is
+    built once per process and truncation order, so every check on it
+    shares its tree memos; the builders return fresh presentations."""
+    if name not in _BUNDLED:
+        raise ValueError(f"unknown presentation {name!r}")
+    build, default = _BUNDLED[name]
+    order = default and (max_arity or default)
+    if (name, order) not in _BUILT:
+        _BUILT[name, order] = build(order) if order else build()
+    return _BUILT[name, order]
 
 
 # -------------------------------------------- the groupoid normal forms

@@ -6,7 +6,12 @@ image.  Rational entries are JSON integers or strings of the form
 "p" or "p/q": an optional sign, decimal digits and an optional "/"
 with decimal digits, with optional whitespace around it all.  No
 floats are ever read or written, and strings such as "1.5", "1e3" or
-"1_000" are refused.
+"1_000" are refused.  Integer fields (dimensions, degrees, arities, N)
+and the keys that index blocks, dimensions, operations and components
+are JSON integers or strings in the form str() writes: an optional "-"
+and ASCII decimal digits with no leading zero, so "01", "+1", "-0",
+" 1", "1_0" and non-ASCII digits are refused, and no two keys of one
+table name the same integer.
 """
 
 import json
@@ -95,15 +100,18 @@ def _nested(loader, data, key, path, *args):
 
 
 def parse_int(value, path):
-    """An integer given as a JSON integer or a decimal string (the form
-    of JSON object keys)."""
+    """An integer given as a JSON integer or as the string str() writes
+    for one (the form of JSON object keys; see the module docstring)."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         try:
-            return int(value)
+            n = int(value)
         except ValueError:
             pass
+        else:
+            if str(n) == value:
+                return n
     raise InputError(f"{path}: expected an integer, got {value!r}")
 
 
@@ -260,6 +268,9 @@ def morphism_from_data(data, path="$") -> AInfinityMorphism:
     N = parse_int(field(data, "N", path), f"{path}.N")
     src = _nested(algebra_from_data, data, "source", path)
     tgt = _nested(algebra_from_data, data, "target", path)
+    if N > min(src.N, tgt.N):
+        raise InputError(f"{path}.N: {N} exceeds the algebras' orders (at "
+                         f"most {min(src.N, tgt.N)})")
     comps = {n: map_from_data(md, tensor_power(src.space, n), tgt.space, p)
              for n, md, p in _arities(data, "components", 1, N, path)}
     return AInfinityMorphism(src, tgt, comps, N)

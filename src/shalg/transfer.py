@@ -8,11 +8,12 @@ conditions phi phi = 0, phi nabla = 0, f phi = 0 can always be arranged
 by the two classical replacements implemented here.
 
 Each identity has one definition, the stored differential of riso, the
-bundled resolution of the isomorphism groupoid: under the action that
-assigns nabla, f, 0 and phi to its generators f, g, h and l, and zero
-to the rest, f, g, h and l state the retract identities and g3, f2
-and g2 the side conditions, so the zero extension succeeds exactly when
-both hold.  A homotopy equivalence assigns its own f, g, h and l.
+bundled resolution of the isomorphism groupoid (one per process, from
+operadcore.builtin_presentation): under the action that assigns nabla,
+f, 0 and phi to its generators f, g, h and l, and zero to the rest,
+f, g, h and l state the retract identities and g3, f2 and g2 the side
+conditions, so the zero extension succeeds exactly when both hold.  A
+homotopy equivalence assigns its own f, g, h and l.
 
 The moves: transfer of a structure along an SDR (or along one-sided
 homotopy-retraction data), perturbation of the underlying map of a
@@ -34,7 +35,6 @@ arity.
 
 from __future__ import annotations
 
-import functools
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .exactlin import (
@@ -61,19 +61,12 @@ from .ainfty import (
 # ------------------------------------------------------------ riso checks
 
 
-@functools.lru_cache(maxsize=1)
-def _riso():
-    """riso, built once per process (a bounded cache, as ainfty._model)
-    so that its tree memos are shared by every check."""
-    return builtin_presentation("riso")
-
-
 def _riso_zeros(a: ChainComplex, b: ChainComplex) -> dict:
     """The zero map of every riso generator, colors a and b given."""
     spaces = {"a": a.space, "b": b.space}
     return {name: GradedMap.zero(spaces[g.inputs[0]], spaces[g.output],
                                  g.degree)
-            for name, g in _riso().generators.items()}
+            for name, g in builtin_presentation("riso").generators.items()}
 
 
 def _riso_residuals(a: ChainComplex, b: ChainComplex,
@@ -84,14 +77,14 @@ def _riso_residuals(a: ChainComplex, b: ChainComplex,
     identity d(gen) holds.  A map of names whose type is not its
     generator's yields None and ends the residuals, since evaluation
     trusts the types of the maps it reads; callers check other maps."""
-    zeros = _riso_zeros(a, b)
+    pres, zeros = builtin_presentation("riso"), _riso_zeros(a, b)
     action = {**zeros, **maps}
     for name in names:
         m, z = action[name], zeros[name]
         if (m.source, m.target, m.degree) != (z.source, z.target, z.degree):
             yield None
             return
-        yield generator_residual(_riso(), action, {"a": a, "b": b},
+        yield generator_residual(pres, action, {"a": a, "b": b},
                                  name).scale(-1)
 
 
@@ -280,7 +273,7 @@ def riso_zero_extension(s: SDRData | RetractParts) -> dict:
     the nonzero obstruction map.  The equations include the retract
     identities, so unchecked RetractParts that are no retract fail the
     same way; a map of the wrong type raises ValueError."""
-    maps, names = _retract_maps(s), _riso().generators
+    maps, names = _retract_maps(s), builtin_presentation("riso").generators
     residuals = _riso_residuals(s.small, s.big, maps, names)
     for name, residual in zip(names, residuals):
         if not residual.is_zero():
@@ -314,6 +307,12 @@ def _transfer(a: AInfinityAlgebra, target: ChainComplex, root: GradedMap,
     return out, AInfinityMorphism(out, a, f_out, N)
 
 
+def _order(N: Optional[int], x) -> int:
+    """The truncation order of a move's output: N capped at the order of
+    its input x, or x's order when N is None."""
+    return x.N if N is None else min(N, x.N)
+
+
 NOT_ON_BIG_COMPLEX = "structure does not live on the big complex"
 
 
@@ -328,8 +327,7 @@ def transfer_M1(a: AInfinityAlgebra, s: SDRData, N: Optional[int] = None):
     if not flags["ok"]:
         bad = [k for k, v in flags.items() if k != "ok" and not v]
         raise ValueError(f"side conditions violated: {', '.join(bad)}")
-    return _transfer(a, s.small, s.f, s.nabla, s.phi,
-                     N if N is not None else a.N)
+    return _transfer(a, s.small, s.f, s.nabla, s.phi, _order(N, a))
 
 
 def transfer_S(a: AInfinityAlgebra, target: ChainComplex, f: GradedMap,
@@ -340,7 +338,7 @@ def transfer_S(a: AInfinityAlgebra, target: ChainComplex, f: GradedMap,
     underlying map g."""
     _require(a.complex, target, {"f": f, "g": g, "h": h},
              _EQUIVALENCE_ERRORS)
-    return _transfer(a, target, f, g, h, N if N is not None else a.N)
+    return _transfer(a, target, f, g, h, _order(N, a))
 
 
 # ------------------------------------------------------ perturbation moves
@@ -383,15 +381,15 @@ def perturb_M2(m: AInfinityMorphism, g: GradedMap, h: GradedMap,
 
     h must witness g - underlying(m) = [h, d].  The higher coefficients
     are rebuilt degree by degree; with g equal to the original
-    underlying map and h = 0 the input is returned unchanged."""
-    N = N if N is not None else m.N
+    underlying map and h = 0 the input is returned, truncated at N."""
+    N = _order(N, m)
     V, W = m.source, m.target
     f1 = underlying(m)
     if h.degree != f1.degree + 1 \
             or not homotopy_residual(h, f1, g, V.complex, W.complex).is_zero():
         raise ValueError("h is not a homotopy from underlying(m) to g")
     if g == f1 and h.is_zero():
-        return m
+        return m.truncated(N)
     return _extend_morphism(V, W, g, N)
 
 
@@ -399,7 +397,7 @@ def invert_M3(m: AInfinityMorphism, g: GradedMap, h: GradedMap,
               l: GradedMap, N: Optional[int] = None) -> AInfinityMorphism:
     """Morphism in the opposite direction whose underlying map is the
     given chain homotopy inverse of underlying(m)."""
-    N = N if N is not None else m.N
+    N = _order(N, m)
     HomotopyEquivalence(m.source.complex, m.target.complex,
                         underlying(m), g, h, l)
     return _extend_morphism(m.target, m.source, g, N)
@@ -410,14 +408,15 @@ def chain_M4(morphisms: Sequence[AInfinityMorphism],
              h: Optional[GradedMap] = None,
              N: Optional[int] = None) -> AInfinityMorphism:
     """Compose a chain of morphisms and optionally perturb the result
-    onto a map homotopic to the composite underlying map."""
+    onto a map homotopic to the composite underlying map; the result is
+    truncated at N either way."""
     if not morphisms:
         raise ValueError("need at least one morphism")
     acc = morphisms[0]
     for nxt in morphisms[1:]:
         acc = compose_morphisms(nxt, acc)
     if g is None:
-        return acc
+        return acc.truncated(_order(N, acc))
     if h is None:
         h = GradedMap.zero(acc.source.space, acc.target.space, 1)
     return perturb_M2(acc, g, h, N)

@@ -572,6 +572,33 @@ def test_move_m2_identity_homotopy(dga_file, tmp_path, capsys):
     assert written["components"] == serialize.morphism_to_data(m)["components"]
 
 
+@pytest.mark.parametrize("move", ["m2", "m4"])
+def test_move_returning_its_input_honours_bound_n(move, tmp_path, capsys):
+    """m2 along the zero homotopy of the underlying map and m4 without a
+    perturbation return their input: truncated at --bound-n, so they
+    check and write arities 1 and 2 only, as every move does."""
+    m = coherent_morphism(seed=1, N=4)
+    assert "3" in serialize.morphism_to_data(m)["components"]
+    mpath, ppath = tmp_path / "mor.json", tmp_path / "pert.json"
+    serialize.dump(str(mpath), serialize.morphism_to_data(m))
+    serialize.dump(str(ppath), {
+        "g": serialize.map_to_data(m.f(1)),
+        "h": serialize.map_to_data(GradedMap.zero(m.source.space,
+                                                  m.target.space, 1))})
+    out = str(tmp_path / "out")
+    inputs = [str(mpath)] + [str(ppath)] * (move == "m2")
+    assert main(["move", move, *inputs, "--bound-n", "2", "--out", out,
+                 "--format", "machine"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["bounds"] == {"N": 2}
+    assert [c["name"] for c in cert["checks"]
+            if c["name"].startswith("output-morphism")] == [
+        "output-morphism-identity-n1", "output-morphism-identity-n2"]
+    written = serialize.load(out + ".morphism.json")
+    assert written["N"] == 2
+    assert set(written["components"]) <= {"1", "2"}
+
+
 def test_move_m3_and_m4(dga_file, sdr_file, tmp_path, capsys):
     out1 = str(tmp_path / "t")
     assert main(["move", "m1", dga_file, sdr_file, "--out", out1]) == 0
@@ -1209,6 +1236,55 @@ def test_entry_outside_the_rational_grammar_exits_2(entry, message,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: $.operations.2.blocks.0[0][0]: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", " 1 ", "01", "+1", "-0"])
+def test_integer_outside_the_canonical_grammar_exits_2(text, tmp_path,
+                                                       capsys):
+    """Integer fields are JSON integers or the string str() writes:
+    underscores, non-ASCII digits, whitespace, a leading zero or a sign
+    of a non-negative number are refused at the JSON path, not read as
+    10, 3 or 1."""
+    data = serialize.algebra_to_data(exterior_dga())
+    data["N"] = text
+    path = tmp_path / "bad_int.json"
+    serialize.dump(str(path), data)
+    assert main(["verify", "ainf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: $.N: expected an integer, got "
+                            f"{text!r}\n")
+
+
+def test_keys_naming_one_integer_twice_exit_2(tmp_path, capsys):
+    """"0" and "00" would both read as degree 0, the second silently
+    replacing the first: "00" is no integer key."""
+    data = serialize.algebra_to_data(exterior_dga())
+    data["complex"]["dims"]["00"] = data["complex"]["dims"]["0"]
+    path = tmp_path / "dup_key.json"
+    serialize.dump(str(path), data)
+    assert main(["verify", "ainf", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.complex.dims: expected an integer, got '00'\n")
+
+
+def test_morphism_claiming_arities_its_algebras_lack_exits_2(tmp_path,
+                                                             capsys):
+    """A morphism of order 6 between algebras of order 4 would read
+    their missing mu_5 and mu_6 as zero and pass those identities: the
+    order is refused, by the file reader and by the constructor."""
+    m = coherent_morphism(seed=1, N=4)
+    with pytest.raises(ValueError, match="exceeds the algebras' orders"):
+        AInfinityMorphism(m.source, m.target, {1: m.f(1)}, 5)
+    data = serialize.morphism_to_data(m)
+    data["N"] = 6
+    path = tmp_path / "mor6.json"
+    serialize.dump(str(path), data)
+    assert main(["verify", "morphism", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: $.N: 6 exceeds the algebras' orders (at most 4)\n")
 
 
 def test_move_with_missing_map_exits_2(tmp_path, capsys):

@@ -4,7 +4,8 @@ underscore names, no function works on dense matrices except the dense
 adapters, importing the command line front end loads no module that
 only some commands need, operad commands load only the operad layer,
 no command that hashes its input files loads OpenSSL, no command loads
-argparse or fractions, only exactlin names tensor_maps_many, and every
+argparse or fractions, only exactlin names tensor_maps_many, only
+operadcore names the builders of the bundled models, and every
 public function or class of shalg is run by shalg or the benchmark, or
 is listed as library API."""
 
@@ -240,6 +241,18 @@ def test_only_exactlin_names_tensor_maps_many():
     assert [p.name for p in MODULES if p.name != "exactlin.py"
             and "tensor_maps_many" in names(p.read_text(encoding="utf-8"))
             ] == []
+
+
+# The builders of the bundled models, each returning a fresh presentation.
+BUILDERS = {"ass_minimal", "ass_arrow_minimal", "riso", "free_binary"}
+
+
+def test_only_operadcore_names_the_model_builders():
+    """Every module gets a bundled model by name from
+    operadcore.builtin_presentation, which builds each once per process
+    and truncation order: no other module builds or caches its own."""
+    assert [p.name for p in MODULES if p.name != "operadcore.py"
+            and BUILDERS & names(p.read_text(encoding="utf-8"))] == []
 
 
 def _modules_loaded(heavy, *lines):

@@ -392,6 +392,34 @@ def test_builtin_presentation_lookup():
         builtin_presentation("nope")
 
 
+def test_builtin_presentation_is_built_once_per_truncation_order():
+    """One bundled model per name and truncation order for the process,
+    so every check shares its tree memos; the default order and the
+    ignored order of a whole model name the same one."""
+    for name, arity in (("ass-minimal", 4), ("ass-arrow-minimal", 3),
+                        ("riso", None), ("free-binary", None),
+                        ("ass-minimal-3", None)):
+        assert builtin_presentation(name, arity) is builtin_presentation(
+            name, arity)
+    assert builtin_presentation("ass-minimal") is builtin_presentation(
+        "ass-minimal", 7)
+    assert builtin_presentation("riso", 3) is builtin_presentation("riso")
+    assert builtin_presentation("ass-minimal", 4) is not (
+        builtin_presentation("ass-minimal", 5))
+    assert builtin_presentation("ass-minimal", 4) is not ass_minimal(4)
+
+
+def test_builtin_presentation_answers_to_the_kunneth_factors():
+    """ass-minimal-3 and free-binary, the factors of operad kunneth, are
+    bundled models too, whatever the arity asked for."""
+    for name, fresh in (("ass-minimal-3", ass_minimal(3)),
+                        ("free-binary", free_binary())):
+        pres = builtin_presentation(name, 9)
+        assert pres.generators == fresh.generators
+        assert pres.differential == fresh.differential
+    assert builtin_presentation("ass-minimal-3").name == "ass-minimal"
+
+
 def test_alpha_degree_pruning_keeps_the_degree_zero_trees():
     """operad alpha enumerates riso trees with max_degree=0: the kept
     degree-0 trees are those of the unpruned enumeration, in order."""

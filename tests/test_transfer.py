@@ -543,6 +543,22 @@ def test_perturb_m2_trivial():
     assert out is m
 
 
+def test_moves_cap_their_order_at_their_inputs():
+    """A move's output order is the bound, capped at its input's order:
+    a move that returns its input truncates it too."""
+    m = coherent_morphism(1)
+    assert m.N == 4 and not m.f(3).is_zero()
+    zero = GradedMap.zero(m.source.space, m.target.space, 1)
+    assert perturb_M2(m, underlying(m), zero, N=9) is m
+    assert chain_M4([m], N=9) is m
+    for low in (perturb_M2(m, underlying(m), zero, N=2),
+                chain_M4([m], N=2)):
+        assert low.N == 2 and low.f(2) == m.f(2) and low.f(3).is_zero()
+    a = m.source
+    moved, back = transfer_M1(a, sdr_onto_homology(a.complex), N=9)
+    assert moved.N == back.N == a.N
+
+
 def test_perturb_m2_changes_underlying():
     # at N = 6, no source tuple of V^(x 6) lies in the window of f_6
     for seed, N in ((2, 4), (5, 4), (8, 4), (2, 6)):
