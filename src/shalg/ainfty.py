@@ -65,9 +65,9 @@ class AInfinityAlgebra:
 
 class AInfinityMorphism:
     """Taylor coefficients f_n : V^(x n) -> W (n = 1..N) of a strongly
-    homotopy morphism; missing entries are zero maps.  N is at most the
-    order of either algebra, whose missing operations are not zero but
-    undefined."""
+    homotopy morphism; missing entries are zero maps.  N is at least 1
+    and at most the order of either algebra, whose missing operations
+    are not zero but undefined."""
 
     def __init__(self, source: AInfinityAlgebra, target: AInfinityAlgebra,
                  f: Mapping[int, GradedMap], N: Optional[int] = None):
@@ -75,6 +75,8 @@ class AInfinityMorphism:
         self.target = target
         top = min(source.N, target.N)
         self.N = top if N is None else N
+        if self.N < 1:
+            raise ValueError("truncation order must be at least 1")
         if self.N > top:
             raise ValueError(f"truncation order {N} exceeds the algebras' "
                              f"orders (at most {top})")

@@ -104,7 +104,7 @@ class OperadPresentation:
             if k not in self.generators:
                 raise ValueError(f"differential on unknown generator {k}")
         # L, the lcm of the coefficient denominators: the kernels run on
-        # the integral shifted-basis copy D = L·S·d·S (see _d_gen)
+        # the integral shifted-basis copy D = L·S·d·S (see _d_gen_terms)
         self._d_scale = math.lcm(1, *(c.denominator
                                       for v in self.differential.values()
                                       for c in v.values()))
@@ -112,10 +112,8 @@ class OperadPresentation:
         self.augmented = augmented
         # tree -> memoized invariants; see _info
         self._tree_info = {LEAF: _LEAF_INFO}
-        # generator -> D(generator); subtree -> D(subtree); see _d_shifted
-        self._d_gens = {}
         self._d_terms = {}  # generator -> terms of D; see _d_gen_terms
-        self._d_images = {LEAF: {}}
+        self._d_images = {LEAF: {}}  # subtree -> D(subtree); see _d_shifted
         # enumerate_trees arguments -> tuple of trees
         self._trees = {}
 
@@ -192,12 +190,6 @@ def _new_info(pres: OperadPresentation, t) -> _TreeInfo:
     return _TreeInfo(arity, 1 + vertices, g.degree + degree,
                      g.degree + 1 - g.arity + shifted,
                      -sign if exp % 2 else sign)
-
-
-def _shifted_degree(pres, name) -> int:
-    """Degree of a generator in the arity-shifted grading."""
-    g = pres.gen(name)
-    return g.degree + 1 - g.arity
 
 
 def tree_word(t) -> list:
@@ -313,31 +305,23 @@ def _kids(pres, children) -> list:
             for j, c in enumerate(children) if c != LEAF]
 
 
-def _substitute_shifted(pres: OperadPresentation, u, children):
-    """Plug trees into the leaves of u with shifted-grading word signs.
-
-    Returns (sign, tree), or None when an edge color mismatch makes the
-    composite zero.
-    """
-    if u == LEAF:
-        if len(children) != 1:
-            raise ValueError("unit tree takes exactly one child")
-        return (1, children[0])
-    if len(children) != _info(pres, u).arity:
-        raise ValueError("child count does not match arity")
-    leaves = _leaf_record(pres, u)
-    if leaves is None:
-        return None
-    return _put_children(u, leaves, _kids(pres, children))
-
-
 def substitute(pres: OperadPresentation, u, children):
     """Plug the trees `children` into the leaves of u, in planar order.
 
     Returns (sign, tree) in the public (unshifted) basis convention, or
-    None when an edge color mismatch makes the composite zero.
+    None when an edge color mismatch makes the composite zero: the
+    shifted-grading word sign of _put_children, conjugated by the
+    basis_signs of u, the children and the composite.
     """
-    r = _substitute_shifted(pres, u, children)
+    if u == LEAF:
+        if len(children) != 1:
+            raise ValueError("unit tree takes exactly one child")
+        r = (1, children[0])
+    elif len(children) != _info(pres, u).arity:
+        raise ValueError("child count does not match arity")
+    else:
+        leaves = _leaf_record(pres, u)
+        r = leaves and _put_children(u, leaves, _kids(pres, children))
     if r is None:
         return None
     sign, t = r
@@ -429,32 +413,22 @@ def _apply_shifted(pres, x) -> dict:
     return out
 
 
-def _d_gen(pres, name) -> dict:
-    """D on a generator, whose corolla has basis_sign 1: the stored image
-    with each tree weighted by its basis_sign and scaled by L, as ints;
-    memoized on pres."""
-    img = pres._d_gens.get(name)
-    if img is None:
-        scale = pres._d_scale
-        img = {}
-        for u, c in pres.d_image(name).items():
-            v = c.numerator * (scale // c.denominator)
-            img[u] = v if _info(pres, u).sign > 0 else -v
-        pres._d_gens[name] = img
-    return img
-
-
 def _d_gen_terms(pres, name) -> list:
-    """The terms of _d_gen as (tree u, coefficient, the leaf record of
-    u): what plugging a vertex's children into u reads, listed once per
+    """The terms of D on a generator, whose corolla has basis_sign 1, as
+    (tree u, coefficient, the leaf record of u): the stored image with
+    each tree weighted by its basis_sign and scaled by L, as ints, and
+    what plugging a vertex's children into u reads; listed once per
     generator and memoized on pres.  A u whose own edges disagree in
     color is left out; the unit tree has record None, since it takes its
     one child as it is."""
     terms = pres._d_terms.get(name)
     if terms is None:
-        arity = pres.gen(name).arity
+        arity, scale = pres.gen(name).arity, pres._d_scale
         terms = []
-        for u, cu in _d_gen(pres, name).items():
+        for u, c in pres.d_image(name).items():
+            cu = c.numerator * (scale // c.denominator)
+            if _info(pres, u).sign < 0:
+                cu = -cu
             if u == LEAF:
                 if arity != 1:
                     raise ValueError("unit tree takes exactly one child")
@@ -471,8 +445,9 @@ def _d_gen_terms(pres, name) -> list:
 
 def _d_shifted(pres, t) -> dict:
     """D(t): the word derivation in the shifted grading that extends
-    _d_gen, with int coefficients; t's generators are known to pres.
-    Memoized on pres, since child subtrees recur across parents."""
+    _d_gen_terms, with int coefficients; t's generators are known to
+    pres.  Memoized on pres, since child subtrees recur across parents;
+    a generator's image is its corolla's."""
     img = pres._d_images.get(t)
     if img is None:
         img = {}
@@ -495,7 +470,8 @@ def _add_d_image(pres, t, c, out) -> None:
         r = _put_children(u, leaves, kids)
         if r is not None:
             _accumulate(out, r[1], c * cu if r[0] > 0 else -c * cu)
-    pre_deg = _shifted_degree(pres, t[0])
+    g = pres.gen(t[0])
+    pre_deg = g.degree + 1 - g.arity  # the root's shifted degree
     for j, ch, _, shifted in kids:
         sc = -c if pre_deg % 2 else c
         head, tail = (t[0],) + children[:j], children[j + 1:]
@@ -518,9 +494,8 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int) -> dict:
     for name, g in gens.items():
         if g.arity > up_to_arity:
             continue
-        img = pres.d_image(name)
         # d² = S·D²·S/L² and a corolla's sign is 1: test D² instead
-        dd = _apply_shifted(pres, _d_gen(pres, name))
+        dd = _apply_shifted(pres, _d_shifted(pres, pres.corolla(name)))
         entry = {"generator": name, "d_squared_zero": not dd}
         if dd:
             t, c = min(dd.items(), key=lambda kv: repr(kv[0]))
@@ -528,7 +503,7 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int) -> dict:
                                 * _info(pres, t, keep=False).sign)
             failures.append(entry)
         if g.tj is not None:
-            for t in img:
+            for t in pres.d_image(name):
                 tjs = [gens[v].tj for v in tree_word(t)]
                 if None in tjs or sum(tjs) != g.tj - 1:
                     entry["tj"] = False
@@ -783,37 +758,19 @@ def _max_length_jump(pres) -> int:
 
 
 def truncated_homology(pres: OperadPresentation, arity: int, output_color,
-                       max_length=None, input_colors=None,
-                       include_unit=True, degree_window=None) -> dict:
+                       max_length=None, include_unit=True) -> dict:
     """Per-degree homology dimensions of one component, length-truncated.
 
     Cycles are taken among trees with at most max_length vertices;
     boundaries may come from trees one extra level long (more when the
     differential increases word length faster).  The result records
-    whether the truncation was proper.  With degree_window = (lo, hi)
-    only degrees in the window are reported (trees of degree lo-1 up to
-    hi+1 enter the computation); dimensions outside are not computed.
+    whether the truncation was proper.
     """
     if max_length is None:
         max_length = _exact_vertex_bound(pres, arity)
     jump = _max_length_jump(pres)
     big = max_length + 1 + jump  # room for images of the extra level
-
-    def keep(t):
-        if (input_colors is not None
-                and tuple(tree_leaf_colors(pres, t, output_color))
-                != tuple(input_colors)):
-            return False
-        if degree_window is not None:
-            lo, hi = degree_window
-            if not lo - 1 <= _info(pres, t).degree <= hi + 1:
-                return False
-        return True
-
-    cap = None if degree_window is None else degree_window[1] + 1
-    all_trees = [t for t in enumerate_trees(pres, arity, output_color, big,
-                                            include_unit, max_degree=cap)
-                 if keep(t)]
+    all_trees = enumerate_trees(pres, arity, output_color, big, include_unit)
     truncated = any(max_length < _info(pres, t).vertices <= max_length + 1
                     for t in all_trees)
     by_degree: dict[int, list] = {}
@@ -848,9 +805,6 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
     mult = math.factorial(arity) if pres.symmetric else 1
     out_dims: dict[int, int] = {}
     for deg, trees in sorted(by_degree.items()):
-        if degree_window is not None and not (
-                degree_window[0] <= deg <= degree_window[1]):
-            continue
         small = [t for t in trees if _info(pres, t).vertices <= max_length]
         if not small:
             continue
@@ -974,7 +928,7 @@ class _SuspendedImages(dict):
 _suspended_images = functools.lru_cache(maxsize=256)(_SuspendedImages)
 
 
-def eval_element(pres, action, spaces, elem: Element, input_colors,
+def eval_element(pres, action, spaces, elem: Element, inputs,
                  output_color, degree: int) -> GradedMap:
     """Value of the action on an element of the given degree, in the
     convention consistent with the stored differentials: each assigned
@@ -982,7 +936,8 @@ def eval_element(pres, action, spaces, elem: Element, input_colors,
     Koszul signs in the suspended world, and their sum, weighted by the
     tree orientation signs, is desuspended.  A tree in which some
     generator is assigned a zero map contributes nothing.  spaces maps
-    each color to its graded vector space.
+    each color to its graded vector space; inputs lists the element's
+    input colors in leaf order.
 
     On two-level trees this differs from the naive composite of the
     assigned maps only by (-1)^(product of the two arities); the twist
@@ -993,7 +948,7 @@ def eval_element(pres, action, spaces, elem: Element, input_colors,
     suspended degree, shared within the call, and is asked only for the
     degrees the target, or its parent's nonzero columns, can take.
     """
-    factors = [spaces[c] for c in input_colors]
+    factors = [spaces[c] for c in inputs]
     source = tensor_spaces(factors)
     target = spaces[output_color]
 
@@ -1114,13 +1069,10 @@ def _mu(name_prefix, n):
 _SIGNS = (Rational(1), Rational(-1))  # (-1)^0, (-1)^1
 
 
-@functools.lru_cache(maxsize=64)
 def _stasheff_terms(prefix, n):
     """d mu_n = sum over i+j = n+1 (i, j >= 2), s = 0..i-1 of
     (-1)^(j + s(j+1)) mu_i composed with mu_j at input s+1, over the
-    generators named prefix + arity; the terms are distinct trees.  Made
-    once per (prefix, n) and shared by the presentations, which copy
-    it."""
+    generators named prefix + arity; the terms are distinct trees."""
     terms: Element = {}
     for j in range(2, n):
         i = n + 1 - j
@@ -1153,13 +1105,11 @@ def free_binary() -> OperadPresentation:
         symmetric=True, augmented=True)
 
 
-@functools.lru_cache(maxsize=64)
 def _morphism_terms(n):
     """d f_n = sum over compositions r of n into k >= 2 parts of
     (-1)^eta nu_k(f_r1, ..., f_rk), eta = sum_{a<b} r_a (r_b + 1), minus
     sum over i+j = n+1 (j >= 2), s = 0..i-1 of (-1)^(n + s(j+1)) f_i
-    composed with mu_j at input s+1; distinct trees, made once per n
-    and shared like _stasheff_terms."""
+    composed with mu_j at input s+1; distinct trees."""
     terms: Element = {}
     for k in range(2, n + 1):
         for r in _compositions(n, k):

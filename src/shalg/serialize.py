@@ -248,6 +248,8 @@ def _arities(data, key, lo, N, path):
 
 def algebra_from_data(data, path="$") -> AInfinityAlgebra:
     N = parse_int(field(data, "N", path), f"{path}.N")
+    if N < 2:
+        raise InputError(f"{path}.N: must be at least 2, got {N}")
     c = _nested(complex_from_data, data, "complex", path)
     ops = {n: map_from_data(md, tensor_power(c.space, n), c.space, p)
            for n, md, p in _arities(data, "operations", 2, N, path)}
@@ -266,6 +268,8 @@ def morphism_to_data(m: AInfinityMorphism) -> dict:
 
 def morphism_from_data(data, path="$") -> AInfinityMorphism:
     N = parse_int(field(data, "N", path), f"{path}.N")
+    if N < 1:
+        raise InputError(f"{path}.N: must be at least 1, got {N}")
     src = _nested(algebra_from_data, data, "source", path)
     tgt = _nested(algebra_from_data, data, "target", path)
     if N > min(src.N, tgt.N):

@@ -1287,6 +1287,32 @@ def test_morphism_claiming_arities_its_algebras_lack_exits_2(tmp_path,
         "error: $.N: 6 exceeds the algebras' orders (at most 4)\n")
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_morphism_of_order_below_1_exits_2(tmp_path, capsys, N):
+    """A morphism of order below 1 has no Taylor coefficient to check:
+    the order is refused, by the file reader, before its components are
+    read, and by the constructor."""
+    m = coherent_morphism(seed=1, N=4)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        AInfinityMorphism(m.source, m.target, {}, N)
+    path = tmp_path / "mor.json"
+    serialize.dump(str(path), {**serialize.morphism_to_data(m), "N": N})
+    assert main(["verify", "morphism", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: $.N: must be at least 1, got {N}\n"
+
+
+def test_algebra_of_order_below_2_exits_2(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    serialize.dump(str(path), {**serialize.algebra_to_data(exterior_dga()),
+                               "N": 1, "operations": {}})
+    assert main(["verify", "ainf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $.N: must be at least 2, got 1\n"
+
+
 def test_move_with_missing_map_exits_2(tmp_path, capsys):
     a = exterior_dga()
     m = AInfinityMorphism(a, a, {1: GradedMap.identity(a.space)}, 3)

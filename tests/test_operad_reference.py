@@ -14,12 +14,13 @@ for the exponential-formula count.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shalg.exactlin import Rational
+from shalg.exactlin import Rational, mat_rank
 from shalg.operadcore import (
     LEAF,
     GeneratorSpec,
@@ -273,6 +274,56 @@ def ref_component_dims(pres, arity, output_color, include_unit=True):
         d = ref_tree_degree(pres, t)
         dims[d] = dims.get(d, 0) + mult
     return dims
+
+
+def ref_windowed_homology(pres, arity, output_color, max_length,
+                          input_colors, lo, hi):
+    """truncated_homology as it was when it took input colors and a
+    degree window (lo, hi): only the trees with these input colors and
+    of degree lo - 1 to hi + 1 (enumerated by max_degree) enter, and
+    only degrees lo to hi are reported, with the arity! multiplicity of
+    a symmetric presentation.  Cycles have at most max_length
+    vertices; boundaries come from trees one extra level long and are
+    counted where they land among the cycle trees."""
+    jump = max((ref_tree_vertices(t) - 1 for img in
+                pres.differential.values() for t in img), default=0)
+    trees = [t for t in ref_enumerate_trees(
+                 pres, arity, output_color, max_length + 1 + jump,
+                 max_degree=hi + 1)
+             if tree_leaf_colors(pres, t, output_color) == list(input_colors)
+             and ref_tree_degree(pres, t) >= lo - 1]
+    by_degree = {}
+    for t in trees:
+        by_degree.setdefault(ref_tree_degree(pres, t), []).append(t)
+
+    def d_rows(sources, deg):
+        """d of each source tree of degree deg, as sparse rows over the
+        trees of degree deg - 1 kept above."""
+        targets = by_degree.get(deg - 1, [])
+        index = {t: i for i, t in enumerate(targets)}
+        rows = [{} for _ in targets]
+        for j, t in enumerate(sources):
+            for u, c in ref_derivation_extend(pres, {t: 1}).items():
+                rows[index[u]][j] = c
+        return rows, targets
+
+    def short(ts, length):
+        return [t for t in ts if ref_tree_vertices(t) <= length]
+
+    dims = {}
+    for deg in range(lo, hi + 1):
+        small = short(by_degree.get(deg, []), max_length)
+        zdim = len(small) - mat_rank(d_rows(small, deg)[0])
+        rows, targets = d_rows(short(by_degree.get(deg + 1, []),
+                                     max_length + 1), deg + 1)
+        bdim = mat_rank(rows) - mat_rank(
+            [r for r, t in zip(rows, targets)
+             if ref_tree_vertices(t) > max_length])
+        if zdim - bdim:
+            dims[deg] = (zdim - bdim) * (
+                math.factorial(arity) if pres.symmetric else 1)
+    truncated = any(ref_tree_vertices(t) == max_length + 1 for t in trees)
+    return {"dims": dims, "truncated": truncated}
 
 
 def ref_tree_decomposition(t1, t2, arity):
@@ -613,6 +664,20 @@ def test_derivation_extend_plugs_along_deep_leaf_paths():
     for t in trees:
         assert derivation_extend(pres, {t: 1}) == ref_derivation_extend(
             pres, {t: 1})
+
+
+def test_generator_image_is_its_corollas():
+    """D keeps one memo, per subtree: D on a generator is D on its
+    corolla, whose image is the stored one, for the bundled models, the
+    presentations above and a rational scaling of arrow."""
+    base = arrow()
+    for pres in (ass_minimal(11), ass_arrow_minimal(7), riso(),
+                 free_binary(), ass_minimal(3),
+                 *(make() for make in PRESENTATIONS.values()),
+                 scaled(base, random_scaling(base, random.Random(24)))):
+        for g in pres.generators:
+            assert derivation_extend(pres, {pres.corolla(g): 1}) == (
+                pres.d_image(g)), (pres.name, g)
 
 
 def test_d_squared_at_benchmark_arities():
