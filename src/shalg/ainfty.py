@@ -32,7 +32,7 @@ class AInfinityAlgebra:
     zero maps."""
 
     def __init__(self, complex: ChainComplex, mu: Mapping[int, GradedMap],
-                 N: int = 5):
+                 N: int):
         if N < 2:
             raise ValueError("truncation order must be at least 2")
         self.complex = complex
@@ -204,7 +204,7 @@ def action_from_structure(a: AInfinityAlgebra):
 
 def structure_from_action(action: Mapping[str, GradedMap],
                           complexes: Mapping[str, ChainComplex],
-                          N: int = 5) -> AInfinityAlgebra:
+                          N: int) -> AInfinityAlgebra:
     mu = {n: action[f"mu{n}"] for n in range(2, N + 1)
           if f"mu{n}" in action}
     return AInfinityAlgebra(complexes["v"], mu, N)

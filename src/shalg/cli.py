@@ -190,16 +190,8 @@ def cmd_verify(args):
         res = action_check(pres, action, complexes, truncation)
         bound = f"truncation {truncation}"
         for entry in res["entries"]:
-            witness = None
-            if not entry["ok"]:
-                diff = entry["witness"]
-                k = min(diff.columns)
-                witness = {"degree": k,
-                           "block": [[serialize.dump_fraction(x)
-                                      for x in row] for row in diff.block(k)]}
-            cert.add(f"action-compatibility-{entry['generator']}",
-                     entry["ok"], residual_zero=entry["ok"],
-                     witness=witness)
+            cert.add_residual(f"action-compatibility-{entry['generator']}",
+                              entry["residual"])
     else:
         raise ValueError(args.kind)
     if not cert.checks:  # refused: it would pass having checked nothing

@@ -506,7 +506,6 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int) -> dict:
             for t in pres.d_image(name):
                 tjs = [gens[v].tj for v in tree_word(t)]
                 if None in tjs or sum(tjs) != g.tj - 1:
-                    entry["tj"] = False
                     failures.append({"generator": name, "reason": "tj total",
                                      "tree": t})
                 if any(tj is None or tj >= g.tj for tj in tjs):
@@ -1044,18 +1043,17 @@ def action_check(pres: OperadPresentation, action: Mapping[str, GradedMap],
                  up_to_arity: int) -> dict:
     """Certify that the assignment commutes with the differentials:
     the value of d(gen) equals the hom-complex differential of the
-    assigned map, for every generator within the arity bound.  A failing
-    entry's witness is the nonzero difference of the two sides, the
-    differential's side first."""
+    assigned map, for every generator within the arity bound.  Each
+    entry's residual is the difference of the two sides, the
+    differential's side first: [m, d] - value(d gen), zero exactly when
+    the entry is ok."""
     entries = []
     for name, g in pres.generators.items():
         if g.arity > up_to_arity:
             continue
-        res = generator_residual(pres, action, complexes, name)
-        entry = {"generator": name, "ok": res.is_zero()}
-        if not entry["ok"]:
-            entry["witness"] = res.scale(-1)
-        entries.append(entry)
+        res = generator_residual(pres, action, complexes, name).scale(-1)
+        entries.append({"generator": name, "ok": res.is_zero(),
+                        "residual": res})
     return {"ok": all(e["ok"] for e in entries), "entries": entries}
 
 
@@ -1084,7 +1082,7 @@ def _stasheff_terms(prefix, n):
     return terms
 
 
-def ass_minimal(max_arity: int = 7) -> OperadPresentation:
+def ass_minimal(max_arity: int) -> OperadPresentation:
     """Minimal resolution of the associative operad: one generator mu_n
     in each arity n >= 2, degree n-2, with d mu_n as in _stasheff_terms."""
     color = "v"
@@ -1127,7 +1125,7 @@ def _morphism_terms(n):
     return terms
 
 
-def ass_arrow_minimal(max_arity: int = 5) -> OperadPresentation:
+def ass_arrow_minimal(max_arity: int) -> OperadPresentation:
     """Minimal resolution of the two-object associative category: two
     colors, an A-infinity structure on each, and sh-morphism generators
     f_n of degree n-1 connecting them."""
@@ -1192,26 +1190,28 @@ def riso() -> OperadPresentation:
                               symmetric=False, augmented=False)
 
 
-# name -> (builder, default truncation order, None for a whole model)
-_BUNDLED = {"ass-minimal": (ass_minimal, 7),
-            "ass-arrow-minimal": (ass_arrow_minimal, 5),
-            "riso": (riso, None), "free-binary": (free_binary, None),
-            "ass-minimal-3": (lambda: ass_minimal(3), None)}
+# name -> (builder, whether it is truncated at an order it is given)
+_BUNDLED = {"ass-minimal": (ass_minimal, True),
+            "ass-arrow-minimal": (ass_arrow_minimal, True),
+            "riso": (riso, False), "free-binary": (free_binary, False),
+            "ass-minimal-3": (lambda: ass_minimal(3), False)}
 _BUILT = {}  # (name, truncation order) -> presentation
 
 
 def builtin_presentation(name: str, max_arity=None) -> OperadPresentation:
     """The bundled model called name: ass-minimal and ass-arrow-minimal
-    truncated at max_arity (7 and 5 by default); riso, free-binary and
+    truncated at max_arity, which they need; riso, free-binary and
     ass-minimal-3 (ass-minimal at 3) whole, whatever max_arity.  Each is
     built once per process and truncation order, so every check on it
     shares its tree memos; the builders return fresh presentations."""
     if name not in _BUNDLED:
         raise ValueError(f"unknown presentation {name!r}")
-    build, default = _BUNDLED[name]
-    order = default and (max_arity or default)
+    build, truncated = _BUNDLED[name]
+    if truncated and max_arity is None:
+        raise ValueError(f"{name} needs a truncation order")
+    order = max_arity if truncated else None
     if (name, order) not in _BUILT:
-        _BUILT[name, order] = build(order) if order else build()
+        _BUILT[name, order] = build(order) if truncated else build()
     return _BUILT[name, order]
 
 

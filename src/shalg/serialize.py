@@ -320,11 +320,18 @@ def _known(table, names, path, what):
 
 
 def action_from_data(data, path="$"):
-    """Resolution-action file: a named built-in presentation, one complex
-    per color, one assigned map (or null) per generator, and the
-    coherence truncation order (at least 1, default 1).  A color or
-    generator name the presentation lacks is refused."""
-    pres = builtin_presentation(field(data, "presentation", path, str))
+    """Resolution-action file: the coherence truncation order (at least
+    1, default 1), a named built-in presentation, built at that order
+    when it is a truncated model, one complex per color, and one
+    assigned map (or null) per generator.  A color or generator name the
+    presentation lacks is refused, as is a generator above the order."""
+    truncation = parse_int(field(data, "truncation", path, default=1),
+                           f"{path}.truncation")
+    if truncation < 1:
+        raise InputError(
+            f"{path}.truncation: must be at least 1, got {truncation}")
+    pres = builtin_presentation(field(data, "presentation", path, str),
+                                truncation)
     given = field(data, "complexes", path, dict)
     _known(given, pres.colors, f"{path}.complexes", f"color of {pres.name}")
     for c in pres.colors:
@@ -344,10 +351,6 @@ def action_from_data(data, path="$"):
         else:
             assignment[name] = map_from_data(md, source, target,
                                              f"{path}.assignment.{name}")
-    truncation = parse_int(data.get("truncation", 1), f"{path}.truncation")
-    if truncation < 1:
-        raise InputError(
-            f"{path}.truncation: must be at least 1, got {truncation}")
     return pres, assignment, complexes, truncation
 
 

@@ -347,13 +347,11 @@ def transfer_S(a: AInfinityAlgebra, target: ChainComplex, f: GradedMap,
 class InconsistentSolve(RuntimeError):
     """No Taylor coefficient solves the coherence identity in arity
     stage.  Homotopy invariance guarantees a solution when the source
-    and target structures are coherent, so one of them is not; the
-    certificate is the solver's inconsistency certificate."""
+    and target structures are coherent, so one of them is not."""
 
-    def __init__(self, stage: int, certificate):
+    def __init__(self, stage: int):
         super().__init__(f"inconsistent solve at stage {stage}")
         self.stage = stage
-        self.certificate = certificate
 
 
 def _extend_morphism(source: AInfinityAlgebra, target: AInfinityAlgebra,
@@ -369,7 +367,7 @@ def _extend_morphism(source: AInfinityAlgebra, target: AInfinityAlgebra,
             lambda x: hom_differential(x, [V.complex] * n, W.complex),
             inner, tensor_power(V.space, n), W.space, n - 1)
         if not res.consistent:
-            raise InconsistentSolve(n, res.certificate)
+            raise InconsistentSolve(n)
         if not res.solution.is_zero():
             comps[n] = res.solution
     return AInfinityMorphism(V, W, comps, N)

@@ -11,7 +11,6 @@ from shalg.exactlin import (
     GradedMap,
     GradedVectorSpace,
     hom_differential,
-    homology_with_splitting,
     kernel_basis,
     make_matrix,
     mat_rank,
@@ -20,16 +19,11 @@ from shalg.exactlin import (
 )
 from shalg.ainfty import (
     AInfinityAlgebra,
-    AInfinityMorphism,
-    action_from_structure,
     check_all_An,
     check_all_Fn,
     check_An,
-    compose_morphisms,
-    fn_residual,
     underlying,
 )
-from shalg.exactlin import solve_map_equation
 from shalg.operadcore import (
     LEAF,
     action_check,
@@ -39,7 +33,6 @@ from shalg.operadcore import (
     builtin_presentation,
     d_squared_check,
     derivation_extend,
-    elem_add,
     enumerate_trees,
     free_binary,
     kunneth_check,
@@ -61,7 +54,6 @@ from shalg.transfer import (
 from test_operad_reference import ref_tree_vertices
 from test_sparse_reference import sparse_rows
 from test_transfer import (
-    coherent_morphism,
     engineered_violation,
     exterior_dga,
     perturbed_sdr,

@@ -146,7 +146,7 @@ def test_algebra_validation():
     c = contractible()
     with pytest.raises(ValueError):
         AInfinityAlgebra(c, {2: GradedMap.zero(tensor_power(c.space, 2),
-                                               c.space, 1)})
+                                               c.space, 1)}, 5)
     with pytest.raises(ValueError):
         AInfinityAlgebra(c, {6: GradedMap.zero(tensor_power(c.space, 6),
                                                c.space, 4)}, N=5)
@@ -159,7 +159,7 @@ def test_algebra_validation():
     (lambda c, a: AInfinityAlgebra(c, {}, 1),
      "truncation order must be at least 2"),
     (lambda c, a: AInfinityAlgebra(c, {2: GradedMap.zero(c.space, c.space,
-                                                         0)}),
+                                                         0)}, 5),
      "mu_2 has wrong source or target"),
     (lambda c, a: AInfinityMorphism(a, a, {3: GradedMap.zero(
         tensor_power(c.space, 3), c.space, 2)}, 2),

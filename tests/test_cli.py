@@ -1,6 +1,5 @@
 """Tests for the file formats and the batch command-line front end."""
 
-import copy
 import errno
 import hashlib
 import json
@@ -15,6 +14,7 @@ import pytest
 
 from shalg import serialize
 from shalg.cli import COMMANDS, _map_witness, main
+from shalg.operadcore import action_check
 from shalg.exactlin import (
     ChainComplex,
     GradedMap,
@@ -467,6 +467,73 @@ def test_verify_action_rejects_unknown_names(table, old, new, renamed,
     assert main(["verify", "action", str(path)]) == 2
     assert capsys.readouterr().err == (
         f"error: $.{table}.{new}: no {what} of riso\n")
+
+
+def test_verify_action_failure_witness_is_the_residuals_first_entry(
+        tmp_path, capsys):
+    """g scaled by 2 breaks d(h) = gf - 1 and d(l) = fg - 1, so the
+    action fails with exit status 1.  Each witness is the first nonzero
+    entry of the residual action_check reports, [m, d] - value(d gen),
+    as every identity check reports one."""
+    s = sdr_onto_homology(exterior_dga().complex)
+    act = riso_zero_extension(s)["action"]
+    assignment = dict(act.assignment, g=act.assignment["g"].scale(2))
+    data = {"kind": "action", "presentation": "riso",
+            "complexes": {"a": serialize.complex_to_data(act.small),
+                          "b": serialize.complex_to_data(act.big)},
+            "assignment": {name: serialize.map_to_data(m)
+                           for name, m in assignment.items()}}
+    path = tmp_path / "action.json"
+    serialize.dump(str(path), data)
+    assert main(["verify", "action", str(path), "--format", "machine"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)[
+        "checks"]}
+    entries = action_check(*serialize.action_from_data(data))["entries"]
+    assert [e["generator"] for e in entries if not e["ok"]] == ["h", "l"]
+    for e in entries:
+        check = checks[f"action-compatibility-{e['generator']}"]
+        assert check["residual_zero"] is e["ok"]
+        assert check.get("witness") == _map_witness(e["residual"])
+    witness = checks["action-compatibility-h"]["witness"]
+    assert set(witness) == {"degree", "row", "column", "value"}
+
+
+def ground_field_action(truncation, zero_arities):
+    """An ass-minimal action file on Q in degree 0 that assigns mu2 its
+    product and mu_n the zero map for each n of zero_arities."""
+    sp = GradedVectorSpace({0: 1})
+    mu2 = GradedMap(tensor_power(sp, 2), sp, 0, {0: [[1]]})
+    cx = ChainComplex(sp, GradedMap.zero(sp, sp, -1))
+    table = {"mu2": serialize.map_to_data(mu2)}
+    table.update((f"mu{n}", serialize.map_to_data(
+        GradedMap.zero(tensor_power(sp, n), sp, n - 2)))
+        for n in zero_arities)
+    return {"kind": "action", "presentation": "ass-minimal",
+            "complexes": {"v": serialize.complex_to_data(cx)},
+            "assignment": table, "truncation": truncation}
+
+
+def test_verify_action_checks_up_to_its_truncation(tmp_path, capsys):
+    """ass-minimal is built at the file's own truncation: at 9 every
+    generator mu2..mu9 is checked, and mu8 may be assigned."""
+    path = str(tmp_path / "action.json")
+    serialize.dump(path, ground_field_action(9, [8]))
+    assert main(["verify", "action", path, "--format", "machine"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in cert["checks"]] == [
+        f"action-compatibility-mu{n}" for n in range(2, 10)]
+
+
+def test_verify_action_refuses_a_generator_above_its_truncation(tmp_path,
+                                                                capsys):
+    """At truncation 3 the model has no mu5, so assigning it is an input
+    error, as an operation above N is in a structure file."""
+    path = str(tmp_path / "action.json")
+    serialize.dump(path, ground_field_action(3, [5]))
+    assert main(["verify", "action", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: $.assignment.mu5: no generator of ass-minimal\n"
 
 
 # ------------------------------------------------------------------- move

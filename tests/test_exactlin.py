@@ -1,6 +1,5 @@
 """Tests for exact graded linear algebra."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +15,6 @@ from shalg.exactlin import (
     hom_differential,
     kernel_basis,
     make_matrix,
-    map_sum,
     mat_rank,
     rref,
     solve_matrix,

@@ -1,13 +1,13 @@
-"""Source hygiene checks that need no linter: every name a module of
-shalg imports is used in that module, no module imports another's
-underscore names, no function works on dense matrices except the dense
-adapters, importing the command line front end loads no module that
-only some commands need, operad commands load only the operad layer,
-no command that hashes its input files loads OpenSSL, no command loads
-argparse or fractions, only exactlin names tensor_maps_many, only
-operadcore names the builders of the bundled models, and every
-public function or class of shalg is run by shalg or the benchmark, or
-is listed as library API."""
+"""Source hygiene checks that need no linter: every name a module of shalg
+or of its tests imports is used in that module, no module imports
+another's underscore names, no function works on dense matrices except
+the dense adapters, importing the command line front end loads no module
+that only some commands need, operad commands load only the operad
+layer, no command that hashes its input files loads OpenSSL, no command
+loads argparse or fractions, only exactlin names tensor_maps_many, only
+operadcore names the builders of the bundled models, and every public
+function or class of shalg is run by shalg or the benchmark, or is
+listed as library API."""
 
 import ast
 import pathlib
@@ -24,6 +24,7 @@ from test_cli import exterior_dga
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "shalg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -50,7 +51,7 @@ def test_detects_unused_imports():
     assert unused_imports(source) == [(1, "os"), (2, "osp"), (4, "F")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -83,11 +84,9 @@ def test_no_private_imports_between_modules(path):
 DENSE_CALLS = {"rref", "kernel_basis", "make_matrix", "mat_mul", "mat_add",
                "identity_matrix"}
 DENSE_VIEWS = {"block", "blocks"}
-# The dense adapters themselves, and the action witness of `verify
-# action`, which prints the first nonzero block of a residual densely.
+# The dense adapters themselves.
 DENSE_ALLOWED = {("exactlin.py", "GradedMap.__init__"),
-                 ("exactlin.py", "GradedMap.blocks"),
-                 ("cli.py", "cmd_verify")}
+                 ("exactlin.py", "GradedMap.blocks")}
 
 
 def dense_uses(source: str) -> list:

@@ -527,7 +527,9 @@ def negative_ass():
 
 
 @pytest.mark.parametrize("make", [
-    ass_minimal, ass_arrow_minimal, *PRESENTATIONS.values(), negative_ass],
+    pytest.param(lambda: ass_minimal(7), id="ass_minimal"),
+    pytest.param(lambda: ass_arrow_minimal(5), id="ass_arrow_minimal"),
+    *PRESENTATIONS.values(), negative_ass],
     ids=lambda make: make.__name__)
 def test_enumerate_trees_memo_matches_reference(make):
     """Every bundled presentation (and each derived one above) at small
@@ -774,8 +776,10 @@ def no_unary():
         [g for g in base.generators.values() if g.name != "f1"])
 
 
-COUNTED = {"ass-minimal": ass_minimal, "ass-minimal-3": lambda: ass_minimal(3),
-           "ass-arrow-minimal": ass_arrow_minimal, "free-binary": free_binary,
+COUNTED = {"ass-minimal": lambda: ass_minimal(7),
+           "ass-minimal-3": lambda: ass_minimal(3),
+           "ass-arrow-minimal": lambda: ass_arrow_minimal(5),
+           "free-binary": free_binary,
            "no-unary": no_unary, **PRESENTATIONS}
 
 

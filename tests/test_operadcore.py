@@ -394,19 +394,25 @@ def test_builtin_presentation_lookup():
 
 def test_builtin_presentation_is_built_once_per_truncation_order():
     """One bundled model per name and truncation order for the process,
-    so every check shares its tree memos; the default order and the
-    ignored order of a whole model name the same one."""
+    so every check shares its tree memos; the ignored order of a whole
+    model names the same one."""
     for name, arity in (("ass-minimal", 4), ("ass-arrow-minimal", 3),
                         ("riso", None), ("free-binary", None),
                         ("ass-minimal-3", None)):
         assert builtin_presentation(name, arity) is builtin_presentation(
             name, arity)
-    assert builtin_presentation("ass-minimal") is builtin_presentation(
-        "ass-minimal", 7)
     assert builtin_presentation("riso", 3) is builtin_presentation("riso")
     assert builtin_presentation("ass-minimal", 4) is not (
         builtin_presentation("ass-minimal", 5))
     assert builtin_presentation("ass-minimal", 4) is not ass_minimal(4)
+
+
+@pytest.mark.parametrize("name", ["ass-minimal", "ass-arrow-minimal"])
+def test_truncated_model_needs_an_order(name):
+    """A truncated model has no default order: asked for without one, it
+    is refused rather than built at an order the caller never chose."""
+    with pytest.raises(ValueError, match=f"{name} needs a truncation order"):
+        builtin_presentation(name)
 
 
 def test_builtin_presentation_answers_to_the_kunneth_factors():

@@ -22,7 +22,6 @@ from shalg.ainfty import (
     an_residual,
     check_all_An,
     check_all_Fn,
-    check_Fn,
     compose_morphisms,
     fn_residual,
     identity_morphism,
@@ -32,7 +31,6 @@ from shalg.exactlin import solve_map_equation
 from shalg.operadcore import action_check, builtin_presentation
 from shalg.transfer import (
     HomotopyEquivalence,
-    InconsistentSolve,
     SDRData,
     chain_M4,
     check_side_conditions,
