@@ -75,11 +75,13 @@ class OperadPresentation:
     symmetric-group representation, so reported component dimensions
     carry an extra factor of arity!.
 
-    The invariants of every tree the operad layer meets under this
-    presentation (arity, length, degrees, orientation sign), the terms
-    of each generator's D image with their leaf records, the images of
-    its subtrees under D and the tree enumerations are memoized on the
-    instance and freed with it.
+    The stored differential is interned (see _intern): its vertex names
+    are the generators' own name objects and equal subtrees are one
+    object.  The invariants of every tree the operad layer meets under
+    this presentation (arity, length, degrees, orientation sign), the
+    terms of each generator's D image with their leaf records (equal
+    record tuples shared), the images of its subtrees under D and the
+    tree enumerations are memoized on the instance and freed with it.
     """
 
     def __init__(self, name, colors, generators: Sequence[GeneratorSpec],
@@ -97,12 +99,15 @@ class OperadPresentation:
             if g.arity < 1:
                 raise ValueError("generators must have arity >= 1")
             self.generators[g.name] = g
-        self.differential = {
-            k: {t: Rational(c) for t, c in dict(v).items()}
-            for k, v in dict(differential).items()}
-        for k in self.differential:
-            if k not in self.generators:
+        shared = {LEAF: LEAF}  # stored tree -> itself; see _intern
+        self.differential = {}
+        for k, v in dict(differential).items():
+            g = self.generators.get(k)
+            if g is None:
                 raise ValueError(f"differential on unknown generator {k}")
+            self.differential[g.name] = {
+                _intern(t, self.generators, shared): Rational(c)
+                for t, c in dict(v).items()}
         # L, the lcm of the coefficient denominators: the kernels run on
         # the integral shifted-basis copy D = L·S·d·S (see _d_gen_terms)
         self._d_scale = math.lcm(1, *(c.denominator
@@ -113,6 +118,8 @@ class OperadPresentation:
         # tree -> memoized invariants; see _info
         self._tree_info = {LEAF: _LEAF_INFO}
         self._d_terms = {}  # generator -> terms of D; see _d_gen_terms
+        # leaf-record tuple or index path -> itself; see _leaf_record
+        self._shared = {}
         self._d_images = {LEAF: {}}  # subtree -> D(subtree); see _d_shifted
         # enumerate_trees arguments -> tuple of trees
         self._trees = {}
@@ -128,6 +135,23 @@ class OperadPresentation:
 
 
 # ------------------------------------------------------------------ trees
+
+
+def _intern(t, gens, shared):
+    """Tree t with each vertex named by its generator's own name object
+    (gens maps names to GeneratorSpecs) and each subtree the one object
+    that shared (value -> itself) holds for its value.  Children are
+    interned before their parent, so a repeated subtree is found by one
+    lookup, without a walk."""
+    if t == LEAF:
+        return LEAF
+    kids = tuple(map(shared.get, t[1:]))
+    if None in kids:
+        kids = tuple([u or _intern(c, gens, shared)
+                      for c, u in zip(t[1:], kids)])
+    g = gens.get(t[0])
+    t = (t[0] if g is None else g.name,) + kids
+    return shared.setdefault(t, t)
 
 
 class _TreeInfo(NamedTuple):
@@ -229,17 +253,14 @@ def basis_sign(pres: OperadPresentation, t) -> int:
     return _info(pres, t).sign
 
 
-# index path -> itself: the leaf records of all trees share their paths
-_PATHS: dict = {}
-
-
 def _leaf_record(pres: OperadPresentation, u):
     """The leaf record of a non-leaf tree u, what plugging children into
     it reads: three tuples over its leaves in planar order, each leaf's
     input color, the total shifted degree of the generators after it in
     u's depth-first word, and the index path from u's root to it.  Found
-    in one walk of u; None when the two ends of an edge of u disagree."""
-    gens = pres.generators
+    in one walk of u; None when the two ends of an edge of u disagree.
+    Equal paths and equal tuples are one object, shared through pres."""
+    gens, shared = pres.generators, pres._shared
     colors, after, paths = [], [], []
     rest = _info(pres, u).shifted_degree  # of the generators not yet passed
 
@@ -256,28 +277,28 @@ def _leaf_record(pres: OperadPresentation, u):
                 colors.append(color)
                 after.append(rest)
                 leaf = path + (i,)
-                paths.append(_PATHS.setdefault(leaf, leaf))
+                paths.append(shared.setdefault(leaf, leaf))
             elif gens[c[0]].output != color or not walk(c, path + (i,)):
                 return False
         return True
 
     if not walk(u, ()):
         return None
-    return tuple(colors), tuple(after), tuple(paths)
+    return tuple([shared.setdefault(x, x) for x in map(
+        tuple, (colors, after, paths))])
 
 
-def _put_children(u, leaves, kids):
+def _put_children(u, colors, after, paths, kids):
     """Plug children into the leaves of u with shifted-grading word
     signs: kids lists (j, tree, output color, shifted degree) of each
     non-leaf child, in slot order, and it replaces leaf j of u, whose
-    color, degree after and path are read from u's leaf record; the
-    other leaves stay.  Returns (sign, tree), or None when a child's
-    output color is not its leaf's input color.  Only the tuples on the
-    paths are rebuilt: the root once, a deeper one once per child
-    below it."""
+    color, degree after and path are read from the three tuples of u's
+    leaf record; the other leaves stay.  Returns (sign, tree), or None
+    when a child's output color is not its leaf's input color.  Only
+    the tuples on the paths are rebuilt: the root once, a deeper one
+    once per child below it."""
     if not kids:
         return (1, u)
-    colors, after, paths = leaves
     out, exp = list(u), 0
     for j, c, color, shifted in kids:
         if colors[j] != color:
@@ -321,7 +342,7 @@ def substitute(pres: OperadPresentation, u, children):
         raise ValueError("child count does not match arity")
     else:
         leaves = _leaf_record(pres, u)
-        r = leaves and _put_children(u, leaves, _kids(pres, children))
+        r = leaves and _put_children(u, *leaves, _kids(pres, children))
     if r is None:
         return None
     sign, t = r
@@ -415,12 +436,12 @@ def _apply_shifted(pres, x) -> dict:
 
 def _d_gen_terms(pres, name) -> list:
     """The terms of D on a generator, whose corolla has basis_sign 1, as
-    (tree u, coefficient, the leaf record of u): the stored image with
+    (tree u, coefficient, colors, after, paths): the stored image with
     each tree weighted by its basis_sign and scaled by L, as ints, and
-    what plugging a vertex's children into u reads; listed once per
-    generator and memoized on pres.  A u whose own edges disagree in
-    color is left out; the unit tree has record None, since it takes its
-    one child as it is."""
+    the leaf record of u, what plugging a vertex's children into u
+    reads; listed once per generator and memoized on pres.  A u whose
+    own edges disagree in color is left out; the unit tree's record is
+    None three times, since it takes its one child as it is."""
     terms = pres._d_terms.get(name)
     if terms is None:
         arity, scale = pres.gen(name).arity, pres._d_scale
@@ -432,13 +453,13 @@ def _d_gen_terms(pres, name) -> list:
             if u == LEAF:
                 if arity != 1:
                     raise ValueError("unit tree takes exactly one child")
-                terms.append((u, cu, None))
+                terms.append((u, cu, None, None, None))
                 continue
             if _info(pres, u).arity != arity:
                 raise ValueError("child count does not match arity")
             leaves = _leaf_record(pres, u)
             if leaves is not None:
-                terms.append((u, cu, leaves))
+                terms.append((u, cu) + leaves)
         pres._d_terms[name] = terms
     return terms
 
@@ -463,11 +484,11 @@ def _add_d_image(pres, t, c, out) -> None:
     Koszul sign of the generators before it."""
     children = t[1:]
     kids = _kids(pres, children)
-    for u, cu, leaves in _d_gen_terms(pres, t[0]):
-        if leaves is None:
+    for u, cu, colors, after, paths in _d_gen_terms(pres, t[0]):
+        if colors is None:
             _accumulate(out, children[0], c * cu)
             continue
-        r = _put_children(u, leaves, kids)
+        r = _put_children(u, colors, after, paths, kids)
         if r is not None:
             _accumulate(out, r[1], c * cu if r[0] > 0 else -c * cu)
     g = pres.gen(t[0])
@@ -944,15 +965,15 @@ def eval_element(pres, action, spaces, elem: Element, inputs,
     its action commuting with the differentials at every arity.
 
     Each subtree is an integer table (source tuple -> nonzero image) per
-    suspended degree, shared within the call, and is asked only for the
-    degrees the target, or its parent's nonzero columns, can take.
+    suspended degree, and is asked only for the degrees the target, or
+    its parent's nonzero columns, can take.  A child's table is shared
+    within the call; a root tree's is dropped once summed.
     """
     factors = [spaces[c] for c in inputs]
     source = tensor_spaces(factors)
     target = spaces[output_color]
 
-    @functools.cache
-    def table(t, color, k):
+    def new_table(t, color, k):
         if t == LEAF:
             return {((k - 1, i),): [((k - 1, i), 1)]
                     for i in range(spaces[color].dim(k - 1))}
@@ -984,6 +1005,7 @@ def eval_element(pres, action, spaces, elem: Element, inputs,
                     tab[sum(chunks, ())] = col
         return tab
 
+    table = functools.cache(new_table)  # the children's tables
     n = len(factors)
     window = [k + n for k in source.dims if k + degree in target.dims]
     weights = {}  # tree -> its weight over the tables' scale
@@ -1000,7 +1022,7 @@ def eval_element(pres, action, spaces, elem: Element, inputs,
         w = w.numerator * (denom // w.denominator)
         for k in window:
             by_src = total[k - n]
-            for src, image in table(t, output_color, k).items():
+            for src, image in new_table(t, output_color, k).items():
                 col = by_src.setdefault(src, {})
                 for (_, r), v in image:
                     col[r] = col.get(r, 0) + w * v

@@ -330,8 +330,11 @@ def action_from_data(data, path="$"):
     if truncation < 1:
         raise InputError(
             f"{path}.truncation: must be at least 1, got {truncation}")
-    pres = builtin_presentation(field(data, "presentation", path, str),
-                                truncation)
+    name = field(data, "presentation", path, str)
+    try:
+        pres = builtin_presentation(name, truncation)
+    except ValueError as exc:  # no bundled model has that name
+        raise InputError(f"{path}.presentation: {exc}") from None
     given = field(data, "complexes", path, dict)
     _known(given, pres.colors, f"{path}.complexes", f"color of {pres.name}")
     for c in pres.colors:

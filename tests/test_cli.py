@@ -469,6 +469,17 @@ def test_verify_action_rejects_unknown_names(table, old, new, renamed,
         f"error: $.{table}.{new}: no {what} of riso\n")
 
 
+def test_verify_action_refuses_an_unknown_presentation(tmp_path, capsys):
+    """A presentation that names no bundled model is an input error at
+    its JSON path, as every other input error is."""
+    path = str(tmp_path / "action.json")
+    serialize.dump(path, dict(ground_field_action(3, []),
+                              presentation="foo"))
+    assert main(["verify", "action", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.presentation: unknown presentation 'foo'\n")
+
+
 def test_verify_action_failure_witness_is_the_residuals_first_entry(
         tmp_path, capsys):
     """g scaled by 2 breaks d(h) = gf - 1 and d(l) = fg - 1, so the

@@ -658,7 +658,7 @@ def test_derivation_extend_plugs_along_deep_leaf_paths():
     its non-leaf children: every tree of arity 5 to 7 with a w4 root and
     one or two more vertices."""
     pres = deep()
-    assert any(len(path) >= 3 for _, _, (_, _, paths) in _d_gen_terms(
+    assert any(len(path) >= 3 for *_, paths in _d_gen_terms(
         pres, "w4") for path in paths)
     trees = [t for a in range(5, 8) for t in enumerate_trees(pres, a, "w", 3)
              if t[0] == "w4"]

@@ -407,6 +407,74 @@ def test_builtin_presentation_is_built_once_per_truncation_order():
     assert builtin_presentation("ass-minimal", 4) is not ass_minimal(4)
 
 
+def _subtrees(t):
+    """t and each of its non-leaf subtrees, depth first."""
+    yield t
+    for c in t[1:]:
+        if c != LEAF:
+            yield from _subtrees(c)
+
+
+def _unshared(t):
+    """A tree equal to t that shares none of its tuples, and none of its
+    names longer than one character, with t."""
+    if t == LEAF:
+        return t
+    return (t[0][:1] + t[0][1:],) + tuple(_unshared(c) for c in t[1:])
+
+
+def _one_object_per_value(values):
+    """Whether equal values among `values` are one object: counted by
+    distinct ids, which holds on every Python version."""
+    ids = {}
+    for v in values:
+        ids.setdefault(v, set()).add(id(v))
+    return all(len(x) == 1 for x in ids.values())
+
+
+SHARING_MODELS = {
+    "ass-minimal-4": lambda: ass_minimal(4),
+    "ass-minimal-7": lambda: ass_minimal(7),
+    "ass-arrow-minimal-3": lambda: ass_arrow_minimal(3),
+    "ass-arrow-minimal-6": lambda: ass_arrow_minimal(6),
+    "riso": riso,
+    "ass-minimal-3*free-binary": lambda: free_product(ass_minimal(3),
+                                                      free_binary()),
+    "renamed": lambda: rename_generators(
+        ass_arrow_minimal(4), {"mu2": "m2", "f1": "g1", "nu3": "n3"}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SHARING_MODELS))
+def test_presentation_interns_its_stored_trees(model):
+    """Each vertex of a stored tree is named by its generator's own name
+    object, equal subtrees are one object, and so are equal tuples of
+    the leaf records D's terms keep.  A presentation given equal but
+    unshared trees stores the same differential."""
+    pres = SHARING_MODELS[model]()
+    trees = [t for img in pres.differential.values() for t in img]
+    subtrees = [s for t in trees if t != LEAF for s in _subtrees(t)]
+    assert subtrees
+    for s in subtrees:
+        assert s[0] is pres.gen(s[0]).name
+    assert _one_object_per_value(subtrees)
+    records = [x for name in pres.generators
+               for term in operadcore._d_gen_terms(pres, name)
+               for x in term[2:] if x is not None]
+    assert _one_object_per_value(records)
+    fresh = OperadPresentation(
+        pres.name, pres.colors, list(pres.generators.values()),
+        {k: {_unshared(t): c for t, c in img.items()}
+         for k, img in pres.differential.items()},
+        symmetric=pres.symmetric, augmented=pres.augmented)
+    assert list(fresh.differential) == list(pres.differential)
+    for k, img in pres.differential.items():
+        assert list(fresh.differential[k].items()) == list(img.items())
+    for t in fresh.differential.values():
+        for s in (s for u in t if u != LEAF for s in _subtrees(u)):
+            assert s[0] is fresh.gen(s[0]).name
+
+
 @pytest.mark.parametrize("name", ["ass-minimal", "ass-arrow-minimal"])
 def test_truncated_model_needs_an_order(name):
     """A truncated model has no default order: asked for without one, it
