@@ -22,6 +22,7 @@ from types import SimpleNamespace
 from .exactlin import GradedMap
 from .operadcore import (
     ISO_NORMAL_FORMS,
+    OperadPresentation,
     action_check,
     alpha_iso_matrix,
     builtin_presentation,
@@ -29,7 +30,6 @@ from .operadcore import (
     enumerate_trees,
     kunneth_check,
     tree_decomposition_dims,
-    tree_degree,
     tree_leaf_colors,
     truncated_homology,
 )
@@ -315,6 +315,17 @@ def cmd_move(args):
 # ----------------------------------------------------------------- operad
 
 
+def _alpha_presentation():
+    """riso's degree-0 generators f and g, whose words operad alpha maps
+    to the groupoid: riso has no generator of negative degree, so its
+    degree-0 trees are this presentation's trees, in the same order."""
+    whole = builtin_presentation("riso")
+    return OperadPresentation(
+        "riso-degree-0", whole.colors,
+        [g for g in whole.generators.values() if g.degree == 0],
+        symmetric=False, augmented=False)
+
+
 def cmd_operad(args):
     names = args.files
     bounds = {"arity": args.arity, "length": args.length}
@@ -381,14 +392,11 @@ def cmd_operad(args):
     elif args.sub == "alpha":
         length = args.length or DEFAULT_LENGTH
         cert.bounds["length"] = length
-        pres = builtin_presentation("riso")
+        pres = _alpha_presentation()
         for ic in pres.colors:
             trees = [t for oc in pres.colors
-                     for t in enumerate_trees(
-                         pres, 1, oc, length,
-                         include_unit=(oc == ic), max_degree=0)
-                     if tree_degree(pres, t) == 0
-                     and tree_leaf_colors(pres, t, oc) == [ic]]
+                     for t in enumerate_trees(pres, 1, oc, length)
+                     if tree_leaf_colors(pres, t, oc) == [ic]]
             mat = alpha_iso_matrix(pres, trees, ic)
             hit = {i for i, row in enumerate(mat) if any(row)}
             expected = {i for i, (c, _) in enumerate(ISO_NORMAL_FORMS)

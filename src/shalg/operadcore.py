@@ -80,8 +80,9 @@ class OperadPresentation:
     object.  The invariants of every tree the operad layer meets under
     this presentation (arity, length, degrees, orientation sign), the
     terms of each generator's D image with their leaf records (equal
-    record tuples shared), the images of its subtrees under D and the
-    tree enumerations are memoized on the instance and freed with it.
+    paths, color and degree tuples shared), the images of its subtrees
+    under D and the tree enumerations are memoized on the instance and
+    freed with it.
     """
 
     def __init__(self, name, colors, generators: Sequence[GeneratorSpec],
@@ -118,7 +119,7 @@ class OperadPresentation:
         # tree -> memoized invariants; see _info
         self._tree_info = {LEAF: _LEAF_INFO}
         self._d_terms = {}  # generator -> terms of D; see _d_gen_terms
-        # leaf-record tuple or index path -> itself; see _leaf_record
+        # leaf path, color or degree tuple -> itself; see _leaf_record
         self._shared = {}
         self._d_images = {LEAF: {}}  # subtree -> D(subtree); see _d_shifted
         # enumerate_trees arguments -> tuple of trees
@@ -227,10 +228,6 @@ def tree_word(t) -> list:
     return out
 
 
-def tree_degree(pres: OperadPresentation, t) -> int:
-    return _info(pres, t).degree
-
-
 def tree_leaf_colors(pres: OperadPresentation, t, output_color) -> list:
     """Input colors in planar leaf order, given the tree's output color."""
     if t == LEAF:
@@ -259,7 +256,8 @@ def _leaf_record(pres: OperadPresentation, u):
     input color, the total shifted degree of the generators after it in
     u's depth-first word, and the index path from u's root to it.  Found
     in one walk of u; None when the two ends of an edge of u disagree.
-    Equal paths and equal tuples are one object, shared through pres."""
+    Equal paths and equal color and degree tuples are one object, shared
+    through pres; the tuple of paths, nearly always new, is not."""
     gens, shared = pres.generators, pres._shared
     colors, after, paths = [], [], []
     rest = _info(pres, u).shifted_degree  # of the generators not yet passed
@@ -284,8 +282,9 @@ def _leaf_record(pres: OperadPresentation, u):
 
     if not walk(u, ()):
         return None
-    return tuple([shared.setdefault(x, x) for x in map(
-        tuple, (colors, after, paths))])
+    colors, after = tuple(colors), tuple(after)
+    return (shared.setdefault(colors, colors),
+            shared.setdefault(after, after), tuple(paths))
 
 
 def _put_children(u, colors, after, paths, kids):
@@ -577,46 +576,29 @@ def free_product(p1: OperadPresentation,
 
 
 def enumerate_trees(pres: OperadPresentation, arity: int, output_color,
-                    max_vertices: int, include_unit: bool = True,
-                    max_degree=None) -> tuple:
+                    max_vertices: int) -> tuple:
     """All valid planar trees with the given arity and output color, with
     at most max_vertices internal vertices, as a tuple in a deterministic
-    order.  Memoized on pres per argument tuple: the enumeration of a
-    larger arity reads each smaller one once per child slot.
-
-    max_degree prunes by total degree; it is only sound (and only
-    applied) when every generator has nonnegative degree.
-    """
-    key = (arity, output_color, max_vertices, include_unit, max_degree)
+    order; in arity 1 the unit tree comes first.  Memoized on pres per
+    argument tuple: the enumeration of a larger arity reads each smaller
+    one once per child slot."""
+    key = (arity, output_color, max_vertices)
     trees = pres._trees.get(key)
     if trees is None:
         trees = pres._trees[key] = tuple(_new_trees(pres, *key))
     return trees
 
 
-def _new_trees(pres, arity, output_color, max_vertices, include_unit,
-               max_degree):
-    if max_degree is not None and any(
-            g.degree < 0 for g in pres.generators.values()):
-        max_degree = None
-    out = []
-    if arity == 1 and include_unit:
-        out.append(LEAF)
+def _new_trees(pres, arity, output_color, max_vertices):
+    out = [LEAF] if arity == 1 else []
     if max_vertices < 1:
         return out
-    for name in pres.generators:
-        g = pres.gen(name)
-        if g.output != output_color:
+    for name, g in pres.generators.items():
+        if g.output != output_color or g.arity > arity:
             continue
-        if max_degree is not None and g.degree > max_degree:
-            continue
-        k = g.arity
-        if k > arity:
-            continue
-        kid_budget = None if max_degree is None else max_degree - g.degree
-        for comp in _compositions(arity, k):
+        for comp in _compositions(arity, g.arity):
             for kids in _children_choices(pres, comp, g.inputs,
-                                          max_vertices - 1, kid_budget):
+                                          max_vertices - 1):
                 out.append((name,) + kids)
     return out
 
@@ -631,25 +613,19 @@ def _compositions(n, k):
             yield (first,) + rest
 
 
-def _children_choices(pres, arities, colors, budget, degree_budget=None):
+def _children_choices(pres, arities, colors, budget):
     if not arities:
         yield ()
         return
-    a, rest_a = arities[0], arities[1:]
-    c, rest_c = colors[0], colors[1:]
-    for sub in enumerate_trees(pres, a, c, budget, include_unit=True,
-                               max_degree=degree_budget):
-        info = _info(pres, sub)
-        used = info.vertices
-        rest_deg = (None if degree_budget is None
-                    else degree_budget - info.degree)
-        for rest in _children_choices(pres, rest_a, rest_c, budget - used,
-                                      rest_deg):
+    rest_a, rest_c = arities[1:], colors[1:]
+    for sub in enumerate_trees(pres, arities[0], colors[0], budget):
+        for rest in _children_choices(pres, rest_a, rest_c,
+                                      budget - _info(pres, sub).vertices):
             yield (sub,) + rest
 
 
-def component_dims(pres: OperadPresentation, arity: int, output_color,
-                   include_unit=True) -> dict:
+def component_dims(pres: OperadPresentation, arity: int,
+                   output_color) -> dict:
     """Per-degree dimensions of the arity component, with the arity!
     multiplicity for symmetric (regular-representation) presentations.
 
@@ -683,8 +659,7 @@ def component_dims(pres: OperadPresentation, arity: int, output_color,
                     prefix = grown
                 for d, x in prefix.get(n, {}).items():
                     acc[d + g.degree] = acc.get(d + g.degree, 0) + x
-    dims = ({0: 1} if arity == 1 and include_unit
-            else counts.get((arity, output_color), {}))
+    dims = {0: 1} if arity == 1 else counts.get((arity, output_color), {})
     mult = math.factorial(arity) if pres.symmetric else 1
     return {d: x * mult for d, x in sorted(dims.items())}
 
@@ -759,10 +734,8 @@ def tree_decomposition_dims(p1: OperadPresentation, p2: OperadPresentation,
     if len(set(p1.colors) | set(p2.colors)) != 1:
         raise ValueError("tree decomposition supports a single color only")
     color = p1.colors[0]
-    t1 = {a: component_dims(p1, a, color, include_unit=False)
-          for a in range(2, arity + 1)}
-    t2 = {a: component_dims(p2, a, color, include_unit=False)
-          for a in range(2, arity + 1)}
+    t1 = {a: component_dims(p1, a, color) for a in range(2, arity + 1)}
+    t2 = {a: component_dims(p2, a, color) for a in range(2, arity + 1)}
     return tree_decomposition_from_tables(t1, t2, arity)
 
 
@@ -778,7 +751,7 @@ def _max_length_jump(pres) -> int:
 
 
 def truncated_homology(pres: OperadPresentation, arity: int, output_color,
-                       max_length=None, include_unit=True) -> dict:
+                       max_length=None) -> dict:
     """Per-degree homology dimensions of one component, length-truncated.
 
     Cycles are taken among trees with at most max_length vertices;
@@ -790,7 +763,7 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
         max_length = _exact_vertex_bound(pres, arity)
     jump = _max_length_jump(pres)
     big = max_length + 1 + jump  # room for images of the extra level
-    all_trees = enumerate_trees(pres, arity, output_color, big, include_unit)
+    all_trees = enumerate_trees(pres, arity, output_color, big)
     truncated = any(max_length < _info(pres, t).vertices <= max_length + 1
                     for t in all_trees)
     by_degree: dict[int, list] = {}
@@ -859,12 +832,11 @@ def kunneth_check(p1: OperadPresentation, p2: OperadPresentation,
     color = p1.colors[0]
 
     def h_table(p):
-        return {a: truncated_homology(p, a, color, include_unit=False)["dims"]
+        return {a: truncated_homology(p, a, color)["dims"]
                 for a in range(2, arity + 1)}
 
     predicted = tree_decomposition_from_tables(h_table(p1), h_table(p2), arity)
-    direct = truncated_homology(free_product(p1, p2), arity, color,
-                                include_unit=(arity == 1))["dims"]
+    direct = truncated_homology(free_product(p1, p2), arity, color)["dims"]
     degrees = sorted(set(predicted) | set(direct))
     per_degree = [{"degree": d, "predicted": predicted.get(d, 0),
                    "direct": direct.get(d, 0),
@@ -1082,22 +1054,24 @@ def action_check(pres: OperadPresentation, action: Mapping[str, GradedMap],
 # ------------------------------------------------- built-in presentations
 
 
-def _mu(name_prefix, n):
-    return f"{name_prefix}{n}"
+def _corollas(prefix, first, max_arity) -> dict:
+    """Arity n -> the corolla of the generator prefix + n, for n from
+    first to max_arity: a builder's one tuple per generator."""
+    return {n: (f"{prefix}{n}",) + (LEAF,) * n
+            for n in range(first, max_arity + 1)}
 
 
 _SIGNS = (Rational(1), Rational(-1))  # (-1)^0, (-1)^1
 
 
-def _stasheff_terms(prefix, n):
+def _stasheff_terms(mu, n):
     """d mu_n = sum over i+j = n+1 (i, j >= 2), s = 0..i-1 of
-    (-1)^(j + s(j+1)) mu_i composed with mu_j at input s+1, over the
-    generators named prefix + arity; the terms are distinct trees."""
+    (-1)^(j + s(j+1)) mu_i composed with mu_j at input s+1, for the
+    corollas mu (arity -> corolla); the terms are distinct trees."""
     terms: Element = {}
     for j in range(2, n):
         i = n + 1 - j
-        inner = ((_mu(prefix, j),) + (LEAF,) * j,)
-        head = (_mu(prefix, i),)
+        inner, head = (mu[j],), mu[i][:1]
         for s in range(i):
             terms[head + (LEAF,) * s + inner + (LEAF,) * (i - 1 - s)] = (
                 _SIGNS[(j + s * (j + 1)) % 2])
@@ -1108,10 +1082,10 @@ def ass_minimal(max_arity: int) -> OperadPresentation:
     """Minimal resolution of the associative operad: one generator mu_n
     in each arity n >= 2, degree n-2, with d mu_n as in _stasheff_terms."""
     color = "v"
-    gens = [GeneratorSpec(_mu("mu", n), (color,) * n, color, n - 2, tj=n - 2)
-            for n in range(2, max_arity + 1)]
-    diff = {_mu("mu", n): _stasheff_terms("mu", n)
-            for n in range(2, max_arity + 1)}
+    mu = _corollas("mu", 2, max_arity)
+    gens = [GeneratorSpec(c[0], (color,) * n, color, n - 2, tj=n - 2)
+            for n, c in mu.items()]
+    diff = {c[0]: _stasheff_terms(mu, n) for n, c in mu.items()}
     return OperadPresentation("ass-minimal", (color,), gens, diff,
                               symmetric=True, augmented=True)
 
@@ -1125,22 +1099,24 @@ def free_binary() -> OperadPresentation:
         symmetric=True, augmented=True)
 
 
-def _morphism_terms(n):
+def _morphism_terms(n, mu, nu, f):
     """d f_n = sum over compositions r of n into k >= 2 parts of
-    (-1)^eta nu_k(f_r1, ..., f_rk), eta = sum_{a<b} r_a (r_b + 1), minus
-    sum over i+j = n+1 (j >= 2), s = 0..i-1 of (-1)^(n + s(j+1)) f_i
-    composed with mu_j at input s+1; distinct trees."""
+    (-1)^eta nu_k(f_r1, ..., f_rk), eta = sum_{a<b} r_a (r_b + 1), summed
+    over b, minus sum over i+j = n+1 (j >= 2), s = 0..i-1 of
+    (-1)^(n + s(j+1)) f_i composed with mu_j at input s+1, for the
+    corollas mu, nu and f (arity -> corolla); distinct trees."""
     terms: Element = {}
     for k in range(2, n + 1):
+        head = nu[k][:1]
         for r in _compositions(n, k):
-            eta = sum(r[a] * (r[b] + 1)
-                      for a in range(k) for b in range(a + 1, k))
-            kids = tuple((_mu("f", ri),) + (LEAF,) * ri for ri in r)
-            terms[(_mu("nu", k),) + kids] = _SIGNS[eta % 2]
+            eta = before = 0  # before: r_a summed over a < b
+            for rb in r:
+                eta += before * (rb + 1)
+                before += rb
+            terms[head + tuple([f[rb] for rb in r])] = _SIGNS[eta % 2]
     for j in range(2, n + 1):
         i = n + 1 - j
-        inner = ((_mu("mu", j),) + (LEAF,) * j,)
-        head = (_mu("f", i),)
+        inner, head = (mu[j],), f[i][:1]
         for s in range(i):
             terms[head + (LEAF,) * s + inner + (LEAF,) * (i - 1 - s)] = (
                 _SIGNS[(n + s * (j + 1) + 1) % 2])
@@ -1152,17 +1128,16 @@ def ass_arrow_minimal(max_arity: int) -> OperadPresentation:
     colors, an A-infinity structure on each, and sh-morphism generators
     f_n of degree n-1 connecting them."""
     cv, cw = "v", "w"
+    mu, nu = _corollas("mu", 2, max_arity), _corollas("nu", 2, max_arity)
+    f = _corollas("f", 1, max_arity)
     gens = []
-    for n in range(2, max_arity + 1):
-        gens.append(GeneratorSpec(_mu("mu", n), (cv,) * n, cv, n - 2, n - 2))
-        gens.append(GeneratorSpec(_mu("nu", n), (cw,) * n, cw, n - 2, n - 2))
-    for n in range(1, max_arity + 1):
-        gens.append(GeneratorSpec(_mu("f", n), (cv,) * n, cw, n - 1, n - 1,
-                                  kind="mor"))
-    diff = {_mu(p, n): _stasheff_terms(p, n)
-            for n in range(2, max_arity + 1) for p in ("mu", "nu")}
-    diff.update((_mu("f", n), _morphism_terms(n))
-                for n in range(1, max_arity + 1))
+    for n in mu:
+        gens.append(GeneratorSpec(mu[n][0], (cv,) * n, cv, n - 2, n - 2))
+        gens.append(GeneratorSpec(nu[n][0], (cw,) * n, cw, n - 2, n - 2))
+    gens += [GeneratorSpec(c[0], (cv,) * n, cw, n - 1, n - 1, kind="mor")
+             for n, c in f.items()]
+    diff = {c[n][0]: _stasheff_terms(c, n) for n in mu for c in (mu, nu)}
+    diff.update((c[0], _morphism_terms(n, mu, nu, f)) for n, c in f.items())
     return OperadPresentation("ass-arrow-minimal", (cv, cw), gens, diff,
                               symmetric=True, augmented=False)
 
@@ -1244,17 +1219,14 @@ def iso_normal_form(word: tuple) -> Optional[tuple]:
     """Reduce a composable word in f, g (root first) in the quotient where
     fg and gf are identities.  Words containing any other generator map
     to None (zero).  Returns the reduced tuple of letters."""
-    letters = list(word)
-    if any(x not in ("f", "g") for x in letters):
+    if any(x not in ("f", "g") for x in word):
         return None
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters) - 1):
-            if {letters[i], letters[i + 1]} == {"f", "g"}:
-                del letters[i:i + 2]
-                changed = True
-                break
+    letters = []
+    for x in word:  # x cancels the letter before it when they differ
+        if letters and letters[-1] != x:
+            letters.pop()
+        else:
+            letters.append(x)
     return tuple(letters)
 
 
@@ -1268,9 +1240,7 @@ def alpha_iso_matrix(pres: OperadPresentation, trees, input_color):
     rows = [[Rational(0)] * len(trees) for _ in ISO_NORMAL_FORMS]
     nf_index = {nf: i for i, nf in enumerate(ISO_NORMAL_FORMS)}
     for j, t in enumerate(trees):
-        word = tuple(tree_word(t))
-        red = iso_normal_form(word)
-        if red is None:
-            continue
-        rows[nf_index[(input_color, red)]][j] = Rational(1)
+        red = iso_normal_form(tuple(tree_word(t)))
+        if red is not None:
+            rows[nf_index[(input_color, red)]][j] = Rational(1)
     return tuple(tuple(r) for r in rows)

@@ -153,7 +153,8 @@ class SDRData:
     Validates on construction: nabla and f are chain maps, f . nabla is
     the identity of the small complex, and phi is a homotopy from 1 to
     nabla . f on the big complex.  Side conditions are not required;
-    query them with check_side_conditions.
+    query them with check_side_conditions, which evaluates them once
+    (the maps of an instance are not changed after construction).
     """
 
     def __init__(self, big: ChainComplex, small: ChainComplex,
@@ -162,15 +163,17 @@ class SDRData:
             RetractParts(big, small, nabla, f, phi)), _RETRACT_ERRORS)
         self.big, self.small = big, small
         self.nabla, self.f, self.phi = nabla, f, phi
+        self._side_flags = None  # see check_side_conditions
 
 
 def check_side_conditions(s: SDRData) -> dict:
-    """Report the three side conditions individually."""
-    flags = {flag: residual.is_zero() for flag, residual in zip(
-        _SIDE_CONDITIONS.values(),
-        _riso_residuals(s.small, s.big, _retract_maps(s), _SIDE_CONDITIONS))}
-    flags["ok"] = all(flags.values())
-    return flags
+    """Report the three side conditions individually, evaluated on the
+    first call and kept on s."""
+    if s._side_flags is None:
+        s._side_flags = [r.is_zero() for r in _riso_residuals(
+            s.small, s.big, _retract_maps(s), _SIDE_CONDITIONS)]
+    flags = dict(zip(_SIDE_CONDITIONS.values(), s._side_flags))
+    return {**flags, "ok": all(flags.values())}
 
 
 def normalize_side_conditions(s: SDRData) -> SDRData:

@@ -36,7 +36,6 @@ from shalg.operadcore import (
     enumerate_trees,
     free_binary,
     kunneth_check,
-    tree_degree,
     tree_leaf_colors,
     ISO_NORMAL_FORMS,
 )
@@ -51,7 +50,11 @@ from shalg.transfer import (
     transfer_M1,
 )
 
-from test_operad_reference import ref_tree_vertices
+from test_operad_reference import (
+    ref_low_degrees,
+    ref_tree_degree,
+    ref_tree_vertices,
+)
 from test_sparse_reference import sparse_rows
 from test_transfer import (
     engineered_violation,
@@ -218,15 +221,18 @@ def test_acceptance_6_product_homology():
 def test_acceptance_7_resolution_quotient():
     t0 = time.monotonic()
     pres = builtin_presentation("riso")
+    low = ref_low_degrees(pres, 1)  # words in f, g, h and l
+
+    def words(ic, length, degree):
+        return [t for oc in pres.colors
+                for t in enumerate_trees(low, 1, oc, length)
+                if ref_tree_degree(pres, t) == degree
+                and tree_leaf_colors(pres, t, oc) == [ic]]
+
     ok = True
     for ic in pres.colors:
         # degree-0 words: length <= 8 so boundary targets are present
-        trees0 = [t for oc in pres.colors
-                  for t in enumerate_trees(pres, 1, oc, 8,
-                                           include_unit=(oc == ic),
-                                           max_degree=0)
-                  if tree_degree(pres, t) == 0
-                  and tree_leaf_colors(pres, t, oc) == [ic]]
+        trees0 = words(ic, 8, 0)
         index0 = {t: i for i, t in enumerate(trees0)}
         small = [t for t in trees0 if ref_tree_vertices(t) <= 6]
         mat = alpha_iso_matrix(pres, small, ic)
@@ -235,11 +241,7 @@ def test_acceptance_7_resolution_quotient():
                             if c0 == ic}
         kernel = kernel_basis(mat)
         # boundary matrix: differentials of degree-1 words of length <= 7
-        trees1 = [t for oc in pres.colors
-                  for t in enumerate_trees(pres, 1, oc, 7,
-                                           include_unit=False, max_degree=1)
-                  if tree_degree(pres, t) == 1
-                  and tree_leaf_colors(pres, t, oc) == [ic]]
+        trees1 = words(ic, 7, 1)
         cols = []
         for t in trees1:
             img = derivation_extend(pres, {t: Fraction(1)})

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from shalg import serialize
+from shalg import serialize, transfer
 from shalg.cli import COMMANDS, _map_witness, main
 from shalg.operadcore import action_check
 from shalg.exactlin import (
@@ -20,8 +20,6 @@ from shalg.exactlin import (
     GradedMap,
     GradedVectorSpace,
     hom_differential,
-    kernel_basis,
-    make_matrix,
     tensor_basis_tuples,
     tensor_maps_many,
     tensor_power,
@@ -37,59 +35,17 @@ from shalg.transfer import (
     riso_zero_extension,
     sdr_onto_homology,
 )
-from test_transfer import coherent_morphism, random_map
+from test_transfer import (
+    coherent_morphism,
+    exterior_dga,
+    random_chain_complex,
+    random_map,
+)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 # --------------------------------------------------------------- fixtures
-
-
-def random_chain_complex(rng, dims):
-    space = GradedVectorSpace(dims)
-    blocks = {}
-    prev = None
-    for k in sorted(dims):
-        n, m = dims[k], dims.get(k - 1, 0)
-        if m == 0:
-            prev = None
-            continue
-        if prev is None:
-            mat = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
-                   for _ in range(m)]
-        else:
-            kb = kernel_basis(prev)
-            mat = [[Fraction(0)] * n for _ in range(m)]
-            for j in range(n):
-                for v in kb:
-                    c = Fraction(rng.randint(-2, 2))
-                    for i in range(m):
-                        mat[i][j] += c * v[i]
-        blocks[k] = mat
-        prev = make_matrix(mat, m, n)
-    return ChainComplex(space, GradedMap(space, space, -1, blocks))
-
-
-def exterior_dga():
-    sp = GradedVectorSpace({0: 2, 1: 2}, {0: ("1", "u"), 1: ("v", "uv")})
-    d = GradedMap(sp, sp, -1, {1: [[0, 0], [1, 0]]})
-    cx = ChainComplex(sp, d)
-    table = {("1", "1"): "1", ("1", "u"): "u", ("1", "v"): "v",
-             ("1", "uv"): "uv", ("u", "1"): "u", ("v", "1"): "v",
-             ("uv", "1"): "uv", ("u", "v"): "uv", ("v", "u"): "uv"}
-    names = {(0, 0): "1", (0, 1): "u", (1, 0): "v", (1, 1): "uv"}
-    idx = {0: {"1": 0, "u": 1}, 1: {"v": 0, "uv": 1}}
-    tb = tensor_basis_tuples([sp, sp])
-    blocks = {}
-    for k, tuples in tb.items():
-        mat = [[Fraction(0)] * len(tuples) for _ in range(sp.dim(k))]
-        for col, tup in enumerate(tuples):
-            prod = table.get((names[tup[0]], names[tup[1]]))
-            if prod is not None:
-                mat[idx[k][prod]][col] = Fraction(1)
-        blocks[k] = mat
-    mu2 = GradedMap(tensor_power(sp, 2), sp, 0, blocks)
-    return AInfinityAlgebra(cx, {2: mu2}, 5)
 
 
 @pytest.fixture
@@ -563,6 +519,25 @@ def test_move_m1_writes_verified_outputs(dga_file, sdr_file, tmp_path,
     assert serialize.morphism_to_data(m) == mor
     assert main(["verify", "ainf", out + ".structure.json"]) == 0
     assert main(["verify", "morphism", out + ".morphism.json"]) == 0
+
+
+def test_move_m1_checks_each_retract_identity_once(dga_file, sdr_file,
+                                                  tmp_path, monkeypatch):
+    """The command's hypothesis check and transfer_M1 both ask for the
+    side conditions of the retract; they are evaluated once, so move m1
+    runs 7 riso residuals: the 4 retract identities that reading the
+    retract checks, then the 3 side conditions."""
+    names = []
+    residual = transfer.generator_residual
+
+    def counting(pres, action, complexes, name):
+        names.append(name)
+        return residual(pres, action, complexes, name)
+
+    monkeypatch.setattr(transfer, "generator_residual", counting)
+    assert main(["move", "m1", dga_file, sdr_file,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert names == ["f", "g", "h", "l", "g3", "f2", "g2"]
 
 
 def test_move_m1_zero_differential_returns_input(tmp_path):

@@ -20,7 +20,7 @@ from shalg import serialize
 from shalg.ainfty import AInfinityAlgebra
 from shalg.exactlin import Rational
 from shalg.transfer import sdr_onto_homology
-from test_cli import exterior_dga
+from test_transfer import exterior_dga
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "shalg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")

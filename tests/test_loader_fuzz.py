@@ -20,7 +20,7 @@ from shalg.cli import main
 from shalg.exactlin import GradedMap
 from shalg.ainfty import AInfinityAlgebra, AInfinityMorphism
 from shalg.transfer import riso_zero_extension, sdr_onto_homology
-from test_cli import exterior_dga
+from test_transfer import exterior_dga
 
 
 def documents():

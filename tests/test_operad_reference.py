@@ -42,7 +42,6 @@ from shalg.operadcore import (
     riso,
     substitute,
     tree_decomposition_from_tables,
-    tree_degree,
     tree_leaf_colors,
     tree_word,
     truncated_homology,
@@ -227,42 +226,33 @@ def ref_leaf_paths(t, path=()):
             for p in ref_leaf_paths(c, path + (i,))]
 
 
-def ref_enumerate_trees(pres, arity, output_color, max_vertices,
-                        include_unit=True, max_degree=None):
+def ref_enumerate_trees(pres, arity, output_color, max_vertices):
     """Every tree of enumerate_trees, in its order, enumerated afresh at
     every child slot with nothing memoized."""
-    if max_degree is not None and any(
-            g.degree < 0 for g in pres.generators.values()):
-        max_degree = None
-    out = [LEAF] if arity == 1 and include_unit else []
+    out = [LEAF] if arity == 1 else []
     if max_vertices < 1:
         return out
 
-    def choices(arities, colors, budget, degree_budget):
+    def choices(arities, colors, budget):
         if not arities:
             yield ()
             return
-        for sub in ref_enumerate_trees(pres, arities[0], colors[0], budget,
-                                       True, degree_budget):
-            rest_deg = (None if degree_budget is None
-                        else degree_budget - ref_tree_degree(pres, sub))
+        for sub in ref_enumerate_trees(pres, arities[0], colors[0], budget):
             for rest in choices(arities[1:], colors[1:],
-                                budget - ref_tree_vertices(sub), rest_deg):
+                                budget - ref_tree_vertices(sub)):
                 yield (sub,) + rest
 
     for name, g in pres.generators.items():
-        if g.output != output_color or g.arity > arity or (
-                max_degree is not None and g.degree > max_degree):
+        if g.output != output_color or g.arity > arity:
             continue
-        kid_budget = None if max_degree is None else max_degree - g.degree
         for comp in itertools.product(range(1, arity + 1), repeat=g.arity):
             if sum(comp) == arity:
                 out.extend((name,) + kids for kids in choices(
-                    comp, g.inputs, max_vertices - 1, kid_budget))
+                    comp, g.inputs, max_vertices - 1))
     return out
 
 
-def ref_component_dims(pres, arity, output_color, include_unit=True):
+def ref_component_dims(pres, arity, output_color):
     """component_dims as it was before it counted trees: every tree of
     the component enumerated and counted by its degree."""
     if any(g.arity == 1 for g in pres.generators.values()):
@@ -270,26 +260,38 @@ def ref_component_dims(pres, arity, output_color, include_unit=True):
     mult = math.factorial(arity) if pres.symmetric else 1
     dims = {}
     for t in ref_enumerate_trees(pres, arity, output_color,
-                                 max(arity - 1, 1), include_unit):
+                                 max(arity - 1, 1)):
         d = ref_tree_degree(pres, t)
         dims[d] = dims.get(d, 0) + mult
     return dims
+
+
+def ref_low_degrees(pres, top):
+    """The generators of pres of degree at most top, with no differential.
+    When no generator has negative degree, as asserted, every tree of
+    pres of degree at most top is one of theirs, and both enumerations
+    filtered to those degrees are the same list."""
+    gens = pres.generators.values()
+    assert all(g.degree >= 0 for g in gens)
+    return OperadPresentation(pres.name, pres.colors,
+                              [g for g in gens if g.degree <= top])
 
 
 def ref_windowed_homology(pres, arity, output_color, max_length,
                           input_colors, lo, hi):
     """truncated_homology as it was when it took input colors and a
     degree window (lo, hi): only the trees with these input colors and
-    of degree lo - 1 to hi + 1 (enumerated by max_degree) enter, and
-    only degrees lo to hi are reported, with the arity! multiplicity of
-    a symmetric presentation.  Cycles have at most max_length
-    vertices; boundaries come from trees one extra level long and are
-    counted where they land among the cycle trees."""
+    of degree lo - 1 to hi + 1 enter, and only degrees lo to hi are
+    reported, with the arity! multiplicity of a symmetric presentation.
+    The trees are enumerated by ref_low_degrees(pres, hi + 1).  Cycles
+    have at most max_length vertices; boundaries come from trees one
+    extra level long and are counted where they land among the cycle
+    trees."""
+    low = ref_low_degrees(pres, hi + 1)
     jump = max((ref_tree_vertices(t) - 1 for img in
                 pres.differential.values() for t in img), default=0)
     trees = [t for t in ref_enumerate_trees(
-                 pres, arity, output_color, max_length + 1 + jump,
-                 max_degree=hi + 1)
+                 low, arity, output_color, max_length + 1 + jump)
              if tree_leaf_colors(pres, t, output_color) == list(input_colors)
              and ref_tree_degree(pres, t) >= lo - 1]
     by_degree = {}
@@ -387,6 +389,50 @@ def ref_set_partitions(items, k):
     # or forms its own block
     for part in ref_set_partitions(rest, k - 1):
         yield [[first]] + part
+
+
+def ref_corolla(name, arity):
+    return (name,) + (LEAF,) * arity
+
+
+def ref_inserted(name, arity, slot, inner):
+    """The generator name of the given arity with inner at input slot + 1
+    and leaves at its other inputs."""
+    return (name,) + (LEAF,) * slot + (inner,) + (LEAF,) * (arity - 1 - slot)
+
+
+def ref_arrow_differential(n):
+    """The stored differential of ass_arrow_minimal(n), generator by
+    generator, as its builder summed it before it kept a running sum:
+    d mu_m and d nu_m with the Stasheff signs, and d f_m with the sign
+    exponent eta = sum_{a<b} r_a (r_b + 1) summed pair by pair, each
+    term with corollas of its own."""
+    def stasheff(p, m):
+        return {ref_inserted(f"{p}{m + 1 - j}", m + 1 - j, s,
+                             ref_corolla(f"{p}{j}", j)):
+                Fraction((-1) ** (j + s * (j + 1)))
+                for j in range(2, m) for s in range(m + 1 - j)}
+
+    def morphism(m):
+        terms = {}
+        for k in range(2, m + 1):
+            for cuts in itertools.combinations(range(1, m), k - 1):
+                r = [b - a for a, b in zip((0,) + cuts, cuts + (m,))]
+                eta = sum(r[a] * (r[b] + 1)
+                          for a in range(k) for b in range(a + 1, k))
+                terms[(f"nu{k}",) + tuple(ref_corolla(f"f{x}", x)
+                                          for x in r)] = Fraction((-1) ** eta)
+        for j in range(2, m + 1):
+            for s in range(m + 1 - j):
+                terms[ref_inserted(f"f{m + 1 - j}", m + 1 - j, s,
+                                   ref_corolla(f"mu{j}", j))] = Fraction(
+                    (-1) ** (m + s * (j + 1) + 1))
+        return terms
+
+    out = {f"{p}{m}": stasheff(p, m)
+           for m in range(2, n + 1) for p in ("mu", "nu")}
+    out.update((f"f{m}", morphism(m)) for m in range(1, n + 1))
+    return out
 
 
 # ---------------------------------------------------------- presentations
@@ -503,7 +549,6 @@ def check_invariants(pres, t):
                            ref_tree_degree(pres, t),
                            ref_tree_shifted_degree(pres, t),
                            ref_basis_sign(pres, t))
-    assert tree_degree(pres, t) == info.degree
     assert basis_sign(pres, t) == info.sign
     if t != LEAF:
         colors, after, paths = _leaf_record(pres, t)
@@ -518,12 +563,25 @@ def check_invariants(pres, t):
 
 
 def negative_ass():
-    """ass_minimal(4) with every degree negated: max_degree cannot prune
-    when some generator has negative degree."""
+    """ass_minimal(4) with every degree negated: enumeration reads no
+    degree, a negative one included."""
     return OperadPresentation(
         "ass-negative", ("v",),
         [GeneratorSpec(g.name, g.inputs, g.output, -g.degree)
          for g in ass_minimal(4).generators.values()])
+
+
+def test_arrow_differential_matches_pairwise_signs():
+    """ass_arrow_minimal keeps a running sum for the sign of each term of
+    d f_n and one corolla per generator: for every order up to 10 it
+    stores the differential of the pairwise sum, term for term and in
+    the same order."""
+    for n in range(1, 11):
+        stored = ass_arrow_minimal(n).differential
+        ref = ref_arrow_differential(n)
+        assert list(stored) == list(ref)
+        for name, img in ref.items():
+            assert list(stored[name].items()) == list(img.items()), name
 
 
 @pytest.mark.parametrize("make", [
@@ -537,9 +595,8 @@ def test_enumerate_trees_memo_matches_reference(make):
     order, both when first computed and when read back from the memo."""
     pres = make()
     arities = (1,) if pres.name == "riso" else range(1, 5)
-    args = [(a, c, v, unit, deg) for a in arities for c in pres.colors
-            for v in range(5) for unit in (True, False)
-            for deg in (None, 0, 1, 3)]
+    args = [(a, c, v) for a in arities for c in pres.colors
+            for v in range(5)]
     for _ in range(2):
         for a in args:
             trees = enumerate_trees(pres, *a)
@@ -758,9 +815,8 @@ def test_tree_decomposition_of_bundled_tables_matches_reference():
     factors = ass_minimal(3), free_binary()
     for arity in range(1, 8):
         for table in (
-                lambda p, a: component_dims(p, a, "v", include_unit=False),
-                lambda p, a: truncated_homology(p, a, "v",
-                                                include_unit=False)["dims"]):
+                lambda p, a: component_dims(p, a, "v"),
+                lambda p, a: truncated_homology(p, a, "v")["dims"]):
             t1, t2 = ({a: table(p, a) for a in range(2, arity + 1)}
                       for p in factors)
             assert tree_decomposition_from_tables(t1, t2, arity) == (
@@ -784,16 +840,15 @@ COUNTED = {"ass-minimal": lambda: ass_minimal(7),
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(COUNTED)), st.integers(0, 7), st.booleans(),
-       rngs)
-def test_component_dims_match_enumeration(name, arity, unit, rng):
+@given(st.sampled_from(sorted(COUNTED)), st.integers(0, 7), rngs)
+def test_component_dims_match_enumeration(name, arity, rng):
     """The counted dimensions equal those of the enumerated trees on the
     bundled presentations and the ones above; unary generators raise."""
     pres = COUNTED[name]()
     color = rng.choice(pres.colors)
     if any(g.arity == 1 for g in pres.generators.values()):
         with pytest.raises(ValueError, match="unary generators"):
-            component_dims(pres, arity, color, unit)
+            component_dims(pres, arity, color)
         return
-    assert component_dims(pres, arity, color, unit) == ref_component_dims(
-        pres, arity, color, unit)
+    assert component_dims(pres, arity, color) == ref_component_dims(
+        pres, arity, color)

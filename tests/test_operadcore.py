@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from shalg import operadcore
+from shalg.cli import _alpha_presentation
 from shalg.exactlin import (
     ChainComplex,
     GradedMap,
@@ -39,12 +40,15 @@ from shalg.operadcore import (
     substitute,
     tree_decomposition_dims,
     tree_decomposition_from_tables,
-    tree_degree,
     tree_leaf_colors,
     tree_word,
     truncated_homology,
 )
-from test_operad_reference import ref_tree_arity, ref_windowed_homology
+from test_operad_reference import (
+    ref_tree_arity,
+    ref_tree_degree,
+    ref_windowed_homology,
+)
 
 MU2 = ("mu2", LEAF, LEAF)
 MU3 = ("mu3", LEAF, LEAF, LEAF)
@@ -67,8 +71,8 @@ def test_tree_helpers():
     t = ("mu2", MU2, LEAF)
     assert tree_word(t) == ["mu2", "mu2"]
     p = ass_minimal(4)
-    assert tree_degree(p, t) == 0
-    assert tree_degree(p, ("mu2", MU3, LEAF)) == 1
+    assert operadcore._info(p, t).degree == 0
+    assert operadcore._info(p, ("mu2", MU3, LEAF)).degree == 1
     # leaf records check the color discipline: every edge's ends agree
     assert operadcore._leaf_record(p, t) is not None
     assert operadcore._leaf_record(p, ("mu2", LEAF)) is None  # wrong arity
@@ -151,7 +155,8 @@ def test_derivation_drops_degree_and_is_linear():
     dx = derivation_extend(p, x)
     assert dx
     for t in dx:
-        assert tree_degree(p, t) == tree_degree(p, ("mu2", MU3, LEAF)) - 1
+        assert ref_tree_degree(p, t) == ref_tree_degree(
+            p, ("mu2", MU3, LEAF)) - 1
     assert dx == elem_scale(derivation_extend(
         p, elem_scale(x, Fraction(1, 3))), 3)
 
@@ -159,8 +164,7 @@ def test_derivation_drops_degree_and_is_linear():
 def test_leibniz_rule_random_trees():
     random.seed(11)
     p = ass_minimal(6)
-    pools = {a: enumerate_trees(p, a, "v", 3, include_unit=False)
-             for a in range(2, 5)}
+    pools = {a: enumerate_trees(p, a, "v", 3) for a in range(2, 5)}
     for _ in range(40):
         ao = random.choice(sorted(pools))
         ot = random.choice(pools[ao])
@@ -169,7 +173,7 @@ def test_leibniz_rule_random_trees():
         x = {ot: Fraction(1)}
         y = {it: Fraction(1)}
         lhs = derivation_extend(p, graft(p, x, pos, y))
-        sx = (-1) ** (tree_degree(p, ot) % 2)
+        sx = (-1) ** (ref_tree_degree(p, ot) % 2)
         rhs = elem_add(graft(p, derivation_extend(p, x), pos, y),
                        graft(p, x, pos, derivation_extend(p, y)), 1, sx)
         assert lhs == rhs
@@ -178,8 +182,7 @@ def test_leibniz_rule_random_trees():
 def test_nested_graft_associativity_random_trees():
     random.seed(12)
     p = ass_minimal(6)
-    pools = {a: enumerate_trees(p, a, "v", 3, include_unit=False)
-             for a in range(2, 5)}
+    pools = {a: enumerate_trees(p, a, "v", 3) for a in range(2, 5)}
     for _ in range(40):
         ao = random.choice(sorted(pools))
         ot = random.choice(pools[ao])
@@ -200,8 +203,7 @@ def test_disjoint_graft_interchange_sign():
     # with the sign (-1)^(|y||z| + (arity(y)+1)(arity(z)+1)).
     random.seed(13)
     p = ass_minimal(6)
-    pools = {a: enumerate_trees(p, a, "v", 3, include_unit=False)
-             for a in range(2, 5)}
+    pools = {a: enumerate_trees(p, a, "v", 3) for a in range(2, 5)}
     for _ in range(40):
         ao = random.choice([3, 4])
         ot = random.choice(pools[ao])
@@ -213,7 +215,7 @@ def test_disjoint_graft_interchange_sign():
                   j - 1 + ref_tree_arity(yt), {zt: Fraction(1)})
         b = graft(p, graft(p, x, j, {zt: Fraction(1)}), i,
                   {yt: Fraction(1)})
-        exp = (tree_degree(p, yt) * tree_degree(p, zt)
+        exp = (ref_tree_degree(p, yt) * ref_tree_degree(p, zt)
                + (ref_tree_arity(yt) + 1) * (ref_tree_arity(zt) + 1))
         assert a == elem_scale(b, (-1) ** (exp % 2))
 
@@ -223,15 +225,15 @@ def test_disjoint_graft_interchange_sign():
 
 def test_enumerate_tree_counts_schroeder():
     p = ass_minimal(7)
-    counts = [len(enumerate_trees(p, n, "v", n - 1, include_unit=False))
+    counts = [len(enumerate_trees(p, n, "v", n - 1))
               for n in range(2, 6)]
     assert counts == [1, 3, 11, 45]  # little Schroeder numbers
 
 
 def test_component_dims_symmetric_multiplicity():
     p = ass_minimal(5)
-    assert component_dims(p, 2, "v", include_unit=False) == {0: 2}
-    dims3 = component_dims(p, 3, "v", include_unit=False)
+    assert component_dims(p, 2, "v") == {0: 2}
+    dims3 = component_dims(p, 3, "v")
     assert dims3 == {0: 12, 1: 6}  # 2 planar shapes deg 0, mu3 deg 1; x3!
 
 
@@ -265,7 +267,7 @@ def test_tree_decomposition_matches_free_product_dims():
                            {f"mu{n}": f"rho{n}" for n in range(2, 7)})
     fp = free_product(p1, p2)
     for arity in range(2, 7):
-        direct = component_dims(fp, arity, "v", include_unit=False)
+        direct = component_dims(fp, arity, "v")
         assert tree_decomposition_dims(p1, p2, arity) == direct
 
 
@@ -276,15 +278,15 @@ def test_truncated_homology_zero_differential():
     p = OperadPresentation("free", ("v",),
                            [GeneratorSpec("m", ("v", "v"), "v", 0)], {},
                            symmetric=False)
-    h = truncated_homology(p, 3, "v", include_unit=False)
-    assert h["dims"] == component_dims(p, 3, "v", include_unit=False)
+    h = truncated_homology(p, 3, "v")
+    assert h["dims"] == component_dims(p, 3, "v")
     assert not h["truncated"]
 
 
 def test_truncated_homology_ass_minimal_is_associative_operad():
     p = ass_minimal(7)
     for n in range(2, 6):
-        h = truncated_homology(p, n, "v", include_unit=False)
+        h = truncated_homology(p, n, "v")
         import math
         assert h["dims"] == {0: math.factorial(n)}
         assert not h["truncated"]
@@ -366,19 +368,16 @@ def test_iso_normal_form_reduction():
     assert iso_normal_form(("f", "g")) == ()
     assert iso_normal_form(("g", "f", "g", "f")) == ()
     assert iso_normal_form(("f", "h")) is None
+    assert iso_normal_form(("f", "f", "g", "g")) == ()
+    assert iso_normal_form(("g", "g", "f", "g")) == ("g", "g")
 
 
 def test_alpha_iso_matrix_surjective_on_normal_forms():
     r = riso()
     # degree-0 words with input color a, lengths 0..3
-    trees = [t for ln in range(0, 4)
-             for t in enumerate_trees(r, 1, "a", ln, include_unit=(ln == 0))
-             if tree_degree(r, t) == 0
-             and tree_leaf_colors(r, t, "a") == ["a"]]
-    trees += [t for ln in range(1, 4)
-              for t in enumerate_trees(r, 1, "b", ln, include_unit=False)
-              if tree_degree(r, t) == 0
-              and tree_leaf_colors(r, t, "b") == ["a"]]
+    trees = [t for oc in r.colors for t in enumerate_trees(r, 1, oc, 3)
+             if ref_tree_degree(r, t) == 0
+             and tree_leaf_colors(r, t, oc) == ["a"]]
     mat = alpha_iso_matrix(r, trees, "a")
     hit = {i for i, row in enumerate(mat) if any(row)}
     a_forms = {i for i, (c, _) in enumerate(ISO_NORMAL_FORMS) if c == "a"}
@@ -448,9 +447,11 @@ SHARING_MODELS = {
 @pytest.mark.parametrize("model", sorted(SHARING_MODELS))
 def test_presentation_interns_its_stored_trees(model):
     """Each vertex of a stored tree is named by its generator's own name
-    object, equal subtrees are one object, and so are equal tuples of
-    the leaf records D's terms keep.  A presentation given equal but
-    unshared trees stores the same differential."""
+    object, equal subtrees are one object, and so are equal color and
+    degree tuples and equal paths of the leaf records D's terms keep
+    (their tuples of paths are nearly all distinct and not shared).  A
+    presentation given equal but unshared trees stores the same
+    differential."""
     pres = SHARING_MODELS[model]()
     trees = [t for img in pres.differential.values() for t in img]
     subtrees = [s for t in trees if t != LEAF for s in _subtrees(t)]
@@ -459,8 +460,9 @@ def test_presentation_interns_its_stored_trees(model):
         assert s[0] is pres.gen(s[0]).name
     assert _one_object_per_value(subtrees)
     records = [x for name in pres.generators
-               for term in operadcore._d_gen_terms(pres, name)
-               for x in term[2:] if x is not None]
+               for _, _, colors, after, paths
+               in operadcore._d_gen_terms(pres, name)
+               if colors is not None for x in (colors, after, *paths)]
     assert _one_object_per_value(records)
     fresh = OperadPresentation(
         pres.name, pres.colors, list(pres.generators.values()),
@@ -494,23 +496,23 @@ def test_builtin_presentation_answers_to_the_kunneth_factors():
     assert builtin_presentation("ass-minimal-3").name == "ass-minimal"
 
 
-def test_alpha_degree_pruning_keeps_the_degree_zero_trees():
-    """operad alpha enumerates riso trees with max_degree=0: the kept
-    degree-0 trees are those of the unpruned enumeration, in order."""
-    r = riso()
+def test_alpha_sub_presentation_trees_are_riso_degree_zero_trees():
+    """operad alpha enumerates the sub-presentation of riso's degree-0
+    generators: its trees of each input color are riso's trees of
+    degree 0, in the order of riso's own enumeration."""
+    r, sub = riso(), _alpha_presentation()
+    assert list(sub.generators) == ["f", "g"]
 
-    def kept(length, ic, max_degree):
-        return [t for oc in r.colors
-                for t in enumerate_trees(r, 1, oc, length,
-                                         include_unit=(oc == ic),
-                                         max_degree=max_degree)
-                if tree_degree(r, t) == 0
-                and tree_leaf_colors(r, t, oc) == [ic]]
+    def words(pres, length, ic, keep):
+        return [t for oc in pres.colors
+                for t in enumerate_trees(pres, 1, oc, length)
+                if keep(t) and tree_leaf_colors(pres, t, oc) == [ic]]
 
-    for length in range(1, 6):
+    for length in range(1, 7):
         for ic in r.colors:
-            pruned = kept(length, ic, 0)
-            assert pruned and pruned == kept(length, ic, None)
+            trees = words(sub, length, ic, lambda t: True)
+            assert trees and trees == words(
+                r, length, ic, lambda t: ref_tree_degree(r, t) == 0)
 
 
 def test_truncated_homology_ranks_each_d_matrix_once(monkeypatch):
