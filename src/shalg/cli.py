@@ -322,8 +322,7 @@ def _alpha_presentation():
     whole = builtin_presentation("riso")
     return OperadPresentation(
         "riso-degree-0", whole.colors,
-        [g for g in whole.generators.values() if g.degree == 0],
-        symmetric=False, augmented=False)
+        [g for g in whole.generators.values() if g.degree == 0])
 
 
 def cmd_operad(args):
@@ -397,7 +396,7 @@ def cmd_operad(args):
             trees = [t for oc in pres.colors
                      for t in enumerate_trees(pres, 1, oc, length)
                      if tree_leaf_colors(pres, t, oc) == [ic]]
-            mat = alpha_iso_matrix(pres, trees, ic)
+            mat = alpha_iso_matrix(trees, ic)
             hit = {i for i, row in enumerate(mat) if any(row)}
             expected = {i for i, (c, _) in enumerate(ISO_NORMAL_FORMS)
                         if c == ic}

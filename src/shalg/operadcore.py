@@ -71,9 +71,9 @@ class GeneratorSpec(NamedTuple):
 class OperadPresentation:
     """Generators, colors, and a differential given on generators.
 
-    symmetric=True means each generator stands for a regular
+    The operad is symmetric: each generator stands for a regular
     symmetric-group representation, so reported component dimensions
-    carry an extra factor of arity!.
+    carry a factor of arity!.
 
     The stored differential is interned (see _intern): its vertex names
     are the generators' own name objects and equal subtrees are one
@@ -86,8 +86,7 @@ class OperadPresentation:
     """
 
     def __init__(self, name, colors, generators: Sequence[GeneratorSpec],
-                 differential: Mapping[str, Element] = (),
-                 symmetric: bool = True, augmented: bool = True):
+                 differential: Mapping[str, Element] = ()):
         self.name = name
         self.colors = tuple(colors)
         self.generators = {}
@@ -114,8 +113,6 @@ class OperadPresentation:
         self._d_scale = math.lcm(1, *(c.denominator
                                       for v in self.differential.values()
                                       for c in v.values()))
-        self.symmetric = symmetric
-        self.augmented = augmented
         # tree -> memoized invariants; see _info
         self._tree_info = {LEAF: _LEAF_INFO}
         self._d_terms = {}  # generator -> terms of D; see _d_gen_terms
@@ -552,9 +549,7 @@ def rename_generators(pres: OperadPresentation,
             for g in pres.generators.values()]
     diff = {newname(k): {retag(t): c for t, c in img.items()}
             for k, img in pres.differential.items()}
-    return OperadPresentation(pres.name + "-renamed", pres.colors,
-                              gens, diff, symmetric=pres.symmetric,
-                              augmented=pres.augmented)
+    return OperadPresentation(pres.name + "-renamed", pres.colors, gens, diff)
 
 
 def free_product(p1: OperadPresentation,
@@ -566,10 +561,7 @@ def free_product(p1: OperadPresentation,
     colors = tuple(dict.fromkeys(p1.colors + p2.colors))
     gens = list(p1.generators.values()) + list(p2.generators.values())
     diff = {**p1.differential, **p2.differential}
-    return OperadPresentation(
-        f"{p1.name}*{p2.name}", colors, gens, diff,
-        symmetric=p1.symmetric and p2.symmetric,
-        augmented=p1.augmented and p2.augmented)
+    return OperadPresentation(f"{p1.name}*{p2.name}", colors, gens, diff)
 
 
 # ----------------------------------------------------- tree enumeration
@@ -627,7 +619,7 @@ def _children_choices(pres, arities, colors, budget):
 def component_dims(pres: OperadPresentation, arity: int,
                    output_color) -> dict:
     """Per-degree dimensions of the arity component, with the arity!
-    multiplicity for symmetric (regular-representation) presentations.
+    multiplicity of the regular representation.
 
     The trees are counted, not built.  A tree of arity n is a generator
     of arity k over a composition of n into k parts, each part a leaf or
@@ -660,8 +652,7 @@ def component_dims(pres: OperadPresentation, arity: int,
                 for d, x in prefix.get(n, {}).items():
                     acc[d + g.degree] = acc.get(d + g.degree, 0) + x
     dims = {0: 1} if arity == 1 else counts.get((arity, output_color), {})
-    mult = math.factorial(arity) if pres.symmetric else 1
-    return {d: x * mult for d, x in sorted(dims.items())}
+    return {d: x * math.factorial(arity) for d, x in sorted(dims.items())}
 
 
 def _convolve_into(acc: dict, a: dict, b: dict, scale: int = 1) -> None:
@@ -795,7 +786,6 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
             ranked[key] = rows, targets, mat_rank(rows) if rows else 0
         return ranked[key]
 
-    mult = math.factorial(arity) if pres.symmetric else 1
     out_dims: dict[int, int] = {}
     for deg, trees in sorted(by_degree.items()):
         small = [t for t in trees if _info(pres, t).vertices <= max_length]
@@ -815,7 +805,7 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
             bdim = drank - (mat_rank(pmat) if pmat else 0)
         h = zdim - bdim
         if h:
-            out_dims[deg] = h * mult
+            out_dims[deg] = h * math.factorial(arity)
     return {"dims": out_dims, "truncated": truncated,
             "max_length": max_length}
 
@@ -823,10 +813,9 @@ def truncated_homology(pres: OperadPresentation, arity: int, output_color,
 def kunneth_check(p1: OperadPresentation, p2: OperadPresentation,
                   arity: int) -> dict:
     """Compare per-degree dimensions of the homology of a free product
-    with the tree decomposition built from the factors' homologies."""
-    if not (p1.augmented and p2.augmented):
-        raise ValueError("free-product homology comparison needs augmented "
-                         "factors")
+    with the tree decomposition built from the factors' homologies.
+    Single-colored factors without unary generators only: ValueError
+    otherwise."""
     if len(set(p1.colors) | set(p2.colors)) != 1:
         raise ValueError("single-color factors only")
     color = p1.colors[0]
@@ -876,7 +865,7 @@ def partition_sum(outer, inner, n: int, k_min: int, source, middle, target,
         gens.append(GeneratorSpec(f"i{r}", ("source",) * r, "middle",
                                   m.degree))
     pres = OperadPresentation("two-level", ("source", "middle", "target"),
-                              gens, symmetric=False)
+                              gens)
     trees = [(f"o{k}",) + tuple(pres.corolla(f"i{rp}") for rp in r)
              for k in range(k_min, n + 1) for r in _compositions(n, k)]
     return eval_element(
@@ -1086,8 +1075,7 @@ def ass_minimal(max_arity: int) -> OperadPresentation:
     gens = [GeneratorSpec(c[0], (color,) * n, color, n - 2, tj=n - 2)
             for n, c in mu.items()]
     diff = {c[0]: _stasheff_terms(mu, n) for n, c in mu.items()}
-    return OperadPresentation("ass-minimal", (color,), gens, diff,
-                              symmetric=True, augmented=True)
+    return OperadPresentation("ass-minimal", (color,), gens, diff)
 
 
 def free_binary() -> OperadPresentation:
@@ -1095,8 +1083,7 @@ def free_binary() -> OperadPresentation:
     opposite the minimal associativity resolution in product checks."""
     return OperadPresentation(
         "free-binary", ("v",),
-        [GeneratorSpec("nu2", ("v", "v"), "v", 0, tj=0)], {},
-        symmetric=True, augmented=True)
+        [GeneratorSpec("nu2", ("v", "v"), "v", 0, tj=0)])
 
 
 def _morphism_terms(n, mu, nu, f):
@@ -1138,8 +1125,7 @@ def ass_arrow_minimal(max_arity: int) -> OperadPresentation:
              for n, c in f.items()]
     diff = {c[n][0]: _stasheff_terms(c, n) for n in mu for c in (mu, nu)}
     diff.update((c[0], _morphism_terms(n, mu, nu, f)) for n, c in f.items())
-    return OperadPresentation("ass-arrow-minimal", (cv, cw), gens, diff,
-                              symmetric=True, augmented=False)
+    return OperadPresentation("ass-arrow-minimal", (cv, cw), gens, diff)
 
 
 def _w(*names):
@@ -1183,8 +1169,7 @@ def riso() -> OperadPresentation:
         "g4": {_w("g", "g3"): one, _w("h", "g2"): -one,
                _w("g2", "l"): one, _w("f3", "g"): -one},
     }
-    return OperadPresentation("riso", (a, b), gens, diff,
-                              symmetric=False, augmented=False)
+    return OperadPresentation("riso", (a, b), gens, diff)
 
 
 # name -> (builder, whether it is truncated at an order it is given)
@@ -1233,7 +1218,7 @@ def iso_normal_form(word: tuple) -> Optional[tuple]:
 ISO_NORMAL_FORMS = (("a", ()), ("b", ()), ("a", ("f",)), ("b", ("g",)))
 
 
-def alpha_iso_matrix(pres: OperadPresentation, trees, input_color):
+def alpha_iso_matrix(trees, input_color):
     """Matrix of the resolution-to-groupoid quotient map on a list of
     degree-0 word trees with the given input color.  Columns are the
     trees; rows are the four normal forms in ISO_NORMAL_FORMS order."""

@@ -152,28 +152,28 @@ class SDRData:
 
     Validates on construction: nabla and f are chain maps, f . nabla is
     the identity of the small complex, and phi is a homotopy from 1 to
-    nabla . f on the big complex.  Side conditions are not required;
-    query them with check_side_conditions, which evaluates them once
-    (the maps of an instance are not changed after construction).
+    nabla . f on the big complex.  Side conditions are not required; the
+    same pass of retract_residuals evaluates them, and side_conditions
+    keeps their flags (the maps of an instance are not changed after
+    construction).
     """
 
     def __init__(self, big: ChainComplex, small: ChainComplex,
                  nabla: GradedMap, f: GradedMap, phi: GradedMap):
-        _require(small, big, _retract_maps(
-            RetractParts(big, small, nabla, f, phi)), _RETRACT_ERRORS)
+        flags = [r.is_zero() for r in retract_residuals(
+            big, small, nabla, f, phi)]
+        for error, ok in zip(_RETRACT_ERRORS.values(), flags):
+            if not ok:
+                raise ValueError(error)
         self.big, self.small = big, small
         self.nabla, self.f, self.phi = nabla, f, phi
-        self._side_flags = None  # see check_side_conditions
+        self.side_conditions = dict(zip(_SIDE_CONDITIONS.values(), flags[4:]))
 
 
 def check_side_conditions(s: SDRData) -> dict:
-    """Report the three side conditions individually, evaluated on the
-    first call and kept on s."""
-    if s._side_flags is None:
-        s._side_flags = [r.is_zero() for r in _riso_residuals(
-            s.small, s.big, _retract_maps(s), _SIDE_CONDITIONS)]
-    flags = dict(zip(_SIDE_CONDITIONS.values(), s._side_flags))
-    return {**flags, "ok": all(flags.values())}
+    """Report the three side conditions individually, as evaluated when
+    s was built."""
+    return {**s.side_conditions, "ok": all(s.side_conditions.values())}
 
 
 def normalize_side_conditions(s: SDRData) -> SDRData:

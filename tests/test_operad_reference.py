@@ -257,7 +257,7 @@ def ref_component_dims(pres, arity, output_color):
     the component enumerated and counted by its degree."""
     if any(g.arity == 1 for g in pres.generators.values()):
         raise ValueError("unary generators need an explicit length cap")
-    mult = math.factorial(arity) if pres.symmetric else 1
+    mult = math.factorial(arity)
     dims = {}
     for t in ref_enumerate_trees(pres, arity, output_color,
                                  max(arity - 1, 1)):
@@ -282,7 +282,7 @@ def ref_windowed_homology(pres, arity, output_color, max_length,
     """truncated_homology as it was when it took input colors and a
     degree window (lo, hi): only the trees with these input colors and
     of degree lo - 1 to hi + 1 enter, and only degrees lo to hi are
-    reported, with the arity! multiplicity of a symmetric presentation.
+    reported, with the arity! multiplicity.
     The trees are enumerated by ref_low_degrees(pres, hi + 1).  Cycles
     have at most max_length vertices; boundaries come from trees one
     extra level long and are counted where they land among the cycle
@@ -322,8 +322,7 @@ def ref_windowed_homology(pres, arity, output_color, max_length,
             [r for r, t in zip(rows, targets)
              if ref_tree_vertices(t) > max_length])
         if zdim - bdim:
-            dims[deg] = (zdim - bdim) * (
-                math.factorial(arity) if pres.symmetric else 1)
+            dims[deg] = (zdim - bdim) * math.factorial(arity)
     truncated = any(ref_tree_vertices(t) == max_length + 1 for t in trees)
     return {"dims": dims, "truncated": truncated}
 
@@ -477,7 +476,7 @@ def deep():
     assert all(ref_tree_arity(t) == 4 for t in image)
     return OperadPresentation(
         "deep", base.colors, [*base.generators.values(), w4],
-        {**base.differential, "w4": image}, symmetric=True, augmented=False)
+        {**base.differential, "w4": image})
 
 
 def scaled(pres, factors):
@@ -485,8 +484,7 @@ def scaled(pres, factors):
     return OperadPresentation(
         pres.name + "-scaled", pres.colors, list(pres.generators.values()),
         {g: {t: c * factors[g] for t, c in img.items()}
-         for g, img in pres.differential.items()},
-        symmetric=pres.symmetric, augmented=pres.augmented)
+         for g, img in pres.differential.items()})
 
 
 def random_scaling(pres, rng):

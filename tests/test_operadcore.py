@@ -149,6 +149,29 @@ def test_d_squared_detects_sign_sabotage():
                for f in res["failures"])
 
 
+@pytest.mark.parametrize("tj, reason, names", [
+    ({"mu4": 3}, "tj total", ["mu4"]),
+    ({"mu2": -1, "mu3": -1, "mu4": -1}, "filtration", ["mu3", "mu4"]),
+    ({"mu2": None}, None, ["mu3", "mu4"])],
+    ids=["total", "filtration", "undeclared"])
+def test_d_squared_check_reports_each_tj_grading_rule(tj, reason, names):
+    """d mu4's trees have total tj 1, so tj(mu4) = 3 breaks the total
+    rule alone; with every tj -1 each tree's total is -2 = tj - 1 but its
+    generators' tj is not smaller, which breaks the filtration rule
+    alone; a tree with an undeclared tj breaks both.  d^2 stays zero."""
+    p = ass_minimal(4)
+    bad = OperadPresentation(
+        "bad", p.colors, [g._replace(tj=tj.get(g.name, g.tj))
+                          for g in p.generators.values()], p.differential)
+    res = d_squared_check(bad, 4)
+    assert all(e["d_squared_zero"] for e in res["checked"])
+    reasons = ["tj total", "filtration"] if reason is None else [reason]
+    assert not res["ok"]
+    assert res["failures"] == [
+        {"generator": name, "reason": r, "tree": t}
+        for name in names for t in p.d_image(name) for r in reasons]
+
+
 def test_derivation_drops_degree_and_is_linear():
     p = ass_minimal(5)
     x = {("mu2", MU3, LEAF): Fraction(3)}
@@ -276,8 +299,7 @@ def test_tree_decomposition_matches_free_product_dims():
 
 def test_truncated_homology_zero_differential():
     p = OperadPresentation("free", ("v",),
-                           [GeneratorSpec("m", ("v", "v"), "v", 0)], {},
-                           symmetric=False)
+                           [GeneratorSpec("m", ("v", "v"), "v", 0)])
     h = truncated_homology(p, 3, "v")
     assert h["dims"] == component_dims(p, 3, "v")
     assert not h["truncated"]
@@ -310,6 +332,22 @@ def test_kunneth_check_fixture():
     for arity in (2, 3):
         res = kunneth_check(p1, p2, arity)
         assert res["ok"], res
+
+
+def test_kunneth_check_refuses_unary_and_two_colored_factors():
+    """A factor with a unary generator has no exact length bound, and the
+    tree decomposition counts single-colored trees only."""
+    unary = OperadPresentation("unary", ("v",), [
+        GeneratorSpec("u", ("v",), "v", 1),
+        GeneratorSpec("m", ("v", "v"), "v", 0)])
+    for p1, p2 in ((unary, free_binary()), (free_binary(), unary)):
+        for arity in (1, 3):
+            with pytest.raises(ValueError, match="unary generators"):
+                kunneth_check(p1, p2, arity)
+    for p1, p2 in ((ass_arrow_minimal(3), free_binary()),
+                   (free_binary(), riso())):
+        with pytest.raises(ValueError, match="single-color factors only"):
+            kunneth_check(p1, p2, 3)
 
 
 # ----------------------------------------------------------------- actions
@@ -378,7 +416,7 @@ def test_alpha_iso_matrix_surjective_on_normal_forms():
     trees = [t for oc in r.colors for t in enumerate_trees(r, 1, oc, 3)
              if ref_tree_degree(r, t) == 0
              and tree_leaf_colors(r, t, oc) == ["a"]]
-    mat = alpha_iso_matrix(r, trees, "a")
+    mat = alpha_iso_matrix(trees, "a")
     hit = {i for i, row in enumerate(mat) if any(row)}
     a_forms = {i for i, (c, _) in enumerate(ISO_NORMAL_FORMS) if c == "a"}
     assert hit == a_forms
@@ -467,8 +505,7 @@ def test_presentation_interns_its_stored_trees(model):
     fresh = OperadPresentation(
         pres.name, pres.colors, list(pres.generators.values()),
         {k: {_unshared(t): c for t, c in img.items()}
-         for k, img in pres.differential.items()},
-        symmetric=pres.symmetric, augmented=pres.augmented)
+         for k, img in pres.differential.items()})
     assert list(fresh.differential) == list(pres.differential)
     for k, img in pres.differential.items():
         assert list(fresh.differential[k].items()) == list(img.items())

@@ -27,6 +27,7 @@ from shalg.ainfty import (
     identity_morphism,
     underlying,
 )
+from shalg import transfer
 from shalg.exactlin import solve_map_equation
 from shalg.operadcore import action_check, builtin_presentation
 from shalg.transfer import (
@@ -432,6 +433,37 @@ def test_transfer_m1_requires_side_conditions():
     a = AInfinityAlgebra(s.big, {}, 3)
     with pytest.raises(ValueError):
         transfer_M1(a, s)
+
+
+@pytest.mark.parametrize("kind, violated", [
+    ("phi_nabla", "phi_phi, phi_nabla"),
+    ("f_phi", "phi_phi, f_phi"),
+    ("phi_phi", "phi_phi")], ids=["phi_nabla", "f_phi", "phi_phi"])
+def test_transfer_m1_names_the_violated_side_conditions(kind, violated):
+    s = engineered_violation(kind)
+    a = AInfinityAlgebra(s.big, {}, 3)
+    with pytest.raises(ValueError,
+                       match=f"^side conditions violated: {violated}$"):
+        transfer_M1(a, s)
+
+
+def test_sdr_evaluates_its_side_conditions_when_built(monkeypatch):
+    """Building an SDR runs riso's residuals once each, the four retract
+    identities then the three side conditions; check_side_conditions
+    reads the flags kept and runs none."""
+    names = []
+    residual = transfer.generator_residual
+
+    def counting(pres, action, complexes, name):
+        names.append(name)
+        return residual(pres, action, complexes, name)
+
+    monkeypatch.setattr(transfer, "generator_residual", counting)
+    s = sdr_onto_homology(exterior_dga().complex)
+    assert names == ["f", "g", "h", "l", "g3", "f2", "g2"]
+    assert check_side_conditions(s) == {
+        "phi_phi": True, "phi_nabla": True, "f_phi": True, "ok": True}
+    assert names == ["f", "g", "h", "l", "g3", "f2", "g2"]
 
 
 def test_transfer_m1_rejects_another_differential():
