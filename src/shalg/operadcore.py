@@ -6,27 +6,26 @@ trees with vertices labeled by generators.  A tree is a nested tuple
 Leaves are implicitly numbered 1..arity left to right (only identity
 leaf orderings are supported).  An element is a dict tree -> Rational.
 
-Sign conventions.  All Koszul bookkeeping is done internally in the
-arity-shifted grading where a generator of arity k and degree d counts
-as an operation of degree d + 1 - k; in that grading a basis tree is
-identified with its depth-first generator word, grafting carries the
-sign for moving the grafted word past the generators that follow the
-insertion point, and the differential extends from generators as the
-word derivation.  Each basis tree additionally carries an edge-local
-orientation sign (basis_sign below) fixing how the shifted word basis
-is matched with the unshifted trees that the public API exposes; the
-public substitute / graft / derivation_extend conjugate by it.  With
-these conventions the stored generator differentials square to zero as
-derivations and d(graft(x, i, y)) = graft(dx, i, y)
-+ (-1)^|x| graft(x, i, dy) in the ordinary grading.
+Sign conventions.  Trees live in one basis, the word basis of the
+suspension, as in the bar construction: a generator of arity k and
+degree d counts as an operation of shifted degree d + 1 - k, and a tree
+is identified with its depth-first generator word.  Only Koszul signs
+occur there: grafting carries the sign for moving the grafted word past
+the generators that follow the insertion point, and the differential
+extends from generators as the word derivation.  The stored
+differentials are sign-free in this basis (d mu_n is the sum of all
+mu_i o_{s+1} mu_j with coefficient 1), they square to zero as word
+derivations, and d(graft(x, i, y)) = graft(dx, i, y)
++ (-1)^|x|' graft(x, i, dy), with |x|' x's shifted degree.  The paper's
+printed signs are those of the unshifted trees; they differ from these
+by an edge-local orientation sign of each tree, which the tests keep.
 
-The kernels run the differential once, in the shifted word basis and
-over the integers: D = L·S·d·S, where S is the diagonal basis_sign and L
+The kernels run the differential over the integers: D = L·d, where L is
 the lcm of the stored coefficients' denominators (1 for the bundled
-presentations).  Since d = S·D·S/L, d_squared_check tests D^2 = 0 and
-truncated_homology ranks D's integer matrices (a diagonal +-1 or L
-scaling changes no rank); derivation_extend conjugates back and returns
-exact rational coefficients (exactlin.Rational).
+presentations).  d_squared_check tests D^2 = 0, truncated_homology ranks
+D's integer matrices (a scaling by L changes no rank), and
+derivation_extend returns D/L with exact rational coefficients
+(exactlin.Rational).
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ class GeneratorSpec(NamedTuple):
     output: str
     degree: int
     tj: Optional[int] = None
-    # "alg" for operation generators living in one algebra, "mor" for
-    # generators encoding the Taylor coefficients of a morphism between
-    # algebras; the distinction only affects orientation signs.
-    kind: str = "alg"
 
     @property
     def arity(self) -> int:
@@ -78,11 +73,10 @@ class OperadPresentation:
     The stored differential is interned (see _intern): its vertex names
     are the generators' own name objects and equal subtrees are one
     object.  The invariants of every tree the operad layer meets under
-    this presentation (arity, length, degrees, orientation sign), the
-    terms of each generator's D image with their leaf records (equal
-    paths, color and degree tuples shared), the images of its subtrees
-    under D and the tree enumerations are memoized on the instance and
-    freed with it.
+    this presentation (arity, length, degrees), the terms of each
+    generator's D image with their leaf records (equal paths, color and
+    degree tuples shared), the images of its subtrees under D and the
+    tree enumerations are memoized on the instance and freed with it.
     """
 
     def __init__(self, name, colors, generators: Sequence[GeneratorSpec],
@@ -109,7 +103,7 @@ class OperadPresentation:
                 _intern(t, self.generators, shared): Rational(c)
                 for t, c in dict(v).items()}
         # L, the lcm of the coefficient denominators: the kernels run on
-        # the integral shifted-basis copy D = L·S·d·S (see _d_gen_terms)
+        # the integral copy D = L·d (see _d_gen_terms)
         self._d_scale = math.lcm(1, *(c.denominator
                                       for v in self.differential.values()
                                       for c in v.values()))
@@ -158,60 +152,33 @@ class _TreeInfo(NamedTuple):
     vertices: int
     degree: int
     shifted_degree: int  # in the arity-shifted grading
-    sign: int  # basis_sign
 
 
-_LEAF_INFO = _TreeInfo(1, 0, 0, 0, 1)
+_LEAF_INFO = _TreeInfo(1, 0, 0, 0)
 
 
-def _info(pres: OperadPresentation, t, keep=True) -> _TreeInfo:
+def _info(pres: OperadPresentation, t) -> _TreeInfo:
     """Invariants of t, memoized on pres: each distinct subtree is
-    computed once, from the invariants of its children.  keep=False
-    leaves t itself out of the memo (its subtrees are kept), for trees
-    that are built once, such as the terms of a derivation's image."""
+    computed once, from the invariants of its children."""
     info = pres._tree_info.get(t)
     if info is None:
-        info = _new_info(pres, t)
-        if keep:
-            pres._tree_info[t] = info
+        info = pres._tree_info[t] = _new_info(pres, t)
     return info
 
 
 def _new_info(pres: OperadPresentation, t) -> _TreeInfo:
-    """The basis_sign exponent is a sum over the internal edges; for the
-    edge from the root to its non-leaf child subtree (subtree arity r,
-    slot s counted from 0, l leaves of the earlier siblings) it is
-
-        alg child under alg parent:  r + s(r+1)  (0 when r = 1)
-        alg child under mor parent:  i + (s+1)(r+1)   (i = parent arity)
-        mor child under any parent:  r(1 + s + i + l)
-    """
     g = pres.generators.get(t[0])
     if g is None:
         raise ValueError(f"unknown generator {t[0]}")
-    arity = vertices = degree = shifted = exp = 0
-    sign = 1
-    for slot, c in enumerate(t[1:]):
-        if c == LEAF:
-            arity += 1
-            continue
+    arity = vertices = degree = shifted = 0
+    for c in t[1:]:
         k = _info(pres, c)
-        if k.vertices:
-            r = k.arity
-            if pres.generators[c[0]].kind == "mor":
-                exp += r * (1 + slot + g.arity + arity)
-            elif g.kind == "mor":
-                exp += g.arity + (slot + 1) * (r + 1)
-            elif r > 1:
-                exp += r + slot * (r + 1)
-            sign *= k.sign
         arity += k.arity
         vertices += k.vertices
         degree += k.degree
         shifted += k.shifted_degree
     return _TreeInfo(arity, 1 + vertices, g.degree + degree,
-                     g.degree + 1 - g.arity + shifted,
-                     -sign if exp % 2 else sign)
+                     g.degree + 1 - g.arity + shifted)
 
 
 def tree_word(t) -> list:
@@ -234,17 +201,6 @@ def tree_leaf_colors(pres: OperadPresentation, t, output_color) -> list:
     for i, c in enumerate(t[1:]):
         out.extend(tree_leaf_colors(pres, c, g.inputs[i]))
     return out
-
-
-def basis_sign(pres: OperadPresentation, t) -> int:
-    """Orientation sign matching a tree with its shifted word basis.
-
-    The sign is a product over the internal edges (see _new_info for
-    the exponent of each edge), chosen so that the stored differentials
-    of the bundled presentations become sign-free word derivations in
-    the shifted grading.
-    """
-    return _info(pres, t).sign
 
 
 def _leaf_record(pres: OperadPresentation, u):
@@ -325,27 +281,18 @@ def _kids(pres, children) -> list:
 def substitute(pres: OperadPresentation, u, children):
     """Plug the trees `children` into the leaves of u, in planar order.
 
-    Returns (sign, tree) in the public (unshifted) basis convention, or
-    None when an edge color mismatch makes the composite zero: the
-    shifted-grading word sign of _put_children, conjugated by the
-    basis_signs of u, the children and the composite.
+    Returns (sign, tree), the sign the Koszul sign of moving each
+    child's word past the generators after its leaf in u's word, or None
+    when an edge color mismatch makes the composite zero.
     """
     if u == LEAF:
         if len(children) != 1:
             raise ValueError("unit tree takes exactly one child")
-        r = (1, children[0])
-    elif len(children) != _info(pres, u).arity:
+        return (1, children[0])
+    if len(children) != _info(pres, u).arity:
         raise ValueError("child count does not match arity")
-    else:
-        leaves = _leaf_record(pres, u)
-        r = leaves and _put_children(u, *leaves, _kids(pres, children))
-    if r is None:
-        return None
-    sign, t = r
-    sign *= _info(pres, u).sign * _info(pres, t, keep=False).sign
-    for c in children:
-        sign *= _info(pres, c).sign
-    return (sign, t)
+    leaves = _leaf_record(pres, u)
+    return leaves and _put_children(u, *leaves, _kids(pres, children))
 
 
 # --------------------------------------------------------------- elements
@@ -377,14 +324,8 @@ def _accumulate(out: Element, t, c) -> None:
 
 def graft(pres: OperadPresentation, outer: Element, position: int,
           inner: Element) -> Element:
-    """Operadic partial composition outer o_position inner, bilinear.
-
-    On top of the basis conversion, a graft of an inner element of
-    degree q into an outer element of arity n carries (-1)^((n+1)q);
-    this is the twist that turns the shifted-grading Leibniz rule into
-    d(graft(x, i, y)) = graft(dx, i, y) + (-1)^|x| graft(x, i, dy) in
-    the ordinary grading.
-    """
+    """Operadic partial composition outer o_position inner, bilinear,
+    with substitute's word sign."""
     out: Element = {}
     for ot, oc in outer.items():
         ar = _info(pres, ot).arity
@@ -396,29 +337,22 @@ def graft(pres: OperadPresentation, outer: Element, position: int,
             r = substitute(pres, ot, children)
             if r is None:
                 continue
-            s, t = r
-            if (ar + 1) * _info(pres, it_).degree % 2:
-                s = -s
             c = Rational(oc * ic)
-            _accumulate(out, t, c if s > 0 else -c)
+            _accumulate(out, r[1], c if r[0] > 0 else -c)
     return out
 
 
 def derivation_extend(pres: OperadPresentation, x: Element) -> Element:
-    """Extend the generator differential to spans of trees as a
-    derivation: d = S·D·S/L in the public basis, where S is the diagonal
-    basis_sign and D = L·S·d·S the integral word derivation of _d_shifted.
-    Coefficients are exact rationals, exactlin.Rational."""
-    sx = {t: c if _info(pres, t).sign > 0 else -c for t, c in x.items()}
+    """Extend the generator differential to spans of trees as the word
+    derivation d = D/L, where D = L·d is the integral derivation of
+    _d_shifted.  Coefficients are exact rationals, exactlin.Rational."""
     scale = pres._d_scale
-    return {u: Rational(c if _info(pres, u, keep=False).sign > 0 else -c,
-                        scale)
-            for u, c in _apply_shifted(pres, sx).items()}
+    return {u: Rational(c, scale) for u, c in _apply_shifted(pres, x).items()}
 
 
 def _apply_shifted(pres, x) -> dict:
-    """D applied to a span of trees in the shifted basis; the images of
-    x's own trees are not memoized, those of their subtrees are."""
+    """D applied to a span of trees; the images of x's own trees are not
+    memoized, those of their subtrees are."""
     out: dict = {}
     for t, c in x.items():
         img = pres._d_images.get(t)
@@ -431,21 +365,18 @@ def _apply_shifted(pres, x) -> dict:
 
 
 def _d_gen_terms(pres, name) -> list:
-    """The terms of D on a generator, whose corolla has basis_sign 1, as
-    (tree u, coefficient, colors, after, paths): the stored image with
-    each tree weighted by its basis_sign and scaled by L, as ints, and
-    the leaf record of u, what plugging a vertex's children into u
-    reads; listed once per generator and memoized on pres.  A u whose
-    own edges disagree in color is left out; the unit tree's record is
-    None three times, since it takes its one child as it is."""
+    """The terms of D on a generator, as (tree u, coefficient, colors,
+    after, paths): the stored image scaled by L, as ints, and the leaf
+    record of u, what plugging a vertex's children into u reads; listed
+    once per generator and memoized on pres.  A u whose own edges
+    disagree in color is left out; the unit tree's record is None three
+    times, since it takes its one child as it is."""
     terms = pres._d_terms.get(name)
     if terms is None:
         arity, scale = pres.gen(name).arity, pres._d_scale
         terms = []
         for u, c in pres.d_image(name).items():
             cu = c.numerator * (scale // c.denominator)
-            if _info(pres, u).sign < 0:
-                cu = -cu
             if u == LEAF:
                 if arity != 1:
                     raise ValueError("unit tree takes exactly one child")
@@ -511,13 +442,12 @@ def d_squared_check(pres: OperadPresentation, up_to_arity: int) -> dict:
     for name, g in gens.items():
         if g.arity > up_to_arity:
             continue
-        # d² = S·D²·S/L² and a corolla's sign is 1: test D² instead
+        # d² = D²/L²: test D² instead
         dd = _apply_shifted(pres, _d_shifted(pres, pres.corolla(name)))
         entry = {"generator": name, "d_squared_zero": not dd}
         if dd:
             t, c = min(dd.items(), key=lambda kv: repr(kv[0]))
-            entry["witness"] = (t, Rational(c, pres._d_scale ** 2)
-                                * _info(pres, t, keep=False).sign)
+            entry["witness"] = (t, Rational(c, pres._d_scale ** 2))
             failures.append(entry)
         if g.tj is not None:
             for t in pres.d_image(name):
@@ -544,8 +474,7 @@ def rename_generators(pres: OperadPresentation,
             return t
         return (newname(t[0]),) + tuple(retag(c) for c in t[1:])
 
-    gens = [GeneratorSpec(newname(g.name), g.inputs, g.output, g.degree,
-                          g.tj, g.kind)
+    gens = [g._replace(name=newname(g.name))
             for g in pres.generators.values()]
     diff = {newname(k): {retag(t): c for t, c in img.items()}
             for k, img in pres.differential.items()}
@@ -851,10 +780,9 @@ def partition_sum(outer, inner, n: int, k_min: int, source, middle, target,
     compositions r of n into k >= k_min parts, with no sign of its own in
     the suspended world, for unsuspended maps outer(k) : middle^(x k) ->
     target and inner(r) : source^(x r) -> middle.  It is eval_element's
-    value on the two-level trees o_k(i_{r_1}, ..., i_{r_k}) of a
-    three-colored presentation, each tree's coefficient its orientation
-    sign, which cancels the sign eval_element weights it with; the zero
-    map of the given degree when every term has a zero factor."""
+    value on the sum of the two-level trees o_k(i_{r_1}, ..., i_{r_k}) of
+    a three-colored presentation, each with coefficient 1; the zero map
+    of the given degree when every term has a zero factor."""
     action, gens = {}, []
     for k in range(k_min, n + 1):
         action[f"o{k}"] = m = outer(k)
@@ -870,8 +798,7 @@ def partition_sum(outer, inner, n: int, k_min: int, source, middle, target,
              for k in range(k_min, n + 1) for r in _compositions(n, k)]
     return eval_element(
         pres, action, {"source": source, "middle": middle, "target": target},
-        {t: basis_sign(pres, t) for t in trees}, ("source",) * n, "target",
-        degree)
+        dict.fromkeys(trees, 1), ("source",) * n, "target", degree)
 
 
 class _SuspendedImages(dict):
@@ -912,18 +839,19 @@ _suspended_images = functools.lru_cache(maxsize=256)(_SuspendedImages)
 def eval_element(pres, action, spaces, elem: Element, inputs,
                  output_color, degree: int) -> GradedMap:
     """Value of the action on an element of the given degree, in the
-    convention consistent with the stored differentials: each assigned
-    map is conjugated by suspensions, trees are composed with plain
-    Koszul signs in the suspended world, and their sum, weighted by the
-    tree orientation signs, is desuspended.  A tree in which some
-    generator is assigned a zero map contributes nothing.  spaces maps
-    each color to its graded vector space; inputs lists the element's
-    input colors in leaf order.
+    word basis of the stored differentials: each assigned map is
+    conjugated by suspensions, trees are composed with plain Koszul signs
+    in the suspended world, and their sum is desuspended.  A tree in
+    which some generator is assigned a zero map contributes nothing.
+    spaces maps each color to its graded vector space; inputs lists the
+    element's input colors in leaf order.
 
-    On two-level trees this differs from the naive composite of the
-    assigned maps only by (-1)^(product of the two arities); the twist
-    is what makes the coherence identities of a structure equivalent to
-    its action commuting with the differentials at every arity.
+    On a tree mu_i o_{s+1} mu_j of ass-minimal this is the naive
+    composite mu_i . (1^(x s) x mu_j x 1^(x i-1-s)) of the assigned maps
+    times (-1)^(ij + j + s(j+1)), the sign of the Stasheff identities
+    in their usual form, so the sign-free d mu_n evaluates to those
+    identities and the action commutes with the differentials exactly
+    when the structure is coherent.
 
     Each subtree is an integer table (source tuple -> nonzero image) per
     suspended degree, and is asked only for the degrees the target, or
@@ -974,7 +902,7 @@ def eval_element(pres, action, spaces, elem: Element, inputs,
         if t == LEAF or not action[t[0]].is_zero():
             if _info(pres, t).degree != degree:
                 raise ValueError("tree degree differs from the element's")
-            weights[t] = Rational(c * _info(pres, t).sign, math.prod(
+            weights[t] = Rational(c, math.prod(
                 [_suspended_images(action[v]).scale for v in tree_word(t)]))
     denom = math.lcm(1, *(w.denominator for w in weights.values()))
     # source degree -> source tuple -> target index -> int over denom
@@ -1050,31 +978,31 @@ def _corollas(prefix, first, max_arity) -> dict:
             for n in range(first, max_arity + 1)}
 
 
-_SIGNS = (Rational(1), Rational(-1))  # (-1)^0, (-1)^1
-
-
-def _stasheff_terms(mu, n):
-    """d mu_n = sum over i+j = n+1 (i, j >= 2), s = 0..i-1 of
-    (-1)^(j + s(j+1)) mu_i composed with mu_j at input s+1, for the
-    corollas mu (arity -> corolla); the terms are distinct trees."""
+def _insertions(outer, inner, n, c) -> Element:
+    """The trees outer_i o_{s+1} inner_j, each with coefficient c, over
+    i + j = n + 1 (j >= 2, i an arity of outer) and s = 0..i-1, for the
+    corollas outer and inner (arity -> corolla); the trees are
+    distinct."""
     terms: Element = {}
-    for j in range(2, n):
+    for j in range(2, n + 1):
         i = n + 1 - j
-        inner, head = (mu[j],), mu[i][:1]
-        for s in range(i):
-            terms[head + (LEAF,) * s + inner + (LEAF,) * (i - 1 - s)] = (
-                _SIGNS[(j + s * (j + 1)) % 2])
+        if i in outer:
+            head, mid = outer[i][:1], (inner[j],)
+            for s in range(i):
+                terms[head + (LEAF,) * s + mid + (LEAF,) * (i - 1 - s)] = c
     return terms
 
 
 def ass_minimal(max_arity: int) -> OperadPresentation:
     """Minimal resolution of the associative operad: one generator mu_n
-    in each arity n >= 2, degree n-2, with d mu_n as in _stasheff_terms."""
+    in each arity n >= 2, degree n-2, with d mu_n the sum of all
+    mu_i o_{s+1} mu_j."""
     color = "v"
     mu = _corollas("mu", 2, max_arity)
     gens = [GeneratorSpec(c[0], (color,) * n, color, n - 2, tj=n - 2)
             for n, c in mu.items()]
-    diff = {c[0]: _stasheff_terms(mu, n) for n, c in mu.items()}
+    one = Rational(1)
+    diff = {c[0]: _insertions(mu, mu, n, one) for n, c in mu.items()}
     return OperadPresentation("ass-minimal", (color,), gens, diff)
 
 
@@ -1086,34 +1014,12 @@ def free_binary() -> OperadPresentation:
         [GeneratorSpec("nu2", ("v", "v"), "v", 0, tj=0)])
 
 
-def _morphism_terms(n, mu, nu, f):
-    """d f_n = sum over compositions r of n into k >= 2 parts of
-    (-1)^eta nu_k(f_r1, ..., f_rk), eta = sum_{a<b} r_a (r_b + 1), summed
-    over b, minus sum over i+j = n+1 (j >= 2), s = 0..i-1 of
-    (-1)^(n + s(j+1)) f_i composed with mu_j at input s+1, for the
-    corollas mu, nu and f (arity -> corolla); distinct trees."""
-    terms: Element = {}
-    for k in range(2, n + 1):
-        head = nu[k][:1]
-        for r in _compositions(n, k):
-            eta = before = 0  # before: r_a summed over a < b
-            for rb in r:
-                eta += before * (rb + 1)
-                before += rb
-            terms[head + tuple([f[rb] for rb in r])] = _SIGNS[eta % 2]
-    for j in range(2, n + 1):
-        i = n + 1 - j
-        inner, head = (mu[j],), f[i][:1]
-        for s in range(i):
-            terms[head + (LEAF,) * s + inner + (LEAF,) * (i - 1 - s)] = (
-                _SIGNS[(n + s * (j + 1) + 1) % 2])
-    return terms
-
-
 def ass_arrow_minimal(max_arity: int) -> OperadPresentation:
     """Minimal resolution of the two-object associative category: two
     colors, an A-infinity structure on each, and sh-morphism generators
-    f_n of degree n-1 connecting them."""
+    f_n of degree n-1 connecting them, with d f_n the sum of all
+    nu_k(f_r1, ..., f_rk) over the compositions r of n into k >= 2 parts
+    minus that of all f_i o_{s+1} mu_j."""
     cv, cw = "v", "w"
     mu, nu = _corollas("mu", 2, max_arity), _corollas("nu", 2, max_arity)
     f = _corollas("f", 1, max_arity)
@@ -1121,10 +1027,15 @@ def ass_arrow_minimal(max_arity: int) -> OperadPresentation:
     for n in mu:
         gens.append(GeneratorSpec(mu[n][0], (cv,) * n, cv, n - 2, n - 2))
         gens.append(GeneratorSpec(nu[n][0], (cw,) * n, cw, n - 2, n - 2))
-    gens += [GeneratorSpec(c[0], (cv,) * n, cw, n - 1, n - 1, kind="mor")
+    gens += [GeneratorSpec(c[0], (cv,) * n, cw, n - 1, n - 1)
              for n, c in f.items()]
-    diff = {c[n][0]: _stasheff_terms(c, n) for n in mu for c in (mu, nu)}
-    diff.update((c[0], _morphism_terms(n, mu, nu, f)) for n, c in f.items())
+    one = Rational(1)
+    diff = {c[n][0]: _insertions(c, c, n, one)
+            for n in mu for c in (mu, nu)}
+    for n, c in f.items():
+        diff[c[0]] = {nu[k][:1] + tuple([f[rb] for rb in r]): one
+                      for k in range(2, n + 1) for r in _compositions(n, k)}
+        diff[c[0]].update(_insertions(f, mu, n, -one))
     return OperadPresentation("ass-arrow-minimal", (cv, cw), gens, diff)
 
 

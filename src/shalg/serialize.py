@@ -363,7 +363,17 @@ def action_from_data(data, path="$"):
 def load(path, digest=None):
     """The JSON data of a file, read once as bytes and decoded as UTF-8
     text (newlines translated, as a text-mode read does); the bytes are
-    fed to digest, a hash object, when one is given."""
+    fed to digest, a hash object, when one is given.  An object that
+    names one key twice, at any depth, is refused: json would keep the
+    last value and drop the first unseen."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     with open(path, "rb") as fh:
         raw = fh.read()
     if digest is not None:
@@ -374,7 +384,7 @@ def load(path, digest=None):
         raise ValueError(f"{path}: {exc}") from exc
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}, column "
                          f"{exc.colno}: {exc.msg}") from exc

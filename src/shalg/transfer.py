@@ -183,15 +183,15 @@ def normalize_side_conditions(s: SDRData) -> SDRData:
     f phi; then phi -> -phi d phi kills phi phi while preserving the
     others.  Both steps preserve (nabla, f) and the homotopy identity;
     everything is re-verified by the SDRData constructor and a final
-    assertion rather than trusted.
+    check rather than trusted.
     """
     proj = GradedMap.identity(s.big.space).add(
         s.nabla.compose(s.f), 1, -1)
     phi1 = proj.compose(s.phi).compose(proj)
     phi2 = phi1.compose(s.big.differential).compose(phi1).scale(-1)
     out = SDRData(s.big, s.small, s.nabla, s.f, phi2)
-    assert check_side_conditions(out)["ok"], \
-        "side-condition normalization failed"
+    if not check_side_conditions(out)["ok"]:
+        raise AssertionError("side-condition normalization failed")
     return out
 
 
@@ -242,7 +242,9 @@ def sdr_from_equivalence(e: HomotopyEquivalence) -> SDRData:
         parts = split_retract(big, small, alpha, alpha_inv)
         if parts is not None:
             out = SDRData(big.complex, small.complex, *parts)
-            assert check_side_conditions(out)["ok"]
+            if not check_side_conditions(out)["ok"]:
+                raise AssertionError("the rebuilt retract fails a side "
+                                     "condition")
             return out
     raise ValueError("acyclic parts of the two complexes are incomparable; "
                      "no strong deformation retract exists in either "

@@ -1261,6 +1261,25 @@ def test_malformed_structure_exits_2(tmp_path, capsys):
     assert captured.err == "error: $.complex: missing\n"
 
 
+@pytest.mark.parametrize("key, old, new", [
+    ("N", '{', '{"N": 9, '),
+    ("2", '"operations": {', '"operations": {"2": {}, ')],
+    ids=["top-level", "nested"])
+def test_duplicate_key_exits_2(key, old, new, tmp_path, capsys):
+    """json keeps the last of two equal keys; a file that names one key
+    twice, at the top or deeper, is refused, not read as the last."""
+    data = serialize.algebra_to_data(exterior_dga())
+    data["N"] = 4
+    text = json.dumps(data)
+    assert old in text
+    path = tmp_path / "duplicate.json"
+    path.write_text(text.replace(old, new, 1))
+    assert main(["verify", "ainf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: duplicate key {key!r}\n"
+
+
 def test_column_given_as_int_exits_2(tmp_path, capsys):
     data = serialize.algebra_to_data(exterior_dga())
     data["operations"]["2"]["blocks"]["0"][1] = 7

@@ -5,9 +5,9 @@ the dense adapters, importing the command line front end loads no module
 that only some commands need, operad commands load only the operad
 layer, no command that hashes its input files loads OpenSSL, no command
 loads argparse or fractions, only exactlin names tensor_maps_many, only
-operadcore names the builders of the bundled models, and every public
-function or class of shalg is run by shalg or the benchmark, or is
-listed as library API."""
+operadcore names the builders of the bundled models, no module of shalg
+has an assert statement, and every public function or class of shalg is
+run by shalg or the benchmark, or is listed as library API."""
 
 import ast
 import pathlib
@@ -211,7 +211,7 @@ LIBRARY_API = (
     ("elem_scale", "scalar multiples of operad elements"),
     ("graft", "operadic partial composition of elements"),
     ("derivation_extend", "the differential of a span of trees in the "
-                          "public basis"),
+                          "word basis"),
     ("rename_generators", "a presentation with its generators renamed, "
                           "for free products of copies"),
     ("normalize_side_conditions", "retract data whose homotopy meets "
@@ -231,6 +231,16 @@ def test_every_public_function_is_run_or_library_api():
              for p in sorted((SRC.parents[1] / "bench").glob("*.py"))]
     assert sorted(name for _, name in unreachable(sources, bench)) == sorted(
         name for name, _ in LIBRARY_API)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """python -O strips assert statements, so shalg checks its own
+    results by raising AssertionError explicitly."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)] == []
 
 
 def test_only_exactlin_names_tensor_maps_many():

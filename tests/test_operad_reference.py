@@ -7,9 +7,11 @@ the two-colored presentations with morphism generators
 (ass_arrow_minimal) and from riso; presentations derived by renaming
 and by free products check that no memo leaks between presentations.
 Presentations whose differential is rescaled by rationals exercise the
-integral shifted differential D = L·S·d·S with L > 1.  The free-product
-tree count that enumerated set partitions of leaf sets is the reference
-for the exponential-formula count.
+integral differential D = L·d with L > 1.  The edge-local orientation
+sign that converts the word basis to the paper's printed signs is kept
+here too (ref_basis_sign), for the tests that assert those signs.  The
+free-product tree count that enumerated set partitions of leaf sets is
+the reference for the exponential-formula count.
 """
 
 import itertools
@@ -30,7 +32,6 @@ from shalg.operadcore import (
     _leaf_record,
     ass_arrow_minimal,
     ass_minimal,
-    basis_sign,
     component_dims,
     d_squared_check,
     derivation_extend,
@@ -104,7 +105,18 @@ def ref_leaf_after_shifted(pres, u):
             for i, ev in enumerate(events) if ev is None]
 
 
-def ref_basis_sign(pres, t):
+def ref_basis_sign(pres, t, morphisms=()):
+    """The orientation sign of t that converts its word-basis coefficient
+    to the paper's unshifted basis and back: a product over the internal
+    edges, with the exponent of the edge from the root (arity i) to its
+    non-leaf child at slot s (from 0; subtree arity r, l leaves of the
+    earlier siblings) chosen by whether the child or the root is one of
+    the morphism generators named in morphisms:
+
+        operation under operation:  r + s(r+1)  (0 when r = 1)
+        operation under morphism:   i + (s+1)(r+1)
+        morphism under any:         r(1 + s + i + l)
+    """
     if t == LEAF:
         return 1
     parent = pres.gen(t[0])
@@ -114,23 +126,28 @@ def ref_basis_sign(pres, t):
     for slot, c in enumerate(t[1:]):
         if c != LEAF:
             r = ref_tree_arity(c)
-            child_kind = pres.gen(c[0]).kind
-            if child_kind == "mor":
+            if c[0] in morphisms:
                 exp += r * (1 + slot + parent.arity + leaves_before)
-            elif parent.kind == "mor":
+            elif t[0] in morphisms:
                 exp += parent.arity + (slot + 1) * (r + 1)
             elif r > 1:
                 exp += r + slot * (r + 1)
-            sign *= ref_basis_sign(pres, c)
+            sign *= ref_basis_sign(pres, c, morphisms)
         leaves_before += ref_tree_arity(c)
     return -sign if exp % 2 else sign
+
+
+def ref_paper(pres, x, morphisms=()):
+    """The element x with each coefficient times its tree's orientation
+    sign: the word basis converted to the paper's, and back."""
+    return {t: c * ref_basis_sign(pres, t, morphisms) for t, c in x.items()}
 
 
 class _Mismatch(Exception):
     pass
 
 
-def ref_substitute_shifted(pres, u, children):
+def ref_substitute(pres, u, children):
     if u == LEAF:
         return (1, children[0])
     after = ref_leaf_after_shifted(pres, u)
@@ -157,17 +174,6 @@ def ref_substitute_shifted(pres, u, children):
         return None
 
 
-def ref_substitute(pres, u, children):
-    r = ref_substitute_shifted(pres, u, children)
-    if r is None:
-        return None
-    sign, t = r
-    sign *= ref_basis_sign(pres, u) * ref_basis_sign(pres, t)
-    for c in children:
-        sign *= ref_basis_sign(pres, c)
-    return (sign, t)
-
-
 def ref_graft(pres, outer, position, inner):
     out = {}
     for ot, oc in outer.items():
@@ -179,28 +185,25 @@ def ref_graft(pres, outer, position, inner):
             if r is None:
                 continue
             s, t = r
-            if (ar + 1) * ref_tree_degree(pres, it_) % 2:
-                s = -s
             out[t] = out.get(t, Fraction(0)) + s * oc * ic
     return {t: c for t, c in out.items() if c}
 
 
-def ref_d_tree_shifted(pres, t):
+def ref_d_tree(pres, t):
     if t == LEAF:
         return {}
     children = t[1:]
     out = {}
     for u, cu in pres.d_image(t[0]).items():
-        r = ref_substitute_shifted(pres, u, list(children))
+        r = ref_substitute(pres, u, list(children))
         if r is None:
             continue
         s, tt = r
-        out[tt] = (out.get(tt, Fraction(0))
-                   + s * cu * ref_basis_sign(pres, u))
+        out[tt] = out.get(tt, Fraction(0)) + s * cu
     pre_deg = ref_shifted_degree(pres, t[0])
     for j, c in enumerate(children):
         sgn = -1 if pre_deg % 2 else 1
-        for u, cu in ref_d_tree_shifted(pres, c).items():
+        for u, cu in ref_d_tree(pres, c).items():
             nt = (t[0],) + children[:j] + (u,) + children[j + 1:]
             out[nt] = out.get(nt, Fraction(0)) + sgn * cu
         pre_deg += ref_tree_shifted_degree(pres, c)
@@ -210,10 +213,8 @@ def ref_d_tree_shifted(pres, t):
 def ref_derivation_extend(pres, x):
     out = {}
     for t, c in x.items():
-        st_ = ref_basis_sign(pres, t)
-        for u, cu in ref_d_tree_shifted(pres, t).items():
-            out[u] = (out.get(u, Fraction(0))
-                      + c * cu * st_ * ref_basis_sign(pres, u))
+        for u, cu in ref_d_tree(pres, t).items():
+            out[u] = out.get(u, Fraction(0)) + c * cu
     return {t: c for t, c in out.items() if c}
 
 
@@ -401,11 +402,11 @@ def ref_inserted(name, arity, slot, inner):
 
 
 def ref_arrow_differential(n):
-    """The stored differential of ass_arrow_minimal(n), generator by
-    generator, as its builder summed it before it kept a running sum:
-    d mu_m and d nu_m with the Stasheff signs, and d f_m with the sign
-    exponent eta = sum_{a<b} r_a (r_b + 1) summed pair by pair, each
-    term with corollas of its own."""
+    """The differential of ass_arrow_minimal(n) in the paper's basis,
+    generator by generator and in the builder's order: d mu_m and d nu_m
+    with the Stasheff signs, and d f_m with the sign exponent
+    eta = sum_{a<b} r_a (r_b + 1) summed pair by pair, each term with
+    corollas of its own."""
     def stasheff(p, m):
         return {ref_inserted(f"{p}{m + 1 - j}", m + 1 - j, s,
                              ref_corolla(f"{p}{j}", j)):
@@ -441,9 +442,15 @@ def arrow():
     return ass_arrow_minimal(4)
 
 
+def arrow_morphisms(pres):
+    """The morphism generators f_m of an ass_arrow_minimal presentation,
+    for ref_basis_sign."""
+    return {g for g in pres.generators if g.startswith("f")}
+
+
 def swapped_arrow():
     """ass_arrow_minimal(4) with mu3 and f3, and mu2 and nu2, swapping
-    names: the same tree tuple has another degree, kind and color."""
+    names: the same tree tuple has another degree and color."""
     return rename_generators(arrow(), {"mu3": "f3", "f3": "mu3",
                                        "mu2": "nu2", "nu2": "mu2"})
 
@@ -453,7 +460,7 @@ def shifted_ass():
     differential: the same names, other degrees."""
     return OperadPresentation(
         "ass-shifted", ("v",),
-        [GeneratorSpec(g.name, g.inputs, g.output, g.degree + 1, kind=g.kind)
+        [g._replace(degree=g.degree + 1)
          for g in ass_minimal(4).generators.values()])
 
 
@@ -464,9 +471,10 @@ def product():
 def deep():
     """ass_arrow_minimal(4) with a morphism generator w4 whose image
     holds trees of three vertices, so that D plugs a vertex's children
-    along leaf paths of depth 3; the image need not square to zero."""
+    along leaf paths of depth 3; the image, written in the paper's basis
+    and converted, need not square to zero."""
     base = arrow()
-    w4 = GeneratorSpec("w4", ("v",) * 4, "w", 3, kind="mor")
+    w4 = GeneratorSpec("w4", ("v",) * 4, "w", 3)
     mu2 = ("mu2", LEAF, LEAF)
     image = {("nu2", ("f2", mu2, LEAF), ("f1", LEAF)): Fraction(1),
              ("f1", ("mu3", LEAF, mu2, LEAF)): Fraction(-1),
@@ -474,9 +482,11 @@ def deep():
              ("f1", ("mu2", LEAF, ("mu3", LEAF, LEAF, LEAF))): Fraction(1, 3),
              ("f4",) + (LEAF,) * 4: Fraction(1)}
     assert all(ref_tree_arity(t) == 4 for t in image)
-    return OperadPresentation(
-        "deep", base.colors, [*base.generators.values(), w4],
-        {**base.differential, "w4": image})
+    gens = [*base.generators.values(), w4]
+    image = ref_paper(OperadPresentation("deep", base.colors, gens), image,
+                      {"w4", *arrow_morphisms(base)})
+    return OperadPresentation("deep", base.colors, gens,
+                              {**base.differential, "w4": image})
 
 
 def scaled(pres, factors):
@@ -541,13 +551,9 @@ rngs = st.randoms(use_true_random=False)
 
 
 def check_invariants(pres, t):
-    info = _info(pres, t)
-    assert (info.arity, info.vertices, info.degree, info.shifted_degree,
-            info.sign) == (ref_tree_arity(t), ref_tree_vertices(t),
-                           ref_tree_degree(pres, t),
-                           ref_tree_shifted_degree(pres, t),
-                           ref_basis_sign(pres, t))
-    assert basis_sign(pres, t) == info.sign
+    assert tuple(_info(pres, t)) == (ref_tree_arity(t), ref_tree_vertices(t),
+                                     ref_tree_degree(pres, t),
+                                     ref_tree_shifted_degree(pres, t))
     if t != LEAF:
         colors, after, paths = _leaf_record(pres, t)
         assert list(after) == ref_leaf_after_shifted(pres, t)
@@ -570,16 +576,31 @@ def negative_ass():
 
 
 def test_arrow_differential_matches_pairwise_signs():
-    """ass_arrow_minimal keeps a running sum for the sign of each term of
-    d f_n and one corolla per generator: for every order up to 10 it
-    stores the differential of the pairwise sum, term for term and in
-    the same order."""
+    """For every order up to 10, ass_arrow_minimal's differential
+    converted to the paper's basis is the pairwise-signed one, term for
+    term and in the same order."""
     for n in range(1, 11):
-        stored = ass_arrow_minimal(n).differential
+        pres = ass_arrow_minimal(n)
         ref = ref_arrow_differential(n)
-        assert list(stored) == list(ref)
+        assert list(pres.differential) == list(ref)
         for name, img in ref.items():
-            assert list(stored[name].items()) == list(img.items()), name
+            paper = ref_paper(pres, pres.d_image(name), arrow_morphisms(pres))
+            assert list(paper.items()) == list(img.items()), name
+
+
+def test_bundled_differentials_are_sign_free_in_the_word_basis():
+    """In the word basis d mu_n and d nu_n are the sums of their Stasheff
+    trees, every coefficient 1, and d f_n is the sum of its
+    nu_k(f_r1, ..., f_rk) trees minus the sum of its f_i o mu_j trees."""
+    for n in range(1, 11):
+        ref = ref_arrow_differential(n)
+        assert ass_arrow_minimal(n).differential == {
+            name: {t: -1 if t[0].startswith("f") else 1 for t in img}
+            for name, img in ref.items()}
+        assert ass_minimal(max(n, 2)).differential == {
+            name: dict.fromkeys(img, 1) for name, img in
+            ref_arrow_differential(max(n, 2)).items()
+            if name.startswith("mu")}
 
 
 @pytest.mark.parametrize("make", [

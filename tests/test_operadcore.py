@@ -45,13 +45,34 @@ from shalg.operadcore import (
     truncated_homology,
 )
 from test_operad_reference import (
+    ref_paper,
     ref_tree_arity,
     ref_tree_degree,
+    ref_tree_shifted_degree,
     ref_windowed_homology,
 )
 
 MU2 = ("mu2", LEAF, LEAF)
 MU3 = ("mu3", LEAF, LEAF, LEAF)
+
+
+def paper_graft(pres, outer, position, inner):
+    """graft in the paper's basis: the trees converted to the word basis,
+    an inner tree of degree q grafted into an outer tree of arity n with
+    the twist (-1)^((n+1)q), and the result converted back."""
+    out = {}
+    for ot, oc in ref_paper(pres, outer).items():
+        for it_, ic in ref_paper(pres, inner).items():
+            twist = (-1) ** ((ref_tree_arity(ot) + 1)
+                             * ref_tree_degree(pres, it_))
+            out = elem_add(out, graft(pres, {ot: oc}, position,
+                                      {it_: twist * ic}))
+    return ref_paper(pres, out)
+
+
+def paper_d(pres, x):
+    """The differential in the paper's basis."""
+    return ref_paper(pres, derivation_extend(pres, ref_paper(pres, x)))
 
 
 # ------------------------------------------------------------- plumbing
@@ -93,8 +114,11 @@ def test_graft_left_comb():
     p = ass_minimal(3)
     mu = {MU2: Fraction(1)}
     assert graft(p, mu, 1, mu) == {("mu2", MU2, LEAF): Fraction(1)}
-    # the right comb picks up the basis-orientation sign of its inner edge
-    assert graft(p, mu, 2, mu) == {("mu2", LEAF, MU2): Fraction(-1)}
+    assert graft(p, mu, 2, mu) == {("mu2", LEAF, MU2): Fraction(1)}
+    # in the paper's basis the right comb picks up the orientation sign
+    # of its inner edge
+    assert paper_graft(p, mu, 1, mu) == {("mu2", MU2, LEAF): Fraction(1)}
+    assert paper_graft(p, mu, 2, mu) == {("mu2", LEAF, MU2): Fraction(-1)}
 
 
 def test_graft_color_mismatch_is_zero():
@@ -104,8 +128,7 @@ def test_graft_color_mismatch_is_zero():
 
 
 def test_graft_combination_reproduces_stored_differential():
-    # d(mu3) expressed through grafts: mu o_1 mu + mu o_2 mu in this
-    # convention (the inner-edge orientation sign absorbs the printed -1)
+    # d(mu3) expressed through grafts: mu o_1 mu + mu o_2 mu
     p = ass_minimal(3)
     mu = {MU2: Fraction(1)}
     x = elem_add(graft(p, mu, 1, mu), graft(p, mu, 2, mu))
@@ -124,7 +147,7 @@ def test_substitute_unit_and_arity_errors():
 
 def test_d_image_mu3_matches_printed_signs():
     p = ass_minimal(4)
-    assert p.d_image("mu3") == {
+    assert ref_paper(p, p.d_image("mu3")) == {
         ("mu2", MU2, LEAF): Fraction(1),
         ("mu2", LEAF, MU2): Fraction(-1),
     }
@@ -195,10 +218,17 @@ def test_leibniz_rule_random_trees():
         it = random.choice(pools[random.choice(sorted(pools))])
         x = {ot: Fraction(1)}
         y = {it: Fraction(1)}
+        # the word basis: the sign of x's shifted degree
         lhs = derivation_extend(p, graft(p, x, pos, y))
-        sx = (-1) ** (ref_tree_degree(p, ot) % 2)
+        sx = (-1) ** (ref_tree_shifted_degree(p, ot) % 2)
         rhs = elem_add(graft(p, derivation_extend(p, x), pos, y),
                        graft(p, x, pos, derivation_extend(p, y)), 1, sx)
+        assert lhs == rhs
+        # the paper's basis: the sign of x's degree
+        lhs = paper_d(p, paper_graft(p, x, pos, y))
+        sx = (-1) ** (ref_tree_degree(p, ot) % 2)
+        rhs = elem_add(paper_graft(p, paper_d(p, x), pos, y),
+                       paper_graft(p, x, pos, paper_d(p, y)), 1, sx)
         assert lhs == rhs
 
 
@@ -222,8 +252,9 @@ def test_nested_graft_associativity_random_trees():
 
 
 def test_disjoint_graft_interchange_sign():
-    # In this basis convention grafts into disjoint slots interchange
-    # with the sign (-1)^(|y||z| + (arity(y)+1)(arity(z)+1)).
+    # Grafts into disjoint slots interchange with the Koszul sign
+    # (-1)^(|y|'|z|') of the shifted degrees; in the paper's basis with
+    # (-1)^(|y||z| + (arity(y)+1)(arity(z)+1)).
     random.seed(13)
     p = ass_minimal(6)
     pools = {a: enumerate_trees(p, a, "v", 3) for a in range(2, 5)}
@@ -233,14 +264,15 @@ def test_disjoint_graft_interchange_sign():
         i, j = sorted(random.sample(range(1, ao + 1), 2))
         yt = random.choice(pools[random.choice(sorted(pools))])
         zt = random.choice(pools[random.choice(sorted(pools))])
-        x = {ot: Fraction(1)}
-        a = graft(p, graft(p, x, i, {yt: Fraction(1)}),
-                  j - 1 + ref_tree_arity(yt), {zt: Fraction(1)})
-        b = graft(p, graft(p, x, j, {zt: Fraction(1)}), i,
-                  {yt: Fraction(1)})
-        exp = (ref_tree_degree(p, yt) * ref_tree_degree(p, zt)
-               + (ref_tree_arity(yt) + 1) * (ref_tree_arity(zt) + 1))
-        assert a == elem_scale(b, (-1) ** (exp % 2))
+        x, y, z = {ot: Fraction(1)}, {yt: Fraction(1)}, {zt: Fraction(1)}
+        for op, exp in (
+                (graft, ref_tree_shifted_degree(p, yt)
+                 * ref_tree_shifted_degree(p, zt)),
+                (paper_graft, ref_tree_degree(p, yt) * ref_tree_degree(p, zt)
+                 + (ref_tree_arity(yt) + 1) * (ref_tree_arity(zt) + 1))):
+            a = op(p, op(p, x, i, y), j - 1 + ref_tree_arity(yt), z)
+            b = op(p, op(p, x, j, z), i, y)
+            assert a == elem_scale(b, (-1) ** (exp % 2))
 
 
 # --------------------------------------------------- enumeration and dims
@@ -269,7 +301,7 @@ def test_free_product_name_clash_and_dims():
     assert set(fp.generators) == {"mu2", "mu3", "rho2", "rho3"}
     assert fp.d_image("rho3") == {
         ("rho2", ("rho2", LEAF, LEAF), LEAF): Fraction(1),
-        ("rho2", LEAF, ("rho2", LEAF, LEAF)): Fraction(-1)}
+        ("rho2", LEAF, ("rho2", LEAF, LEAF)): Fraction(1)}
 
 
 def test_tree_decomposition_tables_oracles():
