@@ -14,7 +14,6 @@ loads transfer.
 
 import json
 import os
-import re
 import sys
 import time
 from types import SimpleNamespace
@@ -408,9 +407,11 @@ def cmd_operad(args):
 
 # ------------------------------------------------------------------ parser
 #
-# The command line is read by hand from one table, with argparse's rules:
-# argparse, with the gettext and locale modules it loads, cost every
-# command about 8 ms of start-up, more than most commands' own work.
+# A plain command line, the form of every batch job, is read straight
+# from the command table: argparse, with the gettext and locale modules it
+# loads, costs about 8 ms of start-up, more than most commands' own work.
+# Every other line, -h and every error included, is read by argparse's
+# parser of the same table.
 
 DESCRIPTION = ("Exact verification and homotopy-invariance moves for "
                "strongly homotopy associative structures.")
@@ -435,7 +436,8 @@ _OPTIONS = (
     ("--arity", "arity", "N", _positive_int, None, None),
     ("--length", "length", "N", _positive_int, None,
      "word-length cap for truncated computations"),
-    ("--format", "format", None, ("text", "machine"), "text", None),
+    ("--format", "format", None, ("text", "machine"), "text",
+     "certificate format (default: text)"),
 )
 
 # One row per command: its help, the function that runs it, the dest of
@@ -474,9 +476,6 @@ COMMANDS = {
                 "write the certificate to this path")},
 }
 
-_HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
 
 def _options(name):
     """Option string -> (dest, metavar, values, default, help) for one
@@ -486,213 +485,100 @@ def _options(name):
             (*_OPTIONS, ("--out", dest, metavar, str, None, help_))}
 
 
-def _metavar(metavar, values):
-    return metavar or "{" + ",".join(values) + "}"
+def _read_plain(argv):
+    """The attributes of a plain command line, or None for any other.
+    A plain line is a command, then its choice and inputs as one run of
+    tokens that do not start with '-', with the options before or after
+    that run.  Each option is spelled in full, and its value is the next
+    token, which does not start with '-' and converts; every required
+    argument is given.  argparse reads such a line the same way."""
+    row = COMMANDS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    options = _options(argv[0])
+    args = {dest: default for dest, _, _, default, _ in options.values()}
+    run, closed, i = [], False, 1
+    while i < len(argv):
+        token = argv[i]
+        if token in options:
+            dest, _, values, _, _ = options[token]
+            value = argv[i + 1] if i + 1 < len(argv) else "-"
+            if value[:1] == "-":
+                return None
+            if isinstance(values, tuple):
+                if value not in values:
+                    return None
+            else:
+                try:
+                    value = values(value)
+                except ValueError:
+                    return None
+            args[dest] = value
+            closed, i = bool(run), i + 2
+        elif token[:1] == "-" or closed:
+            return None
+        else:
+            run.append(token)
+            i += 1
+    if (not run or run[0] not in row["files"] or len(run) <= row["least"]
+            or row["out"][2] and args[row["out"][0]] is None):
+        return None
+    return SimpleNamespace(cmd=argv[0], **{row["choice"]: run[0]},
+                           files=run[1:], **args, func=row["func"])
 
 
-def _usage(name):
-    if name is None:
-        return f"usage: shalg [-h] {_metavar(None, COMMANDS)} ..."
-    row = COMMANDS[name]
-    parts = ["[-h]"]
-    for option, (_, metavar, values, _, _) in _options(name).items():
-        part = f"{option} {_metavar(metavar, values)}"
-        parts.append(part if option == "--out" and row["out"][2]
-                     else f"[{part}]")
-    inputs = "INPUT [INPUT ...]" if row["least"] else "[INPUT ...]"
-    return (f"usage: shalg {name} {' '.join(parts)} "
-            f"{_metavar(None, row['files'])} {inputs}")
+def _argparse_parser():
+    """argparse's parser of the command table, which reads every line
+    that _read_plain does not: errors, -h, abbreviations, glued values,
+    '--', and options between positionals.  On an error it prints the
+    usage and exits with status 2; -h prints the help and exits with
+    status 0.  argparse is imported only here."""
+    import argparse
 
+    def checked(convert):
+        def read(text):  # argparse prints this error's message as it is
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(exc) from None
+        return read
 
-def _help(name):
-    """The -h text of the top level (name None) or of one command."""
-    text = [_usage(name), ""]
-    help_row = ("-h, --help", "show this help message and exit")
-    if name is None:
-        text.append(DESCRIPTION)
-        sections = [("commands",
-                     [(n, row["help"]) for n, row in COMMANDS.items()]),
-                    ("options", [help_row])]
-    else:
-        row = COMMANDS[name]
-        text.append(row["help"])
+    parser = argparse.ArgumentParser(prog="shalg", description=DESCRIPTION)
+    commands = parser.add_subparsers(dest="cmd", required=True)
+    for name, row in COMMANDS.items():
+        # raw text: the inputs each choice reads are not wrapped at a '-'
+        sub = commands.add_parser(
+            name, help=row["help"], description=row["help"],
+            formatter_class=argparse.RawTextHelpFormatter)
+        sub.add_argument(row["choice"], choices=tuple(row["files"]))
         counts = ", ".join(f"{c} {'1 or more' if k is None else k}"
                            for c, k in row["files"].items())
-        sections = [
-            ("arguments", [(_metavar(None, row["files"]), None),
-                           ("INPUT", f"inputs each reads: {counts}")]),
-            ("options", [help_row] + [
-                (f"{option} {_metavar(metavar, values)}",
-                 " ".join(filter(None, (help_, default and
-                                        f"(default: {default})"))))
-                for option, (_, metavar, values, default, help_)
-                in _options(name).items()])]
-    for title, rows in sections:
-        width = max(len(left) for left, _ in rows) + 2
-        text += ["", f"{title}:"] + [f"  {left:<{width}}{right or ''}".rstrip()
-                                     for left, right in rows]
-    return "\n".join(text) + "\n"
-
-
-def _fail(name, message):
-    """Print the usage and the error, and exit with status 2."""
-    prog = "shalg" if name is None else f"shalg {name}"
-    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _help_or_fail(name, option, value):
-    """-h or --help: print the help and exit with status 0.  A value
-    glued to it is an error, except more h's (-hh is -h twice)."""
-    if value is not None:
-        glued = value.lstrip("h") if option == "-h" else value
-        if glued or not value:
-            _fail(name, f"argument -h/--help: ignored explicit argument "
-                        f"{glued!r}")
-    sys.stdout.write(_help(name))
-    raise SystemExit(0)
-
-
-def _convert(name, what, values, text):
-    if isinstance(values, tuple):
-        if text in values:
-            return text
-        _fail(name, f"argument {what}: invalid choice: {text!r} (choose "
-                    f"from {', '.join(map(repr, values))})")
-    try:
-        return values(text)
-    except ValueError as exc:
-        _fail(name, f"argument {what}: {exc}")
-
-
-def _read_option(token, options, name):
-    """How argparse reads one token against the option strings `options`:
-    None for a positional, (None, None) for an unknown option, else the
-    option and the value glued to it by '=' (or to a short option), or
-    None.  An ambiguous prefix is an error."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in options:
-        return token, None
-    head, eq, value = token.partition("=")
-    if eq and head in options:
-        return head, value
-    if token[1] == "-":
-        matches = [o for o in options if o.startswith(head)]
-        if len(matches) > 1:
-            _fail(name, f"ambiguous option: {token} could match "
-                        f"{', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    elif token[:2] in options:
-        return token[:2], token[2:]
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _without_end(run):
-    """The tokens of a run of positionals, less the first '--' (argparse
-    drops it from each argument's tokens)."""
-    tokens = [token for token, _ in run]
-    if "--" in tokens:
-        tokens.remove("--")
-    return tokens
-
-
-def _parse_command(name, tokens):
-    """The attributes one command's tokens give, and the tokens left
-    unrecognized.  Each token reads as a positional (None), an option (a
-    tuple), or the '--' after which every token is a positional (False).
-    As in argparse, each run of positionals between options is matched
-    greedily against the positionals still waiting, the choice and then
-    the inputs; a run that no positional takes is left over."""
-    row = COMMANDS[name]
-    options = _options(name)
-    items = []
-    for at, token in enumerate(tokens):
-        if token == "--":
-            items += [(token, False)] + [(t, None) for t in tokens[at + 1:]]
-            break
-        items.append((token, _read_option(token, (*_HELP, *options), name)))
-    choice, least = row["choice"], row["least"]
-    args = {"cmd": name, choice: None, "files": None}
-    args.update((dest, default) for dest, _, _, default, _
-                in options.values())
-    waiting, extras, i = [choice, "files"], [], 0
-    while i < len(items):
-        token, read = items[i]
-        i += 1
-        if read:
-            option, value = read
-            if option is None:
-                extras.append(token)
-                continue
-            if option in _HELP:
-                _help_or_fail(name, option, value)
-            if value is None:
-                if i == len(items) or items[i][1] is not None:
-                    _fail(name, f"argument {option}: expected one argument")
-                value = items[i][0]
-                i += 1
-            dest, _, values, _, _ = options[option]
-            args[dest] = _convert(name, option, values, value)
-            continue
-        j = i
-        while j < len(items) and not items[j][1]:
-            j += 1
-        run, i = items[i - 1:j], j
-        given = sum(read is None for _, read in run)
-        k = 0
-        if waiting[:1] == [choice] and given:
-            # the choice takes the first positional and a '--' after it
-            k = 1 + next(p for p, (_, read) in enumerate(run) if read is None)
-            k += k < len(run) and run[k][1] is False
-            args[choice] = _convert(name, choice, tuple(row["files"]),
-                                    *_without_end(run[:k]))
-            waiting.pop(0)
-            given -= 1
-        if waiting == ["files"] and given >= least:
-            args["files"], waiting, k = _without_end(run[k:]), [], len(run)
-        extras += [token for token, _ in run[k:]]
-    dest, _, required, _ = row["out"]
-    missing = waiting + ["--out"] * (required and args[dest] is None)
-    if missing:
-        _fail(name, f"the following arguments are required: "
-                    f"{', '.join(missing)}")
-    return args, extras
+        sub.add_argument("files", nargs="+" if row["least"] else "*",
+                         metavar="INPUT", help=f"inputs each reads: {counts}")
+        for option, (dest, metavar, values, default, help_) in \
+                _options(name).items():
+            kind = ({"choices": values} if isinstance(values, tuple)
+                    else {"type": checked(values)})
+            sub.add_argument(option, dest=dest, metavar=metavar,
+                             default=default, help=help_,
+                             required=option == "--out" and row["out"][2],
+                             **kind)
+        sub.set_defaults(func=row["func"])
+    return parser
 
 
 class Parser:
     """The command line of COMMANDS, read by argparse's rules: options
     as `--opt value` or `--opt=value`, before, between or after the
     positionals, the last one given winning; unambiguous prefixes of long
-    options; negative numbers read as values; `--` ends the options.  On
-    an error it prints the usage and exits with status 2; -h prints the
-    help and exits with status 0."""
+    options; negative numbers read as values; `--` ends the options."""
 
     def parse_args(self, argv=None):
         """The attributes of argv (sys.argv[1:] when None): cmd, the
         command's choice, files, bound_n, arity, length, format, cert_out
         (out for move) and func, the function that runs the command."""
         argv = sys.argv[1:] if argv is None else list(argv)
-        extras = []
-        for i, token in enumerate(argv):
-            read = None if token == "--" else _read_option(token, _HELP, None)
-            if read is None:
-                break
-            if read[0] is None:
-                extras.append(token)
-            else:
-                _help_or_fail(None, *read)
-        else:
-            _fail(None, "the following arguments are required: cmd")
-        name = _convert(None, "cmd", tuple(COMMANDS), argv[i])
-        args, unknown = _parse_command(name, argv[i + 1:])
-        if extras or unknown:
-            _fail(name, "unrecognized arguments: "
-                        + " ".join(extras + unknown))
-        return SimpleNamespace(**args, func=COMMANDS[name]["func"])
+        return _read_plain(argv) or _argparse_parser().parse_args(argv)
 
 
 def build_parser():

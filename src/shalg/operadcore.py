@@ -70,13 +70,14 @@ class OperadPresentation:
     symmetric-group representation, so reported component dimensions
     carry a factor of arity!.
 
-    The stored differential is interned (see _intern): its vertex names
-    are the generators' own name objects and equal subtrees are one
-    object.  The invariants of every tree the operad layer meets under
-    this presentation (arity, length, degrees), the terms of each
-    generator's D image with their leaf records (equal paths, color and
-    degree tuples shared), the images of its subtrees under D and the
-    tree enumerations are memoized on the instance and freed with it.
+    The stored differential is kept as given; the truncated models'
+    builders plug one corolla per generator into every term (see
+    _corollas), so their equal subtrees are one object.  The invariants
+    of every tree the operad layer meets under this presentation
+    (arity, length, degrees), the terms of each generator's D image with
+    their leaf records (equal paths, color and degree tuples shared), the
+    images of its subtrees under D and the tree enumerations are
+    memoized on the instance and freed with it.
     """
 
     def __init__(self, name, colors, generators: Sequence[GeneratorSpec],
@@ -93,15 +94,11 @@ class OperadPresentation:
             if g.arity < 1:
                 raise ValueError("generators must have arity >= 1")
             self.generators[g.name] = g
-        shared = {LEAF: LEAF}  # stored tree -> itself; see _intern
         self.differential = {}
         for k, v in dict(differential).items():
-            g = self.generators.get(k)
-            if g is None:
+            if k not in self.generators:
                 raise ValueError(f"differential on unknown generator {k}")
-            self.differential[g.name] = {
-                _intern(t, self.generators, shared): Rational(c)
-                for t, c in dict(v).items()}
+            self.differential[k] = {t: Rational(c) for t, c in dict(v).items()}
         # L, the lcm of the coefficient denominators: the kernels run on
         # the integral copy D = L·d (see _d_gen_terms)
         self._d_scale = math.lcm(1, *(c.denominator
@@ -127,23 +124,6 @@ class OperadPresentation:
 
 
 # ------------------------------------------------------------------ trees
-
-
-def _intern(t, gens, shared):
-    """Tree t with each vertex named by its generator's own name object
-    (gens maps names to GeneratorSpecs) and each subtree the one object
-    that shared (value -> itself) holds for its value.  Children are
-    interned before their parent, so a repeated subtree is found by one
-    lookup, without a walk."""
-    if t == LEAF:
-        return LEAF
-    kids = tuple(map(shared.get, t[1:]))
-    if None in kids:
-        kids = tuple([u or _intern(c, gens, shared)
-                      for c, u in zip(t[1:], kids)])
-    g = gens.get(t[0])
-    t = (t[0] if g is None else g.name,) + kids
-    return shared.setdefault(t, t)
 
 
 class _TreeInfo(NamedTuple):
@@ -368,25 +348,27 @@ def _d_gen_terms(pres, name) -> list:
     """The terms of D on a generator, as (tree u, coefficient, colors,
     after, paths): the stored image scaled by L, as ints, and the leaf
     record of u, what plugging a vertex's children into u reads; listed
-    once per generator and memoized on pres.  A u whose own edges
-    disagree in color is left out; the unit tree's record is None three
-    times, since it takes its one child as it is."""
+    once per generator and memoized on pres.  The unit tree's record is
+    None three times, since it takes its one child as it is.  A u that is
+    not of the generator's type (its own edges, leaf colors or output
+    color disagree) raises ValueError."""
     terms = pres._d_terms.get(name)
     if terms is None:
-        arity, scale = pres.gen(name).arity, pres._d_scale
+        g, scale = pres.gen(name), pres._d_scale
         terms = []
         for u, c in pres.d_image(name).items():
-            cu = c.numerator * (scale // c.denominator)
             if u == LEAF:
-                if arity != 1:
-                    raise ValueError("unit tree takes exactly one child")
-                terms.append((u, cu, None, None, None))
-                continue
-            if _info(pres, u).arity != arity:
-                raise ValueError("child count does not match arity")
-            leaves = _leaf_record(pres, u)
-            if leaves is not None:
-                terms.append((u, cu) + leaves)
+                leaves = None, None, None
+                ok = tuple(g.inputs) == (g.output,)
+            else:
+                leaves = _leaf_record(pres, u)
+                ok = (leaves is not None and leaves[0] == tuple(g.inputs)
+                      and pres.gen(u[0]).output == g.output)
+            if not ok:
+                raise ValueError(f"d({name}) holds {u!r}, which is not of "
+                                 f"the type of {name}")
+            terms.append((u, c.numerator * (scale // c.denominator))
+                         + leaves)
         pres._d_terms[name] = terms
     return terms
 

@@ -116,13 +116,18 @@ def test_parse_error_has_position(tmp_path):
 def test_parse_error_counts_lines_as_text_mode_does(newline, tmp_path):
     """The file is read as bytes, and its newlines are translated as a
     text-mode read translates them, so every newline style gives one
-    position."""
+    position: the one json reports on the LF text, whose message differs
+    between Python releases."""
+    text = '{"dims":\n {"0": 2,}'
+    with pytest.raises(json.JSONDecodeError) as lf:
+        json.loads(text)
     path = tmp_path / "bad.json"
-    path.write_bytes(f'{{"dims":{newline} {{"0": 2,}}'.encode("utf-8"))
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
     with pytest.raises(ValueError) as exc:
         serialize.load(str(path))
-    assert str(exc.value) == (f"{path}: line 2, column 10: Expecting "
-                              "property name enclosed in double quotes")
+    assert lf.value.lineno == 2
+    assert str(exc.value) == (f"{path}: line 2, column {lf.value.colno}: "
+                              f"{lf.value.msg}")
 
 
 def test_undecodable_file_is_named(tmp_path, capsys):

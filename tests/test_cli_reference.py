@@ -1,11 +1,14 @@
 """The command line parser against the argparse parser it replaced.
 
-shalg.cli reads its command line by hand from one command table, since
-importing argparse cost every command more start-up than most commands'
-own work.  The argparse parser is kept here as the reference: on every
-argv drawn from a grammar of commands, choices, inputs and options in
-every form, both must give the same attributes, or both must exit with
-the same status.
+shalg.cli reads a plain command line straight from its command table,
+since importing argparse costs every command more start-up than most
+commands' own work, and every other line with argparse's parser of the
+same table.  The hand-built argparse parser is kept here as the
+reference: on every argv drawn from a grammar of commands, choices,
+inputs and options in every form, both must give the same attributes,
+or both must exit with the same status.  Wherever the plain reader reads
+a line, it must read it as argparse does, and every job line of the
+benchmark must be plain.
 """
 
 import argparse
@@ -15,7 +18,16 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shalg.cli import build_parser, cmd_move, cmd_operad, cmd_verify
+from shalg.cli import (
+    COMMANDS,
+    _argparse_parser,
+    _read_plain,
+    build_parser,
+    cmd_move,
+    cmd_operad,
+    cmd_verify,
+)
+from test_oracle import corpus
 
 
 def _positive_int(text):
@@ -139,9 +151,89 @@ def test_parser_matches_argparse(argv):
         outcome(ref_build_parser(), argv)[0]
 
 
+# tokens a one-token mutation of a plain line puts in or swaps in
+MUTANTS = ("-h", "-hx", "--", "-", "--form", "--format=machine", "--bo",
+           "--arity", "--out", "--bogus", "-3", "0", "7", "x", "", "a b",
+           "machine", "ainf", "m4", "d2", "verify")
+
+
+@st.composite
+def plain_argvs(draw):
+    """A plain line: a command, its choice and at least as many inputs
+    as it needs as one run, and 0-3 options, each spelled in full with a
+    value it takes, before or after the run (--out always for move)."""
+    cmd = draw(st.sampled_from(sorted(CHOICES)))
+    least = COMMANDS[cmd]["least"]
+    run = [draw(st.sampled_from(CHOICES[cmd]))] + draw(st.lists(
+        st.sampled_from(("a.json", "b", "x", "7", "", "a b")),
+        min_size=least, max_size=3))
+    options = draw(st.lists(st.sampled_from(OPTIONS), max_size=3))
+    options += ["--out"] * (cmd == "move")
+    before, after = [], []
+    for option in options:
+        value = draw(st.sampled_from(
+            {"--format": ("text", "machine"),
+             "--out": ("p", "out/m1", "a b", "")}.get(option,
+                                                      ("1", "7", "12"))))
+        (before if draw(st.booleans()) else after).extend([option, value])
+    return [cmd] + before + run + after
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_argvs(), st.data())
+def test_plain_reader_reads_as_argparse(argv, data):
+    """A plain line is read without argparse, and so is each line a
+    one-token edit (swap, insert or delete) leaves plain; wherever the
+    plain reader gives attributes, argparse's parser of the command
+    table gives the same."""
+    assert _read_plain(argv) is not None
+    edit = data.draw(st.sampled_from(("none", "swap", "insert", "delete")))
+    if edit != "none":
+        at = data.draw(st.integers(0, len(argv) - (edit != "insert")))
+        token = [data.draw(st.sampled_from(MUTANTS + tuple(argv)))]
+        argv = argv[:at] + token * (edit != "delete") + argv[
+            at + (edit != "insert"):]
+    plain = _read_plain(argv)
+    if plain is not None:
+        assert outcome(_argparse_parser(), argv) == (("ok", vars(plain)), "")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["verify"], ["verify", "ainf"],
+    ["verify", "bogus", "f"], ["verify", "--format", "text"],
+    ["verify", "ainf", "f", "--format"],
+    ["verify", "ainf", "f", "--format", "-3"],
+    ["verify", "ainf", "f", "--form", "text"],
+    ["verify", "ainf", "f", "--arity", "0"],
+    ["verify", "ainf", "f", "--format", "x"],
+    ["verify", "ainf", "f", "-"], ["verify", "ainf", "f", "--"],
+    ["move", "m1", "a", "b"], ["move", "m1", "a", "b", "--out", "-p"],
+    ["operad", "d2", "x", "--arity", "3", "y"],
+    ["operad", "kunneth", "--arity", "3", "x"],
+], ids=" ".join)
+def test_lines_that_are_not_plain(argv):
+    """An error, a -h, a short or abbreviated option, a value that does
+    not convert or starts with '-', a missing argument, or positionals
+    split by an option: the line is left to argparse."""
+    assert _read_plain(argv) is None
+
+
+def test_benchmark_job_lines_are_plain():
+    """Every job line the benchmark spawns is read from the command
+    table, without argparse, as argparse reads it."""
+    lines = [[*argv, "--format", "machine"]
+             for jobs in corpus.JOBS.values() for _, argv, _, _ in jobs]
+    assert len(lines) == 20
+    for argv in lines:
+        plain = _read_plain(argv)
+        assert plain is not None, argv
+        assert outcome(_argparse_parser(), argv) == (("ok", vars(plain)), "")
+
+
 @pytest.mark.parametrize("argv", [
     [], ["bogus"], ["--", "verify", "ainf", "f"], ["-h"], ["--he"],
-    ["-hh"], ["--help=x"], ["-h="], ["--bogus", "verify", "ainf"],
+    ["-hh"], ["-hx"], ["--help=x"], ["-h="], ["--bogus", "verify", "ainf"],
+    ["verify", "-hx"],
     ["verify"], ["verify", "ainf"], ["verify", "bogus", "f"],
     ["verify", "ainf", "f", "g"],
     ["verify", "--format", "text", "ainf", "f"],
@@ -172,9 +264,9 @@ def test_parser_matches_argparse(argv):
     ["operad", "--", "d2", "a", "b"],
 ], ids=" ".join)
 def test_parser_matches_argparse_on_edge_cases(argv):
-    """These cases read the same under the argparse of Python 3.10 to
-    3.13.0.  -hx is left out: argparse 3.13 reads it as -h, while earlier
-    releases and this parser reject it."""
+    """These cases read the same under every argparse: shalg hands them
+    to argparse's parser of its command table (argparse 3.13 reads -hx
+    as -h, earlier releases reject it)."""
     assert outcome(build_parser(), argv)[0] == \
         outcome(ref_build_parser(), argv)[0]
 

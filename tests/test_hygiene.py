@@ -3,11 +3,12 @@ or of its tests imports is used in that module, no module imports
 another's underscore names, no function works on dense matrices except
 the dense adapters, importing the command line front end loads no module
 that only some commands need, operad commands load only the operad
-layer, no command that hashes its input files loads OpenSSL, no command
-loads argparse or fractions, only exactlin names tensor_maps_many, only
-operadcore names the builders of the bundled models, no module of shalg
-has an assert statement, and every public function or class of shalg is
-run by shalg or the benchmark, or is listed as library API."""
+layer, no command that hashes its input files loads OpenSSL, a plain
+command line loads no argparse, no command loads fractions, only
+exactlin names tensor_maps_many, only operadcore names the builders of
+the bundled models, no module of shalg has an assert statement, and
+every public function or class of shalg is run by shalg or the
+benchmark, or is listed as library API."""
 
 import ast
 import pathlib
@@ -284,10 +285,10 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     """Every command pays for what `import shalg.cli` loads.  dataclasses
     (which loads inspect) is not needed at all, hashlib is never loaded
     (see test_hashing_commands_leave_openssl_unloaded), argparse, with
-    the gettext and locale it loads, is not used (see
-    test_commands_leave_argparse_unloaded), and tempfile and shutil only
-    by commands that write a file, which import them then; fractions,
-    with the decimal and numbers it loads, is not used (see
+    the gettext and locale it loads, reads only a line that is not plain
+    (see test_commands_leave_argparse_unloaded), and tempfile and shutil
+    only by commands that write a file, which import them then;
+    fractions, with the decimal and numbers it loads, is not used (see
     test_commands_leave_fractions_unloaded)."""
     heavy = ("dataclasses", "inspect", "hashlib", "_hashlib", "tempfile",
              "argparse", "gettext", "locale", "shutil") + NUMERIC
@@ -332,9 +333,9 @@ def test_hashing_commands_leave_openssl_unloaded(command, tmp_path):
     ["operad", "d2", "ass-minimal", "--arity", "4"],
 ], ids=lambda c: "-".join(c[:2]))
 def test_commands_leave_argparse_unloaded(command, tmp_path):
-    """The command line is read from shalg.cli's command table: argparse,
-    with the gettext and locale it loads, cost every command about 8 ms
-    of start-up."""
+    """A plain command line loads no argparse: it is read straight from
+    shalg.cli's command table, since argparse, with the gettext and
+    locale it loads, costs every command about 8 ms of start-up."""
     assert _main_loads(("argparse", "gettext", "locale"), command,
                        tmp_path) == "[]"
 

@@ -1,6 +1,7 @@
 """Tests for the free colored operad layer."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,35 @@ def test_d_squared_detects_sign_sabotage():
     assert not res["ok"]
     assert any(f["generator"] == "mu5" and "witness" in f
                for f in res["failures"])
+
+
+def _mistyped(case):
+    """A presentation whose stored d(name) holds a tree of another type:
+    an edge whose ends disagree in color, or a well-colored tree with
+    the wrong input and output colors (g: b -> a in d(f), f: a -> b)."""
+    if case == "edge":
+        gens = [GeneratorSpec("x", ("v", "v"), "v", 0),
+                GeneratorSpec("y", ("v",), "w", 0),
+                GeneratorSpec("z", ("v", "v"), "v", 1)]
+        return "z", OperadPresentation(
+            "bad", ("v", "w"), gens, {"z": {("x", ("y", LEAF), LEAF): 1}})
+    r = riso()
+    return "f", OperadPresentation("bad", r.colors, r.generators.values(),
+                                   {"f": {r.corolla("g"): 1}})
+
+
+@pytest.mark.parametrize("case", ["edge", "colors"])
+def test_mistyped_stored_term_raises(case):
+    """D refuses a stored term that is not of its generator's type,
+    naming both, rather than dropping it: d² would pass on a d that the
+    presentation does not define."""
+    name, p = _mistyped(case)
+    tree = next(iter(p.d_image(name)))
+    message = f"d({name}) holds {tree!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        d_squared_check(p, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        derivation_extend(p, {p.corolla(name): 1})
 
 
 @pytest.mark.parametrize("tj, reason, names", [
@@ -484,14 +514,6 @@ def _subtrees(t):
             yield from _subtrees(c)
 
 
-def _unshared(t):
-    """A tree equal to t that shares none of its tuples, and none of its
-    names longer than one character, with t."""
-    if t == LEAF:
-        return t
-    return (t[0][:1] + t[0][1:],) + tuple(_unshared(c) for c in t[1:])
-
-
 def _one_object_per_value(values):
     """Whether equal values among `values` are one object: counted by
     distinct ids, which holds on every Python version."""
@@ -506,22 +528,19 @@ SHARING_MODELS = {
     "ass-minimal-7": lambda: ass_minimal(7),
     "ass-arrow-minimal-3": lambda: ass_arrow_minimal(3),
     "ass-arrow-minimal-6": lambda: ass_arrow_minimal(6),
-    "riso": riso,
     "ass-minimal-3*free-binary": lambda: free_product(ass_minimal(3),
                                                       free_binary()),
-    "renamed": lambda: rename_generators(
-        ass_arrow_minimal(4), {"mu2": "m2", "f1": "g1", "nu3": "n3"}),
 }
 
 
 @pytest.mark.parametrize("model", sorted(SHARING_MODELS))
 def test_presentation_interns_its_stored_trees(model):
-    """Each vertex of a stored tree is named by its generator's own name
-    object, equal subtrees are one object, and so are equal color and
-    degree tuples and equal paths of the leaf records D's terms keep
-    (their tuples of paths are nearly all distinct and not shared).  A
-    presentation given equal but unshared trees stores the same
-    differential."""
+    """In the truncated models and their free product, each vertex of a
+    stored tree is named by its generator's own name object and equal
+    subtrees are one object, since the builders plug one corolla per
+    generator into every term; equal color and degree tuples and equal
+    paths of the leaf records D's terms keep are one object too (their
+    tuples of paths are nearly all distinct and not shared)."""
     pres = SHARING_MODELS[model]()
     trees = [t for img in pres.differential.values() for t in img]
     subtrees = [s for t in trees if t != LEAF for s in _subtrees(t)]
@@ -534,16 +553,6 @@ def test_presentation_interns_its_stored_trees(model):
                in operadcore._d_gen_terms(pres, name)
                if colors is not None for x in (colors, after, *paths)]
     assert _one_object_per_value(records)
-    fresh = OperadPresentation(
-        pres.name, pres.colors, list(pres.generators.values()),
-        {k: {_unshared(t): c for t, c in img.items()}
-         for k, img in pres.differential.items()})
-    assert list(fresh.differential) == list(pres.differential)
-    for k, img in pres.differential.items():
-        assert list(fresh.differential[k].items()) == list(img.items())
-    for t in fresh.differential.values():
-        for s in (s for u in t if u != LEAF for s in _subtrees(u)):
-            assert s[0] is fresh.gen(s[0]).name
 
 
 @pytest.mark.parametrize("name", ["ass-minimal", "ass-arrow-minimal"])
