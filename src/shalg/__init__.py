@@ -6,6 +6,7 @@ Subpackages:
   ainfty     - A-infinity algebras and sh morphisms, coherence checkers
   transfer   - SDR data, side conditions, homotopy-invariance moves
   serialize  - JSON file formats
+  jsontext   - JSON text as json writes and reads it, without importing json
   cli        - batch command line front end
 """
 

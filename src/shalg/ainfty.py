@@ -18,7 +18,7 @@ module holds unsuspended maps only.
 from __future__ import annotations
 
 import functools
-from typing import Mapping, Optional
+from collections.abc import Mapping
 
 from .exactlin import ChainComplex, GradedMap, tensor_power
 from .operadcore import builtin_presentation, generator_residual, partition_sum
@@ -70,7 +70,7 @@ class AInfinityMorphism:
     are not zero but undefined."""
 
     def __init__(self, source: AInfinityAlgebra, target: AInfinityAlgebra,
-                 f: Mapping[int, GradedMap], N: Optional[int] = None):
+                 f: Mapping[int, GradedMap], N: int | None = None):
         self.source = source
         self.target = target
         top = min(source.N, target.N)

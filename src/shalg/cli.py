@@ -6,19 +6,19 @@ pass/fail status, an exact-residual flag, and a first-failure witness.
 Exit status is nonzero exactly when some check fails.
 
 Importing this module loads the operad layer (operadcore, and exactlin
-under it) and nothing else of shalg: serialize, ainfty and transfer are
-imported by the functions that run them, so an operad command that
-reads no file never loads them, and verify ainf|morphism|action never
-loads transfer.
+under it) and jsontext, and nothing else of shalg: serialize, ainfty
+and transfer are imported by the functions that run them, so an operad
+command that reads no file never loads them, and verify
+ainf|morphism|action never loads transfer.
 """
 
-import json
 import os
 import sys
 import time
 from types import SimpleNamespace
 
 from .exactlin import GradedMap
+from .jsontext import dumps
 from .operadcore import (
     ISO_NORMAL_FORMS,
     OperadPresentation,
@@ -114,7 +114,7 @@ class Certificate:
         for c in self.checks:
             line = f"[{c['status'].upper()}] {c['name']}"
             if c.get("witness") is not None:
-                line += f"  witness={json.dumps(c['witness'], sort_keys=True)}"
+                line += f"  witness={dumps(c['witness'])}"
             lines.append(line)
         lines.append(f"{'OK' if self.ok else 'FAILED'}: "
                      f"{sum(c['status'] == 'pass' for c in self.checks)} "
@@ -126,7 +126,7 @@ class Certificate:
 
 def _emit(cert: Certificate, args) -> int:
     if args.format == "machine":
-        text = json.dumps(cert.to_data(), indent=1, sort_keys=True) + "\n"
+        text = dumps(cert.to_data(), indent=1) + "\n"
     else:
         text = cert.render_text() + "\n"
     out = getattr(args, "cert_out", None)
@@ -228,9 +228,10 @@ def _map_field(data, key, source, target):
 def _run_move(cert, hypothesis, move, *args, **kwargs):
     """Run a move and record the hypothesis it checks: passed, returning
     the result, or failed with the move's ValueError as witness (None).
-    A Taylor coefficient that no map solves, because the input
-    structures are not coherent, fails the check extension-solvable
-    after the passed hypothesis, with the arity as witness (None)."""
+    A Taylor coefficient that no map solves, given the ones chosen below
+    it, fails the check extension-solvable after the passed hypothesis,
+    with the arity as witness (None): incoherent inputs fail it, and so
+    can coherent ones."""
     from .transfer import InconsistentSolve
     try:
         out = move(*args, **kwargs)
@@ -409,7 +410,8 @@ def cmd_operad(args):
 #
 # A plain command line, the form of every batch job, is read straight
 # from the command table: argparse, with the gettext and locale modules it
-# loads, costs about 8 ms of start-up, more than most commands' own work.
+# loads, costs about 4 ms of start-up (10 ms under python -S, where it also
+# loads re), more than most commands' own work.
 # Every other line, -h and every error included, is read by argparse's
 # parser of the same table.
 

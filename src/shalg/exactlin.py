@@ -25,7 +25,6 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from types import MappingProxyType
-from typing import Optional
 
 
 # ------------------------------------------------------------- rationals
@@ -991,7 +990,7 @@ class HomologyData:
         self.pivots = pivots
 
 
-def graded_inverse(m: GradedMap) -> Optional[GradedMap]:
+def graded_inverse(m: GradedMap) -> GradedMap | None:
     """Inverse of m, or None unless m has degree 0, its source and
     target have equal dimensions in every degree, and every block is
     invertible.  Each block is inverted by one elimination: its T."""

@@ -33,7 +33,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Mapping, NamedTuple, Optional, Sequence
+from collections.abc import Mapping, Sequence
+from operator import itemgetter
 
 from .exactlin import (
     ChainComplex,
@@ -51,12 +52,41 @@ LEAF = "*"
 Element = dict  # tree -> Rational
 
 
-class GeneratorSpec(NamedTuple):
-    name: str
-    inputs: tuple
-    output: str
-    degree: int
-    tj: Optional[int] = None
+class Record(tuple):
+    """A tuple whose items are also read by name, the part of
+    collections.namedtuple that shalg uses without the source code that
+    namedtuple generates and compiles for each class at import.  A
+    subclass lists its field names in _fields and builds itself in
+    __new__ from the fields in that order, with any defaults."""
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        for i, field in enumerate(cls._fields):
+            setattr(cls, field, property(itemgetter(i)))
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        record = type(self)(*map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record
+
+    def __getnewargs__(self):  # so that copy and pickle call __new__ right
+        return tuple(self)
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+
+class GeneratorSpec(Record):
+    __slots__ = ()
+    _fields = ("name", "inputs", "output", "degree", "tj")
+
+    def __new__(cls, name, inputs, output, degree, tj=None):
+        return tuple.__new__(cls, (name, inputs, output, degree, tj))
 
     @property
     def arity(self) -> int:
@@ -126,12 +156,14 @@ class OperadPresentation:
 # ------------------------------------------------------------------ trees
 
 
-class _TreeInfo(NamedTuple):
-    """Invariants of one tree under one presentation."""
-    arity: int
-    vertices: int
-    degree: int
-    shifted_degree: int  # in the arity-shifted grading
+class _TreeInfo(Record):
+    """Invariants of one tree under one presentation, the last in the
+    arity-shifted grading."""
+    __slots__ = ()
+    _fields = ("arity", "vertices", "degree", "shifted_degree")
+
+    def __new__(cls, arity, vertices, degree, shifted_degree):
+        return tuple.__new__(cls, (arity, vertices, degree, shifted_degree))
 
 
 _LEAF_INFO = _TreeInfo(1, 0, 0, 0)
@@ -152,11 +184,11 @@ def _new_info(pres: OperadPresentation, t) -> _TreeInfo:
         raise ValueError(f"unknown generator {t[0]}")
     arity = vertices = degree = shifted = 0
     for c in t[1:]:
-        k = _info(pres, c)
-        arity += k.arity
-        vertices += k.vertices
-        degree += k.degree
-        shifted += k.shifted_degree
+        a, v, d, s = _info(pres, c)
+        arity += a
+        vertices += v
+        degree += d
+        shifted += s
     return _TreeInfo(arity, 1 + vertices, g.degree + degree,
                      g.degree + 1 - g.arity + shifted)
 
@@ -1093,7 +1125,7 @@ def builtin_presentation(name: str, max_arity=None) -> OperadPresentation:
 # -------------------------------------------- the groupoid normal forms
 
 
-def iso_normal_form(word: tuple) -> Optional[tuple]:
+def iso_normal_form(word: tuple) -> tuple | None:
     """Reduce a composable word in f, g (root first) in the quotient where
     fg and gf are identities.  Words containing any other generator map
     to None (zero).  Returns the reduced tuple of letters."""

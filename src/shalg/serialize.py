@@ -14,7 +14,6 @@ and ASCII decimal digits with no leading zero, so "01", "+1", "-0",
 table name the same integer.
 """
 
-import json
 import os
 
 from .exactlin import (
@@ -26,6 +25,7 @@ from .exactlin import (
     tensor_spaces,
 )
 from .ainfty import AInfinityAlgebra, AInfinityMorphism
+from .jsontext import dumps, loads
 from .operadcore import builtin_presentation
 
 
@@ -384,8 +384,11 @@ def load(path, digest=None):
         raise ValueError(f"{path}: {exc}") from exc
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+        return loads(text, unique_keys)
+    except ValueError as exc:
+        from json import JSONDecodeError  # on this error path only
+        if not isinstance(exc, JSONDecodeError):
+            raise
         raise ValueError(f"{path}: line {exc.lineno}, column "
                          f"{exc.colno}: {exc.msg}") from exc
 
@@ -406,7 +409,7 @@ def dump(path, data, *more):
     try:
         for path, data in ((path, data), *more):
             if not isinstance(data, str):
-                data = json.dumps(data, indent=1, sort_keys=True) + "\n"
+                data = dumps(data, indent=1) + "\n"
             fd, tmp = tempfile.mkstemp(
                 dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
             staged.append((tmp, path))

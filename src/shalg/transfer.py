@@ -26,16 +26,17 @@ inclusion at the leaves, and the projection at the root.  This module
 holds unsuspended maps only: the recursion's sums of two-level trees
 are operadcore.partition_sum's, and SDRs are assembled from homology
 splittings by exactlin.split_retract.  The perturbation-style moves
-solve for one Taylor coefficient at a time by exact linear algebra.
-The relevant homotopy invariance theorems guarantee the systems are
-consistent when the input structures are coherent; an inconsistent
-solve means they are not, and raises InconsistentSolve naming the
-arity.
+solve for one Taylor coefficient at a time by exact linear algebra and
+keep whichever solution the solver returns.  An inconsistent solve
+raises InconsistentSolve naming the arity.  It does not show that an
+input is incoherent: when Hom(V^(x)n, W) has homology in the degree of
+f_n, an earlier choice can leave a later obstruction nonzero on
+coherent inputs too.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Sequence
+from collections.abc import Mapping, Sequence
 
 from .exactlin import (
     ChainComplex,
@@ -48,7 +49,12 @@ from .exactlin import (
     split_retract,
     tensor_power,
 )
-from .operadcore import builtin_presentation, generator_residual, partition_sum
+from .operadcore import (
+    Record,
+    builtin_presentation,
+    generator_residual,
+    partition_sum,
+)
 from .ainfty import (
     AInfinityAlgebra,
     AInfinityMorphism,
@@ -100,13 +106,14 @@ def _require(a: ChainComplex, b: ChainComplex,
 # ------------------------------------------------------------------- SDRs
 
 
-class RetractParts(NamedTuple):
+class RetractParts(Record):
     """Retract data as read, with the retract identities unchecked."""
-    big: ChainComplex
-    small: ChainComplex
-    nabla: GradedMap
-    f: GradedMap
-    phi: GradedMap
+    __slots__ = ()
+    _fields = ("big", "small", "nabla", "f", "phi")
+
+    def __new__(cls, big: ChainComplex, small: ChainComplex,
+                nabla: GradedMap, f: GradedMap, phi: GradedMap):
+        return tuple.__new__(cls, (big, small, nabla, f, phi))
 
 
 def _retract_maps(s: RetractParts | SDRData) -> dict:
@@ -264,11 +271,14 @@ def sdr_onto_homology(c: ChainComplex) -> SDRData:
 # ------------------------------------------------- resolution zero-extension
 
 
-class ZeroExtension(NamedTuple):
+class ZeroExtension(Record):
     """riso's action on colors a = small and b = big, by generator."""
-    small: ChainComplex
-    big: ChainComplex
-    assignment: dict
+    __slots__ = ()
+    _fields = ("small", "big", "assignment")
+
+    def __new__(cls, small: ChainComplex, big: ChainComplex,
+                assignment: dict):
+        return tuple.__new__(cls, (small, big, assignment))
 
 
 def riso_zero_extension(s: SDRData | RetractParts) -> dict:
@@ -312,7 +322,7 @@ def _transfer(a: AInfinityAlgebra, target: ChainComplex, root: GradedMap,
     return out, AInfinityMorphism(out, a, f_out, N)
 
 
-def _order(N: Optional[int], x) -> int:
+def _order(N: int | None, x) -> int:
     """The truncation order of a move's output: N capped at the order of
     its input x, or x's order when N is None."""
     return x.N if N is None else min(N, x.N)
@@ -321,7 +331,7 @@ def _order(N: Optional[int], x) -> int:
 NOT_ON_BIG_COMPLEX = "structure does not live on the big complex"
 
 
-def transfer_M1(a: AInfinityAlgebra, s: SDRData, N: Optional[int] = None):
+def transfer_M1(a: AInfinityAlgebra, s: SDRData, N: int | None = None):
     """Transfer a structure on the big complex of an SDR onto the small
     one.  Returns the transferred structure and a coherent morphism from
     it back to the input whose underlying map is nabla.  Requires the
@@ -336,7 +346,7 @@ def transfer_M1(a: AInfinityAlgebra, s: SDRData, N: Optional[int] = None):
 
 
 def transfer_S(a: AInfinityAlgebra, target: ChainComplex, f: GradedMap,
-               g: GradedMap, h: GradedMap, N: Optional[int] = None):
+               g: GradedMap, h: GradedMap, N: int | None = None):
     """One-sided transfer: f: V -> W admits g with g f - 1 = [h, d] on
     V, and no witness on W is required.  Same tree summation as the SDR
     transfer with h as the only homotopy; the morphism returned has
@@ -351,8 +361,9 @@ def transfer_S(a: AInfinityAlgebra, target: ChainComplex, f: GradedMap,
 
 class InconsistentSolve(RuntimeError):
     """No Taylor coefficient solves the coherence identity in arity
-    stage.  Homotopy invariance guarantees a solution when the source
-    and target structures are coherent, so one of them is not."""
+    stage, given the coefficients already chosen below it.  Incoherent
+    inputs raise it, but so can coherent ones, since the greedy solve
+    never revises an earlier choice."""
 
     def __init__(self, stage: int):
         super().__init__(f"inconsistent solve at stage {stage}")
@@ -379,7 +390,7 @@ def _extend_morphism(source: AInfinityAlgebra, target: AInfinityAlgebra,
 
 
 def perturb_M2(m: AInfinityMorphism, g: GradedMap, h: GradedMap,
-               N: Optional[int] = None) -> AInfinityMorphism:
+               N: int | None = None) -> AInfinityMorphism:
     """Morphism with the homotopic chain map g as its underlying map.
 
     h must witness g - underlying(m) = [h, d].  The higher coefficients
@@ -397,7 +408,7 @@ def perturb_M2(m: AInfinityMorphism, g: GradedMap, h: GradedMap,
 
 
 def invert_M3(m: AInfinityMorphism, g: GradedMap, h: GradedMap,
-              l: GradedMap, N: Optional[int] = None) -> AInfinityMorphism:
+              l: GradedMap, N: int | None = None) -> AInfinityMorphism:
     """Morphism in the opposite direction whose underlying map is the
     given chain homotopy inverse of underlying(m)."""
     N = _order(N, m)
@@ -407,9 +418,9 @@ def invert_M3(m: AInfinityMorphism, g: GradedMap, h: GradedMap,
 
 
 def chain_M4(morphisms: Sequence[AInfinityMorphism],
-             g: Optional[GradedMap] = None,
-             h: Optional[GradedMap] = None,
-             N: Optional[int] = None) -> AInfinityMorphism:
+             g: GradedMap | None = None,
+             h: GradedMap | None = None,
+             N: int | None = None) -> AInfinityMorphism:
     """Compose a chain of morphisms and optionally perturb the result
     onto a map homotopic to the composite underlying map; the result is
     truncated at N either way."""

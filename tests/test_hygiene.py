@@ -4,7 +4,8 @@ another's underscore names, no function works on dense matrices except
 the dense adapters, importing the command line front end loads no module
 that only some commands need, operad commands load only the operad
 layer, no command that hashes its input files loads OpenSSL, a plain
-command line loads no argparse, no command loads fractions, only
+command line loads no argparse, no command loads fractions, json or
+typing, no module of shalg imports json or typing when imported, only
 exactlin names tensor_maps_many, only operadcore names the builders of
 the bundled models, no module of shalg has an assert statement, and
 every public function or class of shalg is run by shalg or the
@@ -289,9 +290,12 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     (see test_commands_leave_argparse_unloaded), and tempfile and shutil
     only by commands that write a file, which import them then;
     fractions, with the decimal and numbers it loads, is not used (see
-    test_commands_leave_fractions_unloaded)."""
+    test_commands_leave_fractions_unloaded), and neither are json, typing
+    and the re that both load (see
+    test_commands_leave_json_and_typing_unloaded)."""
     heavy = ("dataclasses", "inspect", "hashlib", "_hashlib", "tempfile",
-             "argparse", "gettext", "locale", "shutil") + NUMERIC
+             "argparse", "gettext", "locale", "shutil") + NUMERIC + (
+        "json", "json.decoder", "json.encoder", "typing", "re")
     assert _modules_loaded(
         heavy, "shalg.cli.build_parser().parse_args("
                "['operad', 'd2', 'ass-minimal', '--arity', '3'])") == "[]"
@@ -335,7 +339,8 @@ def test_hashing_commands_leave_openssl_unloaded(command, tmp_path):
 def test_commands_leave_argparse_unloaded(command, tmp_path):
     """A plain command line loads no argparse: it is read straight from
     shalg.cli's command table, since argparse, with the gettext and
-    locale it loads, costs every command about 8 ms of start-up."""
+    locale it loads, costs every command about 4 ms of start-up (10 ms
+    under python -S, where it also loads re)."""
     assert _main_loads(("argparse", "gettext", "locale"), command,
                        tmp_path) == "[]"
 
@@ -352,6 +357,72 @@ def test_commands_leave_fractions_unloaded(command, tmp_path):
     RSS and 3.5 ms of start-up."""
     assert _main_loads(NUMERIC, command, tmp_path) == "[]"
     assert '"1/2"' in (tmp_path / "half.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command, heavy", [
+    (["verify", "ainf", "{dga}"], ("json", "typing", "re")),
+    (["operad", "d2", "ass-minimal", "--arity", "4", "--format", "machine"],
+     ("json", "typing", "re")),
+    (["operad", "riso-extend", "{sdr}"], ("json", "typing", "re")),
+    # tempfile loads re through shutil
+    (["move", "m1", "{dga}", "{sdr}", "--out", "{out}"], ("json", "typing")),
+], ids=["verify-ainf", "operad-d2", "operad-riso-extend", "move-m1"])
+def test_commands_leave_json_and_typing_unloaded(command, heavy, tmp_path):
+    """Files and certificates are read and written by shalg.jsontext,
+    which runs json's C functions without importing json: json, with
+    the regular expressions it compiles, cost every process about 3 ms
+    of start-up, and typing, which only annotations named, more."""
+    assert _main_loads(heavy, command, tmp_path) == "[]"
+
+
+def import_time_imports(source: str) -> list:
+    """(line, module) of each absolute import that runs when the module
+    is imported: every one outside a function body and outside an
+    `except ImportError` handler, which runs only on an interpreter
+    that lacks the module its try block imports."""
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if (isinstance(child, ast.ExceptHandler)
+                    and getattr(child.type, "id", None) in (
+                        "ImportError", "ModuleNotFoundError")):
+                continue
+            if isinstance(child, ast.Import):
+                out.extend((child.lineno, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                out.append((child.lineno, child.module))
+            visit(child)
+
+    visit(ast.parse(source))
+    return out
+
+
+def test_detects_import_time_imports():
+    source = ("import json.decoder\n"
+              "from typing import Optional\n"
+              "from . import exactlin\n"
+              "try:\n    from _json import make_scanner\n"
+              "except ImportError:\n    import json\n"
+              "if True:\n    import typing as t\n"
+              "class A:\n    import re\n"
+              "def f():\n    import json\n")
+    assert import_time_imports(source) == [
+        (1, "json.decoder"), (2, "typing"), (5, "_json"), (9, "typing"),
+        (11, "re")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_json_or_typing_when_imported(path):
+    """json is imported only to re-parse a malformed document, and
+    typing not at all: annotations are deferred and name
+    collections.abc, and records are tuples, not typing.NamedTuple."""
+    assert [(line, module) for line, module
+            in import_time_imports(path.read_text(encoding="utf-8"))
+            if module.split(".")[0] in ("json", "typing")] == []
 
 
 # The layers above operadcore: files, structures and moves.

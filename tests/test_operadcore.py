@@ -89,6 +89,24 @@ def test_presentation_validation():
             GeneratorSpec("m", ("a",), "a", 0)])  # duplicate
 
 
+def test_generator_spec_is_a_record():
+    """A Record reads as the tuple of its fields, by index and by name,
+    and copies, pickles and prints as namedtuple's did."""
+    import copy
+    import pickle
+    g = GeneratorSpec("m", ("a", "a"), "a", 0)
+    assert tuple(g) == ("m", ("a", "a"), "a", 0, None)
+    assert (g.name, g.inputs, g.output, g.degree, g.tj, g.arity) == (
+        "m", ("a", "a"), "a", 0, None, 2)
+    assert g._replace(tj=1) == ("m", ("a", "a"), "a", 0, 1)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        g._replace(arity=3)
+    for copied in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(copied) is GeneratorSpec and copied == g
+    assert repr(g) == ("GeneratorSpec(name='m', inputs=('a', 'a'), "
+                       "output='a', degree=0, tj=None)")
+
+
 def test_tree_helpers():
     t = ("mu2", MU2, LEAF)
     assert tree_word(t) == ["mu2", "mu2"]

@@ -14,6 +14,7 @@ from shalg.exactlin import (
     homology_with_splitting,
     kernel_basis,
     make_matrix,
+    tensor_basis_tuples,
     tensor_power,
 )
 from shalg.ainfty import (
@@ -704,6 +705,47 @@ def test_chain_m4_three_random_with_perturbation():
         hom_differential(h, [m1.source.complex], c.complex), 1, 1)
     out = chain_M4([m1, m2], gmap, h)
     assert underlying(out) == gmap
+    assert check_all_Fn(out)["ok"]
+
+
+def minimal_with_mu3():
+    """The Baseline reproduction of ROADMAP item 1: V has x in degree 0
+    and y in degree 1, d = 0, and the associative product x.x = x,
+    x.y = y, all others 0; move S along f = g = 1 with h(x) = y gives a
+    morphism m: b -> a with f_1 = 1 and f_2 != 0, where b has mu_3 != 0.
+    Hom(V^(x)n, V) has homology in the degrees of the f_n, so an early
+    Taylor coefficient can leave a later obstruction class nonzero."""
+    sp = GradedVectorSpace({0: 1, 1: 1})
+    cx = ChainComplex(sp, GradedMap.zero(sp, sp, -1))
+    products = {((0, 0), (0, 0)): 1, ((0, 0), (1, 0)): 1}  # x = (0, 0)
+    mu2 = GradedMap(tensor_power(sp, 2), sp, 0, {
+        k: [[products.get(t, 0) for t in tuples]]
+        for k, tuples in tensor_basis_tuples([sp, sp]).items() if k < 2})
+    a = AInfinityAlgebra(cx, {2: mu2}, 4)
+    one = GradedMap.identity(sp)
+    h = GradedMap(sp, sp, 1, {0: [[1]]})  # x -> y
+    b, m = transfer_S(a, cx, one, one, h)
+    assert check_all_An(a)["ok"] and check_all_An(b)["ok"]
+    assert check_all_Fn(m)["ok"]
+    assert underlying(m) == one and not m.f(2).is_zero()
+    assert not b.mu(3).is_zero()
+    return m, one, h
+
+
+@pytest.mark.xfail(strict=True, raises=transfer.InconsistentSolve,
+                   reason="ROADMAP item 1: the greedy solve of each "
+                          "Taylor coefficient fails coherent inputs")
+@pytest.mark.parametrize("move", ["m2", "m3", "m4"])
+def test_moves_keep_a_coherent_input_with_homology_coherent(move):
+    m, one, h = minimal_with_mu3()
+    zero = GradedMap.zero(m.source.space, m.target.space, 1)
+    if move == "m2":
+        out = perturb_M2(m, one, h.scale(5))
+    elif move == "m3":
+        out = invert_M3(m, one, zero, zero)
+    else:
+        out = chain_M4([m], one, h.scale(5))
+    assert underlying(out) == one
     assert check_all_Fn(out)["ok"]
 
 
