@@ -3,7 +3,10 @@
 Loads structures from files, runs verifications and moves, and emits
 certificates: a machine-readable record of every identity checked, with
 pass/fail status, an exact-residual flag, and a first-failure witness.
-Exit status is nonzero exactly when some check fails.
+Exit status is 1 when a named check fails and 2, with a message and no
+certificate, when an input or a bound is unusable: every input is read
+and built before any check runs, and a refusal raises ValueError or
+OSError up to main.
 
 Importing this module loads the operad layer (operadcore, and exactlin
 under it) and jsontext, and nothing else of shalg: serialize, ainfty
@@ -82,7 +85,7 @@ class Certificate:
         # imported here: commands that read no file load none of it
         from . import serialize
         digest = _sha256_constructor()()
-        data = serialize.load(_resolve(path), digest)
+        data = serialize.load(path, digest)
         self.inputs[path] = digest.hexdigest()
         return data
 
@@ -135,12 +138,6 @@ def _emit(cert: Certificate, args) -> int:
         dump(out, text)
     sys.stdout.write(text)
     return 0 if cert.ok else 1
-
-
-def _resolve(path):
-    if os.path.exists(path):
-        return path
-    raise FileNotFoundError(path)
 
 
 # ----------------------------------------------------------------- verify
@@ -219,10 +216,19 @@ def _write_outputs(cert, args, outputs):
     dump(*first, *rest)
 
 
+# The degree of each map a move file gives: chain maps f and g,
+# homotopies h and l.
+MOVE_MAP_DEGREES = {"f": 0, "g": 0, "h": 1, "l": 1}
+
+
 def _map_field(data, key, source, target):
     from . import serialize
-    return serialize.map_from_data(serialize.field(data, key), source,
-                                   target, f"$.{key}")
+    m = serialize.map_from_data(serialize.field(data, key), source, target,
+                                f"$.{key}")
+    if m.degree != MOVE_MAP_DEGREES[key]:
+        raise ValueError(f"$.{key}.degree: expected {MOVE_MAP_DEGREES[key]}, "
+                         f"got {m.degree}")
+    return m
 
 
 def _run_move(cert, hypothesis, move, *args, **kwargs):
@@ -247,67 +253,66 @@ def _run_move(cert, hypothesis, move, *args, **kwargs):
 
 
 def cmd_move(args):
+    """Build every input, then run the move: its hypotheses are named
+    checks, recorded by _run_move (m1 checks its two itself)."""
     from . import serialize
     from .ainfty import underlying
     from .transfer import (NOT_ON_BIG_COMPLEX, chain_M4, check_side_conditions,
                            invert_M3, perturb_M2, transfer_M1, transfer_S)
     N = args.bound_n or DEFAULT_BOUND_N
+    if N < 2 and args.move in ("m1", "s"):
+        raise ValueError(f"--bound-n {N} transfers no operation (operations "
+                         f"start at arity 2)")
     cert = Certificate(["move", args.move, *args.files], {"N": N})
     datas = [cert.load(p) for p in args.files]
     outputs, out, pair = [], None, None
-    try:
-        if args.move == "m1":
-            a = serialize.algebra_from_data(datas[0])
-            s = serialize.sdr_from_data(datas[1])
-            same = s.big == a.complex
-            cert.add("hypothesis-retract-data", same,
-                     witness=None if same else NOT_ON_BIG_COMPLEX)
-            flags = check_side_conditions(s)
-            cert.add("hypothesis-side-conditions", flags["ok"])
-            if same and flags["ok"]:
-                pair = transfer_M1(a, s, N=N)
-        elif args.move in ("m2", "m3"):
-            m = serialize.morphism_from_data(datas[0])
-            V, W = m.source, m.target
-            if args.move == "m2":
-                g = _map_field(datas[1], "g", V.space, W.space)
-                h = _map_field(datas[1], "h", V.space, W.space)
-                out = _run_move(cert, "hypothesis-homotopy-between-chain-maps",
-                                perturb_M2, m, g, h, N=N)
-            else:
-                g = _map_field(datas[1], "g", W.space, V.space)
-                h = _map_field(datas[1], "h", V.space, V.space)
-                ell = _map_field(datas[1], "l", W.space, W.space)
-                out = _run_move(cert, "hypothesis-homotopy-equivalence",
-                                invert_M3, m, g, h, ell, N=N)
-            if out is not None:
-                cert.add("output-underlying-map", underlying(out) == g)
-        elif args.move == "m4":
-            ms = [serialize.morphism_from_data(d) for d in datas]
-            out = _run_move(cert, "hypothesis-composable-chain", chain_M4, ms,
-                            N=N)
-        elif args.move == "s":
-            a = serialize.algebra_from_data(datas[0])
-            w = serialize.complex_from_data(
-                serialize.field(datas[1], "target"), "$.target")
-            f = _map_field(datas[1], "f", a.space, w.space)
-            g = _map_field(datas[1], "g", w.space, a.space)
-            h = _map_field(datas[1], "h", a.space, a.space)
-            pair = _run_move(cert, "hypothesis-one-sided-retraction",
-                             transfer_S, a, w, f, g, h, N=N)
+    if args.move == "m1":
+        a = serialize.algebra_from_data(datas[0])
+        s = serialize.sdr_from_data(datas[1])
+        same = s.big == a.complex
+        cert.add("hypothesis-retract-data", same,
+                 witness=None if same else NOT_ON_BIG_COMPLEX)
+        flags = check_side_conditions(s)
+        cert.add("hypothesis-side-conditions", flags["ok"])
+        if same and flags["ok"]:
+            pair = transfer_M1(a, s, N=N)
+    elif args.move in ("m2", "m3"):
+        m = serialize.morphism_from_data(datas[0])
+        V, W = m.source, m.target
+        if args.move == "m2":
+            g = _map_field(datas[1], "g", V.space, W.space)
+            h = _map_field(datas[1], "h", V.space, W.space)
+            out = _run_move(cert, "hypothesis-homotopy-between-chain-maps",
+                            perturb_M2, m, g, h, N=N)
         else:
-            raise ValueError(args.move)
-        if pair is not None:  # a transferred structure and its morphism
-            wa, out = pair
-            _verify_identities(cert, wa, "output-")
-            outputs = [serialize.algebra_to_data(wa)]
+            g = _map_field(datas[1], "g", W.space, V.space)
+            h = _map_field(datas[1], "h", V.space, V.space)
+            ell = _map_field(datas[1], "l", W.space, W.space)
+            out = _run_move(cert, "hypothesis-homotopy-equivalence",
+                            invert_M3, m, g, h, ell, N=N)
         if out is not None:
-            _verify_identities(cert, out, "output-")
-            outputs.append(serialize.morphism_to_data(out))
-    except serialize.InputError:
-        raise
-    except ValueError as exc:
-        cert.add("hypotheses", False, witness=str(exc))
+            cert.add("output-underlying-map", underlying(out) == g)
+    elif args.move == "m4":
+        ms = [serialize.morphism_from_data(d) for d in datas]
+        out = _run_move(cert, "hypothesis-composable-chain", chain_M4, ms, N=N)
+    elif args.move == "s":
+        a = serialize.algebra_from_data(datas[0])
+        w = serialize.complex_from_data(
+            serialize.field(datas[1], "target"), "$.target")
+        f = _map_field(datas[1], "f", a.space, w.space)
+        g = _map_field(datas[1], "g", w.space, a.space)
+        h = _map_field(datas[1], "h", a.space, a.space)
+        pair = _run_move(cert, "hypothesis-one-sided-retraction",
+                         transfer_S, a, w, f, g, h, N=N)
+    else:
+        raise ValueError(args.move)
+    if pair is not None:  # a transferred structure and its morphism
+        wa, out = pair
+        _verify_identities(cert, wa, "output-")
+        outputs = [serialize.algebra_to_data(wa)]
+    if out is not None:
+        _verify_identities(cert, out, "output-")
+        outputs.append(serialize.morphism_to_data(out))
     _write_outputs(cert, args, outputs)
     return _emit(cert, args)
 
@@ -638,9 +643,14 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:
         message = exc
-    except OSError as exc:  # a missing input raises with the bare path
+    except OSError as exc:
         message = (exc if exc.filename is None
                    else f"{exc.filename}: {exc.strerror}")
+    except MemoryError:
+        row = COMMANDS[args.cmd]
+        bounds = row["reads"][getattr(args, row["choice"])]
+        message = "out of memory" + (f"; lower {' or '.join(bounds)}"
+                                     if bounds else "")
     sys.stderr.write(f"error: {message}\n")
     return 2
 

@@ -64,11 +64,6 @@ def parse_fraction(v):
 # ------------------------------------------------------------ validation
 
 
-class InputError(ValueError):
-    """Malformed input data: a missing field, or a field of the wrong
-    type or shape.  The message starts with the field's JSON path."""
-
-
 _REQUIRED = object()
 _KINDS = {dict: "an object", list: "a list", str: "a string"}
 
@@ -81,15 +76,15 @@ def field(data, key, path="$", kind=None, default=_REQUIRED):
     """data[key], checked to be an instance of kind (dict, list or str)
     when given; a missing key is an error unless a default is given."""
     if not isinstance(data, dict):
-        raise InputError(f"{path}: expected an object, got "
+        raise ValueError(f"{path}: expected an object, got "
                          f"{_type_name(data)}")
     if key not in data:
         if default is _REQUIRED:
-            raise InputError(f"{path}.{key}: missing")
+            raise ValueError(f"{path}.{key}: missing")
         return default
     value = data[key]
     if kind is not None and not isinstance(value, kind):
-        raise InputError(f"{path}.{key}: expected {_KINDS[kind]}, got "
+        raise ValueError(f"{path}.{key}: expected {_KINDS[kind]}, got "
                          f"{_type_name(value)}")
     return value
 
@@ -112,16 +107,16 @@ def parse_int(value, path):
         else:
             if str(n) == value:
                 return n
-    raise InputError(f"{path}: expected an integer, got {value!r}")
+    raise ValueError(f"{path}: expected an integer, got {value!r}")
 
 
 def _rational(value, path):
     try:
         return parse_fraction(value)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     except ZeroDivisionError:
-        raise InputError(f"{path}: zero denominator in {value!r}") from None
+        raise ValueError(f"{path}: zero denominator in {value!r}") from None
 
 
 def _label(value, path):
@@ -129,7 +124,7 @@ def _label(value, path):
     if isinstance(value, list):
         return tuple(_label(x, f"{path}[{i}]") for i, x in enumerate(value))
     if isinstance(value, dict):
-        raise InputError(f"{path}: a label cannot be an object")
+        raise ValueError(f"{path}: a label cannot be an object")
     return value
 
 
@@ -151,10 +146,10 @@ def _blocks_to_data(m: GradedMap) -> dict:
 
 def _check_list(value, n, what, path):
     if not isinstance(value, list):
-        raise InputError(f"{path}: expected a list of {n} {what}, got "
+        raise ValueError(f"{path}: expected a list of {n} {what}, got "
                          f"{_type_name(value)}")
     if len(value) != n:
-        raise InputError(f"{path}: expected {n} {what}, got {len(value)}")
+        raise ValueError(f"{path}: expected {n} {what}, got {len(value)}")
 
 
 def _blocks_from_data(blocks, source, target, degree, path) -> dict:
@@ -240,7 +235,7 @@ def _arities(data, key, lo, N, path):
     for n_str, md in field(data, key, path, dict, {}).items():
         n = parse_int(n_str, f"{path}.{key}")
         if not lo <= n <= N:
-            raise InputError(f"{path}.{key}.{n_str}: arity outside "
+            raise ValueError(f"{path}.{key}.{n_str}: arity outside "
                              f"{lo}..{N}")
         out.append((n, md, f"{path}.{key}.{n_str}"))
     return out
@@ -249,7 +244,7 @@ def _arities(data, key, lo, N, path):
 def algebra_from_data(data, path="$") -> AInfinityAlgebra:
     N = parse_int(field(data, "N", path), f"{path}.N")
     if N < 2:
-        raise InputError(f"{path}.N: must be at least 2, got {N}")
+        raise ValueError(f"{path}.N: must be at least 2, got {N}")
     c = _nested(complex_from_data, data, "complex", path)
     ops = {n: map_from_data(md, tensor_power(c.space, n), c.space, p)
            for n, md, p in _arities(data, "operations", 2, N, path)}
@@ -269,11 +264,11 @@ def morphism_to_data(m: AInfinityMorphism) -> dict:
 def morphism_from_data(data, path="$") -> AInfinityMorphism:
     N = parse_int(field(data, "N", path), f"{path}.N")
     if N < 1:
-        raise InputError(f"{path}.N: must be at least 1, got {N}")
+        raise ValueError(f"{path}.N: must be at least 1, got {N}")
     src = _nested(algebra_from_data, data, "source", path)
     tgt = _nested(algebra_from_data, data, "target", path)
     if N > min(src.N, tgt.N):
-        raise InputError(f"{path}.N: {N} exceeds the algebras' orders (at "
+        raise ValueError(f"{path}.N: {N} exceeds the algebras' orders (at "
                          f"most {min(src.N, tgt.N)})")
     comps = {n: map_from_data(md, tensor_power(src.space, n), tgt.space, p)
              for n, md, p in _arities(data, "components", 1, N, path)}
@@ -312,11 +307,11 @@ def sdr_from_data(data, path="$"):
 
 
 def _known(table, names, path, what):
-    """Raise InputError at the first key of table that names lacks, a
+    """Raise ValueError at the first key of table that names lacks, a
     key that is no `what` (a color or generator of the presentation)."""
     for key in table:
         if key not in names:
-            raise InputError(f"{path}.{key}: no {what}")
+            raise ValueError(f"{path}.{key}: no {what}")
 
 
 def action_from_data(data, path="$"):
@@ -328,13 +323,13 @@ def action_from_data(data, path="$"):
     truncation = parse_int(field(data, "truncation", path, default=1),
                            f"{path}.truncation")
     if truncation < 1:
-        raise InputError(
+        raise ValueError(
             f"{path}.truncation: must be at least 1, got {truncation}")
     name = field(data, "presentation", path, str)
     try:
         pres = builtin_presentation(name, truncation)
     except ValueError as exc:  # no bundled model has that name
-        raise InputError(f"{path}.presentation: {exc}") from None
+        raise ValueError(f"{path}.presentation: {exc}") from None
     given = field(data, "complexes", path, dict)
     _known(given, pres.colors, f"{path}.complexes", f"color of {pres.name}")
     for c in pres.colors:

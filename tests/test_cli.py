@@ -1,5 +1,6 @@
 """Tests for the file formats and the batch command-line front end."""
 
+import copy
 import errno
 import hashlib
 import json
@@ -816,6 +817,115 @@ def test_move_s(dga_file, sdr_file, tmp_path):
             == serialize.load(m1out + ".structure.json"))
 
 
+def _unusable_inputs(tmp_path):
+    """{name: path} of input files on the exterior DGA: usable ones (dga,
+    retract, mor, pert, onesided), one unusable file for each case of
+    test_unusable_input_is_refused, and a path with no file (missing)."""
+    a = exterior_dga()
+    s = sdr_onto_homology(a.complex)
+    sp = a.space
+    ident, zero = GradedMap.identity(sp), GradedMap.zero
+
+    def retract(phi):
+        return {"kind": "sdr", "big": serialize.complex_to_data(s.big),
+                "small": serialize.complex_to_data(s.small),
+                "nabla": serialize.map_to_data(s.nabla),
+                "f": serialize.map_to_data(s.f),
+                "phi": serialize.map_to_data(phi)}
+
+    def maps(target=None, **given):
+        data = {k: serialize.map_to_data(m) for k, m in given.items()}
+        if target is not None:
+            data["target"] = serialize.complex_to_data(target)
+        return data
+
+    mor = serialize.morphism_to_data(identity_morphism(a))
+    d2 = copy.deepcopy(mor)  # d o d maps the degree-2 basis vector to 1
+    d2["source"]["complex"] = {"dims": {"0": 1, "1": 2, "2": 1},
+                               "differential": {"1": [[1], [0]],
+                                                "2": [[1, 0]]}}
+    files = {
+        "dga": serialize.algebra_to_data(a), "retract": retract(s.phi),
+        "mor": mor, "d2": d2,
+        "pert": maps(g=ident, h=zero(sp, sp, 1)),
+        "onesided": maps(s.small, f=s.f, g=s.nabla, h=s.phi),
+        "phi0": retract(zero(sp, sp, 0)), "phizero": retract(zero(sp, sp, 1)),
+        "pert_h0": maps(g=ident, h=zero(sp, sp, 0)),
+        "onesided_h2": maps(s.small, f=s.f, g=s.nabla, h=zero(sp, sp, 2)),
+        "inverse_g1": maps(g=zero(sp, sp, 1), h=zero(sp, sp, 1),
+                           l=zero(sp, sp, 1))}
+    paths = {"missing": str(tmp_path / "missing.json")}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        serialize.dump(paths[name], data)
+    return paths
+
+
+def _argv(words, paths, tmp_path):
+    """A command line with _unusable_inputs' names for its inputs; a
+    move writes under tmp_path/out."""
+    argv = [paths.get(word, word) for word in words]
+    return argv + ["--out", str(tmp_path / "out")] * (argv[0] == "move")
+
+
+@pytest.mark.parametrize("commands, message", [
+    (["verify morphism d2", "move m2 d2 pert", "move m4 d2"],
+     "differential does not square to zero"),
+    (["verify sdr phi0", "operad riso-extend phi0", "move m1 dga phi0"],
+     "phi must be a degree +1 map on the big complex"),
+    (["move m1 dga phizero"], "phi is not a homotopy from 1 to nabla . f"),
+    (["move m1 dga retract --bound-n 1", "move s dga onesided --bound-n 1",
+      "move m1 missing retract --bound-n 1"],
+     "--bound-n 1 transfers no operation (operations start at arity 2)"),
+    (["move m2 mor pert_h0"], "$.h.degree: expected 1, got 0"),
+    (["move s dga onesided_h2"], "$.h.degree: expected 1, got 2"),
+    (["move m3 mor inverse_g1"], "$.g.degree: expected 0, got 1"),
+], ids=["d-squared", "phi-degree-0", "not-a-retract", "bound-n-1",
+        "m2-h-degree-0", "s-h-degree-2", "m3-g-degree-1"])
+def test_unusable_input_is_refused(commands, message, tmp_path, capsys):
+    """An unusable input or bound is refused alike by every command that
+    reads it: exit 2, the same message, no certificate and no output.
+    No move turns it into a failed check.  Retract files are read as
+    retracts by move m1 and --bound-n 1 leaves m1 and s no operation to
+    transfer, refused before any input is read; each map of a move file
+    has its own degree, 0 for f and g and 1 for h and l."""
+    paths = _unusable_inputs(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    for command in commands:
+        assert main(_argv(command.split(), paths, tmp_path)) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv, patched, message", [
+    (["operad", "homology", "riso", "--arity", "1", "--length", "5"],
+     "shalg.cli.truncated_homology",
+     "out of memory; lower --arity or --length"),
+    (["move", "m1", "dga", "retract"], "shalg.transfer.transfer_M1",
+     "out of memory; lower --bound-n"),
+    (["verify", "sdr", "retract"], "shalg.transfer.retract_residuals",
+     "out of memory"),
+], ids=["operad-homology", "move-m1", "verify-sdr"])
+def test_out_of_memory_exits_2_naming_the_bounds(argv, patched, message,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+    """A command that runs out of memory exits 2 with a message naming
+    the bounds it reads, if any, and prints no certificate or
+    traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    argv = _argv(argv, _unusable_inputs(tmp_path), tmp_path)
+    monkeypatch.setattr(patched, exhausted)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 # ----------------------------------------------------------------- operad
 
 
@@ -1254,7 +1364,8 @@ def test_failed_write_exits_2_naming_the_output(command, dga_file, sdr_file,
 
 def test_missing_file_is_an_error(capsys):
     assert main(["verify", "ainf", "/nonexistent/file.json"]) == 2
-    assert capsys.readouterr().err == "error: /nonexistent/file.json\n"
+    assert capsys.readouterr().err == (f"error: /nonexistent/file.json: "
+                                       f"{os.strerror(errno.ENOENT)}\n")
 
 
 def test_malformed_structure_exits_2(tmp_path, capsys):

@@ -7,8 +7,9 @@ layer, no command that hashes its input files loads OpenSSL, a plain
 command line loads no argparse, no command loads fractions, json or
 typing, no module of shalg imports json or typing when imported, only
 exactlin names tensor_maps_many, only operadcore names the builders of
-the bundled models, no module of shalg has an assert statement, and
-every public function or class of shalg is run by shalg or the
+the bundled models, no module of shalg has an assert statement, no
+command function of the front end has a try statement, and every
+public function or class of shalg is run by shalg or the
 benchmark, or is listed as library API."""
 
 import ast
@@ -243,6 +244,39 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)] == []
+
+
+# try and, from Python 3.11, try with except*
+TRY_NODES = tuple(getattr(ast, name) for name in ("Try", "TryStar")
+                  if hasattr(ast, name))
+
+
+def commands_with_try(source: str) -> list:
+    """The names of the top-level cmd_* functions that hold a try
+    statement."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("cmd_")
+            and any(isinstance(n, TRY_NODES) for n in ast.walk(node))]
+
+
+def test_detects_commands_with_try():
+    source = ("def cmd_a(args):\n    if args:\n        try:\n"
+              "            f()\n        except ValueError:\n"
+              "            pass\n"
+              "def cmd_b(args):\n    return f(args)\n"
+              "def _helper(args):\n    try:\n        f()\n"
+              "    finally:\n        g()\n")
+    assert commands_with_try(source) == ["cmd_a"]
+
+
+def test_no_command_catches_an_exception():
+    """A command builds its inputs and lets every refusal reach main,
+    which prints it and exits 2; a failed hypothesis of a move is a
+    named check, recorded by cli._run_move.  A try in a command could
+    turn a refusal into a failed check, or hide it."""
+    assert commands_with_try((SRC / "cli.py").read_text(
+        encoding="utf-8")) == []
 
 
 def test_only_exactlin_names_tensor_maps_many():

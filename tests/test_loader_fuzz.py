@@ -4,8 +4,8 @@ Each mutation deletes one key of a well-formed ainf, morphism, sdr or
 action document, or swaps one value (anywhere in the document) for
 null, a string, a list, an object, a float, a bool, a negative
 integer or "1/0".  The loaders may accept the result or raise
-ValueError (serialize.InputError is one); nothing else may escape, and
-`shalg verify` exits 2 whenever the loader refused the document.
+ValueError; nothing else may escape, and `shalg verify` exits 2
+whenever the loader refused the document.
 Integers stay small: the (dim V)^N cost of a large N is not probed.
 """
 
